@@ -100,10 +100,10 @@ def claim_q4_lines(matrix: DistanceMatrix | None = None) -> Claim:
     )
 
 
-def claim_three_point_classification(threads: int = 1) -> Claim:
+def claim_three_point_classification() -> Claim:
     """classify(3) finds exactly the five reference classes, with matching
     per-pair lines, line counts, and metric verdicts."""
-    records = classify(3, threads=threads)
+    records = classify(3)
     by_canon = {r.canonical.mask: r for r in records}
     problems = []
     if len(records) != 5:
@@ -194,13 +194,11 @@ def claim_digraph_refutation(reference: Betweenness | None = None) -> Claim:
     return Claim("digraph-refutation", "Q4 is not digraph-realizable", ok, detail)
 
 
-def claim_four_point_theorem(
-    threads: int = 1, reference: Betweenness | None = None
-) -> Claim:
+def claim_four_point_theorem(reference: Betweenness | None = None) -> Claim:
     """Among all 104,976 consistent candidates on 4 points, exactly one
     canonical class is quasi-realizable with no universal line and fewer
     than four lines, and it is Q4's class."""
-    report = verify_theorem_four_points(threads=threads, reference=reference)
+    report = verify_theorem_four_points(reference=reference)
     recs = report.exceptional_classes
     problems = []
     if not report.matches_q4:
@@ -219,10 +217,10 @@ def claim_four_point_theorem(
     return Claim("four-point-theorem", "4-point uniqueness", not problems, detail)
 
 
-def claim_four_point_corollary(threads: int = 1) -> Claim:
+def claim_four_point_corollary() -> Claim:
     """Every 4-point class realizable by a metric, by distances <= 2, or by
     a digraph has a universal line or at least four lines."""
-    records = classify(4, kmax_list=(2,), threads=threads)
+    records = classify(4, kmax_list=(2,))
     bad = [
         r
         for r in records
@@ -244,17 +242,17 @@ def claim_four_point_corollary(threads: int = 1) -> Claim:
     return Claim("four-point-corollary", "4-point DBE corollary", ok, detail)
 
 
-def claim_witness_soundness(threads: int = 1, scalings: int = 100) -> Claim:
+def claim_witness_soundness(scalings: int = 100) -> Claim:
     """Every stored realizability witness reproduces its class exactly, and
     positive rational rescaling never changes betweenness or lines."""
     problems = []
     checked = 0
-    for rec in classify(3, threads=threads):
+    for rec in classify(3):
         if rec.realizable_quasi:
             checked += 1
             if not verify_witness(rec.witness, rec.canonical):
                 problems.append(f"bad 3-point witness for encoding {rec.canonical.mask}")
-    for rec in verify_theorem_four_points(threads=threads).exceptional_classes:
+    for rec in verify_theorem_four_points().exceptional_classes:
         checked += 1
         if not verify_witness(rec.witness, rec.canonical):
             problems.append(f"bad 4-point witness for encoding {rec.canonical.mask}")
@@ -365,17 +363,17 @@ def claim_grid_oracle() -> Claim:
     return Claim("grid-oracle", "LP vs grid oracle", not problems, detail)
 
 
-def run_all_claims(threads: int = 1) -> tuple[Claim, ...]:
+def run_all_claims() -> tuple[Claim, ...]:
     """All claims in report order (mirrors the acceptance criteria 1..10)."""
     return (
         claim_q4_betweenness(),
         claim_q4_lines(),
-        claim_three_point_classification(threads),
+        claim_three_point_classification(),
         claim_metric_refutation(),
         claim_integer_refutation(),
         claim_digraph_refutation(),
-        claim_four_point_theorem(threads),
-        claim_four_point_corollary(threads),
-        claim_witness_soundness(threads),
+        claim_four_point_theorem(),
+        claim_four_point_corollary(),
+        claim_witness_soundness(),
         claim_grid_oracle(),
     )

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import claims as claims_mod
-from . import kernels
 from .core import (
     Betweenness,
     DistanceMatrix,
@@ -301,12 +300,11 @@ def cmd_enumerate(args) -> int:
             raise InputError(f"bad --int value {args.int!r}; expected e.g. 2,3")
         if any(k < 1 for k in bounds):
             raise InputError("--int bounds must be >= 1")
-    records = classify(args.n, kmax_list=bounds, threads=args.threads)
+    records = classify(args.n, kmax_list=bounds)
     bounds = tuple(sorted(set(bounds)))
     payload = {
         "command": "enumerate",
         "n": args.n,
-        "backend": kernels.backend_name(),
         "class_count": len(records),
         "classes": [
             {
@@ -351,11 +349,10 @@ def _yn(flag: bool) -> str:
 
 
 def cmd_verify_paper(args) -> int:
-    results = claims_mod.run_all_claims(threads=args.threads)
+    results = claims_mod.run_all_claims()
     all_pass = all(c.passed for c in results)
     payload = {
         "command": "verify-paper",
-        "backend": kernels.backend_name(),
         "all_pass": all_pass,
         "claims": [
             {
@@ -424,10 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", cmd_enumerate, "classify all consistent relations on n points")
     p.add_argument("--n", type=int, required=True, help="point count (3 or 4)")
     p.add_argument("--int", help="comma-separated integer distance bounds, e.g. 2,3")
-    p.add_argument("--threads", type=int, default=1, help="worker count (default 1)")
 
-    p = add("verify-paper", cmd_verify_paper, "run the full built-in claim suite")
-    p.add_argument("--threads", type=int, default=1, help="worker count (default 1)")
+    add("verify-paper", cmd_verify_paper, "run the full built-in claim suite")
 
     return parser
 

@@ -8,7 +8,6 @@ no stronger inference is assumed.
 """
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 from typing import Iterator, Mapping
@@ -63,30 +62,16 @@ def raw_consistent_masks(n: int) -> Iterator[int]:
         yield mask
 
 
-def _chunked(seq, parts):
-    step = (len(seq) + parts - 1) // parts
-    return [seq[i : i + step] for i in range(0, len(seq), step)]
-
-
 _classes_cache: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
-def canonical_classes(n: int, threads: int = 1) -> tuple[tuple[int, int], ...]:
+def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical encoding, orbit size) for every isomorphism class of
     consistent relations, in increasing encoding order."""
     cached = _classes_cache.get(n)
     if cached is not None:
         return cached
-    masks = list(raw_consistent_masks(n))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            canons = []
-            for part in pool.map(
-                lambda chunk: kernels.canonical_batch(n, chunk), _chunked(masks, threads)
-            ):
-                canons.extend(part)
-    else:
-        canons = kernels.canonical_batch(n, masks)
+    canons = kernels.canonical_batch(n, raw_consistent_masks(n))
     # the raw stream hits each orbit member exactly once, so multiplicity
     # under canonicalization is the orbit size
     result = tuple(sorted(Counter(canons).items()))
@@ -94,9 +79,9 @@ def canonical_classes(n: int, threads: int = 1) -> tuple[tuple[int, int], ...]:
     return result
 
 
-def enumerate_consistent(n: int, threads: int = 1) -> Iterator[Betweenness]:
+def enumerate_consistent(n: int) -> Iterator[Betweenness]:
     """Each canonical consistent relation exactly once, increasing encoding."""
-    for mask, _ in canonical_classes(n, threads):
+    for mask, _ in canonical_classes(n):
         yield Betweenness(n, mask)
 
 
@@ -143,20 +128,20 @@ def _base_record(n, mask, orbit_size, digraph_canons) -> ClassificationRecord:
 _base_records_cache: dict[int, tuple[ClassificationRecord, ...]] = {}
 
 
-def _base_records(n: int, threads: int = 1) -> tuple[ClassificationRecord, ...]:
+def _base_records(n: int) -> tuple[ClassificationRecord, ...]:
     cached = _base_records_cache.get(n)
     if cached is not None:
         return cached
     digraph_canons = kernels.digraph_canon_witnesses(n)
     records = tuple(
         _base_record(n, mask, size, digraph_canons)
-        for mask, size in canonical_classes(n, threads)
+        for mask, size in canonical_classes(n)
     )
     _base_records_cache[n] = records
     return records
 
 
-def classify(n: int, kmax_list=(), threads: int = 1) -> tuple[ClassificationRecord, ...]:
+def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
     """Classify every canonical consistent relation on n points.
 
     Runs the slack-maximization LP for every class (quasi always, metric
@@ -169,7 +154,7 @@ def classify(n: int, kmax_list=(), threads: int = 1) -> tuple[ClassificationReco
     bounds = tuple(sorted(set(kmax_list)))
     int_canons = {k: kernels.integer_canon_witnesses(n, k) for k in bounds}
     records = []
-    for rec in _base_records(n, threads):
+    for rec in _base_records(n):
         realizable_int = {k: rec.canonical.mask in int_canons[k] for k in bounds}
         records.append(replace(rec, realizable_int=realizable_int))
     return tuple(records)
@@ -185,9 +170,7 @@ class TheoremReport:
     matches_q4: bool
 
 
-def verify_theorem_four_points(
-    threads: int = 1, reference: Betweenness | None = None
-) -> TheoremReport:
+def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremReport:
     """Check that exactly one 4-point class is quasi-realizable with no
     universal line and fewer than four lines, and that it is the class of
     the reference relation (Q4's betweenness by default).
@@ -201,7 +184,7 @@ def verify_theorem_four_points(
     int2 = kernels.integer_canon_witnesses(4, 2)
     digraph_canons = kernels.digraph_canon_witnesses(4)
     exceptional = []
-    for mask, size in canonical_classes(4, threads):
+    for mask, size in canonical_classes(4):
         ls = line_set(Betweenness(4, mask))
         if ls.has_universal or ls.line_count >= 4:
             continue

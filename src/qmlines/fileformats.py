@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .core import Betweenness, DistanceMatrix
 
-_RATIONAL = re.compile(r"\+?(\d+)(?:/(\d+))?$")
+_NUMBER = re.compile(r"\+?(\d+)(?:/(\d+))?$")
 
 
 class ParseError(ValueError):
@@ -33,7 +33,7 @@ def _content_lines(text: str):
 
 
 def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
-    m = _RATIONAL.match(token)
+    m = _NUMBER.match(token)
     if not m:
         raise ParseError(
             f"not a rational: {token!r} (write integers or fractions like 3/2; "

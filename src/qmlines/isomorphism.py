@@ -50,16 +50,6 @@ def apply_relabeling(b: Betweenness, f: Relabeling) -> Betweenness:
     return Betweenness(b.n, apply_bit_map(b.mask, bit_map))
 
 
-def canonical_mask(n: int, mask: int) -> int:
-    """Minimum encoding of the relation over all relabelings."""
-    best = mask
-    for bit_map in permutation_bit_maps(n):
-        image = apply_bit_map(mask, bit_map)
-        if image < best:
-            best = image
-    return best
-
-
 def canonical_form(b: Betweenness) -> tuple[Betweenness, Relabeling]:
     """The minimum-encoding representative of b's isomorphism class.
 

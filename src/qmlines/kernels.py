@@ -1,60 +1,200 @@
-"""Backend selection for the exhaustive-search kernels.
+"""Kernels for the exhaustive hot loops: batch canonicalization and the
+integer and digraph sweeps.
 
-Prefers the compiled extension (``qmlines._ckernels``) and falls back to the
-pure-Python twin.  Set ``QMLINES_BACKEND=py`` or ``QMLINES_BACKEND=c`` to
-force one; the benchmark suite runs both.
+The two canonical-witness sweeps are memoized, so each (n, bound) is swept
+at most once per process.
 """
 
-import os
 from functools import lru_cache
 
-from . import _kernels_py
-
-_requested = os.environ.get("QMLINES_BACKEND", "").lower()
-if _requested in ("py", "python", "pure"):
-    _impl = _kernels_py
-elif _requested in ("c", "cython", "compiled"):
-    from . import _ckernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl
-    except ImportError:
-        _impl = _kernels_py
+from .encoding import (
+    ordered_triples,
+    permutation_byte_tables,
+    triple_count,
+)
 
 
-def backend_name() -> str:
-    return _impl.BACKEND
-
-
-def available_backends() -> dict:
-    """Importable kernel backends, keyed by name (for tests and benchmarks)."""
-    backends = {_kernels_py.BACKEND: _kernels_py}
-    try:
-        from . import _ckernels
-    except ImportError:
-        pass
-    else:
-        backends[_ckernels.BACKEND] = _ckernels
-    return backends
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def canonical_batch(n: int, masks) -> list[int]:
-    return _impl.canonical_batch(n, masks)
+    """Canonical (minimum-over-relabelings) encoding for each mask."""
+    tables = permutation_byte_tables(n)
+    nbytes = (triple_count(n) + 7) // 8
+    out = []
+    if nbytes == 1:
+        for m in masks:
+            best = m
+            for tabs in tables:
+                img = tabs[0][m]
+                if img < best:
+                    best = img
+            out.append(best)
+        return out
+    for m in masks:
+        best = m
+        for tabs in tables:
+            img = 0
+            for bi in range(nbytes):
+                img |= tabs[bi][(m >> (8 * bi)) & 0xFF]
+            if img < best:
+                best = img
+        out.append(best)
+    return out
+
+
+def _triangle_checks_by_depth(n):
+    """Triangle checks d[a] <= d[b] + d[c] grouped by the depth that completes them.
+
+    Pair variables are assigned in lex order; check (x,z,y), i.e.
+    d(x,y) <= d(x,z) + d(z,y), fires once all three pairs have values.
+    """
+    pair_index = {p: k for k, p in enumerate(_pairs(n))}
+    by_depth = [[] for _ in range(len(pair_index))]
+    for x in range(n):
+        for z in range(n):
+            for y in range(n):
+                if x == y or x == z or y == z:
+                    continue
+                a, b, c = pair_index[(x, y)], pair_index[(x, z)], pair_index[(z, y)]
+                by_depth[max(a, b, c)].append((a, b, c))
+    return by_depth
+
+
+def _betweenness_pair_indices(n):
+    """Per encoding bit, the pair indices (xz, xy, yz) whose equality sets it."""
+    pair_index = {p: k for k, p in enumerate(_pairs(n))}
+    return [
+        (pair_index[(x, z)], pair_index[(x, y)], pair_index[(y, z)])
+        for (x, y, z) in ordered_triples(n)
+    ]
+
+
+def _iter_valid_integer_matrices(n, kmax):
+    """DFS over off-diagonal entries in 1..kmax, lex order, triangle-pruned.
+
+    Yields (values, betweenness_mask) for every valid quasi-metric.
+    """
+    npairs = n * (n - 1)
+    checks = _triangle_checks_by_depth(n)
+    bet = _betweenness_pair_indices(n)
+    vals = [0] * npairs
+    depth = 0
+    while depth >= 0:
+        vals[depth] += 1
+        if vals[depth] > kmax:
+            vals[depth] = 0
+            depth -= 1
+            continue
+        ok = True
+        for (a, b, c) in checks[depth]:
+            if vals[a] > vals[b] + vals[c]:
+                ok = False
+                break
+        if not ok:
+            continue
+        if depth == npairs - 1:
+            mask = 0
+            for bit, (xz, xy, yz) in enumerate(bet):
+                if vals[xz] == vals[xy] + vals[yz]:
+                    mask |= 1 << bit
+            yield vals, mask
+        else:
+            depth += 1
 
 
 @lru_cache(maxsize=None)
 def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
-    return _impl.integer_canon_witnesses(n, kmax)
+    """Sweep all quasi-metrics with entries in 1..kmax; map canonical
+    betweenness encodings to the lexicographically first witness entries."""
+    result: dict[int, tuple[int, ...]] = {}
+    tables = permutation_byte_tables(n)
+    nbytes = (triple_count(n) + 7) // 8
+    for vals, mask in _iter_valid_integer_matrices(n, kmax):
+        best = mask
+        for tabs in tables:
+            img = 0
+            for bi in range(nbytes):
+                img |= tabs[bi][(mask >> (8 * bi)) & 0xFF]
+            if img < best:
+                best = img
+        if best not in result:
+            result[best] = tuple(vals)
+    return result
 
 
 def find_integer_witness(n: int, kmax: int, target_masks) -> tuple[int, ...] | None:
-    return _impl.find_integer_witness(n, kmax, frozenset(target_masks))
+    """First (lex order) valid integer matrix whose raw betweenness mask is in
+    target_masks, or None after exhausting the search space."""
+    targets = frozenset(target_masks)
+    for vals, mask in _iter_valid_integer_matrices(n, kmax):
+        if mask in targets:
+            return tuple(vals)
+    return None
+
+
+def _digraph_distance_masks(n):
+    """Yield (arc_mask, betweenness_mask) over strongly connected digraphs.
+
+    Arc bit k corresponds to the k-th lex ordered pair; distances are
+    unweighted shortest-path lengths.
+    """
+    pairs = _pairs(n)
+    npairs = len(pairs)
+    trips = ordered_triples(n)
+    inf = n + 1  # longer than any simple path
+    for arc_mask in range(1 << npairs):
+        d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+        for k in range(npairs):
+            if arc_mask >> k & 1:
+                i, j = pairs[k]
+                d[i][j] = 1
+        for m in range(n):
+            dm = d[m]
+            for i in range(n):
+                dim = d[i][m]
+                if dim >= inf:
+                    continue
+                di = d[i]
+                for j in range(n):
+                    v = dim + dm[j]
+                    if v < di[j]:
+                        di[j] = v
+        if any(d[i][j] >= inf for i in range(n) for j in range(n)):
+            continue
+        mask = 0
+        for bit, (x, y, z) in enumerate(trips):
+            if d[x][z] == d[x][y] + d[y][z]:
+                mask |= 1 << bit
+        yield arc_mask, mask
 
 
 @lru_cache(maxsize=None)
 def digraph_canon_witnesses(n: int) -> dict[int, int]:
-    return _impl.digraph_canon_witnesses(n)
+    """Sweep all strongly connected digraphs; map canonical betweenness
+    encodings to the first realizing arc mask."""
+    result: dict[int, int] = {}
+    tables = permutation_byte_tables(n)
+    nbytes = (triple_count(n) + 7) // 8
+    for arc_mask, mask in _digraph_distance_masks(n):
+        best = mask
+        for tabs in tables:
+            img = 0
+            for bi in range(nbytes):
+                img |= tabs[bi][(mask >> (8 * bi)) & 0xFF]
+            if img < best:
+                best = img
+        if best not in result:
+            result[best] = arc_mask
+    return result
 
 
 def find_digraph_witness(n: int, target_masks) -> int | None:
-    return _impl.find_digraph_witness(n, frozenset(target_masks))
+    """First arc mask of a strongly connected digraph whose betweenness mask
+    is in target_masks, or None."""
+    targets = frozenset(target_masks)
+    for arc_mask, mask in _digraph_distance_masks(n):
+        if mask in targets:
+            return arc_mask
+    return None

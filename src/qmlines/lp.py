@@ -1,27 +1,17 @@
 """Exact rational linear programming: two-phase simplex, Bland's rule.
 
-The instances solved here are tiny (at most 13 variables and about 40
+The instances solved here are tiny (at n=4, 13 variables and about 40
 constraints), so everything favors exactness and simplicity over speed:
 dense tableaus, least-index pivoting, no scaling heuristics.  Arithmetic is
-exact rational throughout; gmpy2's mpq is used internally when available
-(identical results, faster), with `fractions.Fraction` as the public type.
+exact rational throughout, in `fractions.Fraction`.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
 from .core import DistanceMatrix, as_rational, default_labels
-
-if os.environ.get("QMLINES_LP_RATIONAL", "").lower() in ("fraction", "stdlib"):
-    _RAT = Fraction
-else:
-    try:
-        from gmpy2 import mpq as _RAT
-    except ImportError:
-        _RAT = Fraction
 
 EPS_VAR = "eps"
 
@@ -166,8 +156,8 @@ def _simplex_max(variables, constraints, objective):
     or "unbounded".  Two-phase simplex on the split nonnegative form with
     Bland's least-index pivot rule (finite by anti-cycling).
     """
-    zero = _RAT(0)
-    one = _RAT(1)
+    zero = Fraction(0)
+    one = Fraction(1)
     nvars = len(variables)
     vindex = {v: k for k, v in enumerate(variables)}
 
@@ -177,11 +167,10 @@ def _simplex_max(variables, constraints, objective):
         arr = [zero] * (2 * nvars)
         for v, cf in con.coeffs.items():
             k = vindex[v]
-            q = _RAT(cf.numerator) / _RAT(cf.denominator)
-            arr[2 * k] += q
-            arr[2 * k + 1] -= q
+            arr[2 * k] += cf
+            arr[2 * k + 1] -= cf
         rel = con.relation
-        rhs = _RAT(con.rhs.numerator) / _RAT(con.rhs.denominator)
+        rhs = con.rhs
         if rhs < 0:
             arr = [-a for a in arr]
             rhs = -rhs
@@ -305,9 +294,8 @@ def _simplex_max(variables, constraints, objective):
     cost2 = [zero] * ncols
     for v, cf in objective.items():
         k = vindex[v]
-        q = _RAT(cf.numerator) / _RAT(cf.denominator)
-        cost2[2 * k] += q
-        cost2[2 * k + 1] -= q
+        cost2[2 * k] += cf
+        cost2[2 * k + 1] -= cf
     red, value = reduced_costs(cost2)
     status, value = bland(red, value, ncols)
     if status == "unbounded":
@@ -318,6 +306,5 @@ def _simplex_max(variables, constraints, objective):
         col_value[basis[i]] = rhs_col[i]
     assignment = {}
     for v, k in vindex.items():
-        q = col_value.get(2 * k, zero) - col_value.get(2 * k + 1, zero)
-        assignment[v] = Fraction(int(q.numerator), int(q.denominator))
-    return "optimal", Fraction(int(value.numerator), int(value.denominator)), assignment
+        assignment[v] = col_value.get(2 * k, zero) - col_value.get(2 * k + 1, zero)
+    return "optimal", value, assignment

@@ -262,10 +262,16 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "3", "--int", "2,x")
         assert code == 2
 
-    def test_thread_count_does_not_change_output(self, capsys):
-        _, single, _ = run(capsys, "enumerate", "--n", "3", "--int", "2")
-        _, threaded, _ = run(capsys, "enumerate", "--n", "3", "--int", "2", "--threads", "4")
-        assert single == threaded
+    def test_json_schema(self, capsys):
+        # pins the report's field set so a key cannot be added or dropped silently
+        code, payload = run_json(capsys, "enumerate", "--n", "3")
+        assert code == 0
+        assert set(payload) == {"command", "n", "class_count", "classes"}
+        assert set(payload["classes"][0]) == {
+            "encoding", "triples", "class_size", "line_count", "has_universal",
+            "satisfies_dbe", "realizable_quasi", "realizable_metric", "realizable_int",
+            "realizable_digraph", "witness",
+        }
 
 
 class TestTwoPoints:

@@ -1,73 +1,8 @@
-"""Backend equivalence: the compiled kernels must be indistinguishable from
-the pure-Python ones on every query."""
-
-import random
-
-import pytest
+"""The exhaustive-search kernels."""
 
 from qmlines import kernels
-from qmlines.enumeration import raw_consistent_masks
-from qmlines.fixtures import q4_betweenness
-from qmlines.realizability import _orbit_masks
-
-BACKENDS = kernels.available_backends()
-both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled backend not built; nothing to compare"
-)
 
 
-def pairwise(fn, *args):
-    results = [getattr(mod, fn)(*args) for mod in BACKENDS.values()]
-    first = results[0]
-    for other in results[1:]:
-        assert other == first
-    return first
-
-
-@both
-def test_canonical_batch_on_all_consistent_relations():
-    for n in (3, 4):
-        masks = list(raw_consistent_masks(n))
-        pairwise("canonical_batch", n, masks)
-
-
-@both
-def test_canonical_batch_on_random_masks():
-    rng = random.Random(20240)
-    masks = [rng.randrange(1 << 24) for _ in range(3000)]
-    pairwise("canonical_batch", 4, masks)
-
-
-@both
-@pytest.mark.parametrize("n,kmax", [(2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
-def test_integer_maps_agree(n, kmax):
-    pairwise("integer_canon_witnesses", n, kmax)
-
-
-@both
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_digraph_maps_agree(n):
-    pairwise("digraph_canon_witnesses", n)
-
-
-@both
-def test_find_integer_witness_agrees():
-    targets = _orbit_masks(q4_betweenness())
-    for kmax in (2, 3):
-        pairwise("find_integer_witness", 4, kmax, targets)
-
-
-@both
-def test_find_digraph_witness_agrees():
-    targets = _orbit_masks(q4_betweenness())
-    pairwise("find_digraph_witness", 4, targets)
-    pairwise("find_digraph_witness", 3, frozenset({0}))
-
-
-def test_backend_name_is_reported():
-    assert kernels.backend_name() in BACKENDS
-
-
-def test_facade_caches_are_consistent():
+def test_canon_witness_sweeps_are_memoized():
     assert kernels.integer_canon_witnesses(3, 2) is kernels.integer_canon_witnesses(3, 2)
     assert kernels.digraph_canon_witnesses(3) is kernels.digraph_canon_witnesses(3)

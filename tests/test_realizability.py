@@ -198,8 +198,6 @@ def test_lp_accepts_the_betweenness_of_any_valid_metric(m):
 
 
 def test_five_point_digraph_search_smoke():
-    if "cython" not in kernels.available_backends() or kernels.backend_name() != "cython":
-        pytest.skip("exhaustive n=5 sweep is only quick with the compiled kernels")
     g = realize_digraph(Betweenness(5, 0))
     assert g is not None
     assert betweenness_of(digraph_distances(g)).mask == 0
