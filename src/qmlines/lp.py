@@ -1,9 +1,14 @@
 """Exact rational linear programming: two-phase simplex, Bland's rule.
 
-The instances solved here are tiny (at n=4, 13 variables and about 40
-constraints), so everything favors exactness and simplicity over speed:
-dense tableaus, least-index pivoting, no scaling heuristics.  Arithmetic is
-exact rational throughout, in `fractions.Fraction`.
+The instances solved here are small (at n=4, 13 variables and about 40
+constraints): dense rows, least-index pivoting, no scaling heuristics.
+Arithmetic is exact and fraction-free.  The tableau is integer rows T over
+one common denominator D > 0 (entry value T / D), updated by
+integer-preserving pivots whose division by the previous pivot is exact; a
+negative pivot negates its row so that D stays positive.  Every comparison
+decides as it would on the rational tableau, so the pivot sequence, and so
+every result, is that of the rational simplex.  `fractions.Fraction` appears
+only at the interface: constraints in, optimum and assignment out.
 """
 
 from dataclasses import dataclass
@@ -149,35 +154,60 @@ def _witness_matrix(n: int, assignment) -> DistanceMatrix:
 # --------------------------------------------------------------- the solver
 
 
+def _clear_denominators(values) -> int:
+    """The least positive integer whose product with each value is integral."""
+    return lcm(*(v.denominator for v in values))
+
+
 def _simplex_max(variables, constraints, objective):
     """Maximize objective . x subject to the constraints, x free.
 
     Returns (status, value, assignment); status is "optimal", "infeasible"
     or "unbounded".  Two-phase simplex on the split nonnegative form with
-    Bland's least-index pivot rule (finite by anti-cycling).
+    Bland's least-index pivot rule (finite by anti-cycling).  Columns are
+    numbered x+/x- per variable, then slacks, then artificials.
+
+    The tableau is fraction-free: integer rows T and one common denominator
+    D > 0, so that entry (i, j) stands for T[i][j] / D.  A row holds one
+    entry per nonbasic column (a basic column is D in its own row and 0
+    elsewhere, so it is not stored), then its right-hand side.  One more
+    integer row over the same D holds the reduced costs, and minus the
+    objective value last.  Each constraint, and the objective, is first
+    scaled by the lcm of its denominators.
+
+    A pivot on (r, c) with p = T[r][c] negates row r first if p < 0.  It
+    then replaces every other row k by (p*T[k] - T[k][c]*T[r]) // D, keeps
+    row r and sets D = p; slot c passes to the leaving variable, whose
+    column entries follow from its old unit column by the same rule; an
+    artificial that leaves the basis is dropped, as it may never enter.  The
+    division is exact: every entry is, up to one common sign, a minor of the
+    starting tableau, and D is the previous pivot (Edmonds 1967; Bareiss
+    1968).  Since D > 0, each sign test, and each ratio comparison done by
+    cross-multiplying (a/b < c/d iff a*d < c*b for b, d > 0), decides as on
+    the rational tableau, so the pivot sequence is the rational simplex's.
+    Fractions are formed only when the result is read out.
     """
-    zero = Fraction(0)
-    one = Fraction(1)
     nvars = len(variables)
     vindex = {v: k for k, v in enumerate(variables)}
 
-    # split x = x+ - x-, normalize rhs >= 0
+    # split x = x+ - x-, clear denominators, normalize rhs >= 0
     rows = []
     for con in constraints:
-        arr = [zero] * (2 * nvars)
+        scale = _clear_denominators((con.rhs, *con.coeffs.values()))
+        arr = [0] * (2 * nvars)
         for v, cf in con.coeffs.items():
             k = vindex[v]
-            arr[2 * k] += cf
-            arr[2 * k + 1] -= cf
+            q = cf.numerator * (scale // cf.denominator)
+            arr[2 * k] += q
+            arr[2 * k + 1] -= q
         rel = con.relation
-        rhs = con.rhs
+        rhs = con.rhs.numerator * (scale // con.rhs.denominator)
         if rhs < 0:
             arr = [-a for a in arr]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
         rows.append((arr, rel, rhs))
 
-    m = len(rows)
     col = 2 * nvars
     slack_col = {}
     for i, (_, rel, _) in enumerate(rows):
@@ -190,121 +220,118 @@ def _simplex_max(variables, constraints, objective):
         if rel in ("=", ">="):
             art_col[i] = col
             col += 1
-    ncols = col
 
-    tableau = []
-    rhs_col = []
-    basis = []
-    for i, (arr, rel, rhs) in enumerate(rows):
-        row = arr + [zero] * (ncols - 2 * nvars)
-        if rel == "<=":
-            row[slack_col[i]] = one
-        elif rel == ">=":
-            row[slack_col[i]] = -one
-        if i in art_col:
-            row[art_col[i]] = one
-            basis.append(art_col[i])
-        else:
-            basis.append(slack_col[i])
-        tableau.append(row)
-        rhs_col.append(rhs)
+    # every row starts with its artificial, else its slack, basic
+    basis = [art_col[i] if i in art_col else slack_col[i] for i in range(len(rows))]
+    surplus_rows = [i for i in art_col if i in slack_col]  # the ">=" rows
+    nonbasic = [*range(2 * nvars), *(slack_col[i] for i in surplus_rows)]
+    tableau = [
+        arr + [-1 if k == i else 0 for k in surplus_rows] + [rhs]
+        for i, (arr, _, rhs) in enumerate(rows)
+    ]
+    denom = 1
 
-    def reduced_costs(cost):
-        red = list(cost)
-        value = zero
-        for i in range(m):
+    def objective_row(cost):
+        obj = [denom * cost[j] for j in nonbasic] + [0]
+        for i, row in enumerate(tableau):
             cb = cost[basis[i]]
             if cb:
-                value += cb * rhs_col[i]
-                row = tableau[i]
-                for j in range(ncols):
-                    if row[j]:
-                        red[j] -= cb * row[j]
-        return red, value
+                obj = [z - cb * v for z, v in zip(obj, row)]
+        return obj
 
-    def pivot(i, j, red, value):
-        row = tableau[i]
-        piv = row[j]
-        if piv != one:
-            tableau[i] = row = [v / piv for v in row]
-            rhs_col[i] = rhs_col[i] / piv
-        nonzero = [(jj, v) for jj, v in enumerate(row) if v]
-        bi = rhs_col[i]
-        for k in range(m):
-            if k == i:
-                continue
-            f = tableau[k][j]
+    def pivot(r, c, obj):
+        nonlocal denom
+        pivot_row = tableau[r]
+        p = pivot_row[c]
+        flip = p < 0
+        if flip:
+            tableau[r] = pivot_row = [-v for v in pivot_row]
+            p = -p
+
+        def exchange(row):
+            f = row[c]
             if f:
-                rk = tableau[k]
-                for jj, v in nonzero:
-                    rk[jj] -= f * v
-                rhs_col[k] -= f * bi
-        f = red[j]
-        if f:
-            for jj, v in nonzero:
-                red[jj] -= f * v
-            value += f * bi
-        basis[i] = j
-        return value
+                row = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
+                row[c] = f if flip else -f
+            elif p != denom:
+                row = [a * p // denom for a in row]
+            return row
 
-    def bland(red, value, limit):
-        # pivot until optimal; columns >= limit may never enter
+        for k, row in enumerate(tableau):
+            if k != r:
+                tableau[k] = exchange(row)
+        obj[:] = exchange(obj)
+        pivot_row[c] = -denom if flip else denom
+        denom = p
+        basis[r], nonbasic[c] = nonbasic[c], basis[r]
+        if nonbasic[c] >= first_art:
+            del nonbasic[c]
+            for row in tableau:
+                del row[c]
+            del obj[c]
+
+    def least(slots):
+        return min(slots, key=nonbasic.__getitem__, default=None)
+
+    def bland(obj):
+        # pivot until optimal
         while True:
-            enter = next((j for j in range(limit) if red[j] > 0), None)
+            enter = least(s for s in range(len(nonbasic)) if obj[s] > 0)
             if enter is None:
-                return "optimal", value
+                return "optimal"
             leave = None
-            best = None
-            for i in range(m):
-                t = tableau[i][enter]
-                if t > 0:
-                    ratio = rhs_col[i] / t
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
+            for i, row in enumerate(tableau):
+                t = row[enter]
+                if t <= 0:
+                    continue
+                if leave is not None:
+                    # row i leaves instead if row[-1] / t is smaller, or
+                    # equal with a smaller basic column
+                    lhs, rhs = row[-1] * den, num * t
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, num, den = i, row[-1], t
             if leave is None:
-                return "unbounded", value
-            value = pivot(leave, enter, red, value)
+                return "unbounded"
+            pivot(leave, enter, obj)
 
     if art_col:
-        cost1 = [zero] * ncols
+        cost1 = [0] * col
         for j in art_col.values():
-            cost1[j] = -one
-        red, value = reduced_costs(cost1)
-        status, value = bland(red, value, first_art)
-        if value < 0:
+            cost1[j] = -1
+        obj = objective_row(cost1)
+        bland(obj)
+        if obj[-1] > 0:  # the phase-1 optimum -obj[-1] / D is negative
             return "infeasible", None, None
         # drive zero-level artificials out of the basis; drop redundant rows
+        # (an artificial's starting column is a unit column, so D stays the
+        # common denominator of the remaining rows)
         i = 0
-        while i < m:
+        while i < len(tableau):
             if basis[i] >= first_art:
-                enter = next((j for j in range(first_art) if tableau[i][j] != 0), None)
+                row = tableau[i]
+                enter = least(s for s in range(len(nonbasic)) if row[s])
                 if enter is None:
                     del tableau[i]
-                    del rhs_col[i]
                     del basis[i]
-                    m -= 1
                     continue
-                pivot(i, enter, red, value)
+                pivot(i, enter, obj)
             i += 1
-        for i in range(m):
-            tableau[i] = tableau[i][:first_art]
-        ncols = first_art
 
-    cost2 = [zero] * ncols
+    obj_scale = _clear_denominators(objective.values())
+    cost2 = [0] * first_art
     for v, cf in objective.items():
         k = vindex[v]
-        cost2[2 * k] += cf
-        cost2[2 * k + 1] -= cf
-    red, value = reduced_costs(cost2)
-    status, value = bland(red, value, ncols)
-    if status == "unbounded":
+        q = cf.numerator * (obj_scale // cf.denominator)
+        cost2[2 * k] += q
+        cost2[2 * k + 1] -= q
+    obj = objective_row(cost2)
+    if bland(obj) == "unbounded":
         return "unbounded", None, None
 
-    col_value = {}
-    for i in range(m):
-        col_value[basis[i]] = rhs_col[i]
-    assignment = {}
-    for v, k in vindex.items():
-        assignment[v] = col_value.get(2 * k, zero) - col_value.get(2 * k + 1, zero)
-    return "optimal", value, assignment
+    col_value = {basis[i]: row[-1] for i, row in enumerate(tableau)}
+    assignment = {
+        v: Fraction(col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0), denom)
+        for v, k in vindex.items()
+    }
+    return "optimal", Fraction(-obj[-1], denom * obj_scale), assignment

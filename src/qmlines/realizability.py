@@ -31,6 +31,10 @@ from .lp import (
 
 VARIANTS = ("quasi", "metric")
 
+# most integer matrices the bounded-integer sweep may face: 4**12 covers
+# n=4 up to K=4, and n=5 with K=2
+INTEGER_SWEEP_CAP = 2**24
+
 
 class InconsistentRelationError(ValueError):
     """The relation violates the membership exclusion rule and cannot come
@@ -111,12 +115,20 @@ def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
     whose betweenness is isomorphic to b; None if the exhaustive search fails.
 
     "Distances in {0..kmax}" places 0 on the diagonal only, since d(x,y) = 0
-    forces x = y.
+    forces x = y.  Exhaustive over up to kmax^(n(n-1)) matrices, so that
+    worst case is capped at INTEGER_SWEEP_CAP.
     """
     _require_consistent(b)
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     n = b.n
+    estimate = kmax ** (n * (n - 1))
+    if estimate > INTEGER_SWEEP_CAP:
+        raise ValueError(
+            f"integer search is exhaustive; n={n}, K={kmax} means up to "
+            f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
+            f"{INTEGER_SWEEP_CAP} (2^24)"
+        )
     entries = kernels.find_integer_witness(n, kmax, _orbit_masks(b))
     if entries is None:
         return None

@@ -204,6 +204,17 @@ class TestRealize:
         assert code == 0
         assert payload["witness"] is not None
 
+    def test_int_over_the_sweep_cap_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "cycle.triples"
+        path.write_text("a b c\nb c a\nc a b\n")
+        code, out, err = run(
+            capsys, "realize", "--variant", "int:17",
+            "--triples", str(path), "--labels", "a,b,c",
+        )
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
     def test_digraph_refuted(self, capsys, q4_triples_file):
         code, payload = run_json(
             capsys, "realize", "--variant", "digraph",

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlines.core import Betweenness
+from qmlines.enumeration import canonical_classes
 from qmlines.fixtures import q4_betweenness
 from qmlines.lp import (
     EPS_VAR,
@@ -182,13 +184,20 @@ _VARS = ("x0", "x1", "x2")
 def small_lps(draw):
     nvars = draw(st.integers(min_value=1, max_value=3))
     variables = _VARS[:nvars]
-    coeff = st.integers(min_value=-3, max_value=3)
+    # some fractions, so that the solver's denominator clearing is exercised
+    def number(bound):
+        return st.one_of(
+            st.integers(min_value=-bound, max_value=bound),
+            st.fractions(min_value=-bound, max_value=bound, max_denominator=4),
+        )
+
+    coeff = number(3)
     ncons = draw(st.integers(min_value=1, max_value=4))
     constraints = []
     for _ in range(ncons):
         coeffs = {v: draw(coeff) for v in variables}
         rel = draw(st.sampled_from(["<=", "<=", "<=", "="]))
-        rhs = draw(st.integers(min_value=-5, max_value=5))
+        rhs = draw(number(5))
         constraints.append((coeffs, rel, rhs))
     # box bounds keep the region a polytope, so the vertex oracle is sound
     for v in variables:
@@ -218,3 +227,22 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
             Fraction(c) * assignment[v] for v, c in objective.items()
         )
         assert achieved == value
+
+
+# ------------------------------------------------------ pinned LP outputs
+
+# SHA-256 over one "status|optimal_slack|witness entries" line per LP, the
+# quasi then the metric system of every 9th class of canonical_classes(4),
+# in class order; recorded from the rational (Fraction) tableau solver.
+LP_OUTPUTS_SHA256 = "6badcde8b275b84661b9dc122f907f3f0c3eb7402c7d46e05a086b6c01dec329"
+
+
+def test_lp_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for mask, _ in canonical_classes(4)[::9]:
+        for variant in ("quasi", "metric"):
+            outcome = maximize_slack(build_realization_system(Betweenness(4, mask), variant))
+            w = outcome.witness
+            entries = "" if w is None else ",".join(str(v) for row in w.entries for v in row)
+            digest.update(f"{outcome.status}|{outcome.optimal_slack}|{entries}\n".encode())
+    assert digest.hexdigest() == LP_OUTPUTS_SHA256

@@ -119,6 +119,18 @@ class TestBoundedInteger:
         with pytest.raises(InconsistentRelationError):
             realize_bounded_integer(inconsistent(), 2)
 
+    def test_sweep_at_the_cap_is_accepted(self):
+        # 16^6 = 2^24 matrices in the worst case; the all-ones matrix comes first
+        w = realize_bounded_integer(Betweenness(3, 0), 16)
+        assert w is not None
+        assert betweenness_of(w).mask == 0
+
+    @pytest.mark.parametrize(("n", "kmax"), [(3, 17), (5, 3)])
+    def test_sweep_over_the_cap_is_refused(self, n, kmax):
+        estimate = kmax ** (n * (n - 1))
+        with pytest.raises(ValueError, match=f"= {estimate} matrices, over the cap of {2**24}"):
+            realize_bounded_integer(Betweenness(n, 0), kmax)
+
 
 class TestDigraph:
     def test_arcs_validated(self):
