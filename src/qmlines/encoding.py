@@ -3,11 +3,14 @@
 The n(n-1)(n-2) ordered triples of distinct point indices, sorted
 lexicographically, define the bit positions of the encoding.  Everything
 downstream (canonical forms, enumeration order, file output) relies on this
-fixed order, so it lives in one place.
+fixed order, so it lives in one place, with the lex order of ordered pairs
+and the one relabeling action on encodings, :func:`orbit`.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import factorial
+from operator import or_
 
 
 def triple_count(n: int) -> int:
@@ -54,61 +57,86 @@ def conflict_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def all_permutations(n: int) -> tuple[tuple[int, ...], ...]:
-    """All n! relabelings of 0..n-1 in lexicographic order."""
-    return tuple(permutations(range(n)))
+def nth_permutation(n: int, i: int) -> tuple[int, ...]:
+    """The i-th relabeling of 0..n-1 in lexicographic order, the order of
+    :func:`orbit`.  Not cached: all 8! relabelings would hold 5 MB."""
+    return next(islice(permutations(range(n)), i, None))
+
+
+# most relabelings a brute-force canonical form may try: 8! = 40,320; the
+# one-bit orbit table at n=8 already holds 336 * 40,320 references
+RELABELING_CAP = factorial(8)
 
 
 @lru_cache(maxsize=None)
-def permutation_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each relabeling p, the induced map on bit positions.
+def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """All ordered pairs of distinct indices in 0..n-1, lex order.
 
-    bit i (triple (x,y,z)) maps to the position of (p[x],p[y],p[z]).
+    The order of the off-diagonal entries in the sweeps' flat distance
+    vectors, the digraph arc masks and the LP's pair variables.
     """
+    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(n: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(width, rows): rows[c][v] holds the images, under every relabeling of
+    0..n-1 in lexicographic order, of the encoding whose only nonzero chunk is
+    chunk c (bits width*c .. width*c + width - 1), with value v.
+
+    Chunks are 8 bits wide while the table stays under about 2^20 entries
+    (n <= 5) and 1 bit wide above that.  Single-bit rows share their
+    ``1 << k`` ints and one zero row, which keeps the n=8 table at about
+    108 MB (336 rows of 40,320 references).
+    """
+    count = factorial(n)
+    if count > RELABELING_CAP:
+        raise ValueError(
+            f"canonical forms are brute force over all relabelings; n={n} means "
+            f"{n}! = {count} relabelings, over the cap of {RELABELING_CAP} (8!)"
+        )
+    nbits = triple_count(n)
+    width = 8 if -(-nbits // 8) * 256 * count <= 1 << 20 else 1
     pos = triple_position(n)
-    lt = ordered_triples(n)
-    maps = []
-    for p in all_permutations(n):
-        maps.append(tuple(pos[(p[x], p[y], p[z])] for (x, y, z) in lt))
-    return tuple(maps)
+    perms = list(permutations(range(n)))
+    powers = [1 << k for k in range(nbits)]
+    zero = (0,) * count
+    bit_rows = [
+        tuple(powers[pos[(p[x], p[y], p[z])]] for p in perms)
+        for (x, y, z) in ordered_triples(n)
+    ]
+    rows = []
+    for c in range(-(-nbits // width)):
+        row = [zero]
+        for v in range(1, 1 << width):
+            low = (v & -v).bit_length() - 1
+            bit = width * c + low
+            single = bit_rows[bit] if bit < nbits else zero
+            rest = v & (v - 1)
+            row.append(single if not rest else tuple(map(or_, row[rest], single)))
+        rows.append(tuple(row))
+    return width, tuple(rows)
 
 
-def apply_bit_map(mask: int, bit_map) -> int:
-    image = 0
-    while mask:
-        low = mask & -mask
-        image |= 1 << bit_map[low.bit_length() - 1]
-        mask ^= low
-    return image
+def orbit(n: int, mask: int) -> list[int]:
+    """The images of an encoding under every relabeling of 0..n-1, in
+    lexicographic order of the relabelings, so the identity's image comes
+    first and the i-th image is that of nth_permutation(n, i).
 
-
-@lru_cache(maxsize=None)
-def permutation_byte_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per relabeling, per byte of the encoding, a 256-entry image table.
-
-    Lets a full-mask image be computed with one table lookup per byte; the
-    canonical-form batch kernels lean on this.
+    ORs the table rows of the nonzero chunks of mask.  Refuses
+    n! > RELABELING_CAP with a ValueError.
     """
-    nbytes = (triple_count(n) + 7) // 8
-    tables = []
-    for bit_map in permutation_bit_maps(n):
-        per_byte = []
-        for bi in range(nbytes):
-            row = []
-            for value in range(256):
-                img = 0
-                v = value
-                while v:
-                    low = v & -v
-                    bit = 8 * bi + low.bit_length() - 1
-                    if bit < len(bit_map):
-                        img |= 1 << bit_map[bit]
-                    v ^= low
-                row.append(img)
-            per_byte.append(tuple(row))
-        tables.append(tuple(per_byte))
-    return tuple(tables)
+    width, rows = _orbit_table(n)
+    ones = (1 << width) - 1
+    images = None
+    for row in rows:
+        if not mask:
+            break
+        value = mask & ones
+        if value:
+            images = row[value] if images is None else map(or_, images, row[value])
+        mask >>= width
+    return [0] * factorial(n) if images is None else list(images)
 
 
 @lru_cache(maxsize=None)

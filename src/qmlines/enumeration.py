@@ -9,12 +9,13 @@ no stronger inference is assumed.
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator, Mapping
 
 from . import kernels
 from .core import Betweenness, DistanceMatrix, line_set
-from .encoding import mask_from_triples, supports
+from .encoding import mask_from_triples, orbit, supports
 from .isomorphism import canonical_form
 from .realizability import realize
 
@@ -62,21 +63,14 @@ def raw_consistent_masks(n: int) -> Iterator[int]:
         yield mask
 
 
-_classes_cache: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical encoding, orbit size) for every isomorphism class of
     consistent relations, in increasing encoding order."""
-    cached = _classes_cache.get(n)
-    if cached is not None:
-        return cached
-    canons = kernels.canonical_batch(n, raw_consistent_masks(n))
     # the raw stream hits each orbit member exactly once, so multiplicity
     # under canonicalization is the orbit size
-    result = tuple(sorted(Counter(canons).items()))
-    _classes_cache[n] = result
-    return result
+    canons = Counter(min(orbit(n, m)) for m in raw_consistent_masks(n))
+    return tuple(sorted(canons.items()))
 
 
 def enumerate_consistent(n: int) -> Iterator[Betweenness]:
@@ -125,20 +119,13 @@ def _base_record(n, mask, orbit_size, digraph_canons) -> ClassificationRecord:
     )
 
 
-_base_records_cache: dict[int, tuple[ClassificationRecord, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _base_records(n: int) -> tuple[ClassificationRecord, ...]:
-    cached = _base_records_cache.get(n)
-    if cached is not None:
-        return cached
     digraph_canons = kernels.digraph_canon_witnesses(n)
-    records = tuple(
+    return tuple(
         _base_record(n, mask, size, digraph_canons)
         for mask, size in canonical_classes(n)
     )
-    _base_records_cache[n] = records
-    return records
 
 
 def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:

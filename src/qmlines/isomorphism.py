@@ -1,14 +1,16 @@
 """Relabelings of betweenness relations, canonical forms, isomorphism witnesses.
 
-Canonicalization is brute force over all n! relabelings; at the sizes this
-package verifies (n <= 4, i.e. 24 permutations) anything cleverer would be
-noise.
+Canonical forms and witnesses are read off :func:`qmlines.encoding.orbit`,
+the images of an encoding under all n! relabelings in lexicographic
+permutation order; at the sizes this package verifies (n <= 4, i.e. 24
+permutations) anything cleverer would be noise.  That brute force is capped
+at n! <= 8!; :func:`apply_relabeling` maps triples directly and works at any n.
 """
 
 from dataclasses import dataclass
 
 from .core import Betweenness
-from .encoding import all_permutations, apply_bit_map, permutation_bit_maps
+from .encoding import nth_permutation, orbit
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,8 @@ def apply_relabeling(b: Betweenness, f: Relabeling) -> Betweenness:
     """The image relation {(f(x), f(y), f(z)) : (x,y,z) in b}."""
     if f.n != b.n:
         raise ValueError(f"relabeling size {f.n} does not match point count {b.n}")
-    perms = all_permutations(b.n)
-    bit_map = permutation_bit_maps(b.n)[perms.index(f.perm)]
-    return Betweenness(b.n, apply_bit_map(b.mask, bit_map))
+    p = f.perm
+    return Betweenness.from_triples(b.n, ((p[x], p[y], p[z]) for (x, y, z) in b.triples))
 
 
 def canonical_form(b: Betweenness) -> tuple[Betweenness, Relabeling]:
@@ -57,14 +58,9 @@ def canonical_form(b: Betweenness) -> tuple[Betweenness, Relabeling]:
     lexicographically smallest permutation is chosen, so the witness is
     deterministic.  Idempotent on its own output.
     """
-    best = b.mask
-    best_perm = tuple(range(b.n))
-    for perm, bit_map in zip(all_permutations(b.n), permutation_bit_maps(b.n)):
-        image = apply_bit_map(b.mask, bit_map)
-        if image < best:
-            best = image
-            best_perm = perm
-    return Betweenness(b.n, best), Relabeling(best_perm)
+    images = orbit(b.n, b.mask)
+    best = min(images)
+    return Betweenness(b.n, best), Relabeling(nth_permutation(b.n, images.index(best)))
 
 
 def isomorphism_witness(b1: Betweenness, b2: Betweenness) -> Relabeling | None:
@@ -74,7 +70,7 @@ def isomorphism_witness(b1: Betweenness, b2: Betweenness) -> Relabeling | None:
     """
     if b1.n != b2.n:
         raise ValueError(f"point counts differ: {b1.n} vs {b2.n}")
-    for perm, bit_map in zip(all_permutations(b1.n), permutation_bit_maps(b1.n)):
-        if apply_bit_map(b1.mask, bit_map) == b2.mask:
-            return Relabeling(perm)
-    return None
+    images = orbit(b1.n, b1.mask)
+    if b2.mask not in images:
+        return None
+    return Relabeling(nth_permutation(b1.n, images.index(b2.mask)))

@@ -1,47 +1,18 @@
-"""Kernels for the exhaustive hot loops: batch canonicalization and the
-integer and digraph sweeps.
+"""Kernels for the exhaustive hot loops: the integer and digraph sweeps.
 
-The two canonical-witness sweeps are memoized, so each (n, bound) is swept
-at most once per process.
+Both sweeps compare betweenness encodings up to relabeling through
+:func:`qmlines.encoding.orbit`.  The integer sweeps refuse more than
+INTEGER_SWEEP_CAP matrices before they visit any.  The two canonical-witness
+sweeps are memoized, so each (n, bound) is swept at most once per process.
 """
 
 from functools import lru_cache
 
-from .encoding import (
-    ordered_triples,
-    permutation_byte_tables,
-    triple_count,
-)
+from .encoding import ordered_pairs, ordered_triples, orbit
 
-
-def _pairs(n):
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def canonical_batch(n: int, masks) -> list[int]:
-    """Canonical (minimum-over-relabelings) encoding for each mask."""
-    tables = permutation_byte_tables(n)
-    nbytes = (triple_count(n) + 7) // 8
-    out = []
-    if nbytes == 1:
-        for m in masks:
-            best = m
-            for tabs in tables:
-                img = tabs[0][m]
-                if img < best:
-                    best = img
-            out.append(best)
-        return out
-    for m in masks:
-        best = m
-        for tabs in tables:
-            img = 0
-            for bi in range(nbytes):
-                img |= tabs[bi][(m >> (8 * bi)) & 0xFF]
-            if img < best:
-                best = img
-        out.append(best)
-    return out
+# most integer matrices the bounded-integer sweeps may face: 4**12 covers
+# n=4 up to K=4, and n=5 with K=2
+INTEGER_SWEEP_CAP = 2**24
 
 
 def _triangle_checks_by_depth(n):
@@ -50,7 +21,7 @@ def _triangle_checks_by_depth(n):
     Pair variables are assigned in lex order; check (x,z,y), i.e.
     d(x,y) <= d(x,z) + d(z,y), fires once all three pairs have values.
     """
-    pair_index = {p: k for k, p in enumerate(_pairs(n))}
+    pair_index = {p: k for k, p in enumerate(ordered_pairs(n))}
     by_depth = [[] for _ in range(len(pair_index))]
     for x in range(n):
         for z in range(n):
@@ -64,11 +35,28 @@ def _triangle_checks_by_depth(n):
 
 def _betweenness_pair_indices(n):
     """Per encoding bit, the pair indices (xz, xy, yz) whose equality sets it."""
-    pair_index = {p: k for k, p in enumerate(_pairs(n))}
+    pair_index = {p: k for k, p in enumerate(ordered_pairs(n))}
     return [
         (pair_index[(x, z)], pair_index[(x, y)], pair_index[(y, z)])
         for (x, y, z) in ordered_triples(n)
     ]
+
+
+def _integer_sweep(n, kmax):
+    """The sweep of _iter_valid_integer_matrices, refused with a ValueError
+    when it could face more than INTEGER_SWEEP_CAP matrices.
+
+    The check runs on the call, before the generator starts, so a refused
+    sweep visits no matrix.
+    """
+    estimate = kmax ** (n * (n - 1))
+    if estimate > INTEGER_SWEEP_CAP:
+        raise ValueError(
+            f"integer search is exhaustive; n={n}, K={kmax} means up to "
+            f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
+            f"{INTEGER_SWEEP_CAP} (2^24)"
+        )
+    return _iter_valid_integer_matrices(n, kmax)
 
 
 def _iter_valid_integer_matrices(n, kmax):
@@ -109,27 +97,20 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     """Sweep all quasi-metrics with entries in 1..kmax; map canonical
     betweenness encodings to the lexicographically first witness entries."""
     result: dict[int, tuple[int, ...]] = {}
-    tables = permutation_byte_tables(n)
-    nbytes = (triple_count(n) + 7) // 8
-    for vals, mask in _iter_valid_integer_matrices(n, kmax):
-        best = mask
-        for tabs in tables:
-            img = 0
-            for bi in range(nbytes):
-                img |= tabs[bi][(mask >> (8 * bi)) & 0xFF]
-            if img < best:
-                best = img
+    for vals, mask in _integer_sweep(n, kmax):
+        best = min(orbit(n, mask))
         if best not in result:
             result[best] = tuple(vals)
     return result
 
 
-def find_integer_witness(n: int, kmax: int, target_masks) -> tuple[int, ...] | None:
-    """First (lex order) valid integer matrix whose raw betweenness mask is in
-    target_masks, or None after exhausting the search space."""
-    targets = frozenset(target_masks)
-    for vals, mask in _iter_valid_integer_matrices(n, kmax):
-        if mask in targets:
+def find_integer_witness(n: int, kmax: int, mask: int) -> tuple[int, ...] | None:
+    """First (lex order) valid integer matrix whose raw betweenness mask is a
+    relabeling of mask, or None after exhausting the search space."""
+    matrices = _integer_sweep(n, kmax)  # refuses before the orbit table is built
+    targets = frozenset(orbit(n, mask))
+    for vals, m in matrices:
+        if m in targets:
             return tuple(vals)
     return None
 
@@ -140,7 +121,7 @@ def _digraph_distance_masks(n):
     Arc bit k corresponds to the k-th lex ordered pair; distances are
     unweighted shortest-path lengths.
     """
-    pairs = _pairs(n)
+    pairs = ordered_pairs(n)
     npairs = len(pairs)
     trips = ordered_triples(n)
     inf = n + 1  # longer than any simple path
@@ -175,26 +156,18 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
     """Sweep all strongly connected digraphs; map canonical betweenness
     encodings to the first realizing arc mask."""
     result: dict[int, int] = {}
-    tables = permutation_byte_tables(n)
-    nbytes = (triple_count(n) + 7) // 8
     for arc_mask, mask in _digraph_distance_masks(n):
-        best = mask
-        for tabs in tables:
-            img = 0
-            for bi in range(nbytes):
-                img |= tabs[bi][(mask >> (8 * bi)) & 0xFF]
-            if img < best:
-                best = img
+        best = min(orbit(n, mask))
         if best not in result:
             result[best] = arc_mask
     return result
 
 
-def find_digraph_witness(n: int, target_masks) -> int | None:
+def find_digraph_witness(n: int, mask: int) -> int | None:
     """First arc mask of a strongly connected digraph whose betweenness mask
-    is in target_masks, or None."""
-    targets = frozenset(target_masks)
-    for arc_mask, mask in _digraph_distance_masks(n):
-        if mask in targets:
+    is a relabeling of mask, or None."""
+    targets = frozenset(orbit(n, mask))
+    for arc_mask, m in _digraph_distance_masks(n):
+        if m in targets:
             return arc_mask
     return None

@@ -13,10 +13,12 @@ only at the interface: constraints in, optimum and assignment out.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Mapping
 
 from .core import DistanceMatrix, as_rational, default_labels
+from .encoding import ordered_pairs
 
 EPS_VAR = "eps"
 
@@ -27,8 +29,9 @@ def pair_var(i: int, j: int) -> str:
     return f"d({i},{j})"
 
 
+@lru_cache(maxsize=None)
 def pair_variables(n: int) -> tuple[str, ...]:
-    return tuple(pair_var(i, j) for i in range(n) for j in range(n) if i != j)
+    return tuple(pair_var(i, j) for (i, j) in ordered_pairs(n))
 
 
 class MalformedSystemError(ValueError):
@@ -136,9 +139,7 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
 
 
 def _witness_matrix(n: int, assignment) -> DistanceMatrix:
-    values = {
-        (i, j): assignment[pair_var(i, j)] for i in range(n) for j in range(n) if i != j
-    }
+    values = {(i, j): assignment[pair_var(i, j)] for (i, j) in ordered_pairs(n)}
     scale = Fraction(lcm(*(v.denominator for v in values.values())))
     ints = [v * scale for v in values.values()]
     common = gcd(*(int(v) for v in ints))

@@ -19,7 +19,7 @@ from .core import (
     default_labels,
     validate_quasi_metric,
 )
-from .encoding import apply_bit_map, ordered_triples, permutation_bit_maps
+from .encoding import ordered_pairs, ordered_triples
 from .lp import (
     EPS_VAR,
     Constraint,
@@ -27,13 +27,10 @@ from .lp import (
     LinearSystem,
     maximize_slack,
     pair_var,
+    pair_variables,
 )
 
 VARIANTS = ("quasi", "metric")
-
-# most integer matrices the bounded-integer sweep may face: 4**12 covers
-# n=4 up to K=4, and n=5 with K=2
-INTEGER_SWEEP_CAP = 2**24
 
 
 class InconsistentRelationError(ValueError):
@@ -62,10 +59,8 @@ def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSy
     n = b.n
     one = Fraction(1)
     cons = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                cons.append(Constraint({EPS_VAR: one, pair_var(i, j): -one}, "<=", 0))
+    for d in pair_variables(n):
+        cons.append(Constraint({EPS_VAR: one, d: -one}, "<=", 0))
     for (x, y, z) in ordered_triples(n):
         coeffs = {pair_var(x, z): one, pair_var(x, y): -one, pair_var(y, z): -one}
         if (x, y, z) in b:
@@ -77,9 +72,7 @@ def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSy
         for i in range(n):
             for j in range(i + 1, n):
                 cons.append(Constraint({pair_var(i, j): one, pair_var(j, i): -one}, "=", 0))
-    cons.append(
-        Constraint({pair_var(i, j): one for i in range(n) for j in range(n) if i != j}, "=", 1)
-    )
+    cons.append(Constraint({d: one for d in pair_variables(n)}, "=", 1))
     return LinearSystem(n, tuple(cons))
 
 
@@ -103,45 +96,29 @@ def realize(b: Betweenness, variant: str = "quasi") -> FeasibilityOutcome:
     return outcome
 
 
-def _orbit_masks(b: Betweenness) -> frozenset[int]:
-    """All encodings isomorphic to b (the relabeling orbit)."""
-    return frozenset(
-        apply_bit_map(b.mask, bit_map) for bit_map in permutation_bit_maps(b.n)
-    )
-
-
 def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
     """Search all quasi-metrics with off-diagonal distances in 1..kmax for one
     whose betweenness is isomorphic to b; None if the exhaustive search fails.
 
     "Distances in {0..kmax}" places 0 on the diagonal only, since d(x,y) = 0
     forces x = y.  Exhaustive over up to kmax^(n(n-1)) matrices, so that
-    worst case is capped at INTEGER_SWEEP_CAP.
+    worst case is capped at kernels.INTEGER_SWEEP_CAP.
     """
     _require_consistent(b)
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
-    n = b.n
-    estimate = kmax ** (n * (n - 1))
-    if estimate > INTEGER_SWEEP_CAP:
-        raise ValueError(
-            f"integer search is exhaustive; n={n}, K={kmax} means up to "
-            f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
-            f"{INTEGER_SWEEP_CAP} (2^24)"
-        )
-    entries = kernels.find_integer_witness(n, kmax, _orbit_masks(b))
+    entries = kernels.find_integer_witness(b.n, kmax, b.mask)
     if entries is None:
         return None
-    return _matrix_from_flat(n, entries)
+    return _matrix_from_flat(b.n, entries)
 
 
 def _matrix_from_flat(n: int, flat) -> DistanceMatrix:
-    it = iter(flat)
-    rows = tuple(
-        tuple(Fraction(0) if i == j else Fraction(next(it)) for j in range(n))
-        for i in range(n)
-    )
-    return DistanceMatrix(default_labels(n), rows)
+    """The matrix whose off-diagonal entries, in ordered_pairs(n) order, are flat."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(ordered_pairs(n), flat):
+        rows[i][j] = v
+    return DistanceMatrix(default_labels(n), tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -203,8 +180,7 @@ def digraph_distances(g: Digraph) -> DistanceMatrix:
 
 
 def _arcs_from_mask(n: int, arc_mask: int) -> frozenset[tuple[int, int]]:
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return frozenset(p for k, p in enumerate(pairs) if arc_mask >> k & 1)
+    return frozenset(p for k, p in enumerate(ordered_pairs(n)) if arc_mask >> k & 1)
 
 
 def realize_digraph(b: Betweenness) -> Digraph | None:
@@ -216,7 +192,7 @@ def realize_digraph(b: Betweenness) -> Digraph | None:
     _require_consistent(b)
     if b.n > 5:
         raise ValueError(f"digraph search is exhaustive; n={b.n} exceeds the cap of 5")
-    arc_mask = kernels.find_digraph_witness(b.n, _orbit_masks(b))
+    arc_mask = kernels.find_digraph_witness(b.n, b.mask)
     if arc_mask is None:
         return None
     return Digraph(b.n, _arcs_from_mask(b.n, arc_mask))

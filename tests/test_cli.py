@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qmlines import kernels
 from qmlines.cli import main
 
 Q4_TEXT = "p s q r\n0 1 1 3\n3 0 2 3\n1 2 0 2\n1 1 2 0\n"
@@ -142,6 +143,16 @@ class TestCanon:
         assert len(payload["triples"]) == 4
         assert sorted(payload["relabeling"]) == ["p", "q", "r", "s"]
 
+    def test_nine_points_over_the_relabeling_cap_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "nine.triples"
+        path.write_text("a b i\n")
+        code, out, err = run(
+            capsys, "canon", "--triples", str(path), "--labels", "a,b,c,d,e,f,g,h,i"
+        )
+        assert code == 2
+        assert out == ""
+        assert "9! = 362880 relabelings, over the cap of 40320" in err
+
 
 class TestIso:
     def test_isomorphic_pair(self, capsys, tmp_path, q4_triples_file):
@@ -272,6 +283,17 @@ class TestEnumerate:
     def test_bad_int_list(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--int", "2,x")
         assert code == 2
+
+    def test_int_over_the_sweep_cap_is_input_error(self, capsys, monkeypatch):
+        # 5^12 matrices at n=4; refused before the sweep visits any
+        def no_sweep(n, kmax):
+            raise AssertionError("the integer sweep started")
+
+        monkeypatch.setattr(kernels, "_iter_valid_integer_matrices", no_sweep)
+        code, out, err = run(capsys, "enumerate", "--n", "4", "--int", "5")
+        assert code == 2
+        assert out == ""
+        assert f"5^12 = {5**12} matrices, over the cap of {2**24}" in err
 
     def test_json_schema(self, capsys):
         # pins the report's field set so a key cannot be added or dropped silently

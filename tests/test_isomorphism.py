@@ -1,9 +1,13 @@
+import hashlib
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlines.core import Betweenness, consistency_check, dbe_verdict
-from qmlines.encoding import triple_count
+from qmlines.encoding import RELABELING_CAP, nth_permutation, orbit, triple_count
 from qmlines.fixtures import q4_betweenness
 from qmlines.isomorphism import (
     Relabeling,
@@ -71,8 +75,6 @@ class TestCanonicalForm:
         assert canon.mask == Q4_CANONICAL_ENCODING
 
     def test_invariant_over_the_whole_orbit(self):
-        from itertools import permutations
-
         b = q4_betweenness()
         for perm in permutations(range(4)):
             image = apply_relabeling(b, Relabeling(perm))
@@ -124,6 +126,52 @@ def all_consistent_three_point_relations():
     return [Betweenness(3, m) for m in raw_consistent_masks(3)]
 
 
+# SHA-256 over "mask:canonical mask:relabeling" for all 18^4 raw consistent
+# relations on 4 points; fixes the lex-first tie-break among minimizers,
+# which the golden encoding alone does not
+CANONICAL_FORMS_N4_SHA256 = "33b79d2322b471861471431e18fe93a2aa9e5a95e7e5b343e15629266704f8bc"
+
+
+def test_canonical_forms_are_pinned():
+    from qmlines.enumeration import raw_consistent_masks
+
+    digest = hashlib.sha256()
+    for mask in raw_consistent_masks(4):
+        canon, f = canonical_form(Betweenness(4, mask))
+        digest.update(f"{mask}:{canon.mask}:{','.join(map(str, f.perm))}\n".encode())
+    assert digest.hexdigest() == CANONICAL_FORMS_N4_SHA256
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_orbit_lists_every_relabeling_in_permutation_order(n):
+    # apply_relabeling maps triples directly, so it checks the orbit table
+    rng = random.Random(n)
+    mask = rng.getrandbits(triple_count(n))
+    b = Betweenness(n, mask)
+    perms = list(permutations(range(n)))
+    images = [apply_relabeling(b, Relabeling(p)).mask for p in perms]
+    assert orbit(n, mask) == images
+    assert images[0] == mask
+    assert [nth_permutation(n, i) for i in range(len(perms))] == perms
+
+
+class TestRelabelingCap:
+    # 9! = 362,880 relabelings: refused before any table is built
+    def test_canonical_form_refuses_nine_points(self):
+        message = f"9! = 362880 relabelings, over the cap of {RELABELING_CAP}"
+        with pytest.raises(ValueError, match=message):
+            canonical_form(Betweenness(9, 0))
+
+    def test_isomorphism_witness_refuses_nine_points(self):
+        with pytest.raises(ValueError, match="over the cap"):
+            isomorphism_witness(Betweenness(9, 0), Betweenness(9, 0))
+
+    def test_apply_relabeling_needs_no_table(self):
+        b = Betweenness.from_triples(9, [(0, 1, 8)])
+        image = apply_relabeling(b, Relabeling(tuple(range(8, -1, -1))))
+        assert image.triples == ((8, 7, 0),)
+
+
 def test_canonical_equality_iff_witness_exists_on_three_points():
     relations = all_consistent_three_point_relations()
     assert len(relations) == 18
@@ -133,10 +181,14 @@ def test_canonical_equality_iff_witness_exists_on_three_points():
             assert same_canon == (isomorphism_witness(b1, b2) is not None)
 
 
-@settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=(1 << 24) - 1), st.permutations(range(4)))
-def test_canonical_equality_iff_witness_exists_sampled_four_points(mask, perm):
-    b1 = Betweenness(4, mask)
+# n=4 and n=5 use the 8-bit orbit table, n=6 the 1-bit one; deadline=None
+# because the first example at each n builds that table
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((4, 5, 6)), st.data())
+def test_canonical_equality_iff_witness_exists_sampled_four_points(n, data):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << triple_count(n)) - 1))
+    perm = data.draw(st.permutations(range(n)))
+    b1 = Betweenness(n, mask)
     b2 = apply_relabeling(b1, Relabeling(tuple(perm)))
     assert canonical_form(b1)[0] == canonical_form(b2)[0]
     assert isomorphism_witness(b1, b2) is not None
