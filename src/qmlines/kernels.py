@@ -1,9 +1,14 @@
 """Kernels for the exhaustive hot loops: the integer and digraph sweeps.
 
 Both sweeps compare betweenness encodings up to relabeling through
-:func:`qmlines.encoding.orbit`.  The integer sweeps refuse more than
-INTEGER_SWEEP_CAP matrices before they visit any.  The two canonical-witness
-sweeps are memoized, so each (n, bound) is swept at most once per process.
+:func:`qmlines.encoding.orbit`.  The integer search is one depth-first walk
+over the matrices with entries in 1..K; it is exhaustive, so its verdicts are
+exact.  A sweep visits every valid matrix; a search for one betweenness
+relation cuts every branch whose completed triples already match no
+relabeling of the target, so it returns the same lex-first witness as a full
+sweep would.  The integer sweeps refuse more than INTEGER_SWEEP_CAP matrices
+before they visit any.  The two canonical-witness sweeps are memoized, so
+each (n, bound) is swept at most once per process.
 """
 
 from functools import lru_cache
@@ -15,39 +20,47 @@ from .encoding import ordered_pairs, ordered_triples, orbit
 INTEGER_SWEEP_CAP = 2**24
 
 
-def _triangle_checks_by_depth(n):
-    """Triangle checks d[a] <= d[b] + d[c] grouped by the depth that completes them.
+def _triples_by_depth(n):
+    """Per depth, (xz, xy, yz, bit) for each ordered triple (x, y, z) whose
+    three pairs are all assigned once the pair at that depth is.
 
-    Pair variables are assigned in lex order; check (x,z,y), i.e.
-    d(x,y) <= d(x,z) + d(z,y), fires once all three pairs have values.
+    Pair variables are assigned in lex order.  The triple gives the triangle
+    check d(x,z) <= d(x,y) + d(y,z); equality sets its betweenness bit.
     """
     pair_index = {p: k for k, p in enumerate(ordered_pairs(n))}
     by_depth = [[] for _ in range(len(pair_index))]
-    for x in range(n):
-        for z in range(n):
-            for y in range(n):
-                if x == y or x == z or y == z:
-                    continue
-                a, b, c = pair_index[(x, y)], pair_index[(x, z)], pair_index[(z, y)]
-                by_depth[max(a, b, c)].append((a, b, c))
+    for pos, (x, y, z) in enumerate(ordered_triples(n)):
+        xz, xy, yz = pair_index[(x, z)], pair_index[(x, y)], pair_index[(y, z)]
+        by_depth[max(xz, xy, yz)].append((xz, xy, yz, 1 << pos))
     return by_depth
 
 
-def _betweenness_pair_indices(n):
-    """Per encoding bit, the pair indices (xz, xy, yz) whose equality sets it."""
-    pair_index = {p: k for k, p in enumerate(ordered_pairs(n))}
-    return [
-        (pair_index[(x, z)], pair_index[(x, y)], pair_index[(y, z)])
-        for (x, y, z) in ordered_triples(n)
-    ]
+def _relabeling_tables(n, mask, by_depth):
+    """Per depth, the bits the triples completed there set in some relabeling
+    of mask, each mapped to the set of those relabelings, one bit per
+    distinct image in orbit(n, mask)."""
+    images = set(orbit(n, mask))
+    tables = []
+    for triples in by_depth:
+        depth_bits = 0
+        for *_, bit in triples:
+            depth_bits |= bit
+        table = {}
+        for i, image in enumerate(images):
+            key = image & depth_bits
+            table[key] = table.get(key, 0) | 1 << i
+        tables.append(table)
+    return tables
 
 
-def _integer_sweep(n, kmax):
-    """The sweep of _iter_valid_integer_matrices, refused with a ValueError
-    when it could face more than INTEGER_SWEEP_CAP matrices.
+def _integer_sweep(n, kmax, mask=None):
+    """Yield (values, betweenness_mask) for the valid quasi-metrics with
+    off-diagonal entries in 1..kmax, in lex order of values (one flat list
+    over ordered_pairs(n), reused between yields).
 
-    The check runs on the call, before the generator starts, so a refused
-    sweep visits no matrix.
+    With mask given, yield only those whose betweenness is a relabeling of
+    mask.  Refuses with a ValueError, on the call and before any table is
+    built, a sweep that could face more than INTEGER_SWEEP_CAP matrices.
     """
     estimate = kmax ** (n * (n - 1))
     if estimate > INTEGER_SWEEP_CAP:
@@ -56,40 +69,48 @@ def _integer_sweep(n, kmax):
             f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
             f"{INTEGER_SWEEP_CAP} (2^24)"
         )
-    return _iter_valid_integer_matrices(n, kmax)
+    by_depth = _triples_by_depth(n)
+    tables = None if mask is None else _relabeling_tables(n, mask, by_depth)
+    return _integer_dfs(n, kmax, by_depth, tables)
 
 
-def _iter_valid_integer_matrices(n, kmax):
-    """DFS over off-diagonal entries in 1..kmax, lex order, triangle-pruned.
-
-    Yields (values, betweenness_mask) for every valid quasi-metric.
-    """
+def _integer_dfs(n, kmax, by_depth, tables):
+    """The walk behind _integer_sweep: DFS over the entries in lex order,
+    pruned by the triangle checks and, when tables is not None, by the
+    relabelings of the target still alive."""
     npairs = n * (n - 1)
-    checks = _triangle_checks_by_depth(n)
-    bet = _betweenness_pair_indices(n)
+    last = npairs - 1
     vals = [0] * npairs
+    # masks[d] and alive[d] hold the state before depth d is assigned; -1 is
+    # every relabeling
+    masks = [0] * (npairs + 1)
+    alive = [-1] * (npairs + 1)
     depth = 0
     while depth >= 0:
-        vals[depth] += 1
-        if vals[depth] > kmax:
+        v = vals[depth] + 1
+        if v > kmax:
             vals[depth] = 0
             depth -= 1
             continue
-        ok = True
-        for (a, b, c) in checks[depth]:
-            if vals[a] > vals[b] + vals[c]:
-                ok = False
+        vals[depth] = v
+        bits = 0
+        for (xz, xy, yz, bit) in by_depth[depth]:
+            s = vals[xy] + vals[yz]
+            if vals[xz] > s:
                 break
-        if not ok:
-            continue
-        if depth == npairs - 1:
-            mask = 0
-            for bit, (xz, xy, yz) in enumerate(bet):
-                if vals[xz] == vals[xy] + vals[yz]:
-                    mask |= 1 << bit
-            yield vals, mask
-        else:
-            depth += 1
+            if vals[xz] == s:
+                bits |= bit
+        else:  # every triangle check passed
+            if tables is not None:
+                live = alive[depth] & tables[depth].get(bits, 0)
+                if not live:
+                    continue
+                alive[depth + 1] = live
+            masks[depth + 1] = masks[depth] | bits
+            if depth == last:
+                yield vals, masks[npairs]
+            else:
+                depth += 1
 
 
 @lru_cache(maxsize=None)
@@ -97,21 +118,23 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     """Sweep all quasi-metrics with entries in 1..kmax; map canonical
     betweenness encodings to the lexicographically first witness entries."""
     result: dict[int, tuple[int, ...]] = {}
+    # a raw mask's first leaf already put its class in result, so each
+    # distinct raw mask is canonicalized once
+    seen: set[int] = set()
     for vals, mask in _integer_sweep(n, kmax):
-        best = min(orbit(n, mask))
-        if best not in result:
-            result[best] = tuple(vals)
+        if mask not in seen:
+            seen.add(mask)
+            best = min(orbit(n, mask))
+            if best not in result:
+                result[best] = tuple(vals)
     return result
 
 
 def find_integer_witness(n: int, kmax: int, mask: int) -> tuple[int, ...] | None:
     """First (lex order) valid integer matrix whose raw betweenness mask is a
     relabeling of mask, or None after exhausting the search space."""
-    matrices = _integer_sweep(n, kmax)  # refuses before the orbit table is built
-    targets = frozenset(orbit(n, mask))
-    for vals, m in matrices:
-        if m in targets:
-            return tuple(vals)
+    for vals, _ in _integer_sweep(n, kmax, mask):
+        return tuple(vals)
     return None
 
 

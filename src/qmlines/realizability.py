@@ -101,8 +101,12 @@ def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
     whose betweenness is isomorphic to b; None if the exhaustive search fails.
 
     "Distances in {0..kmax}" places 0 on the diagonal only, since d(x,y) = 0
-    forces x = y.  Exhaustive over up to kmax^(n(n-1)) matrices, so that
-    worst case is capped at kernels.INTEGER_SWEEP_CAP.
+    forces x = y.  The search is exhaustive over up to kmax^(n(n-1))
+    matrices in lex order, so that worst case is capped at
+    kernels.INTEGER_SWEEP_CAP; it is pruned by the triangle inequality and by
+    b itself, cutting every partial matrix whose decided triples match no
+    relabeling of b.  The witness is the lex-first matrix that realizes a
+    relabeling of b.
     """
     _require_consistent(b)
     if kmax < 1:

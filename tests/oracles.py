@@ -2,12 +2,13 @@
 
 Everything here recomputes expected values from first principles, sharing as
 little code as possible with the implementation under test: lines straight
-from distance entries, LP optima by exhaustive vertex enumeration, and
-random quasi-metrics by min-plus closure.
+from distance entries, LP optima by exhaustive vertex enumeration, random
+quasi-metrics by min-plus closure, and bounded-integer realizations by
+trying every matrix.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 
 def line_from_distances(entries, n: int, x: int, y: int) -> frozenset[int]:
@@ -100,3 +101,30 @@ def brute_force_lp_max(variables, constraints, objective):
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+def first_integer_realization(n: int, triples, kmax: int):
+    """The first matrix, in itertools.product order over the off-diagonal
+    entries (row by row) in 1..kmax, that is a quasi-metric and whose
+    betweenness is a relabeling of the set of ordered triples; None if none.
+
+    Zero diagonal and positive entries hold by construction, so validity is
+    the triangle inequality.  Returns the rows as tuples of ints.
+    """
+    target = frozenset(map(tuple, triples))
+    pts = range(n)
+    pairs = [(i, j) for i in pts for j in pts if i != j]
+    distinct = [(x, y, z) for x in pts for y in pts for z in pts if len({x, y, z}) == 3]
+    relabeled = {
+        frozenset((p[x], p[y], p[z]) for (x, y, z) in target) for p in permutations(pts)
+    }
+    for flat in product(range(1, kmax + 1), repeat=len(pairs)):
+        d = [[0] * n for _ in pts]
+        for (i, j), v in zip(pairs, flat):
+            d[i][j] = v
+        if any(d[x][z] > d[x][y] + d[y][z] for (x, y, z) in distinct):
+            continue
+        between = frozenset((x, y, z) for (x, y, z) in distinct if d[x][z] == d[x][y] + d[y][z])
+        if between in relabeled:
+            return tuple(map(tuple, d))
+    return None

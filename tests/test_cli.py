@@ -286,10 +286,10 @@ class TestEnumerate:
 
     def test_int_over_the_sweep_cap_is_input_error(self, capsys, monkeypatch):
         # 5^12 matrices at n=4; refused before the sweep visits any
-        def no_sweep(n, kmax):
+        def no_sweep(*args):
             raise AssertionError("the integer sweep started")
 
-        monkeypatch.setattr(kernels, "_iter_valid_integer_matrices", no_sweep)
+        monkeypatch.setattr(kernels, "_integer_dfs", no_sweep)
         code, out, err = run(capsys, "enumerate", "--n", "4", "--int", "5")
         assert code == 2
         assert out == ""

@@ -28,6 +28,7 @@ from qmlines.realizability import (
 )
 
 from conftest import metric_matrices, quasi_metrics
+from oracles import first_integer_realization
 
 CYCLE3 = Betweenness.from_triples(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 
@@ -124,6 +125,14 @@ class TestBoundedInteger:
         w = realize_bounded_integer(Betweenness(3, 0), 16)
         assert w is not None
         assert betweenness_of(w).mask == 0
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_agrees_with_brute_force_on_every_three_point_relation(self, kmax):
+        for mask in raw_consistent_masks(3):
+            b = Betweenness(3, mask)
+            w = realize_bounded_integer(b, kmax)
+            expected = first_integer_realization(3, b.triples, kmax)
+            assert (None if w is None else w.entries) == expected
 
     @pytest.mark.parametrize(("n", "kmax"), [(3, 17), (5, 3)])
     def test_sweep_over_the_cap_is_refused(self, n, kmax):
