@@ -222,6 +222,10 @@ class LineSet:
     def has_universal(self) -> bool:
         return any(len(line) == self.n for line in self.lines)
 
+    @property
+    def satisfies_dbe(self) -> bool:
+        return self.has_universal or self.line_count >= self.n
+
 
 def line_set(b: Betweenness) -> LineSet:
     by_pair = {}
@@ -245,7 +249,7 @@ def dbe_verdict(b: Betweenness) -> DbeVerdict:
     return DbeVerdict(
         line_count=ls.line_count,
         has_universal=ls.has_universal,
-        satisfies_dbe=ls.has_universal or ls.line_count >= b.n,
+        satisfies_dbe=ls.satisfies_dbe,
     )
 
 

@@ -4,13 +4,13 @@ The n(n-1)(n-2) ordered triples of distinct point indices, sorted
 lexicographically, define the bit positions of the encoding.  Everything
 downstream (canonical forms, enumeration order, file output) relies on this
 fixed order, so it lives in one place, with the lex order of ordered pairs
-and the one relabeling action on encodings, :func:`orbit`.
+(digraph arc masks) and the one relabeling action on both, :func:`orbit`.
 """
 
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import factorial
-from operator import or_
+from operator import itemgetter, or_
 
 
 def triple_count(n: int) -> int:
@@ -18,9 +18,14 @@ def triple_count(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def ordered_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All ordered k-tuples of distinct indices in 0..n-1, lex order."""
+    return tuple(t for t in product(range(n), repeat=k) if len(set(t)) == k)
+
+
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All ordered triples of distinct indices in 0..n-1, lex order."""
-    return tuple(t for t in product(range(n), repeat=3) if len(set(t)) == 3)
+    return ordered_tuples(n, 3)
 
 
 @lru_cache(maxsize=None)
@@ -68,21 +73,20 @@ def nth_permutation(n: int, i: int) -> tuple[int, ...]:
 RELABELING_CAP = factorial(8)
 
 
-@lru_cache(maxsize=None)
 def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All ordered pairs of distinct indices in 0..n-1, lex order.
 
     The order of the off-diagonal entries in the sweeps' flat distance
     vectors, the digraph arc masks and the LP's pair variables.
     """
-    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+    return ordered_tuples(n, 2)
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(n: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+def _orbit_table(n: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
     """(width, rows): rows[c][v] holds the images, under every relabeling of
-    0..n-1 in lexicographic order, of the encoding whose only nonzero chunk is
-    chunk c (bits width*c .. width*c + width - 1), with value v.
+    0..n-1 in lexicographic order, of the k-tuple encoding whose only nonzero
+    chunk is chunk c (bits width*c .. width*c + width - 1), with value v.
 
     Chunks are 8 bits wide while the table stays under about 2^20 entries
     (n <= 5) and 1 bit wide above that.  Single-bit rows share their
@@ -95,15 +99,15 @@ def _orbit_table(n: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
             f"canonical forms are brute force over all relabelings; n={n} means "
             f"{n}! = {count} relabelings, over the cap of {RELABELING_CAP} (8!)"
         )
-    nbits = triple_count(n)
+    tuples = ordered_tuples(n, k)
+    nbits = len(tuples)
     width = 8 if -(-nbits // 8) * 256 * count <= 1 << 20 else 1
-    pos = triple_position(n)
+    pos = {t: i for i, t in enumerate(tuples)}
     perms = list(permutations(range(n)))
-    powers = [1 << k for k in range(nbits)]
+    powers = [1 << i for i in range(nbits)]
     zero = (0,) * count
     bit_rows = [
-        tuple(powers[pos[(p[x], p[y], p[z])]] for p in perms)
-        for (x, y, z) in ordered_triples(n)
+        tuple(powers[pos[u]] for u in map(itemgetter(*t), perms)) for t in tuples
     ]
     rows = []
     for c in range(-(-nbits // width)):
@@ -118,15 +122,16 @@ def _orbit_table(n: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
     return width, tuple(rows)
 
 
-def orbit(n: int, mask: int) -> list[int]:
+def orbit(n: int, mask: int, k: int = 3) -> list[int]:
     """The images of an encoding under every relabeling of 0..n-1, in
     lexicographic order of the relabelings, so the identity's image comes
     first and the i-th image is that of nth_permutation(n, i).
 
-    ORs the table rows of the nonzero chunks of mask.  Refuses
+    Bit i of mask is ordered_tuples(n, k)[i]: triples by default, pairs for
+    arc masks.  ORs the table rows of the nonzero chunks of mask.  Refuses
     n! > RELABELING_CAP with a ValueError.
     """
-    width, rows = _orbit_table(n)
+    width, rows = _orbit_table(n, k)
     ones = (1 << width) - 1
     images = None
     for row in rows:

@@ -110,7 +110,7 @@ def _base_record(n, mask, orbit_size, digraph_canons) -> ClassificationRecord:
         class_size=orbit_size,
         line_count=ls.line_count,
         has_universal=ls.has_universal,
-        satisfies_dbe=ls.has_universal or ls.line_count >= n,
+        satisfies_dbe=ls.satisfies_dbe,
         realizable_quasi=quasi.realizable,
         realizable_metric=realizable_metric,
         realizable_int={},
@@ -172,8 +172,7 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     digraph_canons = kernels.digraph_canon_witnesses(4)
     exceptional = []
     for mask, size in canonical_classes(4):
-        ls = line_set(Betweenness(4, mask))
-        if ls.has_universal or ls.line_count >= 4:
+        if line_set(Betweenness(4, mask)).satisfies_dbe:
             continue
         rec = _base_record(4, mask, size, digraph_canons)
         rec = replace(rec, realizable_int={2: mask in int2})

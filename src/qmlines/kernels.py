@@ -7,8 +7,9 @@ exact.  A sweep visits every valid matrix; a search for one betweenness
 relation cuts every branch whose completed triples already match no
 relabeling of the target, so it returns the same lex-first witness as a full
 sweep would.  The integer sweeps refuse more than INTEGER_SWEEP_CAP matrices
-before they visit any.  The two canonical-witness sweeps are memoized, so
-each (n, bound) is swept at most once per process.
+before they visit any.  A digraph query is a lookup in the map of the one
+digraph sweep.  The two canonical-witness sweeps are memoized, so each
+(n, bound) is swept at most once per process.
 """
 
 from functools import lru_cache
@@ -138,21 +139,30 @@ def find_integer_witness(n: int, kmax: int, mask: int) -> tuple[int, ...] | None
     return None
 
 
-def _digraph_distance_masks(n):
-    """Yield (arc_mask, betweenness_mask) over strongly connected digraphs.
+@lru_cache(maxsize=None)
+def digraph_canon_witnesses(n: int) -> dict[int, int]:
+    """Map canonical betweenness encodings of strongly connected digraphs to
+    their least arc mask (bit k: the k-th lex ordered pair).
 
-    Arc bit k corresponds to the k-th lex ordered pair; distances are
-    unweighted shortest-path lengths.
+    Relabeling commutes with shortest paths, so that mask is the least of
+    its arc orbit: taking arc masks in increasing order and skipping those
+    in the orbit of one taken before costs one APSP per digraph class (218
+    at n=4, 9,608 at n=5).  Refuses n > 5 before any allocation.
     """
+    if n > 5:  # the marks take one byte per arc set, 1 GiB at n=6
+        raise ValueError(f"digraph search is exhaustive; n={n} exceeds the cap of 5")
     pairs = ordered_pairs(n)
-    npairs = len(pairs)
     trips = ordered_triples(n)
     inf = n + 1  # longer than any simple path
-    for arc_mask in range(1 << npairs):
+    marked = bytearray(1 << len(pairs))
+    result: dict[int, int] = {}
+    arc_mask = 0
+    while arc_mask >= 0:
+        for image in orbit(n, arc_mask, 2):
+            marked[image] = 1
         d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-        for k in range(npairs):
+        for k, (i, j) in enumerate(pairs):
             if arc_mask >> k & 1:
-                i, j = pairs[k]
                 d[i][j] = 1
         for m in range(n):
             dm = d[m]
@@ -165,32 +175,11 @@ def _digraph_distance_masks(n):
                     v = dim + dm[j]
                     if v < di[j]:
                         di[j] = v
-        if any(d[i][j] >= inf for i in range(n) for j in range(n)):
-            continue
-        mask = 0
-        for bit, (x, y, z) in enumerate(trips):
-            if d[x][z] == d[x][y] + d[y][z]:
-                mask |= 1 << bit
-        yield arc_mask, mask
-
-
-@lru_cache(maxsize=None)
-def digraph_canon_witnesses(n: int) -> dict[int, int]:
-    """Sweep all strongly connected digraphs; map canonical betweenness
-    encodings to the first realizing arc mask."""
-    result: dict[int, int] = {}
-    for arc_mask, mask in _digraph_distance_masks(n):
-        best = min(orbit(n, mask))
-        if best not in result:
-            result[best] = arc_mask
+        if all(v < inf for row in d for v in row):
+            mask = 0
+            for bit, (x, y, z) in enumerate(trips):
+                if d[x][z] == d[x][y] + d[y][z]:
+                    mask |= 1 << bit
+            result.setdefault(min(orbit(n, mask)), arc_mask)
+        arc_mask = marked.find(0, arc_mask + 1)
     return result
-
-
-def find_digraph_witness(n: int, mask: int) -> int | None:
-    """First arc mask of a strongly connected digraph whose betweenness mask
-    is a relabeling of mask, or None."""
-    targets = frozenset(orbit(n, mask))
-    for arc_mask, m in _digraph_distance_masks(n):
-        if m in targets:
-            return arc_mask
-    return None

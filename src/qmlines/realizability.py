@@ -19,7 +19,7 @@ from .core import (
     default_labels,
     validate_quasi_metric,
 )
-from .encoding import ordered_pairs, ordered_triples
+from .encoding import orbit, ordered_pairs, ordered_triples
 from .lp import (
     EPS_VAR,
     Constraint,
@@ -188,15 +188,13 @@ def _arcs_from_mask(n: int, arc_mask: int) -> frozenset[tuple[int, int]]:
 
 
 def realize_digraph(b: Betweenness) -> Digraph | None:
-    """Search all strongly connected digraphs on b.n vertices for one whose
+    """The strongly connected digraph with the least arc mask whose
     shortest-path betweenness is isomorphic to b; None if none exists.
 
-    Exhaustive over 2^(n(n-1)) arc sets, so n is capped at 5.
+    A lookup in kernels.digraph_canon_witnesses(b.n), built once per process.
     """
     _require_consistent(b)
-    if b.n > 5:
-        raise ValueError(f"digraph search is exhaustive; n={b.n} exceeds the cap of 5")
-    arc_mask = kernels.find_digraph_witness(b.n, b.mask)
+    arc_mask = kernels.digraph_canon_witnesses(b.n).get(min(orbit(b.n, b.mask)))
     if arc_mask is None:
         return None
     return Digraph(b.n, _arcs_from_mask(b.n, arc_mask))

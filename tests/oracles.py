@@ -3,12 +3,16 @@
 Everything here recomputes expected values from first principles, sharing as
 little code as possible with the implementation under test: lines straight
 from distance entries, LP optima by exhaustive vertex enumeration, random
-quasi-metrics by min-plus closure, and bounded-integer realizations by
-trying every matrix.
+quasi-metrics by min-plus closure, and bounded-integer realizations and
+digraph classes by trying every matrix or arc set.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from qmlines.core import betweenness_of
+from qmlines.isomorphism import canonical_form
+from qmlines.realizability import Digraph, digraph_distances, is_strongly_connected
 
 
 def line_from_distances(entries, n: int, x: int, y: int) -> frozenset[int]:
@@ -128,3 +132,17 @@ def first_integer_realization(n: int, triples, kmax: int):
         if between in relabeled:
             return tuple(map(tuple, d))
     return None
+
+
+def first_digraph_per_class(n: int) -> dict[int, int]:
+    """Canonical betweenness encoding -> first arc mask, walking all
+    2^(n(n-1)) arc masks in increasing order (bit k is the k-th ordered pair
+    of distinct points, row by row) with no orbit skipping."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    first: dict[int, int] = {}
+    for arc_mask in range(1 << len(pairs)):
+        g = Digraph(n, frozenset(p for k, p in enumerate(pairs) if arc_mask >> k & 1))
+        if is_strongly_connected(g):
+            canon, _ = canonical_form(betweenness_of(digraph_distances(g)))
+            first.setdefault(canon.mask, arc_mask)
+    return first

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,12 @@ Q4_TEXT = "p s q r\n0 1 1 3\n3 0 2 3\n1 2 0 2\n1 1 2 0\n"
 Q4_TRIPLES = "p q r\nr p q\ns q p\nq p s\n"
 UNIFORM3 = "a b c\n0 1 1\n1 0 1\n1 1 0\n"
 BROKEN = "a b c\n0 5 1\n5 0 1\n1 1 0\n"
+
+# SHA-256 of the whole stdout of `enumerate --n 4 --int 2,3 --json` and of
+# `verify-paper --json`.  A change that alters either output on purpose
+# updates the constant and names the change in CHANGES.md.
+ENUMERATE_4_INT_2_3_SHA256 = "06a14215ac8ff1a4d2ef63e886e591790a759c65dfbdf66ea4cc2a379c043702"
+VERIFY_PAPER_SHA256 = "da3c90c119fe687e4c7aad6b98aeead57f714549dd38a63339258c7413244177"
 
 
 @pytest.fixture
@@ -295,6 +302,11 @@ class TestEnumerate:
         assert out == ""
         assert f"5^12 = {5**12} matrices, over the cap of {2**24}" in err
 
+    def test_four_points_json_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "4", "--int", "2,3", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_4_INT_2_3_SHA256
+
     def test_json_schema(self, capsys):
         # pins the report's field set so a key cannot be added or dropped silently
         code, payload = run_json(capsys, "enumerate", "--n", "3")
@@ -339,3 +351,8 @@ class TestVerifyPaper:
         idents = [c["ident"] for c in payload["claims"]]
         assert idents[0] == "q4-betweenness"
         assert idents[-1] == "grid-oracle"
+
+    def test_json_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify-paper", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256

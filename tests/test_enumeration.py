@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 import pytest
 
 from qmlines import kernels
-from qmlines.core import Betweenness, consistency_check
+from qmlines.core import Betweenness, DistanceMatrix, consistency_check
 from qmlines.enumeration import (
     canonical_classes,
     classify,
@@ -157,6 +157,20 @@ class TestClassifyFourPoints:
         for r in records:
             if r.realizable_int[2] or r.realizable_int[3] or r.realizable_digraph:
                 assert r.realizable_quasi
+
+    def test_metric_verdicts_are_the_reversal_closed_quasi_verdicts(self, records):
+        # a metric realizes b iff a quasi-metric does and b is closed under
+        # reversal (xyz in b iff zyx in b): then d + d^T is a metric with
+        # betweenness b, since a sum of two triangle inequalities is tight
+        # iff both are
+        for r in records + classify(3):
+            b = r.canonical
+            closed = all((z, y, x) in b for (x, y, z) in b.triples)
+            assert r.realizable_metric == (r.realizable_quasi and closed)
+            if r.realizable_metric:
+                d = r.witness.entries
+                sym = tuple(tuple(d[i][j] + d[j][i] for j in range(b.n)) for i in range(b.n))
+                assert verify_witness(DistanceMatrix(r.witness.labels, sym), b)
 
     def test_digraph_classes_within_integer_three(self, records):
         for r in records:

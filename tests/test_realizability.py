@@ -255,3 +255,12 @@ class TestCrossRouteInvariants:
                 m = DistanceMatrix(tuple(f"x{i}" for i in range(n)), tuple(map(tuple, rows)))
                 assert validate_quasi_metric(m).ok
                 assert canonical_form(betweenness_of(m))[0].mask == canon
+
+    def test_digraph_witness_maps_are_sound(self):
+        for n in (3, 4, 5):
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            for canon, arc_mask in kernels.digraph_canon_witnesses(n).items():
+                arcs = frozenset(p for k, p in enumerate(pairs) if arc_mask >> k & 1)
+                g = Digraph(n, arcs)
+                assert is_strongly_connected(g)
+                assert canonical_form(betweenness_of(digraph_distances(g)))[0].mask == canon
