@@ -19,7 +19,6 @@ from .core import (
     Betweenness,
     DistanceMatrix,
     betweenness_of,
-    dbe_verdict,
     line_of_pair,
     line_set,
     validate_quasi_metric,
@@ -84,19 +83,18 @@ def claim_q4_lines(matrix: DistanceMatrix | None = None) -> Claim:
     m = matrix if matrix is not None else fixtures.q4_matrix()
     b = betweenness_of(m)
     ls = line_set(b)
-    verdict = dbe_verdict(b)
     lines_idx = frozenset(ls.lines)
     ok = (
         lines_idx == fixtures.q4_lines()
-        and not verdict.has_universal
-        and not verdict.satisfies_dbe
+        and not ls.has_universal
+        and not ls.satisfies_dbe
     )
     return Claim(
         "q4-lines",
         "Q4 line set",
         ok,
-        f"lines = {_fmt_lines(ls.lines, m.labels)}; universal={verdict.has_universal}; "
-        f"dbe={verdict.satisfies_dbe}",
+        f"lines = {_fmt_lines(ls.lines, m.labels)}; universal={ls.has_universal}; "
+        f"dbe={ls.satisfies_dbe}",
     )
 
 

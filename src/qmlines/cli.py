@@ -143,7 +143,6 @@ def cmd_betweenness(args) -> int:
 def cmd_lines(args) -> int:
     b, labels = _betweenness_source(args)
     ls = line_set(b)
-    verdict = dbe_verdict(b)
     payload = {
         "command": "lines",
         "labels": list(labels),
@@ -163,7 +162,7 @@ def cmd_lines(args) -> int:
         f"lines ({ls.line_count}): "
         + " ".join(_fmt_subset(l, labels) for l in _sorted_lines(ls.lines, labels))
     )
-    text.append(f"universal: {'yes' if verdict.has_universal else 'no'}")
+    text.append(f"universal: {'yes' if ls.has_universal else 'no'}")
     _emit(args, payload, text)
     return 0
 

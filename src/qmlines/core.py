@@ -6,6 +6,7 @@ this module is an exact equality or inequality, never tolerance-based.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from string import ascii_lowercase
 from typing import Iterable, Mapping
 
@@ -13,6 +14,7 @@ from .encoding import (
     conflict_masks,
     line_trigger_masks,
     mask_from_triples,
+    ordered_pairs,
     triple_count,
     triples_from_mask,
 )
@@ -190,6 +192,35 @@ def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:
     return frozenset(z for z in range(m.n) if d[x][y] == d[x][z] + d[z][y])
 
 
+@lru_cache(maxsize=None)
+def _line_table(n: int) -> dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]]:
+    """For each ordered pair (x, y), in ordered_pairs(n) order: the point bits
+    of x and y, and (bit of z, line_trigger_masks[(x, y, z)]) for every other
+    point z."""
+    triggers = line_trigger_masks(n)
+    return {
+        (x, y): (
+            1 << x | 1 << y,
+            tuple((1 << z, triggers[(x, y, z)]) for z in range(n) if z != x and z != y),
+        )
+        for (x, y) in ordered_pairs(n)
+    }
+
+
+@lru_cache(maxsize=None)
+def _points(bits: int) -> frozenset[int]:
+    """The point set of a bitmask, one shared frozenset per mask."""
+    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def _line_bits(mask: int, bits: int, others) -> int:
+    # z is on the line iff one of zxy, xzy, xyz is in the relation
+    for zbit, trigger in others:
+        if mask & trigger:
+            bits |= zbit
+    return bits
+
+
 def line_of_pair(b: Betweenness, x: int, y: int) -> frozenset[int]:
     """The line of the ordered pair (x, y), determined by the betweenness alone.
 
@@ -198,12 +229,7 @@ def line_of_pair(b: Betweenness, x: int, y: int) -> frozenset[int]:
     """
     if x == y:
         raise ValueError(f"line endpoints must differ, got {x} twice")
-    triggers = line_trigger_masks(b.n)
-    pts = {x, y}
-    for z in range(b.n):
-        if z != x and z != y and b.mask & triggers[(x, y, z)]:
-            pts.add(z)
-    return frozenset(pts)
+    return _points(_line_bits(b.mask, *_line_table(b.n)[(x, y)]))
 
 
 @dataclass(frozen=True)
@@ -228,11 +254,12 @@ class LineSet:
 
 
 def line_set(b: Betweenness) -> LineSet:
-    by_pair = {}
-    for x in range(b.n):
-        for y in range(b.n):
-            if x != y:
-                by_pair[(x, y)] = line_of_pair(b, x, y)
+    """The lines of every ordered pair, keyed in ordered_pairs(n) order."""
+    mask = b.mask
+    by_pair = {
+        pair: _points(_line_bits(mask, bits, others))
+        for pair, (bits, others) in _line_table(b.n).items()
+    }
     return LineSet(b.n, by_pair, frozenset(by_pair.values()))
 
 

@@ -3,14 +3,18 @@
 Everything here recomputes expected values from first principles, sharing as
 little code as possible with the implementation under test: lines straight
 from distance entries, LP optima by exhaustive vertex enumeration, random
-quasi-metrics by min-plus closure, and bounded-integer realizations and
-digraph classes by trying every matrix or arc set.
+quasi-metrics by min-plus closure, bounded-integer realizations and
+digraph classes by trying every matrix or arc set, lines straight from the
+member triples, and isomorphism classes by canonicalizing every relation.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from qmlines.core import betweenness_of
+from qmlines.encoding import orbit
+from qmlines.enumeration import raw_consistent_masks
 from qmlines.isomorphism import canonical_form
 from qmlines.realizability import Digraph, digraph_distances, is_strongly_connected
 
@@ -30,6 +34,25 @@ def line_from_distances(entries, n: int, x: int, y: int) -> frozenset[int]:
         elif d[x][z] == d[x][y] + d[y][z]:
             pts.add(z)
     return frozenset(pts)
+
+
+def line_from_triples(b, x: int, y: int) -> frozenset[int]:
+    """The line of (x, y) read off the member triples directly:
+    z is on it iff (z,x,y), (x,z,y) or (x,y,z) is a member."""
+    members = set(b.triples)
+    return frozenset(
+        z
+        for z in range(b.n)
+        if z in (x, y) or {(z, x, y), (x, z, y), (x, y, z)} & members
+    )
+
+
+def classes_by_counting(n: int) -> tuple[tuple[int, int], ...]:
+    """(canonical encoding, orbit size) per class, by canonicalizing every
+    relation of the raw stream: it meets each orbit member once, so a
+    class's multiplicity is its orbit size."""
+    canons = Counter(min(orbit(n, m)) for m in raw_consistent_masks(n))
+    return tuple(sorted(canons.items()))
 
 
 def min_plus_closure(rows):

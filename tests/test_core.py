@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,12 @@ from qmlines.core import (
     segment,
     validate_quasi_metric,
 )
+from qmlines.encoding import ordered_pairs
+from qmlines.enumeration import (
+    canonical_classes,
+    consistent_patterns_on_support,
+    raw_consistent_masks,
+)
 from qmlines.fixtures import (
     THREE_POINT_TABLE,
     q4_betweenness,
@@ -25,7 +33,7 @@ from qmlines.fixtures import (
 )
 
 from conftest import quasi_metrics
-from oracles import line_from_distances
+from oracles import line_from_distances, line_from_triples
 
 
 def uniform(n):
@@ -192,6 +200,40 @@ class TestLines:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             line_of_pair(Betweenness(3, 0), 2, 2)
+
+
+def _random_consistent(n, rng):
+    """A consistent relation: one random pattern on each 3-point support."""
+    patterns = consistent_patterns_on_support()
+    triples = [
+        (sup[x], sup[y], sup[z])
+        for sup in combinations(range(n), 3)
+        for (x, y, z) in rng.choice(patterns)
+    ]
+    return Betweenness.from_triples(n, triples)
+
+
+def _relations_for_line_check(n):
+    """All 18 raw relations at n=3, all 4,455 classes at n=4, and 50 seeded
+    random consistent relations above that."""
+    if n == 3:
+        return [Betweenness(3, m) for m in raw_consistent_masks(3)]
+    if n == 4:
+        return [Betweenness(4, m) for m, _ in canonical_classes(4)]
+    rng = random.Random(n)
+    return [_random_consistent(n, rng) for _ in range(50)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_line_set_matches_member_triples(n):
+    for b in _relations_for_line_check(n):
+        expected = {(x, y): line_from_triples(b, x, y) for (x, y) in ordered_pairs(n)}
+        ls = line_set(b)
+        assert list(ls.by_pair) == list(ordered_pairs(n))
+        assert ls.by_pair == expected
+        assert ls.lines == frozenset(ls.by_pair.values())
+        for (x, y), line in expected.items():
+            assert line_of_pair(b, x, y) == line
 
 
 class TestDbe:

@@ -1,9 +1,11 @@
+import hashlib
 from itertools import combinations, permutations
 
 import pytest
 
-from qmlines import kernels
+from qmlines import enumeration, kernels
 from qmlines.core import Betweenness, DistanceMatrix, consistency_check
+from qmlines.encoding import orbit
 from qmlines.enumeration import (
     canonical_classes,
     classify,
@@ -16,6 +18,8 @@ from qmlines.fixtures import THREE_POINT_TABLE, q4_betweenness, three_point_rela
 from qmlines.isomorphism import canonical_form
 from qmlines.realizability import verify_witness
 
+from oracles import classes_by_counting
+
 # canonical (encoding, orbit size) pairs for n=3, frozen from an independent
 # brute-force script
 N3_CLASSES = ((0, 1), (1, 6), (6, 6), (10, 3), (25, 2))
@@ -23,6 +27,9 @@ N3_CLASSES = ((0, 1), (1, 6), (6, 6), (10, 3), (25, 2))
 RAW_COUNT_N3 = 18
 RAW_COUNT_N4 = 18**4  # four independent supports
 N4_CLASS_COUNT = 4455
+# SHA-256 of repr(canonical_classes(4)), computed by canonicalizing all
+# 104,976 raw relations
+N4_CLASSES_SHA256 = "50bfeba84c037fdc4c8d7c53c33a0f627aaf18e123fa27a3a381c56b13c06d48"
 
 
 class TestPatterns:
@@ -76,6 +83,42 @@ class TestCanonicalClasses:
         classes = canonical_classes(4)
         assert len(classes) == N4_CLASS_COUNT
         assert sum(size for _, size in classes) == RAW_COUNT_N4
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_walk_matches_counting_oracle(self, n):
+        assert canonical_classes(n) == classes_by_counting(n)
+
+    def test_four_point_classes_pinned(self):
+        digest = hashlib.sha256(repr(canonical_classes(4)).encode()).hexdigest()
+        assert digest == N4_CLASSES_SHA256
+
+    @pytest.mark.parametrize("n, class_count", [(3, len(N3_CLASSES)), (4, N4_CLASS_COUNT)])
+    def test_one_orbit_call_per_class(self, monkeypatch, n, class_count):
+        calls = 0
+
+        def counting_orbit(*args):
+            nonlocal calls
+            calls += 1
+            return orbit(*args)
+
+        monkeypatch.setattr(enumeration, "orbit", counting_orbit)
+        canonical_classes.cache_clear()
+        try:
+            classes = canonical_classes(n)
+        finally:
+            # later callers recompute with the real orbit
+            canonical_classes.cache_clear()
+        assert len(classes) == class_count
+        assert calls == class_count
+
+    def test_unsupported_n_refused_before_any_allocation(self, monkeypatch):
+        # at n=5 the marks alone would take 18^10 bytes
+        def no_patterns(n):
+            raise AssertionError(f"pattern masks built for n={n}")
+
+        monkeypatch.setattr(enumeration, "_support_pattern_masks", no_patterns)
+        with pytest.raises(ValueError, match=r"enumeration supports n in \(3, 4\), got 5"):
+            canonical_classes.__wrapped__(5)
 
     def test_orbit_sizes_match_direct_computation(self):
         from qmlines.isomorphism import Relabeling, apply_relabeling
