@@ -11,7 +11,6 @@ consistent relations on 3 and 4 points.  Arithmetic is exact everywhere.
 
 from .core import (
     Betweenness,
-    DbeVerdict,
     DistanceMatrix,
     LineSet,
     Rational,
@@ -19,7 +18,6 @@ from .core import (
     Violation,
     betweenness_of,
     consistency_check,
-    dbe_verdict,
     line_of_pair,
     line_set,
     segment,
@@ -60,7 +58,6 @@ __all__ = [
     "Betweenness",
     "ClassificationRecord",
     "Constraint",
-    "DbeVerdict",
     "Digraph",
     "DistanceMatrix",
     "FeasibilityOutcome",
@@ -82,7 +79,6 @@ __all__ = [
     "classify",
     "consistency_check",
     "consistent_patterns_on_support",
-    "dbe_verdict",
     "digraph_distances",
     "enumerate_consistent",
     "format_matrix",

@@ -17,7 +17,6 @@ from .core import (
     Betweenness,
     DistanceMatrix,
     betweenness_of,
-    dbe_verdict,
     line_set,
     validate_quasi_metric,
 )
@@ -169,20 +168,20 @@ def cmd_lines(args) -> int:
 
 def cmd_dbe(args) -> int:
     b, _ = _betweenness_source(args)
-    verdict = dbe_verdict(b)
+    ls = line_set(b)
     payload = {
         "command": "dbe",
-        "line_count": verdict.line_count,
-        "has_universal": verdict.has_universal,
-        "satisfies_dbe": verdict.satisfies_dbe,
+        "line_count": ls.line_count,
+        "has_universal": ls.has_universal,
+        "satisfies_dbe": ls.satisfies_dbe,
     }
     text = [
-        f"line count: {verdict.line_count}",
-        f"universal line: {'yes' if verdict.has_universal else 'no'}",
-        f"dbe: {'yes' if verdict.satisfies_dbe else 'no'}",
+        f"line count: {ls.line_count}",
+        f"universal line: {'yes' if ls.has_universal else 'no'}",
+        f"dbe: {'yes' if ls.satisfies_dbe else 'no'}",
     ]
     _emit(args, payload, text)
-    return 0 if verdict.satisfies_dbe else 1
+    return 0 if ls.satisfies_dbe else 1
 
 
 def cmd_canon(args) -> int:

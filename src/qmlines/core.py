@@ -250,6 +250,7 @@ class LineSet:
 
     @property
     def satisfies_dbe(self) -> bool:
+        """A universal line, or at least n distinct lines."""
         return self.has_universal or self.line_count >= self.n
 
 
@@ -261,23 +262,6 @@ def line_set(b: Betweenness) -> LineSet:
         for pair, (bits, others) in _line_table(b.n).items()
     }
     return LineSet(b.n, by_pair, frozenset(by_pair.values()))
-
-
-@dataclass(frozen=True)
-class DbeVerdict:
-    line_count: int
-    has_universal: bool
-    satisfies_dbe: bool
-
-
-def dbe_verdict(b: Betweenness) -> DbeVerdict:
-    """Whether the space has a universal line or at least n distinct lines."""
-    ls = line_set(b)
-    return DbeVerdict(
-        line_count=ls.line_count,
-        has_universal=ls.has_universal,
-        satisfies_dbe=ls.satisfies_dbe,
-    )
 
 
 def consistency_check(b: Betweenness) -> bool:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping
 
 from .core import DistanceMatrix, as_rational, default_labels
@@ -50,7 +51,8 @@ class Constraint:
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
         coeffs = {v: as_rational(c) for v, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", coeffs)
+        # read-only: realization systems of one (n, variant) share their rows
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
         object.__setattr__(self, "rhs", as_rational(self.rhs))
 
     def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:

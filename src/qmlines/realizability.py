@@ -9,6 +9,7 @@ optimum.  The integer and digraph variants are exhaustive searches.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import kernels
 from .core import (
@@ -45,6 +46,21 @@ def _require_consistent(b: Betweenness) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _realization_rows(n: int, variant: str):
+    """The rows shared by every system of (n, variant): positivity rows, one
+    (non-member, member) row pair per ordered triple, symmetry and normalization."""
+    pairs = []
+    for (x, y, z) in ordered_triples(n):
+        coeffs = {pair_var(x, z): 1, pair_var(x, y): -1, pair_var(y, z): -1}
+        pairs.append((Constraint({**coeffs, EPS_VAR: 1}, "<=", 0), Constraint(coeffs, "=", 0)))
+    head = tuple(Constraint({EPS_VAR: 1, d: -1}, "<=", 0) for d in pair_variables(n))
+    symmetry = [(i, j) for (i, j) in ordered_pairs(n) if i < j] if variant == "metric" else []
+    tail = [Constraint({pair_var(i, j): 1, pair_var(j, i): -1}, "=", 0) for i, j in symmetry]
+    tail.append(Constraint(dict.fromkeys(pair_variables(n), 1), "=", 1))
+    return head, tuple(pairs), tuple(tail)
+
+
 def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSystem:
     """The linear feasibility system whose strict solutions are exactly the
     (quasi-)metrics with betweenness b.
@@ -56,24 +72,8 @@ def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSy
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     _require_consistent(b)
-    n = b.n
-    one = Fraction(1)
-    cons = []
-    for d in pair_variables(n):
-        cons.append(Constraint({EPS_VAR: one, d: -one}, "<=", 0))
-    for (x, y, z) in ordered_triples(n):
-        coeffs = {pair_var(x, z): one, pair_var(x, y): -one, pair_var(y, z): -one}
-        if (x, y, z) in b:
-            cons.append(Constraint(coeffs, "=", 0))
-        else:
-            coeffs[EPS_VAR] = one
-            cons.append(Constraint(coeffs, "<=", 0))
-    if variant == "metric":
-        for i in range(n):
-            for j in range(i + 1, n):
-                cons.append(Constraint({pair_var(i, j): one, pair_var(j, i): -one}, "=", 0))
-    cons.append(Constraint({d: one for d in pair_variables(n)}, "=", 1))
-    return LinearSystem(n, tuple(cons))
+    head, pairs, tail = _realization_rows(b.n, variant)
+    return LinearSystem(b.n, (*head, *(p[b.mask >> i & 1] for i, p in enumerate(pairs)), *tail))
 
 
 def verify_witness(m: DistanceMatrix, b: Betweenness) -> bool:

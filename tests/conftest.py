@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
-from qmlines.core import DistanceMatrix, default_labels
+from qmlines.core import Betweenness, DistanceMatrix, default_labels
+from qmlines.enumeration import consistent_patterns_on_support
 
 from oracles import min_plus_closure
 
@@ -50,3 +52,14 @@ def metric_matrices(draw, min_n=2, max_n=5):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = draw(_positive_fractions())
     return DistanceMatrix(default_labels(n), min_plus_closure(rows))
+
+
+def random_consistent(n, rng):
+    """A consistent relation: one random pattern on each 3-point support."""
+    patterns = consistent_patterns_on_support()
+    triples = [
+        (sup[x], sup[y], sup[z])
+        for sup in combinations(range(n), 3)
+        for (x, y, z) in rng.choice(patterns)
+    ]
+    return Betweenness.from_triples(n, triples)

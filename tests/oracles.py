@@ -5,7 +5,8 @@ little code as possible with the implementation under test: lines straight
 from distance entries, LP optima by exhaustive vertex enumeration, random
 quasi-metrics by min-plus closure, bounded-integer realizations and
 digraph classes by trying every matrix or arc set, lines straight from the
-member triples, and isomorphism classes by canonicalizing every relation.
+member triples, isomorphism classes by canonicalizing every relation, and
+realization systems built row by row for each relation.
 """
 
 from collections import Counter
@@ -13,9 +14,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from qmlines.core import betweenness_of
-from qmlines.encoding import orbit
+from qmlines.encoding import orbit, ordered_triples
 from qmlines.enumeration import raw_consistent_masks
 from qmlines.isomorphism import canonical_form
+from qmlines.lp import EPS_VAR, Constraint, LinearSystem, pair_var, pair_variables
 from qmlines.realizability import Digraph, digraph_distances, is_strongly_connected
 
 
@@ -169,3 +171,27 @@ def first_digraph_per_class(n: int) -> dict[int, int]:
             canon, _ = canonical_form(betweenness_of(digraph_distances(g)))
             first.setdefault(canon.mask, arc_mask)
     return first
+
+
+def realization_system_by_construction(b, variant: str):
+    """The realization system of a consistent relation b, every row built
+    afresh: positivity rows, one row per ordered triple (the member equality
+    or the non-member row with eps), symmetry rows (metric), normalization."""
+    n = b.n
+    one = Fraction(1)
+    cons = []
+    for d in pair_variables(n):
+        cons.append(Constraint({EPS_VAR: one, d: -one}, "<=", 0))
+    for (x, y, z) in ordered_triples(n):
+        coeffs = {pair_var(x, z): one, pair_var(x, y): -one, pair_var(y, z): -one}
+        if (x, y, z) in b:
+            cons.append(Constraint(coeffs, "=", 0))
+        else:
+            coeffs[EPS_VAR] = one
+            cons.append(Constraint(coeffs, "<=", 0))
+    if variant == "metric":
+        for i in range(n):
+            for j in range(i + 1, n):
+                cons.append(Constraint({pair_var(i, j): one, pair_var(j, i): -one}, "=", 0))
+    cons.append(Constraint({d: one for d in pair_variables(n)}, "=", 1))
+    return LinearSystem(n, tuple(cons))

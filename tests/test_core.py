@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from qmlines.core import (
     DistanceMatrix,
     betweenness_of,
     consistency_check,
-    dbe_verdict,
     line_of_pair,
     line_set,
     segment,
@@ -20,7 +18,6 @@ from qmlines.core import (
 from qmlines.encoding import ordered_pairs
 from qmlines.enumeration import (
     canonical_classes,
-    consistent_patterns_on_support,
     raw_consistent_masks,
 )
 from qmlines.fixtures import (
@@ -32,7 +29,7 @@ from qmlines.fixtures import (
     three_point_relation,
 )
 
-from conftest import quasi_metrics
+from conftest import quasi_metrics, random_consistent
 from oracles import line_from_distances, line_from_triples
 
 
@@ -202,17 +199,6 @@ class TestLines:
             line_of_pair(Betweenness(3, 0), 2, 2)
 
 
-def _random_consistent(n, rng):
-    """A consistent relation: one random pattern on each 3-point support."""
-    patterns = consistent_patterns_on_support()
-    triples = [
-        (sup[x], sup[y], sup[z])
-        for sup in combinations(range(n), 3)
-        for (x, y, z) in rng.choice(patterns)
-    ]
-    return Betweenness.from_triples(n, triples)
-
-
 def _relations_for_line_check(n):
     """All 18 raw relations at n=3, all 4,455 classes at n=4, and 50 seeded
     random consistent relations above that."""
@@ -221,7 +207,7 @@ def _relations_for_line_check(n):
     if n == 4:
         return [Betweenness(4, m) for m, _ in canonical_classes(4)]
     rng = random.Random(n)
-    return [_random_consistent(n, rng) for _ in range(50)]
+    return [random_consistent(n, rng) for _ in range(50)]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -238,23 +224,23 @@ def test_line_set_matches_member_triples(n):
 
 class TestDbe:
     def test_q4_fails_dbe(self, q4):
-        verdict = dbe_verdict(betweenness_of(q4))
+        verdict = line_set(betweenness_of(q4))
         assert verdict.line_count == 3
         assert not verdict.has_universal
         assert not verdict.satisfies_dbe
 
     def test_singleton_relation_on_three_points(self):
-        verdict = dbe_verdict(Betweenness.from_triples(3, [(0, 1, 2)]))
+        verdict = line_set(Betweenness.from_triples(3, [(0, 1, 2)]))
         assert verdict.line_count == 4
         assert verdict.satisfies_dbe
 
     def test_empty_relation_on_three_points(self):
-        verdict = dbe_verdict(Betweenness(3, 0))
+        verdict = line_set(Betweenness(3, 0))
         assert verdict.line_count == 3
         assert verdict.satisfies_dbe
 
     def test_two_points_always_satisfy(self):
-        verdict = dbe_verdict(Betweenness(2, 0))
+        verdict = line_set(Betweenness(2, 0))
         assert verdict.has_universal
         assert verdict.satisfies_dbe
 
@@ -295,7 +281,7 @@ def test_betweenness_size_bound(m):
 
 @given(quasi_metrics(min_n=3, max_n=3))
 def test_three_point_spaces_always_satisfy_dbe(m):
-    assert dbe_verdict(betweenness_of(m)).satisfies_dbe
+    assert line_set(betweenness_of(m)).satisfies_dbe
 
 
 @settings(max_examples=50)
@@ -307,7 +293,7 @@ def test_scaling_invariance(m, factor):
     scaled = m.scaled(factor)
     assert betweenness_of(scaled) == betweenness_of(m)
     assert line_set(betweenness_of(scaled)).lines == line_set(betweenness_of(m)).lines
-    assert dbe_verdict(betweenness_of(scaled)) == dbe_verdict(betweenness_of(m))
+    assert line_set(betweenness_of(scaled)) == line_set(betweenness_of(m))
 
 
 @given(quasi_metrics())

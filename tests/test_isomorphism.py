@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmlines.core import Betweenness, consistency_check, dbe_verdict
+from qmlines.core import Betweenness, consistency_check, line_set
 from qmlines.encoding import RELABELING_CAP, nth_permutation, orbit, triple_count
 from qmlines.fixtures import q4_betweenness
 from qmlines.isomorphism import (
@@ -212,8 +212,8 @@ def test_relabeling_invariants(mask, perm):
     image = apply_relabeling(b, Relabeling(tuple(perm)))
     assert len(image) == len(b)
     assert consistency_check(image) == consistency_check(b)
-    assert dbe_verdict(image).line_count == dbe_verdict(b).line_count
-    assert dbe_verdict(image).has_universal == dbe_verdict(b).has_universal
+    assert line_set(image).line_count == line_set(b).line_count
+    assert line_set(image).has_universal == line_set(b).has_universal
 
 
 def test_mask_width_for_four_points():

@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from qmlines import kernels
+from qmlines import enumeration, kernels, realizability
 from qmlines.core import Betweenness, DistanceMatrix, betweenness_of, validate_quasi_metric
-from qmlines.enumeration import raw_consistent_masks
+from qmlines.enumeration import canonical_classes, classify, raw_consistent_masks
 from qmlines.fixtures import (
     THREE_POINT_DIGRAPH_ARCS,
     THREE_POINT_LABELS,
@@ -15,6 +16,7 @@ from qmlines.fixtures import (
     three_point_relation,
 )
 from qmlines.isomorphism import canonical_form, isomorphism_witness
+from qmlines.lp import Constraint
 from qmlines.realizability import (
     Digraph,
     InconsistentRelationError,
@@ -27,8 +29,8 @@ from qmlines.realizability import (
     verify_witness,
 )
 
-from conftest import metric_matrices, quasi_metrics
-from oracles import first_integer_realization
+from conftest import metric_matrices, quasi_metrics, random_consistent
+from oracles import first_integer_realization, realization_system_by_construction
 
 CYCLE3 = Betweenness.from_triples(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 
@@ -73,6 +75,87 @@ class TestRealize:
             b = three_point_relation(row)
             assert realize(b, "quasi").realizable
             assert realize(b, "metric").realizable == row["metric"]
+
+
+class TestRealizationSystem:
+    @pytest.mark.parametrize("variant", ["quasi", "metric"])
+    def test_equals_the_row_by_row_construction(self, variant):
+        relations = [
+            Betweenness(2, 0),
+            *(Betweenness(3, mask) for mask in raw_consistent_masks(3)),
+            *(Betweenness(4, mask) for mask, _ in canonical_classes(4)),
+            *(
+                random_consistent(n, rng)
+                for n, rng in ((5, random.Random(5)), (6, random.Random(6)))
+                for _ in range(20)
+            ),
+        ]
+        assert len(set(relations)) == 1 + 18 + 4455 + 40
+        for b in relations:
+            assert build_realization_system(b, variant) == realization_system_by_construction(
+                b, variant
+            )
+
+    def test_second_call_constructs_no_constraint(self, monkeypatch):
+        built = []
+        post_init = Constraint.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Constraint, "__post_init__", counting)
+        b = q4_betweenness()
+        for variant in ("quasi", "metric"):
+            build_realization_system(b, variant)
+            before = len(built)
+            system = build_realization_system(b, variant)
+            assert len(built) == before
+            assert system == realization_system_by_construction(b, variant)
+
+    def test_shared_rows_are_read_only(self):
+        b = q4_betweenness()
+        system = build_realization_system(b, "quasi")
+        for con in system.constraints:
+            with pytest.raises(TypeError):
+                con.coeffs["d(0,1)"] = Fraction(5)
+        assert build_realization_system(b, "quasi") == realization_system_by_construction(
+            b, "quasi"
+        )
+
+
+class TestLpCallPath:
+    """Every LP goes through realizability.maximize_slack applied to
+    realizability.build_realization_system, the names a traced run wraps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("build_realization_system", "maximize_slack"), 0)
+        for name in counts:
+            monkeypatch.setattr(realizability, name, self._counted(name, counts))
+        return counts
+
+    @staticmethod
+    def _counted(name, counts):
+        original = getattr(realizability, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return counted
+
+    @pytest.mark.parametrize("variant", ["quasi", "metric"])
+    def test_realize_builds_and_solves_once(self, calls, variant):
+        realize(q4_betweenness(), variant)
+        assert list(calls.values()) == [1, 1]
+
+    def test_classify_solves_one_lp_per_verdict(self, calls):
+        enumeration._base_records.cache_clear()
+        records = classify(3)
+        # the metric LP runs only where the quasi LP succeeds
+        lps = len(records) + sum(r.realizable_quasi for r in records)
+        assert list(calls.values()) == [lps, lps]
 
 
 class TestVerifyWitness:
