@@ -8,10 +8,18 @@ integer-preserving pivots whose division by the previous pivot is exact; a
 negative pivot negates its row so that D stays positive.  Every comparison
 decides as it would on the rational tableau, so the pivot sequence, and so
 every result, is that of the rational simplex.  `fractions.Fraction` appears
-only at the interface: constraints in, optimum and assignment out.
+only at the interface: constraints in, optimum and assignment out; each
+`Constraint` clears its denominators once, when it is built.
+
+Free variables are split as x = x+ - x-, but x-'s column is always minus
+x+'s, so the tableau stores one column per free variable, standing for
+whichever of x+ and x- it was last oriented to (Chvatal 1983, Linear
+Programming, ch. 8).  The column ids 2k and 2k+1 are kept, so Bland's
+least-index order, and with it every pivot, is that of the tableau that
+stores both.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -46,14 +54,21 @@ class Constraint:
     coeffs: Mapping[str, Fraction]
     relation: str
     rhs: Fraction
+    # the row times the lcm of its denominators, for the solver:
+    # ((variable, integer coefficient), ...) and the integer rhs
+    _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
         coeffs = {v: as_rational(c) for v, c in self.coeffs.items() if c != 0}
+        rhs = as_rational(self.rhs)
         # read-only: realization systems of one (n, variant) share their rows
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        object.__setattr__(self, "rhs", as_rational(self.rhs))
+        object.__setattr__(self, "rhs", rhs)
+        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        scaled = tuple((v, c.numerator * (scale // c.denominator)) for v, c in coeffs.items())
+        object.__setattr__(self, "_scaled", (scaled, rhs.numerator * (scale // rhs.denominator)))
 
     def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
         lhs = sum((c * assignment[v] for v, c in self.coeffs.items()), start=Fraction(0))
@@ -157,26 +172,34 @@ def _witness_matrix(n: int, assignment) -> DistanceMatrix:
 # --------------------------------------------------------------- the solver
 
 
-def _clear_denominators(values) -> int:
-    """The least positive integer whose product with each value is integral."""
-    return lcm(*(v.denominator for v in values))
-
-
 def _simplex_max(variables, constraints, objective):
     """Maximize objective . x subject to the constraints, x free.
 
     Returns (status, value, assignment); status is "optimal", "infeasible"
-    or "unbounded".  Two-phase simplex on the split nonnegative form with
-    Bland's least-index pivot rule (finite by anti-cycling).  Columns are
-    numbered x+/x- per variable, then slacks, then artificials.
+    or "unbounded".  Two-phase simplex on the split nonnegative form
+    x = x+ - x- with Bland's least-index pivot rule (finite by
+    anti-cycling).  Column ids are 2k (x+) and 2k+1 (x-) for variable k,
+    then slacks, then artificials; Bland's rule and the ratio test's
+    tie-break compare these ids.
 
     The tableau is fraction-free: integer rows T and one common denominator
     D > 0, so that entry (i, j) stands for T[i][j] / D.  A row holds one
-    entry per nonbasic column (a basic column is D in its own row and 0
+    entry per nonbasic slot (a basic column is D in its own row and 0
     elsewhere, so it is not stored), then its right-hand side.  One more
     integer row over the same D holds the reduced costs, and minus the
-    objective value last.  Each constraint, and the objective, is first
-    scaled by the lcm of its denominators.
+    objective value last.  Each constraint arrives scaled by the lcm of its
+    denominators (`Constraint._scaled`); the objective is scaled here.
+
+    A free variable has one slot, whatever the basis: x-'s column is always
+    minus x+'s, and pivots are linear in the columns, so one stored column
+    stands for both, under the id of the one it holds.  A slot of variable k
+    offers id 2k if x+'s reduced cost is positive and 2k+1 if it is
+    negative; the least offer enters, and if it is the twin of the stored
+    id the slot is negated first.  When x+ is basic, x-'s column is minus
+    its unit column: reduced cost 0, so Bland's rule never enters it, and 0
+    in every other row, so driving an artificial out never enters it either;
+    it needs no slot (nor does x+ when x- is basic).  So every pivot is the
+    one the tableau with both columns of each pair would take.
 
     A pivot on (r, c) with p = T[r][c] negates row r first if p < 0.  It
     then replaces every other row k by (p*T[k] - T[k][c]*T[r]) // D, keeps
@@ -191,27 +214,24 @@ def _simplex_max(variables, constraints, objective):
     Fractions are formed only when the result is read out.
     """
     nvars = len(variables)
+    free_end = 2 * nvars  # ids below are x+/x- of a free variable
     vindex = {v: k for k, v in enumerate(variables)}
 
-    # split x = x+ - x-, clear denominators, normalize rhs >= 0
+    # one column per variable, stored as x+; normalize rhs >= 0
     rows = []
     for con in constraints:
-        scale = _clear_denominators((con.rhs, *con.coeffs.values()))
-        arr = [0] * (2 * nvars)
-        for v, cf in con.coeffs.items():
-            k = vindex[v]
-            q = cf.numerator * (scale // cf.denominator)
-            arr[2 * k] += q
-            arr[2 * k + 1] -= q
+        coeffs, rhs = con._scaled
+        arr = [0] * nvars
+        for v, q in coeffs:
+            arr[vindex[v]] = q
         rel = con.relation
-        rhs = con.rhs.numerator * (scale // con.rhs.denominator)
         if rhs < 0:
             arr = [-a for a in arr]
             rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            rel = ">=" if rel == "<=" else rel
         rows.append((arr, rel, rhs))
 
-    col = 2 * nvars
+    col = free_end
     slack_col = {}
     for i, (_, rel, _) in enumerate(rows):
         if rel in ("<=", ">="):
@@ -227,7 +247,7 @@ def _simplex_max(variables, constraints, objective):
     # every row starts with its artificial, else its slack, basic
     basis = [art_col[i] if i in art_col else slack_col[i] for i in range(len(rows))]
     surplus_rows = [i for i in art_col if i in slack_col]  # the ">=" rows
-    nonbasic = [*range(2 * nvars), *(slack_col[i] for i in surplus_rows)]
+    nonbasic = [*range(0, free_end, 2), *(slack_col[i] for i in surplus_rows)]
     tableau = [
         arr + [-1 if k == i else 0 for k in surplus_rows] + [rhs]
         for i, (arr, _, rhs) in enumerate(rows)
@@ -242,6 +262,14 @@ def _simplex_max(variables, constraints, objective):
                 obj = [z - cb * v for z, v in zip(obj, row)]
         return obj
 
+    def orient(s, j, obj):
+        # let slot s hold column j: negate it if j is the twin of its id
+        if nonbasic[s] != j:
+            for row in tableau:
+                row[s] = -row[s]
+            obj[s] = -obj[s]
+            nonbasic[s] = j
+
     def pivot(r, c, obj):
         nonlocal denom
         pivot_row = tableau[r]
@@ -250,21 +278,17 @@ def _simplex_max(variables, constraints, objective):
         if flip:
             tableau[r] = pivot_row = [-v for v in pivot_row]
             p = -p
-
-        def exchange(row):
+        d = denom
+        for row in (*tableau, obj):
             f = row[c]
             if f:
-                row = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
+                if row is pivot_row:
+                    continue
+                row[:] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
                 row[c] = f if flip else -f
-            elif p != denom:
-                row = [a * p // denom for a in row]
-            return row
-
-        for k, row in enumerate(tableau):
-            if k != r:
-                tableau[k] = exchange(row)
-        obj[:] = exchange(obj)
-        pivot_row[c] = -denom if flip else denom
+            elif p != d:
+                row[:] = [a * p // d for a in row]
+        pivot_row[c] = -d if flip else d
         denom = p
         basis[r], nonbasic[c] = nonbasic[c], basis[r]
         if nonbasic[c] >= first_art:
@@ -273,15 +297,22 @@ def _simplex_max(variables, constraints, objective):
                 del row[c]
             del obj[c]
 
-    def least(slots):
-        return min(slots, key=nonbasic.__getitem__, default=None)
-
     def bland(obj):
         # pivot until optimal
         while True:
-            enter = least(s for s in range(len(nonbasic)) if obj[s] > 0)
-            if enter is None:
+            # a free slot offers x- (its twin) when x+'s reduced cost is < 0
+            offer = min(
+                (
+                    (j if z > 0 else j ^ 1, s)
+                    for s, (j, z) in enumerate(zip(nonbasic, obj))
+                    if z > 0 or (z and j < free_end)
+                ),
+                default=None,
+            )
+            if offer is None:
                 return "optimal"
+            j, enter = offer
+            orient(enter, j, obj)
             leave = None
             for i, row in enumerate(tableau):
                 t = row[enter]
@@ -306,22 +337,28 @@ def _simplex_max(variables, constraints, objective):
         bland(obj)
         if obj[-1] > 0:  # the phase-1 optimum -obj[-1] / D is negative
             return "infeasible", None, None
-        # drive zero-level artificials out of the basis; drop redundant rows
+        # drive zero-level artificials out of the basis, entering the least
+        # id with a nonzero entry (x+ of a free pair); drop redundant rows
         # (an artificial's starting column is a unit column, so D stays the
         # common denominator of the remaining rows)
         i = 0
         while i < len(tableau):
             if basis[i] >= first_art:
                 row = tableau[i]
-                enter = least(s for s in range(len(nonbasic)) if row[s])
-                if enter is None:
+                offer = min(
+                    ((j & ~1 if j < free_end else j, s) for s, j in enumerate(nonbasic) if row[s]),
+                    default=None,
+                )
+                if offer is None:
                     del tableau[i]
                     del basis[i]
                     continue
+                j, enter = offer
+                orient(enter, j, obj)
                 pivot(i, enter, obj)
             i += 1
 
-    obj_scale = _clear_denominators(objective.values())
+    obj_scale = lcm(*(cf.denominator for cf in objective.values()))
     cost2 = [0] * first_art
     for v, cf in objective.items():
         k = vindex[v]

@@ -5,13 +5,16 @@ little code as possible with the implementation under test: lines straight
 from distance entries, LP optima by exhaustive vertex enumeration, random
 quasi-metrics by min-plus closure, bounded-integer realizations and
 digraph classes by trying every matrix or arc set, lines straight from the
-member triples, isomorphism classes by canonicalizing every relation, and
-realization systems built row by row for each relation.
+member triples, isomorphism classes by canonicalizing every relation,
+realization systems built row by row for each relation, and the simplex with
+two stored columns (x+ and x-) per free variable, whose pivots the solver
+must repeat.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from qmlines.core import betweenness_of
 from qmlines.encoding import orbit, ordered_triples
@@ -195,3 +198,188 @@ def realization_system_by_construction(b, variant: str):
                 cons.append(Constraint({pair_var(i, j): one, pair_var(j, i): -one}, "=", 0))
     cons.append(Constraint({d: one for d in pair_variables(n)}, "=", 1))
     return LinearSystem(n, tuple(cons))
+
+# ------------------------------------------- the split-column simplex solver
+
+
+def _clear_denominators(values) -> int:
+    """The least positive integer whose product with each value is integral."""
+    return lcm(*(v.denominator for v in values))
+
+
+def split_simplex_max(variables, constraints, objective):
+    """Maximize objective . x subject to the constraints, x free.
+
+    Returns (status, value, assignment); status is "optimal", "infeasible"
+    or "unbounded".  Two-phase simplex on the split nonnegative form with
+    Bland's least-index pivot rule (finite by anti-cycling).  Columns are
+    numbered x+/x- per variable, then slacks, then artificials.
+
+    The tableau is fraction-free: integer rows T and one common denominator
+    D > 0, so that entry (i, j) stands for T[i][j] / D.  A row holds one
+    entry per nonbasic column (a basic column is D in its own row and 0
+    elsewhere, so it is not stored), then its right-hand side.  One more
+    integer row over the same D holds the reduced costs, and minus the
+    objective value last.  Each constraint, and the objective, is first
+    scaled by the lcm of its denominators.
+
+    A pivot on (r, c) with p = T[r][c] negates row r first if p < 0.  It
+    then replaces every other row k by (p*T[k] - T[k][c]*T[r]) // D, keeps
+    row r and sets D = p; slot c passes to the leaving variable, whose
+    column entries follow from its old unit column by the same rule; an
+    artificial that leaves the basis is dropped, as it may never enter.  The
+    division is exact: every entry is, up to one common sign, a minor of the
+    starting tableau, and D is the previous pivot (Edmonds 1967; Bareiss
+    1968).  Since D > 0, each sign test, and each ratio comparison done by
+    cross-multiplying (a/b < c/d iff a*d < c*b for b, d > 0), decides as on
+    the rational tableau, so the pivot sequence is the rational simplex's.
+    Fractions are formed only when the result is read out.
+    """
+    nvars = len(variables)
+    vindex = {v: k for k, v in enumerate(variables)}
+
+    # split x = x+ - x-, clear denominators, normalize rhs >= 0
+    rows = []
+    for con in constraints:
+        scale = _clear_denominators((con.rhs, *con.coeffs.values()))
+        arr = [0] * (2 * nvars)
+        for v, cf in con.coeffs.items():
+            k = vindex[v]
+            q = cf.numerator * (scale // cf.denominator)
+            arr[2 * k] += q
+            arr[2 * k + 1] -= q
+        rel = con.relation
+        rhs = con.rhs.numerator * (scale // con.rhs.denominator)
+        if rhs < 0:
+            arr = [-a for a in arr]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows.append((arr, rel, rhs))
+
+    col = 2 * nvars
+    slack_col = {}
+    for i, (_, rel, _) in enumerate(rows):
+        if rel in ("<=", ">="):
+            slack_col[i] = col
+            col += 1
+    first_art = col
+    art_col = {}
+    for i, (_, rel, _) in enumerate(rows):
+        if rel in ("=", ">="):
+            art_col[i] = col
+            col += 1
+
+    # every row starts with its artificial, else its slack, basic
+    basis = [art_col[i] if i in art_col else slack_col[i] for i in range(len(rows))]
+    surplus_rows = [i for i in art_col if i in slack_col]  # the ">=" rows
+    nonbasic = [*range(2 * nvars), *(slack_col[i] for i in surplus_rows)]
+    tableau = [
+        arr + [-1 if k == i else 0 for k in surplus_rows] + [rhs]
+        for i, (arr, _, rhs) in enumerate(rows)
+    ]
+    denom = 1
+
+    def objective_row(cost):
+        obj = [denom * cost[j] for j in nonbasic] + [0]
+        for i, row in enumerate(tableau):
+            cb = cost[basis[i]]
+            if cb:
+                obj = [z - cb * v for z, v in zip(obj, row)]
+        return obj
+
+    def pivot(r, c, obj):
+        nonlocal denom
+        pivot_row = tableau[r]
+        p = pivot_row[c]
+        flip = p < 0
+        if flip:
+            tableau[r] = pivot_row = [-v for v in pivot_row]
+            p = -p
+
+        def exchange(row):
+            f = row[c]
+            if f:
+                row = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
+                row[c] = f if flip else -f
+            elif p != denom:
+                row = [a * p // denom for a in row]
+            return row
+
+        for k, row in enumerate(tableau):
+            if k != r:
+                tableau[k] = exchange(row)
+        obj[:] = exchange(obj)
+        pivot_row[c] = -denom if flip else denom
+        denom = p
+        basis[r], nonbasic[c] = nonbasic[c], basis[r]
+        if nonbasic[c] >= first_art:
+            del nonbasic[c]
+            for row in tableau:
+                del row[c]
+            del obj[c]
+
+    def least(slots):
+        return min(slots, key=nonbasic.__getitem__, default=None)
+
+    def bland(obj):
+        # pivot until optimal
+        while True:
+            enter = least(s for s in range(len(nonbasic)) if obj[s] > 0)
+            if enter is None:
+                return "optimal"
+            leave = None
+            for i, row in enumerate(tableau):
+                t = row[enter]
+                if t <= 0:
+                    continue
+                if leave is not None:
+                    # row i leaves instead if row[-1] / t is smaller, or
+                    # equal with a smaller basic column
+                    lhs, rhs = row[-1] * den, num * t
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, num, den = i, row[-1], t
+            if leave is None:
+                return "unbounded"
+            pivot(leave, enter, obj)
+
+    if art_col:
+        cost1 = [0] * col
+        for j in art_col.values():
+            cost1[j] = -1
+        obj = objective_row(cost1)
+        bland(obj)
+        if obj[-1] > 0:  # the phase-1 optimum -obj[-1] / D is negative
+            return "infeasible", None, None
+        # drive zero-level artificials out of the basis; drop redundant rows
+        # (an artificial's starting column is a unit column, so D stays the
+        # common denominator of the remaining rows)
+        i = 0
+        while i < len(tableau):
+            if basis[i] >= first_art:
+                row = tableau[i]
+                enter = least(s for s in range(len(nonbasic)) if row[s])
+                if enter is None:
+                    del tableau[i]
+                    del basis[i]
+                    continue
+                pivot(i, enter, obj)
+            i += 1
+
+    obj_scale = _clear_denominators(objective.values())
+    cost2 = [0] * first_art
+    for v, cf in objective.items():
+        k = vindex[v]
+        q = cf.numerator * (obj_scale // cf.denominator)
+        cost2[2 * k] += q
+        cost2[2 * k + 1] -= q
+    obj = objective_row(cost2)
+    if bland(obj) == "unbounded":
+        return "unbounded", None, None
+
+    col_value = {basis[i]: row[-1] for i, row in enumerate(tableau)}
+    assignment = {
+        v: Fraction(col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0), denom)
+        for v, k in vindex.items()
+    }
+    return "optimal", Fraction(-obj[-1], denom * obj_scale), assignment

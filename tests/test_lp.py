@@ -1,4 +1,6 @@
 import hashlib
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlines.core import Betweenness
-from qmlines.enumeration import canonical_classes
+from qmlines.enumeration import canonical_classes, raw_consistent_masks
 from qmlines.fixtures import q4_betweenness
 from qmlines.lp import (
     EPS_VAR,
@@ -20,7 +22,8 @@ from qmlines.lp import (
 )
 from qmlines.realizability import build_realization_system
 
-from oracles import brute_force_lp_max
+from conftest import random_consistent
+from oracles import brute_force_lp_max, split_simplex_max
 
 
 def normalization(n):
@@ -227,6 +230,116 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
             Fraction(c) * assignment[v] for v, c in objective.items()
         )
         assert achieved == value
+
+
+# ----------------------------------------- solver vs the split-column solver
+
+# One stored column per free variable must take the pivots of the tableau
+# that stores both x+ and x-, so status, value and the whole assignment agree.
+
+
+@pytest.mark.parametrize("variant", ["quasi", "metric"])
+def test_realization_lps_repeat_the_split_column_solver(variant):
+    relations = [
+        *(Betweenness(3, mask) for mask in raw_consistent_masks(3)),
+        *(Betweenness(4, mask) for mask, _ in canonical_classes(4)),
+        *(
+            random_consistent(n, rng)
+            for n, rng in ((5, random.Random(5)), (6, random.Random(6)))
+            for _ in range(20)
+        ),
+    ]
+    assert len(set(relations)) == 18 + 4455 + 40
+    objective = {EPS_VAR: Fraction(1)}
+    for b in relations:
+        system = build_realization_system(b, variant)
+        args = (system.variables, system.constraints, objective)
+        assert _simplex_max(*args) == split_simplex_max(*args)
+
+
+# more pivots than any of these small LPs takes: a solver past it is cycling
+PIVOT_CAP = 1000
+
+
+def _traced(solver, variables, constraints, objective):
+    """The solver's result and its pivots, as (entering id, leaving id) pairs
+    read from the locals of its inner `pivot` function at each call."""
+    pivots = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "pivot":
+            local = frame.f_locals
+            pivots.append((local["nonbasic"][local["c"]], local["basis"][local["r"]]))
+            if len(pivots) > PIVOT_CAP:
+                raise AssertionError(f"more than {PIVOT_CAP} pivots: the pivot rule cycles")
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = solver(variables, constraints, objective)
+    finally:
+        sys.setprofile(previous)
+    return result, pivots
+
+
+def _same_pivots(variables, raw_constraints, objective):
+    """Solve with both solvers; the results and the pivot sequences agree."""
+    constraints = [Constraint(c, rel, rhs) for c, rel, rhs in raw_constraints]
+    objective = {v: Fraction(c) for v, c in objective.items()}
+    got = _traced(_simplex_max, variables, constraints, objective)
+    assert got == _traced(split_simplex_max, variables, constraints, objective)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_simplex_repeats_the_split_column_pivots(problem):
+    _same_pivots(*problem)
+
+
+def _box(variables, bound=5):
+    return [({v: sign}, "<=", bound) for v in variables for sign in (1, -1)]
+
+
+def _check_hand_lp(variables, raw_constraints, objective, value, assignment):
+    result, pivots = _same_pivots(variables, raw_constraints, objective)
+    assert result == ("optimal", value, assignment)
+    assert brute_force_lp_max(variables, raw_constraints, objective) == ("optimal", value)
+    return pivots
+
+
+def test_free_variable_enters_as_its_negative_part():
+    # maximize -x subject to x >= -3: x's reduced cost is negative, so x-
+    # (id 1) enters, and the one stored column is negated first
+    pivots = _check_hand_lp(
+        ("x",), [({"x": -1}, "<=", 3), ({"x": 1}, "<=", 5)], {"x": -1}, 3, {"x": -3}
+    )
+    assert pivots == [(1, 2)]
+
+
+def test_free_variable_leaves_the_basis_and_reenters_negated():
+    # x+ enters first (least id), y then drives it out at x = 0, and x comes
+    # back as x- through the slot it left: maximum 8 at x = -1, y = 3
+    variables = ("x", "y")
+    constraints = [({"x": 1, "y": 1}, "<=", 2), ({"y": 1}, "<=", 3), *_box(variables)]
+    pivots = _check_hand_lp(variables, constraints, {"x": 1, "y": 3}, 8, {"x": -1, "y": 3})
+    assert pivots == [(0, 4), (2, 0), (1, 5)]
+
+
+def test_redundant_equality_is_driven_out_through_x_plus_and_dropped():
+    # both equalities say x = y, so phase 1 ends at once with both
+    # artificials (ids 9 and 10) basic at zero; the first is driven out by
+    # x+ (id 0, the least id with a nonzero entry, not x-), and the second
+    # row, now all zero, is dropped; phase 2 then raises y to 2
+    variables = ("x", "y")
+    constraints = [
+        ({"x": 1, "y": -1}, "=", 0),
+        ({"x": -1, "y": 1}, "=", 0),
+        ({"y": 1}, "<=", 2),
+        *_box(variables),
+    ]
+    pivots = _check_hand_lp(variables, constraints, {"y": 1}, 2, {"x": 2, "y": 2})
+    assert pivots == [(0, 9), (2, 4)]
 
 
 # ------------------------------------------------------ pinned LP outputs
