@@ -34,18 +34,15 @@ from .enumeration import (
 )
 from .fileformats import ParseError, format_matrix, format_triples, parse_matrix, parse_triples
 from .isomorphism import Relabeling, apply_relabeling, canonical_form, isomorphism_witness
-from .lp import (
-    Constraint,
-    FeasibilityOutcome,
-    LinearSystem,
-    MalformedSystemError,
-    maximize_slack,
-)
+from .lp import Constraint
 from .realizability import (
     Digraph,
+    FeasibilityOutcome,
     InconsistentRelationError,
+    LinearSystem,
     build_realization_system,
     digraph_distances,
+    maximize_slack,
     realize,
     realize_bounded_integer,
     realize_digraph,
@@ -64,7 +61,6 @@ __all__ = [
     "InconsistentRelationError",
     "LinearSystem",
     "LineSet",
-    "MalformedSystemError",
     "ParseError",
     "Rational",
     "Relabeling",

@@ -29,9 +29,10 @@ from .enumeration import (
     verify_theorem_four_points,
 )
 from .isomorphism import canonical_form, isomorphism_witness
-from .lp import EPS_VAR, pair_var
 from .realizability import (
+    EPS_VAR,
     build_realization_system,
+    pair_var,
     realize,
     realize_bounded_integer,
     realize_digraph,

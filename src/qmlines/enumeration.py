@@ -173,8 +173,7 @@ def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
     exhaustive integer sweep per requested bound.  Records are sorted by
     canonical encoding.
     """
-    if n not in SUPPORTED_N:
-        raise ValueError(f"classification supports n in {SUPPORTED_N}, got {n}")
+    _check_supported(n)
     bounds = tuple(sorted(set(kmax_list)))
     int_canons = {k: kernels.integer_canon_witnesses(n, k) for k in bounds}
     records = []

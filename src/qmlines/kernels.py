@@ -9,7 +9,9 @@ relabeling of the target, so it returns the same lex-first witness as a full
 sweep would.  The integer sweeps refuse more than INTEGER_SWEEP_CAP matrices
 before they visit any.  A digraph query is a lookup in the map of the one
 digraph sweep.  The two canonical-witness sweeps are memoized, so each
-(n, bound) is swept at most once per process.
+(n, bound) is swept at most once per process.  One Floyd-Warshall pass,
+:func:`shortest_paths`, gives the digraph distances for the sweep and for
+single digraphs.
 """
 
 from functools import lru_cache
@@ -153,29 +155,14 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
         raise ValueError(f"digraph search is exhaustive; n={n} exceeds the cap of 5")
     pairs = ordered_pairs(n)
     trips = ordered_triples(n)
-    inf = n + 1  # longer than any simple path
     marked = bytearray(1 << len(pairs))
     result: dict[int, int] = {}
     arc_mask = 0
     while arc_mask >= 0:
         for image in orbit(n, arc_mask, 2):
             marked[image] = 1
-        d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if arc_mask >> k & 1:
-                d[i][j] = 1
-        for m in range(n):
-            dm = d[m]
-            for i in range(n):
-                dim = d[i][m]
-                if dim >= inf:
-                    continue
-                di = d[i]
-                for j in range(n):
-                    v = dim + dm[j]
-                    if v < di[j]:
-                        di[j] = v
-        if all(v < inf for row in d for v in row):
+        d = shortest_paths(n, (p for k, p in enumerate(pairs) if arc_mask >> k & 1))
+        if d is not None:
             mask = 0
             for bit, (x, y, z) in enumerate(trips):
                 if d[x][z] == d[x][y] + d[y][z]:
@@ -183,3 +170,27 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
             result.setdefault(min(orbit(n, mask)), arc_mask)
         arc_mask = marked.find(0, arc_mask + 1)
     return result
+
+
+def shortest_paths(n: int, arcs) -> list[list[int]] | None:
+    """Unweighted shortest-path lengths (Floyd-Warshall) of the digraph on
+    n vertices with the given arcs (i, j); None if some vertex cannot reach
+    another, that is, unless the digraph is strongly connected."""
+    inf = n + 1  # longer than any simple path
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for (i, j) in arcs:
+        d[i][j] = 1
+    for m in range(n):
+        dm = d[m]
+        for i in range(n):
+            dim = d[i][m]
+            if dim >= inf:
+                continue
+            di = d[i]
+            for j in range(n):
+                v = dim + dm[j]
+                if v < di[j]:
+                    di[j] = v
+    if any(v >= inf for row in d for v in row):
+        return None
+    return d

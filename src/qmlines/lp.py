@@ -1,7 +1,10 @@
 """Exact rational linear programming: two-phase simplex, Bland's rule.
 
-The instances solved here are small (at n=4, 13 variables and about 40
-constraints): dense rows, least-index pivoting, no scaling heuristics.
+A problem is a tuple of named free variables, `Constraint` rows over them
+and a linear objective to maximize; this module knows no problem shape of
+its own (the realization LP is built in `realizability`).  The instances
+are small (tens of variables and rows): dense rows, least-index pivoting,
+no scaling heuristics.
 Arithmetic is exact and fraction-free.  The tableau is integer rows T over
 one common denominator D > 0 (entry value T / D), updated by
 integer-preserving pivots whose division by the previous pivot is exact; a
@@ -21,30 +24,13 @@ stores both.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .core import DistanceMatrix, as_rational, default_labels
-from .encoding import ordered_pairs
-
-EPS_VAR = "eps"
+from .core import as_rational
 
 RELATIONS = ("=", "<=")
-
-
-def pair_var(i: int, j: int) -> str:
-    return f"d({i},{j})"
-
-
-@lru_cache(maxsize=None)
-def pair_variables(n: int) -> tuple[str, ...]:
-    return tuple(pair_var(i, j) for (i, j) in ordered_pairs(n))
-
-
-class MalformedSystemError(ValueError):
-    """A LinearSystem that cannot be handed to the solver."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +49,7 @@ class Constraint:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
         coeffs = {v: as_rational(c) for v, c in self.coeffs.items() if c != 0}
         rhs = as_rational(self.rhs)
-        # read-only: realization systems of one (n, variant) share their rows
+        # read-only: rows may be shared between systems
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
         object.__setattr__(self, "rhs", rhs)
         scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
@@ -73,100 +59,6 @@ class Constraint:
     def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
         lhs = sum((c * assignment[v] for v, c in self.coeffs.items()), start=Fraction(0))
         return lhs == self.rhs if self.relation == "=" else lhs <= self.rhs
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Feasibility system over one variable per ordered pair plus the shared
-    slack variable; the objective is always to maximize the slack."""
-
-    n: int
-    constraints: tuple[Constraint, ...]
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least 2 points, got {self.n}")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return pair_variables(self.n) + (EPS_VAR,)
-
-    def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
-        return all(c.satisfied_by(assignment) for c in self.constraints)
-
-
-def _validate(system: LinearSystem) -> None:
-    declared = set(system.variables)
-    used = set()
-    normalizations = 0
-    pair_vars = set(pair_variables(system.n))
-    for con in system.constraints:
-        extra = set(con.coeffs) - declared
-        if extra:
-            raise MalformedSystemError(f"constraint references undeclared variables {sorted(extra)}")
-        used |= set(con.coeffs)
-        if (
-            con.relation == "="
-            and con.rhs == 1
-            and set(con.coeffs) == pair_vars
-            and all(c == 1 for c in con.coeffs.values())
-        ):
-            normalizations += 1
-    unused = declared - used
-    if unused:
-        raise MalformedSystemError(f"declared variables never referenced: {sorted(unused)}")
-    if normalizations != 1:
-        raise MalformedSystemError(
-            f"normalization constraint (sum of pair variables = 1) present {normalizations} times"
-        )
-
-
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    """Result of slack maximization; realizable means strictly positive slack."""
-
-    status: str  # "feasible" | "infeasible"
-    optimal_slack: Fraction | None
-    witness: DistanceMatrix | None
-
-    @property
-    def realizable(self) -> bool:
-        return self.status == "feasible" and self.optimal_slack > 0
-
-
-def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
-    """Exact optimum of the slack variable over the system's polytope.
-
-    The witness, present iff the optimum is positive, is the optimal point
-    rescaled to the smallest integer matrix on its ray (any positive scaling
-    is equally valid).
-    """
-    _validate(system)
-    status, _, assignment = _simplex_max(
-        system.variables, system.constraints, {EPS_VAR: Fraction(1)}
-    )
-    if status == "infeasible":
-        return FeasibilityOutcome("infeasible", None, None)
-    if status == "unbounded":
-        raise MalformedSystemError("slack is unbounded; system lacks effective normalization")
-    slack = assignment[EPS_VAR]
-    witness = _witness_matrix(system.n, assignment) if slack > 0 else None
-    return FeasibilityOutcome("feasible", slack, witness)
-
-
-def _witness_matrix(n: int, assignment) -> DistanceMatrix:
-    values = {(i, j): assignment[pair_var(i, j)] for (i, j) in ordered_pairs(n)}
-    scale = Fraction(lcm(*(v.denominator for v in values.values())))
-    ints = [v * scale for v in values.values()]
-    common = gcd(*(int(v) for v in ints))
-    if common > 1:
-        scale /= common
-    zero = Fraction(0)
-    entries = tuple(
-        tuple(zero if i == j else values[(i, j)] * scale for j in range(n)) for i in range(n)
-    )
-    return DistanceMatrix(default_labels(n), entries)
 
 
 # --------------------------------------------------------------- the solver

@@ -7,9 +7,11 @@ relation is realizable iff the shared strictness margin has a positive
 optimum.  The integer and digraph variants are exhaustive searches.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from typing import Mapping
 
 from . import kernels
 from .core import (
@@ -21,15 +23,7 @@ from .core import (
     validate_quasi_metric,
 )
 from .encoding import orbit, ordered_pairs, ordered_triples
-from .lp import (
-    EPS_VAR,
-    Constraint,
-    FeasibilityOutcome,
-    LinearSystem,
-    maximize_slack,
-    pair_var,
-    pair_variables,
-)
+from .lp import Constraint, _simplex_max
 
 VARIANTS = ("quasi", "metric")
 
@@ -44,6 +38,20 @@ def _require_consistent(b: Betweenness) -> None:
         raise InconsistentRelationError(
             "relation contains a triple together with one of its excluded companions"
         )
+
+
+# ------------------------------------------------------ the realization LP
+
+EPS_VAR = "eps"
+
+
+def pair_var(i: int, j: int) -> str:
+    return f"d({i},{j})"
+
+
+@lru_cache(maxsize=None)
+def pair_variables(n: int) -> tuple[str, ...]:
+    return tuple(pair_var(i, j) for (i, j) in ordered_pairs(n))
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +69,38 @@ def _realization_rows(n: int, variant: str):
     return head, tuple(pairs), tuple(tail)
 
 
+@dataclass(frozen=True)
+class LinearSystem:
+    """The realization system of one consistent relation and one variant,
+    over one variable per ordered pair plus the shared slack eps; the
+    objective is always to maximize the slack.
+
+    Its rows are the cached template of (n, variant) with one row of each
+    triple's pair picked by the relation's bit, so every system is well
+    formed by construction.
+    """
+
+    relation: Betweenness
+    variant: str
+    constraints: tuple[Constraint, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        b = self.relation
+        _require_consistent(b)
+        head, pairs, tail = _realization_rows(b.n, self.variant)
+        rows = (*head, *(p[b.mask >> i & 1] for i, p in enumerate(pairs)), *tail)
+        object.__setattr__(self, "constraints", rows)
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return pair_variables(self.relation.n) + (EPS_VAR,)
+
+    def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
+        return all(c.satisfied_by(assignment) for c in self.constraints)
+
+
 def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSystem:
     """The linear feasibility system whose strict solutions are exactly the
     (quasi-)metrics with betweenness b.
@@ -69,11 +109,54 @@ def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSy
     triangle inequalities, all distances are slack-positive, and the metric
     variant adds symmetry.  The distance sum is normalized to 1.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    _require_consistent(b)
-    head, pairs, tail = _realization_rows(b.n, variant)
-    return LinearSystem(b.n, (*head, *(p[b.mask >> i & 1] for i, p in enumerate(pairs)), *tail))
+    return LinearSystem(b, variant)
+
+
+@dataclass(frozen=True)
+class FeasibilityOutcome:
+    """Result of slack maximization; realizable means strictly positive slack."""
+
+    status: str  # "feasible" | "infeasible"
+    optimal_slack: Fraction | None
+    witness: DistanceMatrix | None
+
+    @property
+    def realizable(self) -> bool:
+        return self.status == "feasible" and self.optimal_slack > 0
+
+
+def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
+    """Exact optimum of the slack variable over the system's polytope.
+
+    The witness, present iff the optimum is positive, is the optimal point
+    rescaled to the smallest integer matrix on its ray (any positive scaling
+    is equally valid).
+    """
+    status, _, assignment = _simplex_max(
+        system.variables, system.constraints, {EPS_VAR: Fraction(1)}
+    )
+    if status == "infeasible":
+        return FeasibilityOutcome("infeasible", None, None)
+    if status == "unbounded":
+        # eps <= min d <= 1/(n(n-1)) under the positivity and normalization rows
+        raise RuntimeError(f"slack is unbounded for {system.relation}; this is a bug")
+    slack = assignment[EPS_VAR]
+    witness = _witness_matrix(system.relation.n, assignment) if slack > 0 else None
+    return FeasibilityOutcome("feasible", slack, witness)
+
+
+def _witness_matrix(n: int, assignment) -> DistanceMatrix:
+    values = {(i, j): assignment[pair_var(i, j)] for (i, j) in ordered_pairs(n)}
+    scale = Fraction(lcm(*(v.denominator for v in values.values())))
+    ints = [v * scale for v in values.values()]
+    common = gcd(*(int(v) for v in ints))
+    if common > 1:
+        scale /= common
+    zero = Fraction(0)
+    entries = tuple(
+        tuple(zero if i == j else values[(i, j)] * scale for j in range(n)) for i in range(n)
+    )
+    return DistanceMatrix(default_labels(n), entries)
 
 
 def verify_witness(m: DistanceMatrix, b: Betweenness) -> bool:
@@ -143,43 +226,13 @@ class Digraph:
         object.__setattr__(self, "arcs", arcs)
 
 
-def is_strongly_connected(g: Digraph) -> bool:
-    out_adj = {i: set() for i in range(g.n)}
-    in_adj = {i: set() for i in range(g.n)}
-    for (i, j) in g.arcs:
-        out_adj[i].add(j)
-        in_adj[j].add(i)
-
-    def reaches_all(adj):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == g.n
-
-    return reaches_all(out_adj) and reaches_all(in_adj)
-
-
 def digraph_distances(g: Digraph) -> DistanceMatrix:
     """Unweighted shortest-path distance matrix of a strongly connected digraph."""
-    if not is_strongly_connected(g):
+    d = kernels.shortest_paths(g.n, g.arcs)
+    if d is None:
         raise ValueError("digraph is not strongly connected; distances would be infinite")
-    n = g.n
-    inf = n + 1
-    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-    for (i, j) in g.arcs:
-        d[i][j] = 1
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if d[i][k] + d[k][j] < d[i][j]:
-                    d[i][j] = d[i][k] + d[k][j]
     return DistanceMatrix(
-        default_labels(n), tuple(tuple(Fraction(v) for v in row) for row in d)
+        default_labels(g.n), tuple(tuple(Fraction(v) for v in row) for row in d)
     )
 
 

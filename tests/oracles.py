@@ -4,11 +4,11 @@ Everything here recomputes expected values from first principles, sharing as
 little code as possible with the implementation under test: lines straight
 from distance entries, LP optima by exhaustive vertex enumeration, random
 quasi-metrics by min-plus closure, bounded-integer realizations and
-digraph classes by trying every matrix or arc set, lines straight from the
-member triples, isomorphism classes by canonicalizing every relation,
-realization systems built row by row for each relation, and the simplex with
-two stored columns (x+ and x-) per free variable, whose pivots the solver
-must repeat.
+digraph classes by trying every matrix or arc set (digraph distances by
+breadth-first search), lines straight from the member triples, isomorphism
+classes by canonicalizing every relation, realization systems built row by
+row for each relation, and the simplex with two stored columns (x+ and x-)
+per free variable, whose pivots the solver must repeat.
 """
 
 from collections import Counter
@@ -16,12 +16,12 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
 
-from qmlines.core import betweenness_of
+from qmlines.core import DistanceMatrix, betweenness_of
 from qmlines.encoding import orbit, ordered_triples
 from qmlines.enumeration import raw_consistent_masks
 from qmlines.isomorphism import canonical_form
-from qmlines.lp import EPS_VAR, Constraint, LinearSystem, pair_var, pair_variables
-from qmlines.realizability import Digraph, digraph_distances, is_strongly_connected
+from qmlines.lp import Constraint
+from qmlines.realizability import EPS_VAR, pair_var, pair_variables
 
 
 def line_from_distances(entries, n: int, x: int, y: int) -> frozenset[int]:
@@ -169,17 +169,38 @@ def first_digraph_per_class(n: int) -> dict[int, int]:
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     first: dict[int, int] = {}
     for arc_mask in range(1 << len(pairs)):
-        g = Digraph(n, frozenset(p for k, p in enumerate(pairs) if arc_mask >> k & 1))
-        if is_strongly_connected(g):
-            canon, _ = canonical_form(betweenness_of(digraph_distances(g)))
+        d = _bfs_distances(n, [p for k, p in enumerate(pairs) if arc_mask >> k & 1])
+        if d is not None:
+            m = DistanceMatrix(tuple(map(str, range(n))), d)
+            canon, _ = canonical_form(betweenness_of(m))
             first.setdefault(canon.mask, arc_mask)
     return first
 
 
-def realization_system_by_construction(b, variant: str):
-    """The realization system of a consistent relation b, every row built
-    afresh: positivity rows, one row per ordered triple (the member equality
-    or the non-member row with eps), symmetry rows (metric), normalization."""
+def _bfs_distances(n: int, arcs):
+    """Shortest-path lengths by breadth-first search from each vertex; None
+    unless every vertex reaches every other (strong connectivity)."""
+    rows = []
+    for source in range(n):
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            level = dist[frontier[0]] + 1
+            frontier = list(
+                dict.fromkeys(j for (i, j) in arcs if i in frontier and j not in dist)
+            )
+            dist.update(dict.fromkeys(frontier, level))
+        if len(dist) < n:
+            return None
+        rows.append(tuple(dist[j] for j in range(n)))
+    return tuple(rows)
+
+
+def realization_system_by_construction(b, variant: str) -> tuple:
+    """The rows of the realization system of a consistent relation b, every
+    row built afresh: positivity rows, one row per ordered triple (the member
+    equality or the non-member row with eps), symmetry rows (metric),
+    normalization."""
     n = b.n
     one = Fraction(1)
     cons = []
@@ -197,7 +218,7 @@ def realization_system_by_construction(b, variant: str):
             for j in range(i + 1, n):
                 cons.append(Constraint({pair_var(i, j): one, pair_var(j, i): -one}, "=", 0))
     cons.append(Constraint({d: one for d in pair_variables(n)}, "=", 1))
-    return LinearSystem(n, tuple(cons))
+    return tuple(cons)
 
 # ------------------------------------------- the split-column simplex solver
 

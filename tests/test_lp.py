@@ -10,26 +10,19 @@ from hypothesis import strategies as st
 from qmlines.core import Betweenness
 from qmlines.enumeration import canonical_classes, raw_consistent_masks
 from qmlines.fixtures import q4_betweenness
-from qmlines.lp import (
+from qmlines.lp import Constraint, _simplex_max
+from qmlines.realizability import (
     EPS_VAR,
-    Constraint,
-    LinearSystem,
-    MalformedSystemError,
+    VARIANTS,
+    _realization_rows,
+    build_realization_system,
     maximize_slack,
     pair_var,
     pair_variables,
-    _simplex_max,
 )
-from qmlines.realizability import build_realization_system
 
 from conftest import random_consistent
 from oracles import brute_force_lp_max, split_simplex_max
-
-
-def normalization(n):
-    return Constraint(
-        {pair_var(i, j): 1 for i in range(n) for j in range(n) if i != j}, "=", 1
-    )
 
 
 class TestConstraint:
@@ -104,36 +97,41 @@ class TestSystemStructure:
         assert {frozenset(c.coeffs) for c in equalities} == wanted
 
 
+def templates():
+    """Each (n, variant) template, both variants at n = 2..6: n, the rows in
+    every system, the per-triple row pairs and the declared variables."""
+    for variant in VARIANTS:
+        for n in range(2, 7):
+            head, pairs, tail = _realization_rows(n, variant)
+            yield n, (*head, *tail), pairs, {*pair_variables(n), EPS_VAR}
+
+
+def normalization(n):
+    return Constraint(dict.fromkeys(pair_variables(n), 1), "=", 1)
+
+
+# What makes any system of (n, variant) a bounded slack LP, checked once per
+# template: a system is a relation plus a variant, and its rows come from the
+# template, so these hold for every system that can be built.
 class TestValidation:
     def test_missing_normalization(self):
-        cons = (Constraint({pair_var(0, 1): 1, pair_var(1, 0): 1, EPS_VAR: 1}, "<=", 1),)
-        with pytest.raises(MalformedSystemError, match="normalization"):
-            maximize_slack(LinearSystem(2, cons))
+        for n, every_system, _, _ in templates():
+            assert normalization(n) in every_system
 
     def test_duplicate_normalization(self):
-        cons = (
-            normalization(2),
-            normalization(2),
-            Constraint({EPS_VAR: 1}, "<=", 1),
-        )
-        with pytest.raises(MalformedSystemError, match="normalization"):
-            maximize_slack(LinearSystem(2, cons))
+        for n, every_system, pairs, _ in templates():
+            assert every_system.count(normalization(n)) == 1
+            assert all(normalization(n) not in pair for pair in pairs)
 
     def test_undeclared_variable(self):
-        cons = (normalization(2), Constraint({"z": 1, EPS_VAR: 1}, "<=", 1))
-        with pytest.raises(MalformedSystemError, match="undeclared"):
-            maximize_slack(LinearSystem(2, cons))
+        for _, every_system, pairs, declared in templates():
+            for con in (*every_system, *(c for pair in pairs for c in pair)):
+                assert set(con.coeffs) <= declared
 
     def test_unreferenced_variable(self):
-        # eps appears nowhere
-        cons = (normalization(2),)
-        with pytest.raises(MalformedSystemError, match="referenced"):
-            maximize_slack(LinearSystem(2, cons))
-
-    def test_unbounded_slack_is_malformed(self):
-        cons = (normalization(2), Constraint({EPS_VAR: -1}, "<=", 0))
-        with pytest.raises(MalformedSystemError, match="unbounded"):
-            maximize_slack(LinearSystem(2, cons))
+        # eps and every pair variable appear in the rows of every system
+        for _, every_system, _, declared in templates():
+            assert set().union(*(c.coeffs for c in every_system)) == declared
 
 
 class TestMaximizeSlack:
@@ -236,12 +234,21 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
 
 # One stored column per free variable must take the pivots of the tableau
 # that stores both x+ and x-, so status, value and the whole assignment agree.
+# The solver is replayed live against the split-column solver on the 3-point
+# relations and Q4; on all 9,026 LPs it must repeat the split-column solver's
+# outputs, pinned as SHA-256 over one repr((status, value, sorted assignment))
+# line per LP, in the order below, as split_simplex_max computed them.
+SPLIT_SOLVER_SHA256 = {
+    "quasi": "521ad368b824fced29193ff0c3792bf84b0e49cefb704718352ffba97b150ab7",
+    "metric": "f6c419c5fc92de1eacc715d725d95f1cdf134c076a8ee33d41c80004d12c83ab",
+}
 
 
 @pytest.mark.parametrize("variant", ["quasi", "metric"])
 def test_realization_lps_repeat_the_split_column_solver(variant):
+    three_points = [Betweenness(3, mask) for mask in raw_consistent_masks(3)]
     relations = [
-        *(Betweenness(3, mask) for mask in raw_consistent_masks(3)),
+        *three_points,
         *(Betweenness(4, mask) for mask, _ in canonical_classes(4)),
         *(
             random_consistent(n, rng)
@@ -251,10 +258,18 @@ def test_realization_lps_repeat_the_split_column_solver(variant):
     ]
     assert len(set(relations)) == 18 + 4455 + 40
     objective = {EPS_VAR: Fraction(1)}
-    for b in relations:
+
+    def args(b):
         system = build_realization_system(b, variant)
-        args = (system.variables, system.constraints, objective)
-        assert _simplex_max(*args) == split_simplex_max(*args)
+        return system.variables, system.constraints, objective
+
+    for b in (*three_points, q4_betweenness()):
+        assert _simplex_max(*args(b)) == split_simplex_max(*args(b))
+    digest = hashlib.sha256()
+    for b in relations:
+        status, value, assignment = _simplex_max(*args(b))
+        digest.update(f"{(status, value, sorted((assignment or {}).items()))!r}\n".encode())
+    assert digest.hexdigest() == SPLIT_SOLVER_SHA256[variant]
 
 
 # more pivots than any of these small LPs takes: a solver past it is cycling

@@ -20,9 +20,9 @@ from qmlines.lp import Constraint
 from qmlines.realizability import (
     Digraph,
     InconsistentRelationError,
+    LinearSystem,
     build_realization_system,
     digraph_distances,
-    is_strongly_connected,
     realize,
     realize_bounded_integer,
     realize_digraph,
@@ -92,9 +92,15 @@ class TestRealizationSystem:
         ]
         assert len(set(relations)) == 1 + 18 + 4455 + 40
         for b in relations:
-            assert build_realization_system(b, variant) == realization_system_by_construction(
-                b, variant
+            assert build_realization_system(b, variant).constraints == (
+                realization_system_by_construction(b, variant)
             )
+
+    def test_a_system_is_checked_when_built(self):
+        with pytest.raises(ValueError, match="variant"):
+            LinearSystem(q4_betweenness(), "euclidean")
+        with pytest.raises(InconsistentRelationError):
+            LinearSystem(inconsistent(), "quasi")
 
     def test_second_call_constructs_no_constraint(self, monkeypatch):
         built = []
@@ -111,7 +117,7 @@ class TestRealizationSystem:
             before = len(built)
             system = build_realization_system(b, variant)
             assert len(built) == before
-            assert system == realization_system_by_construction(b, variant)
+            assert system.constraints == realization_system_by_construction(b, variant)
 
     def test_shared_rows_are_read_only(self):
         b = q4_betweenness()
@@ -119,8 +125,8 @@ class TestRealizationSystem:
         for con in system.constraints:
             with pytest.raises(TypeError):
                 con.coeffs["d(0,1)"] = Fraction(5)
-        assert build_realization_system(b, "quasi") == realization_system_by_construction(
-            b, "quasi"
+        assert build_realization_system(b, "quasi").constraints == (
+            realization_system_by_construction(b, "quasi")
         )
 
 
@@ -231,11 +237,6 @@ class TestDigraph:
         with pytest.raises(ValueError, match="range"):
             Digraph(3, frozenset({(0, 3)}))
 
-    def test_strong_connectivity(self):
-        cycle = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-        assert is_strongly_connected(cycle)
-        assert not is_strongly_connected(Digraph(3, frozenset({(0, 1), (1, 2)})))
-
     def test_cycle_distances(self):
         cycle = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
         m = digraph_distances(cycle)
@@ -345,5 +346,4 @@ class TestCrossRouteInvariants:
             for canon, arc_mask in kernels.digraph_canon_witnesses(n).items():
                 arcs = frozenset(p for k, p in enumerate(pairs) if arc_mask >> k & 1)
                 g = Digraph(n, arcs)
-                assert is_strongly_connected(g)
                 assert canonical_form(betweenness_of(digraph_distances(g)))[0].mask == canon
