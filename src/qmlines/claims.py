@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from . import fixtures
+from . import fixtures, kernels
 from .core import (
     Betweenness,
     DistanceMatrix,
@@ -26,6 +26,7 @@ from .core import (
 from .enumeration import (
     classify,
     consistent_patterns_on_support,
+    enumerate_consistent,
     verify_theorem_four_points,
 )
 from .isomorphism import canonical_form, isomorphism_witness
@@ -218,25 +219,29 @@ def claim_four_point_theorem(reference: Betweenness | None = None) -> Claim:
 
 def claim_four_point_corollary() -> Claim:
     """Every 4-point class realizable by a metric, by distances <= 2, or by
-    a digraph has a universal line or at least four lines."""
-    records = classify(4, kmax_list=(2,))
-    bad = [
-        r
-        for r in records
-        if (r.realizable_metric or r.realizable_int[2] or r.realizable_digraph)
-        and not r.satisfies_dbe
-    ]
+    a digraph has a universal line or at least four lines.
+
+    A metric betweenness is closed under reversal: with d symmetric, xyz is
+    in b iff zyx is.  So the metric LP runs only on reversal-closed classes,
+    and the paper's B is not metric: it holds cab but not bac.
+    """
+    classes = list(enumerate_consistent(4))
+    int2 = kernels.integer_canon_witnesses(4, 2)
+    digraph = kernels.digraph_canon_witnesses(4)
+    closed = [b for b in classes if all((z, y, x) in b for (x, y, z) in b.triples)]
+    metric = {b.mask for b in closed if realize(b, "metric").realizable}
+    realizable = {*metric, *int2, *digraph}
+    bad = [b for b in classes if b.mask in realizable and not line_set(b).satisfies_dbe]
     counts = (
-        f"{len(records)} classes; metric-realizable "
-        f"{sum(r.realizable_metric for r in records)}, int<=2 "
-        f"{sum(r.realizable_int[2] for r in records)}, digraph "
-        f"{sum(r.realizable_digraph for r in records)}"
+        f"{len(classes)} classes; metric-realizable {len(metric)}, int<=2 "
+        f"{sum(b.mask in int2 for b in classes)}, digraph "
+        f"{sum(b.mask in digraph for b in classes)}"
     )
     ok = not bad
     detail = counts + (
         "; counterexamples: none"
         if ok
-        else "; counterexample encodings " + ", ".join(str(r.canonical.mask) for r in bad)
+        else "; counterexample encodings " + ", ".join(str(b.mask) for b in bad)
     )
     return Claim("four-point-corollary", "4-point DBE corollary", ok, detail)
 

@@ -7,8 +7,9 @@ quasi-metrics by min-plus closure, bounded-integer realizations and
 digraph classes by trying every matrix or arc set (digraph distances by
 breadth-first search), lines straight from the member triples, isomorphism
 classes by canonicalizing every relation, realization systems built row by
-row for each relation, and the simplex with two stored columns (x+ and x-)
-per free variable, whose pivots the solver must repeat.
+row for each relation, the simplex with two stored columns (x+ and x-)
+per free variable, whose pivots the solver must repeat, and the relations
+with too few lines by a stdlib brute force over every consistent relation.
 """
 
 from collections import Counter
@@ -404,3 +405,39 @@ def split_simplex_max(variables, constraints, objective):
         for v, k in vindex.items()
     }
     return "optimal", Fraction(-obj[-1], denom * obj_scale), assignment
+
+
+def dbe_failing_relations(n: int) -> set[frozenset[tuple[int, int, int]]]:
+    """Every consistent relation on n points with no universal line and
+    fewer than n lines, each as its set of member triples.
+
+    Uses nothing from qmlines: it lists the consistent patterns of one
+    3-point support itself (xyz rules out yxz and xzy), takes their product
+    over the supports, and puts z on line(x, y) iff zxy, xzy or xyz is a
+    member.
+    """
+    perms = list(permutations(range(3)))
+    patterns = [
+        chosen
+        for k in range(len(perms) + 1)
+        for chosen in combinations(perms, k)
+        if not any((y, x, z) in chosen or (x, z, y) in chosen for (x, y, z) in chosen)
+    ]
+    assert len(patterns) == 18
+    per_support = [
+        [frozenset((s[x], s[y], s[z]) for (x, y, z) in p) for p in patterns]
+        for s in combinations(range(n), 3)
+    ]
+    pairs = [
+        (x, y, [z for z in range(n) if z not in (x, y)]) for x, y in permutations(range(n), 2)
+    ]
+    failing = set()
+    for parts in product(*per_support):
+        b = frozenset().union(*parts)
+        lines = {
+            frozenset([x, y, *(z for z in others if {(z, x, y), (x, z, y), (x, y, z)} & b)])
+            for x, y, others in pairs
+        }
+        if len(lines) < n and all(len(line) < n for line in lines):
+            failing.add(b)
+    return failing

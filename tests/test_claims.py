@@ -1,9 +1,12 @@
 """The claim suite must catch corrupted fixtures, not just bless good ones."""
 
+from collections import Counter
 from fractions import Fraction
 
+from qmlines import enumeration, realizability
 from qmlines.claims import (
     claim_digraph_refutation,
+    claim_four_point_corollary,
     claim_integer_refutation,
     claim_metric_refutation,
     claim_q4_betweenness,
@@ -69,3 +72,26 @@ def test_grid_oracle_realizes_exactly_the_consistent_relations():
     assert len(grid) == 18
     for mask in grid:
         assert consistency_check(Betweenness(3, mask))
+
+
+def test_corollary_runs_no_classification_and_only_reversal_closed_metric_lps(monkeypatch):
+    # the corollary reads the class list and the theorem's sweep maps, and
+    # runs the metric LP on the 19 reversal-closed classes alone
+    def no_classification(n):
+        raise AssertionError("the corollary must not classify")
+
+    solve = realizability.maximize_slack
+    lps = Counter()
+
+    def counted(system):
+        lps[system.variant] += 1
+        return solve(system)
+
+    monkeypatch.setattr(enumeration, "_base_records", no_classification)
+    monkeypatch.setattr(realizability, "maximize_slack", counted)
+    claim = claim_four_point_corollary()
+    assert claim.passed
+    assert claim.detail == (
+        "4455 classes; metric-realizable 9, int<=2 102, digraph 83; counterexamples: none"
+    )
+    assert lps == {"metric": 19}

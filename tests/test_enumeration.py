@@ -18,7 +18,7 @@ from qmlines.fixtures import THREE_POINT_TABLE, q4_betweenness, three_point_rela
 from qmlines.isomorphism import canonical_form
 from qmlines.realizability import verify_witness
 
-from oracles import classes_by_counting
+from oracles import classes_by_counting, dbe_failing_relations
 
 # canonical (encoding, orbit size) pairs for n=3, frozen from an independent
 # brute-force script
@@ -258,3 +258,18 @@ class TestTheorem:
         report = verify_theorem_four_points(reference=smaller)
         assert not report.matches_q4
         assert len(report.exceptional_classes) == 1  # the landscape itself is unchanged
+
+    def test_dbe_failures_are_the_images_of_the_papers_b(self):
+        # an oracle sharing no code with the package finds, among all 104,976
+        # consistent relations, exactly the relabelings of the paper's
+        # B = {cab, abc, dba, bad} on a, b, c, d, and they form Q4's class
+        a, b, c, d = range(4)
+        paper_b = ((c, a, b), (a, b, c), (d, b, a), (b, a, d))
+        images = {
+            frozenset((p[x], p[y], p[z]) for (x, y, z) in paper_b)
+            for p in permutations(range(4))
+        }
+        assert len(images) == 12
+        assert dbe_failing_relations(4) == images
+        canon = verify_theorem_four_points().exceptional_classes[0].canonical
+        assert {Betweenness.from_triples(4, r).mask for r in images} == set(orbit(4, canon.mask))
