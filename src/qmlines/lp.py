@@ -20,11 +20,15 @@ whichever of x+ and x- it was last oriented to (Chvatal 1983, Linear
 Programming, ch. 8).  The column ids 2k and 2k+1 are kept, so Bland's
 least-index order, and with it every pivot, is that of the tableau that
 stores both.
+
+One core, `_two_phase`, has two entry points: `_simplex_max` returns the
+vertex that its Bland path reaches on every row, and `_optimum` only the
+status and value, after a presolve that leaves a smaller tableau.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -64,23 +68,101 @@ class Constraint:
 # --------------------------------------------------------------- the solver
 
 
+def _integer_rows(variables, constraints):
+    """Each constraint as (integer coefficient per variable, relation, rhs),
+    negated where its rhs is negative, so that rhs >= 0 ("<=" then reads ">=")."""
+    vindex = {v: k for k, v in enumerate(variables)}
+    rows = []
+    for con in constraints:
+        coeffs, rhs = con._scaled
+        arr = [0] * len(variables)
+        for v, q in coeffs:
+            arr[vindex[v]] = q
+        rel = con.relation
+        if rhs < 0:
+            arr = [-a for a in arr]
+            rhs = -rhs
+            rel = ">=" if rel == "<=" else rel
+        rows.append((arr, rel, rhs))
+    return rows
+
+
 def _simplex_max(variables, constraints, objective):
     """Maximize objective . x subject to the constraints, x free.
 
     Returns (status, value, assignment); status is "optimal", "infeasible"
-    or "unbounded".  Two-phase simplex on the split nonnegative form
-    x = x+ - x- with Bland's least-index pivot rule (finite by
-    anti-cycling).  Column ids are 2k (x+) and 2k+1 (x-) for variable k,
-    then slacks, then artificials; Bland's rule and the ratio test's
-    tie-break compare these ids.
+    or "unbounded".  The constraints' integer rows go to `_two_phase`
+    unchanged, so the assignment is the vertex its Bland path ends at.
+    """
+    cost = [objective.get(v, 0) for v in variables]
+    status, value, point = _two_phase(_integer_rows(variables, constraints), cost)
+    if status != "optimal":
+        return status, None, None
+    col_value, denom = point
+    return status, value, {
+        v: Fraction(col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0), denom)
+        for k, v in enumerate(variables)
+    }
+
+
+def _optimum(variables, constraints, objective):
+    """(status, value) of `_simplex_max`, after a presolve (Andersen &
+    Andersen 1995): each "=" row e with rhs 0 leaves through its least
+    column j with no objective coefficient, every other row r becomes
+    e[j]*r - r[j]*e over its gcd (e[j] > 0, so no relation flips), and
+    column j is dropped.  The eliminated variables are determined by the
+    others, so status and value stay; only the optimal vertex may differ.
+    """
+    cost = [objective.get(v, 0) for v in variables]
+    rows = _integer_rows(variables, constraints)
+    keep = list(range(len(cost)))
+    # the first "=" row with rhs 0, and its least column with no cost
+    while pick := next(((i, j) for i, (e, rel, rhs) in enumerate(rows) if rel == "=" and not rhs
+                        for j, a in enumerate(e) if a and not cost[j]), None):
+        i, j = pick
+        e = rows.pop(i)[0]
+        if e[j] < 0:
+            e = [-a for a in e]
+        p = e[j]
+        keep.remove(j)
+        reduced = []
+        for r, rel, rhs in rows:
+            f = r[j]
+            if f:
+                r, rhs = [p * a - f * b for a, b in zip(r, e)], p * rhs
+                if not any(r):
+                    # 0 <= rhs holds (rhs >= 0); 0 = rhs and 0 >= rhs need rhs = 0
+                    if rhs and rel != "<=":
+                        return "infeasible", None
+                    continue
+                g = gcd(*r, rhs)
+                if g > 1:
+                    r, rhs = [a // g for a in r], rhs // g
+            reduced.append((r, rel, rhs))
+        rows = reduced
+    return _two_phase(
+        [([r[k] for k in keep], rel, rhs) for r, rel, rhs in rows], [cost[k] for k in keep]
+    )[:2]
+
+
+def _two_phase(rows, cost):
+    """Maximize cost . x subject to the integer rows (arr, relation, rhs),
+    rhs >= 0, with x free; cost holds one rational per variable.
+
+    Returns (status, value, point); point is (numerator per basic column id,
+    common denominator) when status is "optimal", else None.  Two-phase
+    simplex on the split nonnegative form x = x+ - x- with Bland's
+    least-index pivot rule (finite by anti-cycling).  Column ids are 2k (x+)
+    and 2k+1 (x-) for variable k, then slacks, then artificials; Bland's
+    rule and the ratio test's tie-break compare these ids.
 
     The tableau is fraction-free: integer rows T and one common denominator
     D > 0, so that entry (i, j) stands for T[i][j] / D.  A row holds one
     entry per nonbasic slot (a basic column is D in its own row and 0
     elsewhere, so it is not stored), then its right-hand side.  One more
     integer row over the same D holds the reduced costs, and minus the
-    objective value last.  Each constraint arrives scaled by the lcm of its
-    denominators (`Constraint._scaled`); the objective is scaled here.
+    objective value last.  The rows come scaled by the lcm of each
+    constraint's denominators (`Constraint._scaled`); the cost is scaled here.
 
     A free variable has one slot, whatever the basis: x-'s column is always
     minus x+'s, and pivots are linear in the columns, so one stored column
@@ -105,23 +187,8 @@ def _simplex_max(variables, constraints, objective):
     the rational tableau, so the pivot sequence is the rational simplex's.
     Fractions are formed only when the result is read out.
     """
-    nvars = len(variables)
+    nvars = len(cost)
     free_end = 2 * nvars  # ids below are x+/x- of a free variable
-    vindex = {v: k for k, v in enumerate(variables)}
-
-    # one column per variable, stored as x+; normalize rhs >= 0
-    rows = []
-    for con in constraints:
-        coeffs, rhs = con._scaled
-        arr = [0] * nvars
-        for v, q in coeffs:
-            arr[vindex[v]] = q
-        rel = con.relation
-        if rhs < 0:
-            arr = [-a for a in arr]
-            rhs = -rhs
-            rel = ">=" if rel == "<=" else rel
-        rows.append((arr, rel, rhs))
 
     col = free_end
     slack_col = {}
@@ -146,10 +213,10 @@ def _simplex_max(variables, constraints, objective):
     ]
     denom = 1
 
-    def objective_row(cost):
-        obj = [denom * cost[j] for j in nonbasic] + [0]
+    def objective_row(by_id):
+        obj = [denom * by_id[j] for j in nonbasic] + [0]
         for i, row in enumerate(tableau):
-            cb = cost[basis[i]]
+            cb = by_id[basis[i]]
             if cb:
                 obj = [z - cb * v for z, v in zip(obj, row)]
         return obj
@@ -250,20 +317,14 @@ def _simplex_max(variables, constraints, objective):
                 pivot(i, enter, obj)
             i += 1
 
-    obj_scale = lcm(*(cf.denominator for cf in objective.values()))
+    obj_scale = lcm(*(cf.denominator for cf in cost))
     cost2 = [0] * first_art
-    for v, cf in objective.items():
-        k = vindex[v]
+    for k, cf in enumerate(cost):
         q = cf.numerator * (obj_scale // cf.denominator)
-        cost2[2 * k] += q
-        cost2[2 * k + 1] -= q
+        cost2[2 * k] = q
+        cost2[2 * k + 1] = -q
     obj = objective_row(cost2)
     if bland(obj) == "unbounded":
         return "unbounded", None, None
-
-    col_value = {basis[i]: row[-1] for i, row in enumerate(tableau)}
-    assignment = {
-        v: Fraction(col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0), denom)
-        for v, k in vindex.items()
-    }
-    return "optimal", Fraction(-obj[-1], denom * obj_scale), assignment
+    point = {basis[i]: row[-1] for i, row in enumerate(tableau)}, denom
+    return "optimal", Fraction(-obj[-1], denom * obj_scale), point

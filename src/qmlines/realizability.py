@@ -23,7 +23,7 @@ from .core import (
     validate_quasi_metric,
 )
 from .encoding import orbit, ordered_pairs, ordered_triples
-from .lp import Constraint, _simplex_max
+from .lp import Constraint, _optimum, _simplex_max
 
 VARIANTS = ("quasi", "metric")
 
@@ -128,21 +128,25 @@ class FeasibilityOutcome:
 def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     """Exact optimum of the slack variable over the system's polytope.
 
-    The witness, present iff the optimum is positive, is the optimal point
-    rescaled to the smallest integer matrix on its ray (any positive scaling
-    is equally valid).
+    `lp._optimum` decides it with the member equalities substituted out.
+    Only a positive optimum needs a point, and only the point depends on the
+    pivot path, so then `lp._simplex_max` solves the full system: its optimum
+    must agree, and its vertex, rescaled to the smallest integer matrix on
+    its ray, is the witness (any positive scaling is equally valid).
     """
-    status, _, assignment = _simplex_max(
-        system.variables, system.constraints, {EPS_VAR: Fraction(1)}
-    )
+    objective = {EPS_VAR: Fraction(1)}
+    status, slack = _optimum(system.variables, system.constraints, objective)
     if status == "infeasible":
         return FeasibilityOutcome("infeasible", None, None)
     if status == "unbounded":
         # eps <= min d <= 1/(n(n-1)) under the positivity and normalization rows
         raise RuntimeError(f"slack is unbounded for {system.relation}; this is a bug")
-    slack = assignment[EPS_VAR]
-    witness = _witness_matrix(system.relation.n, assignment) if slack > 0 else None
-    return FeasibilityOutcome("feasible", slack, witness)
+    if slack <= 0:
+        return FeasibilityOutcome("feasible", slack, None)
+    status, value, assignment = _simplex_max(system.variables, system.constraints, objective)
+    if (status, value) != ("optimal", slack):
+        raise RuntimeError(f"the two simplex paths disagree on {system.relation}; this is a bug")
+    return FeasibilityOutcome("feasible", slack, _witness_matrix(system.relation.n, assignment))
 
 
 def _witness_matrix(n: int, assignment) -> DistanceMatrix:

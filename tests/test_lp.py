@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qmlines.core import Betweenness
 from qmlines.enumeration import canonical_classes, raw_consistent_masks
 from qmlines.fixtures import q4_betweenness
-from qmlines.lp import Constraint, _simplex_max
+from qmlines.lp import Constraint, _optimum, _simplex_max
 from qmlines.realizability import (
     EPS_VAR,
     VARIANTS,
@@ -193,18 +193,27 @@ def small_lps(draw):
         )
 
     coeff = number(3)
+    objective = {v: draw(st.one_of(st.just(0), coeff)) for v in variables}
     ncons = draw(st.integers(min_value=1, max_value=4))
     constraints = []
     for _ in range(ncons):
-        coeffs = {v: draw(coeff) for v in variables}
-        rel = draw(st.sampled_from(["<=", "<=", "<=", "="]))
-        rhs = draw(number(5))
+        rel = draw(st.sampled_from(["<=", "<=", "<=", "=", "=0", "=0"]))
+        support = variables
+        if rel == "=0":
+            # an "=" row with rhs 0, which _optimum substitutes out unless
+            # it touches objective variables only; then it stays a row
+            rel = "="
+            if draw(st.booleans()):
+                support = [v for v in variables if objective[v]]
+            rhs = 0
+        else:
+            rhs = draw(number(5))
+        coeffs = {v: draw(coeff) if v in support else 0 for v in variables}
         constraints.append((coeffs, rel, rhs))
     # box bounds keep the region a polytope, so the vertex oracle is sound
     for v in variables:
         constraints.append(({v: 1}, "<=", 5))
         constraints.append(({v: -1}, "<=", 5))
-    objective = {v: draw(coeff) for v in variables}
     return variables, constraints, objective
 
 
@@ -213,13 +222,13 @@ def small_lps(draw):
 def test_simplex_agrees_with_vertex_enumeration(problem):
     variables, raw_constraints, objective = problem
     constraints = [Constraint(c, rel, rhs) for c, rel, rhs in raw_constraints]
-    status, value, assignment = _simplex_max(
-        variables, constraints, {v: Fraction(c) for v, c in objective.items()}
-    )
+    objective = {v: Fraction(c) for v, c in objective.items()}
+    status, value, assignment = _simplex_max(variables, constraints, objective)
     oracle_status, oracle_value = brute_force_lp_max(
         variables, raw_constraints, objective
     )
     assert status == oracle_status
+    assert _optimum(variables, constraints, objective) == (status, value)
     if status == "optimal":
         assert value == oracle_value
         # the reported point must be feasible and achieve the optimum
@@ -228,6 +237,9 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
             Fraction(c) * assignment[v] for v, c in objective.items()
         )
         assert achieved == value
+    # without the box the region may be unbounded; the two entries agree
+    unboxed = constraints[: -2 * len(variables)]
+    assert _optimum(variables, unboxed, objective) == _simplex_max(variables, unboxed, objective)[:2]
 
 
 # ----------------------------------------- solver vs the split-column solver
@@ -268,6 +280,8 @@ def test_realization_lps_repeat_the_split_column_solver(variant):
     digest = hashlib.sha256()
     for b in relations:
         status, value, assignment = _simplex_max(*args(b))
+        # the value entry, on the equality-reduced system, gives the same verdict
+        assert _optimum(*args(b)) == (status, value)
         digest.update(f"{(status, value, sorted((assignment or {}).items()))!r}\n".encode())
     assert digest.hexdigest() == SPLIT_SOLVER_SHA256[variant]
 

@@ -156,6 +156,35 @@ class TestLpCallPath:
         realize(q4_betweenness(), variant)
         assert list(calls.values()) == [1, 1]
 
+    @pytest.mark.parametrize(
+        "relation, variant, status, vertex_solves",
+        [
+            (q4_betweenness(), "quasi", "feasible", 1),
+            (q4_betweenness(), "metric", "feasible", 0),  # optimum exactly 0
+            (CYCLE3, "metric", "infeasible", 0),
+        ],
+    )
+    def test_only_a_positive_optimum_solves_for_its_vertex(
+        self, monkeypatch, relation, variant, status, vertex_solves
+    ):
+        counts = {"_simplex_max": 0}
+        monkeypatch.setattr(realizability, "_simplex_max", self._counted("_simplex_max", counts))
+        outcome = realize(relation, variant)
+        assert outcome.status == status
+        assert (outcome.witness is not None) == outcome.realizable == bool(vertex_solves)
+        assert counts["_simplex_max"] == vertex_solves
+
+    def test_the_vertex_path_must_repeat_the_optimum(self, monkeypatch):
+        optimum = realizability._optimum
+
+        def off_by_one(*args):
+            status, value = optimum(*args)
+            return status, value + 1
+
+        monkeypatch.setattr(realizability, "_optimum", off_by_one)
+        with pytest.raises(RuntimeError, match="disagree"):
+            realize(q4_betweenness(), "quasi")
+
     def test_classify_solves_one_lp_per_verdict(self, calls):
         enumeration._base_records.cache_clear()
         records = classify(3)
