@@ -3,15 +3,18 @@
 Both sweeps compare betweenness encodings up to relabeling through
 :func:`qmlines.encoding.orbit`.  The integer search is one depth-first walk
 over the matrices with entries in 1..K; it is exhaustive, so its verdicts are
-exact.  A sweep visits every valid matrix; a search for one betweenness
-relation cuts every branch whose completed triples already match no
-relabeling of the target, so it returns the same lex-first witness as a full
-sweep would.  The integer sweeps refuse more than INTEGER_SWEEP_CAP matrices
-before they visit any.  A digraph query is a lookup in the map of the one
-digraph sweep.  The two canonical-witness sweeps are memoized, so each
-(n, bound) is swept at most once per process.  One Floyd-Warshall pass,
-:func:`shortest_paths`, gives the digraph distances for the sweep and for
-single digraphs.
+exact.  It keeps only the lex-least matrix of each relabeling orbit
+(lex-leader pruning, McKay 1998): a sweep visits the lex-least matrix of each
+orbit of valid matrices, and a search for one betweenness relation also cuts
+every branch whose completed triples already match no relabeling of the
+target.  The lex-first witness of a class is the lex-least of its own orbit,
+so both return the same witness as a walk over every matrix would.  The
+integer sweeps refuse more than INTEGER_SWEEP_CAP matrices, or more than
+RELABELING_CAP relabelings, before they visit any.  A digraph query is a
+lookup in the map of the one digraph sweep.  The two canonical-witness
+sweeps are memoized, so each (n, bound) is swept at most once per process.
+One Floyd-Warshall pass, :func:`shortest_paths`, gives the digraph distances
+for the sweep and for single digraphs.
 """
 
 from functools import lru_cache
@@ -56,14 +59,32 @@ def _relabeling_tables(n, mask, by_depth):
     return tables
 
 
+@lru_cache(maxsize=None)
+def _pair_relabelings(n):
+    """The position maps of the non-identity relabelings on the flat entry
+    vector: entry k of the relabeled matrix is entry p[k] of the original,
+    read off :func:`orbit` on the one-pair arc masks.  Each map ends in the
+    sentinel n(n-1) + 1, past every depth, so a comparison that finds every
+    entry equal waits forever instead of running off the end."""
+    npairs = n * (n - 1)
+    images = [orbit(n, 1 << k, 2) for k in range(npairs)]
+    maps = zip(*([image.bit_length() - 1 for image in row] for row in images))
+    identity, sentinel = tuple(range(npairs)), (npairs + 1,)
+    return tuple(p + sentinel for p in maps if p != identity)
+
+
 def _integer_sweep(n, kmax, mask=None):
-    """Yield (values, betweenness_mask) for the valid quasi-metrics with
-    off-diagonal entries in 1..kmax, in lex order of values (one flat list
-    over ordered_pairs(n), reused between yields).
+    """Yield (values, betweenness_mask) for the lex-least matrix of each
+    relabeling orbit of the valid quasi-metrics with off-diagonal entries in
+    1..kmax, in lex order of values (one flat list over ordered_pairs(n),
+    reused between yields).
 
     With mask given, yield only those whose betweenness is a relabeling of
-    mask.  Refuses with a ValueError, on the call and before any table is
-    built, a sweep that could face more than INTEGER_SWEEP_CAP matrices.
+    mask.  The lex-first matrix of any set that relabeling maps to itself is
+    the lex-least of its orbit, so it is always among those yielded.
+    Refuses with a ValueError, on the call and before any table is built, a
+    sweep that could face more than INTEGER_SWEEP_CAP matrices or more than
+    encoding.RELABELING_CAP relabelings.
     """
     estimate = kmax ** (n * (n - 1))
     if estimate > INTEGER_SWEEP_CAP:
@@ -72,15 +93,24 @@ def _integer_sweep(n, kmax, mask=None):
             f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
             f"{INTEGER_SWEEP_CAP} (2^24)"
         )
+    relabelings = _pair_relabelings(n)
     by_depth = _triples_by_depth(n)
     tables = None if mask is None else _relabeling_tables(n, mask, by_depth)
-    return _integer_dfs(n, kmax, by_depth, tables)
+    return _integer_dfs(n, kmax, by_depth, tables, relabelings)
 
 
-def _integer_dfs(n, kmax, by_depth, tables):
+def _integer_dfs(n, kmax, by_depth, tables, relabelings):
     """The walk behind _integer_sweep: DFS over the entries in lex order,
-    pruned by the triangle checks and, when tables is not None, by the
-    relabelings of the target still alive."""
+    pruned by the triangle checks, when tables is not None by the
+    relabelings of the target still alive, and by lex-leader comparisons.
+
+    For each relabeling p the walk compares vals with its image, entry k
+    against entry p[k], as far as both are assigned.  It cuts the branch
+    once some image is lex-smaller and forgets p once its image is
+    lex-greater; at a leaf every comparison is decided, so the leaves are
+    the lex-least matrices of their orbits.  A comparison stuck at k waits
+    in watch[max(k, p[k])], the depth whose assignment lets it go on.
+    """
     npairs = n * (n - 1)
     last = npairs - 1
     vals = [0] * npairs
@@ -88,8 +118,18 @@ def _integer_dfs(n, kmax, by_depth, tables):
     # every relabeling
     masks = [0] * (npairs + 1)
     alive = [-1] * (npairs + 1)
+    # watch[w] holds (p, k): the image of p equals vals before entry k;
+    # moved[d] lists the watch lists that depth d's current value appended
+    # to, popped again before its next value
+    watch = [[] for _ in range(npairs + 2)]
+    for p in relabelings:
+        watch[p[0]].append((p, 0))
+    moved = [[] for _ in range(npairs)]
     depth = 0
     while depth >= 0:
+        log = moved[depth]
+        while log:
+            watch[log.pop()].pop()
         v = vals[depth] + 1
         if v > kmax:
             vals[depth] = 0
@@ -109,17 +149,32 @@ def _integer_dfs(n, kmax, by_depth, tables):
                 if not live:
                     continue
                 alive[depth + 1] = live
-            masks[depth + 1] = masks[depth] | bits
-            if depth == last:
-                yield vals, masks[npairs]
+            for p, k in watch[depth]:
+                a = p[k]
+                while vals[k] == vals[a]:
+                    k += 1
+                    a = p[k]
+                    if k > depth or a > depth:
+                        w = k if k > a else a
+                        watch[w].append((p, k))
+                        log.append(w)
+                        break
+                else:
+                    if vals[k] > vals[a]:
+                        break  # the image of p is lex-smaller
             else:
-                depth += 1
+                masks[depth + 1] = masks[depth] | bits
+                if depth == last:
+                    yield vals, masks[npairs]
+                else:
+                    depth += 1
 
 
 @lru_cache(maxsize=None)
 def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
-    """Sweep all quasi-metrics with entries in 1..kmax; map canonical
-    betweenness encodings to the lexicographically first witness entries."""
+    """Sweep the lex-least matrix of each orbit of quasi-metrics with entries
+    in 1..kmax; map canonical betweenness encodings to the lexicographically
+    first witness entries."""
     result: dict[int, tuple[int, ...]] = {}
     # a raw mask's first leaf already put its class in result, so each
     # distinct raw mask is canonicalized once
@@ -135,7 +190,9 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
 
 def find_integer_witness(n: int, kmax: int, mask: int) -> tuple[int, ...] | None:
     """First (lex order) valid integer matrix whose raw betweenness mask is a
-    relabeling of mask, or None after exhausting the search space."""
+    relabeling of mask, or None after exhausting the search space.  The
+    walk sees only the lex-least matrix of each orbit, and the first one is
+    among them."""
     for vals, _ in _integer_sweep(n, kmax, mask):
         return tuple(vals)
     return None

@@ -190,10 +190,11 @@ def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
     "Distances in {0..kmax}" places 0 on the diagonal only, since d(x,y) = 0
     forces x = y.  The search is exhaustive over up to kmax^(n(n-1))
     matrices in lex order, so that worst case is capped at
-    kernels.INTEGER_SWEEP_CAP; it is pruned by the triangle inequality and by
+    kernels.INTEGER_SWEEP_CAP; it is pruned by the triangle inequality, by
     b itself, cutting every partial matrix whose decided triples match no
-    relabeling of b.  The witness is the lex-first matrix that realizes a
-    relabeling of b.
+    relabeling of b, and by relabeling, keeping only the lex-least matrix
+    of each orbit.  The witness is the lex-first matrix that realizes a
+    relabeling of b, which is the lex-least of its own orbit.
     """
     _require_consistent(b)
     if kmax < 1:

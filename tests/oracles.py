@@ -3,13 +3,14 @@
 Everything here recomputes expected values from first principles, sharing as
 little code as possible with the implementation under test: lines straight
 from distance entries, LP optima by exhaustive vertex enumeration, random
-quasi-metrics by min-plus closure, bounded-integer realizations and
-digraph classes by trying every matrix or arc set (digraph distances by
-breadth-first search), lines straight from the member triples, isomorphism
-classes by canonicalizing every relation, realization systems built row by
-row for each relation, the simplex with two stored columns (x+ and x-)
-per free variable, whose pivots the solver must repeat, and the relations
-with too few lines by a stdlib brute force over every consistent relation.
+quasi-metrics by min-plus closure, bounded-integer realizations, integer
+witness maps and digraph classes by trying every matrix or arc set (digraph
+distances by breadth-first search), lines straight from the member triples,
+isomorphism classes by canonicalizing every relation, realization systems
+built row by row for each relation, the simplex with two stored columns
+(x+ and x-) per free variable, whose pivots the solver must repeat, and the
+relations with too few lines by a stdlib brute force over every consistent
+relation.
 """
 
 from collections import Counter
@@ -161,6 +162,37 @@ def first_integer_realization(n: int, triples, kmax: int):
         if between in relabeled:
             return tuple(map(tuple, d))
     return None
+
+
+def first_integer_per_class(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
+    """Canonical betweenness encoding -> first off-diagonal entry tuple,
+    walking every matrix with entries in 1..kmax in itertools.product order
+    (row by row) with no pruning.
+
+    Uses nothing from qmlines: bit i is the i-th ordered triple of distinct
+    points in lex order, a matrix is valid iff every triangle inequality
+    holds, and the canonical encoding is the least encoding over all
+    relabelings of the members.
+    """
+    pts = range(n)
+    pairs = [(i, j) for i in pts for j in pts if i != j]
+    triples = [t for t in product(pts, repeat=3) if len(set(t)) == 3]
+    bit = {t: 1 << i for i, t in enumerate(triples)}
+    perms = list(permutations(pts))
+    first: dict[int, tuple[int, ...]] = {}
+    canon_of: dict[int, int] = {}
+    for flat in product(range(1, kmax + 1), repeat=len(pairs)):
+        d = dict(zip(pairs, flat))
+        if any(d[(x, z)] > d[(x, y)] + d[(y, z)] for (x, y, z) in triples):
+            continue
+        members = [(x, y, z) for (x, y, z) in triples if d[(x, z)] == d[(x, y)] + d[(y, z)]]
+        mask = sum(bit[t] for t in members)
+        if mask not in canon_of:
+            canon_of[mask] = min(
+                sum(bit[(p[x], p[y], p[z])] for (x, y, z) in members) for p in perms
+            )
+        first.setdefault(canon_of[mask], flat)
+    return first
 
 
 def first_digraph_per_class(n: int) -> dict[int, int]:

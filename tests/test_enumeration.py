@@ -230,8 +230,9 @@ class TestClassifyFourPoints:
         assert records == classify(4, kmax_list=(2, 3))
 
     def test_integer_four_sweep_reproduces_the_lp_verdicts(self, records):
-        # dual-route check over all 16.7M matrices with entries <= 4: the
-        # exhaustive sweep realizes exactly the classes the LP accepts
+        # dual-route check against the exhaustive sweep with entries <= 4,
+        # which visits the lex-least of each orbit of its 16.7M matrices: it
+        # realizes exactly the classes the LP accepts
         int4 = set(kernels.integer_canon_witnesses(4, 4))
         quasi = {r.canonical.mask for r in records if r.realizable_quasi}
         assert int4 == quasi

@@ -9,7 +9,18 @@ from qmlines import encoding, kernels
 from qmlines.encoding import orbit
 from qmlines.enumeration import canonical_classes
 
-from oracles import first_digraph_per_class
+from oracles import first_digraph_per_class, first_integer_per_class
+
+
+# SHA-256 of repr(sorted(integer_canon_witnesses(n, K).items())), keys and
+# values, as computed by the integer walk that visited every valid matrix
+# with no lex-leader pruning
+INTEGER_MAP_SHA256 = {
+    (4, 2): "6b6fd9f9689213380eb268df5dc8bcb8319bd9543174569d38c72e3830e44225",
+    (4, 3): "c57d5755d0bb499462d8a1431b23380ef7a86d88e06cc51ca5ddd94a1bc64f61",
+    (4, 4): "e8f8db34f3dd170549cb14f260e962e188a9c64f70e5467dfdde0b0b74f16d04",
+    (5, 2): "56d11b41cc29b94b27d05e182ab4c115ac5e14a92233e8e42c9b53b3a2571f96",
+}
 
 # SHA-256 of repr(sorted(digraph_canon_witnesses(5).items())): 5,048 classes,
 # as computed by the walk over all 2^20 arc masks with no orbit skipping
@@ -31,6 +42,47 @@ def test_search_returns_the_witness_of_the_sweep_map():
         for canon in classes[::step]:
             mask = rng.choice(orbit(4, canon))
             assert kernels.find_integer_witness(4, kmax, mask) == table.get(canon)
+
+
+@pytest.mark.parametrize(
+    ("n", "kmax", "classes"), [(4, 2, 102), (4, 3, 265), (4, 4, 273), (5, 2, 6669)]
+)
+def test_integer_maps_are_pinned(n, kmax, classes):
+    table = kernels.integer_canon_witnesses(n, kmax)
+    assert len(table) == classes
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == INTEGER_MAP_SHA256[(n, kmax)]
+
+
+@pytest.mark.parametrize(("n", "kmax"), [(3, 1), (3, 2), (3, 3), (4, 2)])
+def test_integer_sweep_keeps_the_first_matrix_of_each_class(n, kmax):
+    assert kernels.integer_canon_witnesses(n, kmax) == first_integer_per_class(n, kmax)
+
+
+def test_integer_sweep_visits_one_matrix_per_orbit():
+    # the walk over every valid matrix with entries <= 4 had 4,751,052
+    # leaves; one per orbit of 24 relabelings is about 1/24 of that
+    leaves = sum(1 for _ in kernels._integer_sweep(4, 4))
+    assert leaves == 200_897
+    assert leaves < 4_751_052 // 10
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda: kernels.integer_canon_witnesses(9, 1), lambda: kernels.find_integer_witness(9, 1, 0)],
+    ids=["sweep", "search"],
+)
+def test_integer_walk_over_the_relabeling_cap_is_refused_at_once(monkeypatch, walk):
+    def no_relabelings(*args):
+        raise AssertionError("the relabelings were listed")
+
+    def no_walk(*args):
+        raise AssertionError("the integer walk started")
+
+    monkeypatch.setattr(encoding, "permutations", no_relabelings)
+    monkeypatch.setattr(kernels, "_integer_dfs", no_walk)
+    with pytest.raises(ValueError, match=r"9! = 362880 relabelings, over the cap of 40320"):
+        walk()
 
 
 def test_search_over_the_cap_is_refused_before_the_orbit_table(monkeypatch):

@@ -357,7 +357,7 @@ class TestCrossRouteInvariants:
         assert digraph_canons <= int3_canons
 
     def test_integer_witness_maps_are_sound(self):
-        for (n, kmax) in [(3, 2), (4, 2)]:
+        for (n, kmax) in [(3, 2), (4, 2), (4, 3), (4, 4)]:
             table = kernels.integer_canon_witnesses(n, kmax)
             pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
             for canon, flat in table.items():
