@@ -1,20 +1,18 @@
 """Kernels for the exhaustive hot loops: the integer and digraph sweeps.
 
 Both sweeps compare betweenness encodings up to relabeling through
-:func:`qmlines.encoding.orbit`.  The integer search is one depth-first walk
+:func:`qmlines.encoding.orbit`.  The integer sweep is one depth-first walk
 over the matrices with entries in 1..K; it is exhaustive, so its verdicts are
 exact.  It keeps only the lex-least matrix of each relabeling orbit
-(lex-leader pruning, McKay 1998): a sweep visits the lex-least matrix of each
-orbit of valid matrices, and a search for one betweenness relation also cuts
-every branch whose completed triples already match no relabeling of the
-target.  The lex-first witness of a class is the lex-least of its own orbit,
-so both return the same witness as a walk over every matrix would.  The
-integer sweeps refuse more than INTEGER_SWEEP_CAP matrices, or more than
-RELABELING_CAP relabelings, before they visit any.  A digraph query is a
-lookup in the map of the one digraph sweep.  The two canonical-witness
-sweeps are memoized, so each (n, bound) is swept at most once per process.
-One Floyd-Warshall pass, :func:`shortest_paths`, gives the digraph distances
-for the sweep and for single digraphs.
+(lex-leader pruning, McKay 1998).  The lex-first witness of a class is the
+lex-least of its own orbit, so the sweep returns the same witness as a walk
+over every matrix would.  The integer sweep refuses more than
+INTEGER_SWEEP_CAP matrices, or more than RELABELING_CAP relabelings, before
+it visits any.  The two canonical-witness sweeps are memoized, so each
+(n, bound) is swept at most once per process, and an integer or digraph
+query is a lookup in the map of its sweep.  One Floyd-Warshall pass,
+:func:`shortest_paths`, gives the digraph distances for the sweep and for
+single digraphs.
 """
 
 from functools import lru_cache
@@ -41,24 +39,6 @@ def _triples_by_depth(n):
     return by_depth
 
 
-def _relabeling_tables(n, mask, by_depth):
-    """Per depth, the bits the triples completed there set in some relabeling
-    of mask, each mapped to the set of those relabelings, one bit per
-    distinct image in orbit(n, mask)."""
-    images = set(orbit(n, mask))
-    tables = []
-    for triples in by_depth:
-        depth_bits = 0
-        for *_, bit in triples:
-            depth_bits |= bit
-        table = {}
-        for i, image in enumerate(images):
-            key = image & depth_bits
-            table[key] = table.get(key, 0) | 1 << i
-        tables.append(table)
-    return tables
-
-
 @lru_cache(maxsize=None)
 def _pair_relabelings(n):
     """The position maps of the non-identity relabelings on the flat entry
@@ -73,15 +53,12 @@ def _pair_relabelings(n):
     return tuple(p + sentinel for p in maps if p != identity)
 
 
-def _integer_sweep(n, kmax, mask=None):
+def _integer_sweep(n, kmax):
     """Yield (values, betweenness_mask) for the lex-least matrix of each
     relabeling orbit of the valid quasi-metrics with off-diagonal entries in
     1..kmax, in lex order of values (one flat list over ordered_pairs(n),
     reused between yields).
 
-    With mask given, yield only those whose betweenness is a relabeling of
-    mask.  The lex-first matrix of any set that relabeling maps to itself is
-    the lex-least of its orbit, so it is always among those yielded.
     Refuses with a ValueError, on the call and before any table is built, a
     sweep that could face more than INTEGER_SWEEP_CAP matrices or more than
     encoding.RELABELING_CAP relabelings.
@@ -94,15 +71,12 @@ def _integer_sweep(n, kmax, mask=None):
             f"{INTEGER_SWEEP_CAP} (2^24)"
         )
     relabelings = _pair_relabelings(n)
-    by_depth = _triples_by_depth(n)
-    tables = None if mask is None else _relabeling_tables(n, mask, by_depth)
-    return _integer_dfs(n, kmax, by_depth, tables, relabelings)
+    return _integer_dfs(n, kmax, _triples_by_depth(n), relabelings)
 
 
-def _integer_dfs(n, kmax, by_depth, tables, relabelings):
+def _integer_dfs(n, kmax, by_depth, relabelings):
     """The walk behind _integer_sweep: DFS over the entries in lex order,
-    pruned by the triangle checks, when tables is not None by the
-    relabelings of the target still alive, and by lex-leader comparisons.
+    pruned by the triangle checks and by lex-leader comparisons.
 
     For each relabeling p the walk compares vals with its image, entry k
     against entry p[k], as far as both are assigned.  It cuts the branch
@@ -114,10 +88,8 @@ def _integer_dfs(n, kmax, by_depth, tables, relabelings):
     npairs = n * (n - 1)
     last = npairs - 1
     vals = [0] * npairs
-    # masks[d] and alive[d] hold the state before depth d is assigned; -1 is
-    # every relabeling
+    # masks[d] holds the betweenness bits set before depth d is assigned
     masks = [0] * (npairs + 1)
-    alive = [-1] * (npairs + 1)
     # watch[w] holds (p, k): the image of p equals vals before entry k;
     # moved[d] lists the watch lists that depth d's current value appended
     # to, popped again before its next value
@@ -144,11 +116,6 @@ def _integer_dfs(n, kmax, by_depth, tables, relabelings):
             if vals[xz] == s:
                 bits |= bit
         else:  # every triangle check passed
-            if tables is not None:
-                live = alive[depth] & tables[depth].get(bits, 0)
-                if not live:
-                    continue
-                alive[depth + 1] = live
             for p, k in watch[depth]:
                 a = p[k]
                 while vals[k] == vals[a]:
@@ -186,16 +153,6 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
             if best not in result:
                 result[best] = tuple(vals)
     return result
-
-
-def find_integer_witness(n: int, kmax: int, mask: int) -> tuple[int, ...] | None:
-    """First (lex order) valid integer matrix whose raw betweenness mask is a
-    relabeling of mask, or None after exhausting the search space.  The
-    walk sees only the lex-least matrix of each orbit, and the first one is
-    among them."""
-    for vals, _ in _integer_sweep(n, kmax, mask):
-        return tuple(vals)
-    return None
 
 
 @lru_cache(maxsize=None)

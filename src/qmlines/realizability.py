@@ -4,7 +4,8 @@ a metric, a bounded-integer-distance space, or a digraph.
 The rational variants reduce to exact slack maximization: the constraint
 system is homogeneous, so after normalizing the distance sum to 1, the
 relation is realizable iff the shared strictness margin has a positive
-optimum.  The integer and digraph variants are exhaustive searches.
+optimum.  The integer and digraph variants are lookups in the maps of
+exhaustive sweeps, each built once per process and size.
 """
 
 from dataclasses import dataclass, field
@@ -184,22 +185,21 @@ def realize(b: Betweenness, variant: str = "quasi") -> FeasibilityOutcome:
 
 
 def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
-    """Search all quasi-metrics with off-diagonal distances in 1..kmax for one
-    whose betweenness is isomorphic to b; None if the exhaustive search fails.
+    """The lex-first quasi-metric with off-diagonal distances in 1..kmax
+    whose betweenness is isomorphic to b; None if none exists.
 
     "Distances in {0..kmax}" places 0 on the diagonal only, since d(x,y) = 0
-    forces x = y.  The search is exhaustive over up to kmax^(n(n-1))
-    matrices in lex order, so that worst case is capped at
-    kernels.INTEGER_SWEEP_CAP; it is pruned by the triangle inequality, by
-    b itself, cutting every partial matrix whose decided triples match no
-    relabeling of b, and by relabeling, keeping only the lex-least matrix
-    of each orbit.  The witness is the lex-first matrix that realizes a
-    relabeling of b, which is the lex-least of its own orbit.
+    forces x = y.  A lookup in kernels.integer_canon_witnesses(b.n, kmax),
+    built once per process: an exhaustive sweep over up to kmax^(n(n-1))
+    matrices in lex order, capped at kernels.INTEGER_SWEEP_CAP, that keeps
+    the lex-least matrix of each relabeling orbit.  The map is asked for
+    before b's orbit, so a query over either cap is refused before any
+    orbit table is built for it.
     """
     _require_consistent(b)
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
-    entries = kernels.find_integer_witness(b.n, kmax, b.mask)
+    entries = kernels.integer_canon_witnesses(b.n, kmax).get(min(orbit(b.n, b.mask)))
     if entries is None:
         return None
     return _matrix_from_flat(b.n, entries)

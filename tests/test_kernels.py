@@ -6,8 +6,10 @@ import random
 import pytest
 
 from qmlines import encoding, kernels
-from qmlines.encoding import orbit
+from qmlines.core import Betweenness, betweenness_of
+from qmlines.encoding import orbit, ordered_pairs
 from qmlines.enumeration import canonical_classes
+from qmlines.realizability import realize_bounded_integer
 
 from oracles import first_digraph_per_class, first_integer_per_class
 
@@ -33,15 +35,19 @@ def test_canon_witness_sweeps_are_memoized():
 
 
 def test_search_returns_the_witness_of_the_sweep_map():
-    # the sweep map holds the lex-first witness of each class, and the
-    # pruned search must return that same matrix for any relabeling
+    # the sweep map holds the lex-first witness of each class, and a query
+    # must return that same matrix for any relabeling
     rng = random.Random(4)
     classes = [canon for canon, _ in canonical_classes(4)]
-    for kmax, step in [(2, 1), (3, 9)]:
+    for kmax in (2, 3, 4):
         table = kernels.integer_canon_witnesses(4, kmax)
-        for canon in classes[::step]:
-            mask = rng.choice(orbit(4, canon))
-            assert kernels.find_integer_witness(4, kmax, mask) == table.get(canon)
+        for canon in classes:
+            w = realize_bounded_integer(Betweenness(4, rng.choice(orbit(4, canon))), kmax)
+            if w is None:
+                assert canon not in table
+                continue
+            assert tuple(w.entries[i][j] for i, j in ordered_pairs(4)) == table[canon]
+            assert min(orbit(4, betweenness_of(w).mask)) == canon
 
 
 @pytest.mark.parametrize(
@@ -69,7 +75,10 @@ def test_integer_sweep_visits_one_matrix_per_orbit():
 
 @pytest.mark.parametrize(
     "walk",
-    [lambda: kernels.integer_canon_witnesses(9, 1), lambda: kernels.find_integer_witness(9, 1, 0)],
+    [
+        lambda: kernels.integer_canon_witnesses(9, 1),
+        lambda: realize_bounded_integer(Betweenness(9, 0), 1),
+    ],
     ids=["sweep", "search"],
 )
 def test_integer_walk_over_the_relabeling_cap_is_refused_at_once(monkeypatch, walk):
@@ -86,12 +95,12 @@ def test_integer_walk_over_the_relabeling_cap_is_refused_at_once(monkeypatch, wa
 
 
 def test_search_over_the_cap_is_refused_before_the_orbit_table(monkeypatch):
-    def no_table(n):
+    def no_table(*args):
         raise AssertionError("the orbit table was built")
 
     monkeypatch.setattr(encoding, "_orbit_table", no_table)
     with pytest.raises(ValueError, match=f"= {3**20} matrices, over the cap of {2**24}"):
-        kernels.find_integer_witness(5, 3, 0)
+        realize_bounded_integer(Betweenness(5, 0), 3)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from qmlines import enumeration, kernels, realizability
 from qmlines.core import Betweenness, DistanceMatrix, betweenness_of, validate_quasi_metric
+from qmlines.encoding import orbit
 from qmlines.enumeration import canonical_classes, classify, raw_consistent_masks
 from qmlines.fixtures import (
     THREE_POINT_DIGRAPH_ARCS,
@@ -30,7 +31,11 @@ from qmlines.realizability import (
 )
 
 from conftest import metric_matrices, quasi_metrics, random_consistent
-from oracles import first_integer_realization, realization_system_by_construction
+from oracles import (
+    first_integer_per_class,
+    first_integer_realization,
+    realization_system_by_construction,
+)
 
 CYCLE3 = Betweenness.from_triples(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 
@@ -251,6 +256,35 @@ class TestBoundedInteger:
             w = realize_bounded_integer(b, kmax)
             expected = first_integer_realization(3, b.triples, kmax)
             assert (None if w is None else w.entries) == expected
+
+    def test_agrees_with_brute_force_at_four_points(self):
+        # the oracle shares no code with the sweep or the orbit tables
+        rng = random.Random(10)
+        realizable = sorted(first_integer_per_class(4, 2))[::10]
+        classes = [canon for canon, _ in canonical_classes(4)]
+        masks = [rng.choice(orbit(4, canon)) for canon in realizable + rng.sample(classes, 10)]
+        for b in [q4_betweenness(), *(Betweenness(4, mask) for mask in masks)]:
+            w = realize_bounded_integer(b, 2)
+            expected = first_integer_realization(4, b.triples, 2)
+            assert (None if w is None else w.entries) == expected
+
+    def test_one_walk_per_bound_per_process(self, monkeypatch):
+        realize_bounded_integer(q4_betweenness(), 3)
+
+        def no_walk(*args):
+            raise AssertionError("the integer walk started again")
+
+        monkeypatch.setattr(kernels, "_integer_dfs", no_walk)
+        rng = random.Random(20)
+        table = kernels.integer_canon_witnesses(4, 3)
+        realizable = sorted(set(table) - {min(orbit(4, q4_betweenness().mask))})
+        others = [canon for canon, _ in canonical_classes(4) if canon not in table]
+        for canon in rng.sample(realizable, 10) + rng.sample(others, 10):
+            w = realize_bounded_integer(Betweenness(4, rng.choice(orbit(4, canon))), 3)
+            if canon in table:
+                assert min(orbit(4, betweenness_of(w).mask)) == canon
+            else:
+                assert w is None
 
     @pytest.mark.parametrize(("n", "kmax"), [(3, 17), (5, 3)])
     def test_sweep_over_the_cap_is_refused(self, n, kmax):
