@@ -166,7 +166,8 @@ def claim_integer_refutation(reference: Betweenness | None = None) -> Claim:
     at3 = realize_bounded_integer(b, 3)
     problems = []
     if at2 is not None:
-        problems.append(f"unexpected witness with entries <= 2: {at2.entries}")
+        rows = " / ".join(" ".join(str(v) for v in row) for row in at2.entries)
+        problems.append(f"unexpected witness with entries <= 2: {rows}")
     if at3 is None:
         problems.append("no witness with entries <= 3 found")
     else:
@@ -246,7 +247,11 @@ def claim_four_point_corollary() -> Claim:
     return Claim("four-point-corollary", "4-point DBE corollary", ok, detail)
 
 
-def claim_witness_soundness(scalings: int = 100) -> Claim:
+# how many random positive factors claim_witness_soundness applies to Q4
+_Q4_RESCALINGS = 100
+
+
+def claim_witness_soundness() -> Claim:
     """Every stored realizability witness reproduces its class exactly, and
     positive rational rescaling never changes betweenness or lines."""
     problems = []
@@ -264,13 +269,14 @@ def claim_witness_soundness(scalings: int = 100) -> Claim:
     b0 = betweenness_of(m)
     lines0 = line_set(b0).lines
     rng = random.Random(271392)
-    for _ in range(scalings):
+    for _ in range(_Q4_RESCALINGS):
         factor = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
         scaled = m.scaled(factor)
         if betweenness_of(scaled) != b0 or line_set(betweenness_of(scaled)).lines != lines0:
             problems.append(f"scaling by {factor} changed betweenness or lines")
     detail = "; ".join(problems) if problems else (
-        f"{checked} witnesses verified; {scalings} rescalings of Q4 left everything unchanged"
+        f"{checked} witnesses verified; {_Q4_RESCALINGS} rescalings of Q4 "
+        "left everything unchanged"
     )
     return Claim("witness-soundness", "witness soundness", not problems, detail)
 

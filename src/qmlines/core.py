@@ -15,6 +15,7 @@ from .encoding import (
     line_trigger_masks,
     mask_from_triples,
     ordered_pairs,
+    ordered_triples,
     triple_count,
     triples_from_mask,
 )
@@ -161,24 +162,24 @@ class Betweenness:
         return bool(self.mask & mask_from_triples(self.n, [triple]))
 
 
+def betweenness_mask(n: int, d) -> int:
+    """The betweenness encoding of any n-by-n distance table d, rational or
+    integer: bit i is set iff the i-th ordered triple (x,y,z) has
+    d(x,z) = d(x,y) + d(y,z)."""
+    mask = 0
+    for bit, (x, y, z) in enumerate(ordered_triples(n)):
+        if d[x][z] == d[x][y] + d[y][z]:
+            mask |= 1 << bit
+    return mask
+
+
 def betweenness_of(m: DistanceMatrix) -> Betweenness:
-    """All triples (x,y,z) of distinct points with d(x,z) = d(x,y) + d(y,z).
+    """All triples (x,y,z) of distinct points with d(x,z) = d(x,y) + d(y,z),
+    read by :func:`betweenness_mask`.
 
     The matrix is assumed to have passed validation.
     """
-    d = m.entries
-    n = m.n
-    triples = []
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                if d[x][z] == d[x][y] + d[y][z]:
-                    triples.append((x, y, z))
-    return Betweenness.from_triples(n, triples)
+    return Betweenness(m.n, betweenness_mask(m.n, m.entries))
 
 
 def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:

@@ -14,7 +14,7 @@ from operator import add, and_, or_
 from typing import Iterator, Mapping
 
 from . import kernels
-from .core import Betweenness, DistanceMatrix, line_set
+from .core import Betweenness, DistanceMatrix, consistency_check, line_set
 from .encoding import mask_from_triples, orbit, supports
 from .isomorphism import canonical_form
 from .realizability import realize
@@ -24,15 +24,15 @@ SUPPORTED_N = (3, 4)
 
 def consistent_patterns_on_support() -> tuple[frozenset[tuple[int, int, int]], ...]:
     """All subsets of the 6 ordered triples on one 3-point support that obey
-    the exclusion rule (xyz rules out yxz and xzy); there are 18."""
+    the exclusion rule (xyz rules out yxz and xzy), as checked by
+    :func:`qmlines.core.consistency_check`; there are 18."""
     triples = list(permutations(range(3)))
-    patterns = []
-    for k in range(len(triples) + 1):
-        for chosen in combinations(triples, k):
-            s = set(chosen)
-            if all((y, x, z) not in s and (x, z, y) not in s for (x, y, z) in s):
-                patterns.append(frozenset(s))
-    return tuple(patterns)
+    return tuple(
+        frozenset(chosen)
+        for k in range(len(triples) + 1)
+        for chosen in combinations(triples, k)
+        if consistency_check(Betweenness.from_triples(3, chosen))
+    )
 
 
 def _support_pattern_masks(n: int) -> list[list[int]]:

@@ -6,8 +6,6 @@ Q4 is the quasi-metric space on {p, s, q, r} whose betweenness breaks the
 refutation claim this package verifies.
 """
 
-from fractions import Fraction
-
 from .core import Betweenness, DistanceMatrix
 
 Q4_LABELS = ("p", "s", "q", "r")
@@ -26,9 +24,7 @@ Q4_LINE_WORDS = ("pqr", "pqs", "rs")
 
 
 def q4_matrix() -> DistanceMatrix:
-    return DistanceMatrix(
-        Q4_LABELS, tuple(tuple(Fraction(v) for v in row) for row in Q4_ROWS)
-    )
+    return DistanceMatrix(Q4_LABELS, Q4_ROWS)
 
 
 def _indices(word: str, labels=Q4_LABELS) -> tuple[int, ...]:

@@ -13,10 +13,18 @@ it visits any.  The two canonical-witness sweeps are memoized, so each
 query is a lookup in the map of its sweep.  One Floyd-Warshall pass,
 :func:`shortest_paths`, gives the digraph distances for the sweep and for
 single digraphs.
+
+The digraph sweep reads the betweenness of its shortest-path rows through
+:func:`qmlines.core.betweenness_mask`, the reader behind every distance
+table.  The integer walk keeps its own test: it sets a triple's bit in the
+same comparison that prunes the triangle inequality, at the depth where the
+triple's last pair is assigned, so the bits cost nothing extra; reading
+each of the 200,897 leaves at n=4, K=4 again would be new work.
 """
 
 from functools import lru_cache
 
+from .core import betweenness_mask
 from .encoding import ordered_pairs, ordered_triples, orbit
 
 # most integer matrices the bounded-integer sweeps may face: 4**12 covers
@@ -168,7 +176,6 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
     if n > 5:  # the marks take one byte per arc set, 1 GiB at n=6
         raise ValueError(f"digraph search is exhaustive; n={n} exceeds the cap of 5")
     pairs = ordered_pairs(n)
-    trips = ordered_triples(n)
     marked = bytearray(1 << len(pairs))
     result: dict[int, int] = {}
     arc_mask = 0
@@ -177,11 +184,7 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
             marked[image] = 1
         d = shortest_paths(n, (p for k, p in enumerate(pairs) if arc_mask >> k & 1))
         if d is not None:
-            mask = 0
-            for bit, (x, y, z) in enumerate(trips):
-                if d[x][z] == d[x][y] + d[y][z]:
-                    mask |= 1 << bit
-            result.setdefault(min(orbit(n, mask)), arc_mask)
+            result.setdefault(min(orbit(n, betweenness_mask(n, d))), arc_mask)
         arc_mask = marked.find(0, arc_mask + 1)
     return result
 

@@ -151,17 +151,13 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
 
 
 def _witness_matrix(n: int, assignment) -> DistanceMatrix:
-    values = {(i, j): assignment[pair_var(i, j)] for (i, j) in ordered_pairs(n)}
-    scale = Fraction(lcm(*(v.denominator for v in values.values())))
-    ints = [v * scale for v in values.values()]
-    common = gcd(*(int(v) for v in ints))
-    if common > 1:
-        scale /= common
-    zero = Fraction(0)
-    entries = tuple(
-        tuple(zero if i == j else values[(i, j)] * scale for j in range(n)) for i in range(n)
-    )
-    return DistanceMatrix(default_labels(n), entries)
+    """The LP vertex's distances as their coprime integer vector: times the
+    lcm of the denominators, then divided by the gcd."""
+    values = [assignment[pair_var(i, j)] for (i, j) in ordered_pairs(n)]
+    scale = lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    common = gcd(*ints)
+    return _matrix_from_flat(n, [v // common for v in ints])
 
 
 def verify_witness(m: DistanceMatrix, b: Betweenness) -> bool:
@@ -210,7 +206,7 @@ def _matrix_from_flat(n: int, flat) -> DistanceMatrix:
     rows = [[0] * n for _ in range(n)]
     for (i, j), v in zip(ordered_pairs(n), flat):
         rows[i][j] = v
-    return DistanceMatrix(default_labels(n), tuple(map(tuple, rows)))
+    return DistanceMatrix(default_labels(n), rows)
 
 
 @dataclass(frozen=True)
@@ -236,9 +232,7 @@ def digraph_distances(g: Digraph) -> DistanceMatrix:
     d = kernels.shortest_paths(g.n, g.arcs)
     if d is None:
         raise ValueError("digraph is not strongly connected; distances would be infinite")
-    return DistanceMatrix(
-        default_labels(g.n), tuple(tuple(Fraction(v) for v in row) for row in d)
-    )
+    return DistanceMatrix(default_labels(g.n), d)
 
 
 def _arcs_from_mask(n: int, arc_mask: int) -> frozenset[tuple[int, int]]:

@@ -57,6 +57,31 @@ def test_theorem_claim_reports_discrepancy_for_perturbed_reference():
     assert "271392" in claim.detail  # the class list names the real exception
 
 
+ALL_ONES = DistanceMatrix(Q4_LABELS, [[0 if i == j else 1 for j in range(4)] for i in range(4)])
+
+
+def test_lines_claim_catches_a_matrix_that_satisfies_dbe():
+    # every pair's line of the all-ones matrix is its own pair: 6 lines, DBE holds
+    claim = claim_q4_lines(matrix=ALL_ONES)
+    assert not claim.passed
+    assert "dbe=True" in claim.detail
+
+
+def test_integer_claim_catches_a_reference_realizable_with_entries_two():
+    # the all-ones matrix realizes the empty relation with entries <= 2
+    claim = claim_integer_refutation(reference=Betweenness(4, 0))
+    assert not claim.passed
+    assert "unexpected witness with entries <= 2: 0 1 1 1 / 1 0 1 1" in claim.detail
+    assert "Fraction(" not in claim.detail
+
+
+def test_digraph_claim_catches_a_digraph_realizable_reference():
+    # the complete digraph realizes the empty relation
+    claim = claim_digraph_refutation(reference=Betweenness(4, 0))
+    assert not claim.passed
+    assert "unexpected digraph witness" in claim.detail
+
+
 def test_metric_claim_would_catch_a_realizable_reference():
     # the reversal-closed relation {abc, cba, ...} on 4 points is metric;
     # handing it to the refutation claim must flip the verdict

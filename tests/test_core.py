@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,16 @@ class TestConsistency:
 @given(quasi_metrics())
 def test_betweenness_of_valid_matrix_is_consistent(m):
     assert consistency_check(betweenness_of(m))
+
+
+@given(quasi_metrics())
+def test_betweenness_matches_the_definition_triple_by_triple(m):
+    # the rule as written, shares no code with the bit reader
+    d = m.entries
+    expected = {
+        (x, y, z) for (x, y, z) in permutations(range(m.n), 3) if d[x][z] == d[x][y] + d[y][z]
+    }
+    assert set(betweenness_of(m).triples) == expected
 
 
 @given(quasi_metrics())

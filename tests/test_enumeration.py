@@ -37,12 +37,14 @@ class TestPatterns:
         assert len(consistent_patterns_on_support()) == 18
 
     def test_matches_exhaustive_filter(self):
-        # independent route: filter all 64 subsets of the 6 triples
+        # independent route: filter all 64 subsets of the 6 triples by the
+        # rule as written, no member xyz together with yxz or xzy
         triples = list(permutations(range(3)))
         expected = set()
         for k in range(7):
             for chosen in combinations(triples, k):
-                if consistency_check(Betweenness.from_triples(3, chosen)):
+                s = set(chosen)
+                if all((y, x, z) not in s and (x, z, y) not in s for (x, y, z) in s):
                     expected.add(frozenset(chosen))
         assert set(consistent_patterns_on_support()) == expected
 

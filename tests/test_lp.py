@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlines.core import Betweenness
+from qmlines.encoding import ordered_pairs
 from qmlines.enumeration import canonical_classes, raw_consistent_masks
 from qmlines.fixtures import q4_betweenness
 from qmlines.lp import Constraint, _optimum, _simplex_max
@@ -15,6 +16,7 @@ from qmlines.realizability import (
     EPS_VAR,
     VARIANTS,
     _realization_rows,
+    _witness_matrix,
     build_realization_system,
     maximize_slack,
     pair_var,
@@ -174,6 +176,14 @@ class TestMaximizeSlack:
         from math import gcd
 
         assert gcd(*(int(v) for v in values if v)) == 1
+
+    def test_witness_matrix_divides_out_a_common_factor(self):
+        # a vertex normalized to distance sum 1 is already coprime after the
+        # lcm, so only an unnormalized vector shows the division
+        values = [Fraction(v) for v in ("4/3", "2", "2/3", "2", "4/3", "2")]
+        assignment = {pair_var(i, j): v for (i, j), v in zip(ordered_pairs(3), values)}
+        w = _witness_matrix(3, assignment)
+        assert [v for row in w.entries for v in row] == [0, 2, 3, 1, 0, 3, 2, 3, 0]
 
 
 # ------------------------------------------------- solver vs vertex oracle
