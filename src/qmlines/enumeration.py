@@ -8,9 +8,9 @@ no stronger inference is assumed.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
-from itertools import combinations, permutations, product, repeat
-from operator import add, and_, or_
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from operator import add, or_
 from typing import Iterator, Mapping
 
 from . import kernels
@@ -74,36 +74,46 @@ def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
 
     An orbit-marking walk over the raw stream: a relation's position there
     is its mixed-radix vector of per-support pattern digits, and one byte
-    per position marks the relations already met.  The first unmarked
-    position gives a new class; one orbit call yields its canonical form,
-    its size and the positions of all its members, which are then marked.
-    So the walk costs one orbit per class (4,455 at n=4) and 18^C(n,3)
-    bytes of marks (105 KB at n=4).
+    per position marks the relations already met.  Two digit tables are
+    built once, with one orbit call per (support, pattern): the pattern
+    mask's images under every relabeling, and each image's digit times the
+    stride of the support it lands on.  The first unmarked position gives a
+    new class; ORing its nonzero digits' image rows and adding their
+    position rows gives all its members, as encodings and as positions, so
+    the class's canonical form and size are read off and its positions
+    marked.  So the walk takes C(n,3) * 18 orbit calls, whatever the class
+    count, and 18^C(n,3) bytes of marks (105 KB at n=4).
     """
     _check_supported(n)
     groups = _support_pattern_masks(n)
-    # per support, from the last (fastest) digit: its bits and, for each of
-    # its patterns, the pattern's digit times the support's stride
-    places = []
+    # from the last (fastest) digit: each pattern mask's digit times its
+    # support's stride (the empty pattern, digit 0, is 0 on every support)
+    offset = {}
     stride = 1
     for masks in reversed(groups):
-        places.append((reduce(or_, masks), {m: d * stride for d, m in enumerate(masks)}))
+        offset.update((m, d * stride) for d, m in enumerate(masks))
         stride *= len(masks)
+    # per support, from the last digit: (images, positions) per pattern digit
+    tables = []
+    for masks in reversed(groups):
+        rows = []
+        for m in masks:
+            images = orbit(n, m)
+            rows.append((images, [offset[x] for x in images]))
+        tables.append(rows)
     marks = bytearray(stride)
     classes = []
     i = 0
     while i >= 0:
-        mask = 0
-        rest = i
-        for masks in reversed(groups):
-            rest, digit = divmod(rest, len(masks))
-            mask |= masks[digit]
-        images = orbit(n, mask)
+        rest, digit = divmod(i, len(tables[0]))
+        images, positions = tables[0][digit]
+        for rows in tables[1:]:
+            rest, digit = divmod(rest, len(rows))
+            if digit:
+                more, at = rows[digit]
+                images = list(map(or_, images, more))
+                positions = list(map(add, positions, at))
         classes.append((min(images), len(set(images))))
-        positions = repeat(0)
-        for bits, offset in places:
-            digits = map(offset.__getitem__, map(and_, images, repeat(bits)))
-            positions = map(add, positions, digits)
         for p in positions:
             marks[p] = 1
         i = marks.find(0, i + 1)

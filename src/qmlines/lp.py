@@ -23,11 +23,13 @@ stores both.
 
 One core, `_two_phase`, has two entry points: `_simplex_max` returns the
 vertex that its Bland path reaches on every row, and `_optimum` only the
-status and value, after a presolve that leaves a smaller tableau.
+status and value, after a one-pass presolve that substitutes out the "="
+rows with rhs 0 and hands the core each distinct remaining row once.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
@@ -107,42 +109,60 @@ def _simplex_max(variables, constraints, objective):
 
 def _optimum(variables, constraints, objective):
     """(status, value) of `_simplex_max`, after a presolve (Andersen &
-    Andersen 1995): each "=" row e with rhs 0 leaves through its least
-    column j with no objective coefficient, every other row r becomes
-    e[j]*r - r[j]*e over its gcd (e[j] > 0, so no relation flips), and
-    column j is dropped.  The eliminated variables are determined by the
-    others, so status and value stay; only the optimal vertex may differ.
+    Andersen 1995) that substitutes out each "=" row with rhs 0.
+
+    In row order, such a row e, reduced by the pivots before it, becomes a
+    pivot on its least column j with no objective coefficient (e[j] > 0
+    after a sign flip), if it has one.  Every other row r is then reduced
+    once by all pivots in order, r <- e[j]*r - r[j]*e (so no relation
+    flips), taken over its gcd and projected onto the columns left; a row
+    that reduces to 0 is dropped, or decides infeasibility.  The eliminated
+    variables are determined by the others, so status and value stay; only
+    the optimal vertex may differ.  `_two_phase` gets each distinct row
+    once, in first-seen order.
     """
     cost = [objective.get(v, 0) for v in variables]
     rows = _integer_rows(variables, constraints)
-    keep = list(range(len(cost)))
-    # the first "=" row with rhs 0, and its least column with no cost
-    while pick := next(((i, j) for i, (e, rel, rhs) in enumerate(rows) if rel == "=" and not rhs
-                        for j, a in enumerate(e) if a and not cost[j]), None):
-        i, j = pick
-        e = rows.pop(i)[0]
-        if e[j] < 0:
-            e = [-a for a in e]
-        p = e[j]
-        keep.remove(j)
-        reduced = []
-        for r, rel, rhs in rows:
+    pivots = []  # (j, e[j], e's nonzero (column, entry) pairs), e zero on earlier j's
+
+    def reduce(r, rhs):
+        # r <- e[j]*r - r[j]*e, in place when e[j] is 1: the rows are this call's
+        for j, p, nonzero in pivots:
             f = r[j]
             if f:
-                r, rhs = [p * a - f * b for a, b in zip(r, e)], p * rhs
-                if not any(r):
-                    # 0 <= rhs holds (rhs >= 0); 0 = rhs and 0 >= rhs need rhs = 0
-                    if rhs and rel != "<=":
-                        return "infeasible", None
-                    continue
-                g = gcd(*r, rhs)
-                if g > 1:
-                    r, rhs = [a // g for a in r], rhs // g
-            reduced.append((r, rel, rhs))
-        rows = reduced
-    return _two_phase(
-        [([r[k] for k in keep], rel, rhs) for r, rel, rhs in rows], [cost[k] for k in keep]
-    )[:2]
+                if p != 1:
+                    r, rhs = [p * a for a in r], p * rhs
+                for k, b in nonzero:
+                    r[k] -= f * b
+        return r, rhs
+
+    others = []
+    for r, rel, rhs in rows:
+        if rel == "=" and not rhs:
+            e = reduce(r, 0)[0]
+            j = next((j for j, a in enumerate(e) if a and not cost[j]), None)
+            if j is not None:
+                g = gcd(*e) if e[j] > 0 else -gcd(*e)
+                pivots.append((j, e[j] // g, [(k, a // g) for k, a in enumerate(e) if a]))
+                continue
+        others.append((r, rel, rhs))
+    dropped = {j for j, _, _ in pivots}
+    keep = [k for k in range(len(cost)) if k not in dropped]
+    reduced = {}
+    for r, rel, rhs in others:
+        r, rhs = reduce(r, rhs)
+        # a list first: a tuple of unknown length would not reuse a free one
+        r = tuple([r[k] for k in keep])
+        if not any(r):
+            # 0 <= rhs holds (rhs >= 0); 0 = rhs and 0 >= rhs need rhs = 0
+            if rhs and rel != "<=":
+                return "infeasible", None
+            continue
+        g = gcd(*r, rhs)
+        if g > 1:
+            r, rhs = tuple([a // g for a in r]), rhs // g
+        reduced[r, rel, rhs] = None
+    return _two_phase(list(reduced), [cost[k] for k in keep])[:2]
 
 
 def _two_phase(rows, cost):
@@ -182,10 +202,14 @@ def _two_phase(rows, cost):
     artificial that leaves the basis is dropped, as it may never enter.  The
     division is exact: every entry is, up to one common sign, a minor of the
     starting tableau, and D is the previous pivot (Edmonds 1967; Bareiss
-    1968).  Since D > 0, each sign test, and each ratio comparison done by
-    cross-multiplying (a/b < c/d iff a*d < c*b for b, d > 0), decides as on
-    the rational tableau, so the pivot sequence is the rational simplex's.
-    Fractions are formed only when the result is read out.
+    1968).  So when p == D, D divides T[k][c]*T[r] too, and the update is
+    T[k] - T[k][c]*T[r] // D, which changes only the entries where T[r] is
+    nonzero; when D == 1 it needs no division.  These give the same
+    integers with less work.  Since D > 0, each sign test, and
+    each ratio comparison done by cross-multiplying (a/b < c/d iff
+    a*d < c*b for b, d > 0), decides as on the rational tableau, so the
+    pivot sequence is the rational simplex's.  Fractions are formed only
+    when the result is read out.
     """
     nvars = len(cost)
     free_end = 2 * nvars  # ids below are x+/x- of a free variable
@@ -208,7 +232,7 @@ def _two_phase(rows, cost):
     surplus_rows = [i for i in art_col if i in slack_col]  # the ">=" rows
     nonbasic = [*range(0, free_end, 2), *(slack_col[i] for i in surplus_rows)]
     tableau = [
-        arr + [-1 if k == i else 0 for k in surplus_rows] + [rhs]
+        [*arr, *(-1 if k == i else 0 for k in surplus_rows), rhs]
         for i, (arr, _, rhs) in enumerate(rows)
     ]
     denom = 1
@@ -238,12 +262,24 @@ def _two_phase(rows, cost):
             tableau[r] = pivot_row = [-v for v in pivot_row]
             p = -p
         d = denom
-        for row in (*tableau, obj):
+        if p == d:
+            # then d divides f*b, as it divides p*a - f*b, and the update is
+            # a - f*b // d: only the entries where b != 0 change
+            nonzero = [(k, b) for k, b in enumerate(pivot_row) if b]
+        # not a (*tableau, obj) tuple: freed tuples of up to 20 items stay
+        # on free lists, which raised the peak memory
+        for row in chain(tableau, (obj,)):
             f = row[c]
             if f:
                 if row is pivot_row:
                     continue
-                row[:] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
+                if p == d:
+                    for k, b in nonzero:
+                        row[k] -= f * b // d
+                elif d == 1:
+                    row[:] = [p * a - f * b for a, b in zip(row, pivot_row)]
+                else:
+                    row[:] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
                 row[c] = f if flip else -f
             elif p != d:
                 row[:] = [a * p // d for a in row]

@@ -5,7 +5,7 @@ import pytest
 
 from qmlines import enumeration, kernels
 from qmlines.core import Betweenness, DistanceMatrix, consistency_check
-from qmlines.encoding import orbit
+from qmlines.encoding import orbit, supports
 from qmlines.enumeration import (
     canonical_classes,
     classify,
@@ -94,8 +94,10 @@ class TestCanonicalClasses:
         digest = hashlib.sha256(repr(canonical_classes(4)).encode()).hexdigest()
         assert digest == N4_CLASSES_SHA256
 
+    # one orbit call per (support, pattern) builds the digit tables; the walk
+    # over the classes then calls orbit no more
     @pytest.mark.parametrize("n, class_count", [(3, len(N3_CLASSES)), (4, N4_CLASS_COUNT)])
-    def test_one_orbit_call_per_class(self, monkeypatch, n, class_count):
+    def test_orbit_calls_fixed_by_supports_and_patterns(self, monkeypatch, n, class_count):
         calls = 0
 
         def counting_orbit(*args):
@@ -111,7 +113,7 @@ class TestCanonicalClasses:
             # later callers recompute with the real orbit
             canonical_classes.cache_clear()
         assert len(classes) == class_count
-        assert calls == class_count
+        assert calls == len(supports(n)) * len(consistent_patterns_on_support())
 
     def test_unsupported_n_refused_before_any_allocation(self, monkeypatch):
         # at n=5 the marks alone would take 18^10 bytes

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlines import lp
 from qmlines.core import Betweenness
 from qmlines.encoding import ordered_pairs
 from qmlines.enumeration import canonical_classes, raw_consistent_masks
@@ -379,6 +380,63 @@ def test_redundant_equality_is_driven_out_through_x_plus_and_dropped():
     ]
     pivots = _check_hand_lp(variables, constraints, {"y": 1}, 2, {"x": 2, "y": 2})
     assert pivots == [(0, 9), (2, 4)]
+
+
+# ---------------------------------------------------- the value presolve
+
+
+def _rank(rows):
+    """Rank of integer rows, by exact elimination."""
+    rows = [[Fraction(a) for a in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pick = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[rank], rows[pick] = rows[pick], rows[rank]
+        top = rows[rank]
+        for i, r in enumerate(rows):
+            if i != rank and r[col]:
+                f = r[col] / top[col]
+                rows[i] = [a - f * b for a, b in zip(r, top)]
+        rank += 1
+    return rank
+
+
+def test_value_lp_gets_distinct_rows_over_the_columns_left(monkeypatch):
+    # _optimum hands _two_phase each distinct row once, over the columns that
+    # no "=" row with rhs 0 eliminated.  In a realization system every such
+    # row has a column with no cost, so as many columns go as their rank.
+    handed = []
+
+    def recording(rows, cost):
+        handed.append((rows, cost))
+        return two_phase(rows, cost)
+
+    two_phase = lp._two_phase
+    monkeypatch.setattr(lp, "_two_phase", recording)
+    objective = {EPS_VAR: Fraction(1)}
+    reached = 0
+    for mask, _ in canonical_classes(4)[::9]:
+        for variant in VARIANTS:
+            system = build_realization_system(Betweenness(4, mask), variant)
+            handed.clear()
+            status, _ = _optimum(system.variables, system.constraints, objective)
+            if not handed:
+                assert status == "infeasible"
+                continue
+            reached += 1
+            (rows, cost), = handed
+            assert len(set(rows)) == len(rows)
+            equalities = [
+                [c.coeffs.get(v, 0) for v in system.variables]
+                for c in system.constraints
+                if c.relation == "=" and not c.rhs
+            ]
+            assert len(cost) == len(system.variables) - _rank(equalities)
+            # an eliminated column would be zero in every row
+            assert all(any(arr[k] for arr, _, _ in rows) for k in range(len(cost)))
+    assert reached == 736  # the other 254 LPs end in the presolve, infeasible
 
 
 # ------------------------------------------------------ pinned LP outputs
