@@ -251,8 +251,19 @@ class LineSet:
 
     @property
     def satisfies_dbe(self) -> bool:
-        """A universal line, or at least n distinct lines."""
-        return self.has_universal or self.line_count >= self.n
+        return _dbe_rule(self.n, self.line_count, self.has_universal)
+
+
+def _dbe_rule(n: int, line_count: int, has_universal: bool) -> bool:
+    """The DBE property: a universal line, or at least n distinct lines."""
+    return has_universal or line_count >= n
+
+
+def _satisfies_dbe(n: int, mask: int) -> bool:
+    """`line_set(Betweenness(n, mask)).satisfies_dbe`, read from the set of
+    the lines' point bitmasks, with no `LineSet` built."""
+    lines = {_line_bits(mask, bits, others) for bits, others in _line_table(n).values()}
+    return _dbe_rule(n, len(lines), (1 << n) - 1 in lines)
 
 
 def line_set(b: Betweenness) -> LineSet:

@@ -14,7 +14,7 @@ from operator import add, or_
 from typing import Iterator, Mapping
 
 from . import kernels
-from .core import Betweenness, DistanceMatrix, consistency_check, line_set
+from .core import Betweenness, DistanceMatrix, _satisfies_dbe, consistency_check, line_set
 from .encoding import mask_from_triples, orbit, supports
 from .isomorphism import canonical_form
 from .realizability import realize
@@ -208,7 +208,8 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     universal line and fewer than four lines, and that it is the class of
     the reference relation (Q4's betweenness by default).
 
-    The LP runs only on classes surviving the cheap line filter.
+    The LP runs only on classes surviving the cheap line filter, which
+    reads each class's lines as point bitmasks.
     """
     from .fixtures import q4_betweenness
 
@@ -218,7 +219,7 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     digraph_canons = kernels.digraph_canon_witnesses(4)
     exceptional = []
     for mask, size in canonical_classes(4):
-        if line_set(Betweenness(4, mask)).satisfies_dbe:
+        if _satisfies_dbe(4, mask):
             continue
         rec = _base_record(4, mask, size, digraph_canons)
         rec = replace(rec, realizable_int={2: mask in int2})

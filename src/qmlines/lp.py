@@ -23,8 +23,9 @@ stores both.
 
 One core, `_two_phase`, has two entry points: `_simplex_max` returns the
 vertex that its Bland path reaches on every row, and `_optimum` only the
-status and value, after a one-pass presolve that substitutes out the "="
-rows with rhs 0 and hands the core each distinct remaining row once.
+status and value, on integer rows that its caller may build once and reuse,
+after a one-pass presolve that substitutes out the "=" rows with rhs 0 and
+hands the core each distinct remaining row once.
 """
 
 from dataclasses import dataclass, field
@@ -72,7 +73,8 @@ class Constraint:
 
 def _integer_rows(variables, constraints):
     """Each constraint as (integer coefficient per variable, relation, rhs),
-    negated where its rhs is negative, so that rhs >= 0 ("<=" then reads ">=")."""
+    negated where its rhs is negative, so that rhs >= 0 ("<=" then reads ">=").
+    The coefficients are a tuple, so that the rows can be shared."""
     vindex = {v: k for k, v in enumerate(variables)}
     rows = []
     for con in constraints:
@@ -85,7 +87,7 @@ def _integer_rows(variables, constraints):
             arr = [-a for a in arr]
             rhs = -rhs
             rel = ">=" if rel == "<=" else rel
-        rows.append((arr, rel, rhs))
+        rows.append((tuple(arr), rel, rhs))
     return rows
 
 
@@ -107,9 +109,11 @@ def _simplex_max(variables, constraints, objective):
     }
 
 
-def _optimum(variables, constraints, objective):
-    """(status, value) of `_simplex_max`, after a presolve (Andersen &
-    Andersen 1995) that substitutes out each "=" row with rhs 0.
+def _optimum(rows, cost):
+    """(status, value) of `_simplex_max` on the LP whose `_integer_rows`
+    are rows and whose objective coefficient per variable is cost, after a
+    presolve (Andersen & Andersen 1995) that substitutes out each "=" row
+    with rhs 0.  The rows are read, never changed, so they may be shared.
 
     In row order, such a row e, reduced by the pivots before it, becomes a
     pivot on its least column j with no objective coefficient (e[j] > 0
@@ -119,14 +123,14 @@ def _optimum(variables, constraints, objective):
     that reduces to 0 is dropped, or decides infeasibility.  The eliminated
     variables are determined by the others, so status and value stay; only
     the optimal vertex may differ.  `_two_phase` gets each distinct row
-    once, in first-seen order.
+    once, first-seen in the caller's row order; status and value do not
+    depend on that order, the number of pivots does.
     """
-    cost = [objective.get(v, 0) for v in variables]
-    rows = _integer_rows(variables, constraints)
     pivots = []  # (j, e[j], e's nonzero (column, entry) pairs), e zero on earlier j's
 
     def reduce(r, rhs):
-        # r <- e[j]*r - r[j]*e, in place when e[j] is 1: the rows are this call's
+        # r <- e[j]*r - r[j]*e, on a copy of the shared row, in place when e[j] is 1
+        r = list(r)
         for j, p, nonzero in pivots:
             f = r[j]
             if f:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qmlines.core import (
     Betweenness,
     DistanceMatrix,
+    _satisfies_dbe,
     betweenness_of,
     consistency_check,
     line_of_pair,
@@ -219,6 +220,8 @@ def test_line_set_matches_member_triples(n):
         assert list(ls.by_pair) == list(ordered_pairs(n))
         assert ls.by_pair == expected
         assert ls.lines == frozenset(ls.by_pair.values())
+        # the theorem check's filter reads the same verdict off bitmasks
+        assert _satisfies_dbe(n, b.mask) == ls.satisfies_dbe
         for (x, y), line in expected.items():
             assert line_of_pair(b, x, y) == line
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmlines import lp
+from qmlines import lp, realizability
 from qmlines.core import Betweenness
 from qmlines.encoding import ordered_pairs
 from qmlines.enumeration import canonical_classes, raw_consistent_masks
 from qmlines.fixtures import q4_betweenness
-from qmlines.lp import Constraint, _optimum, _simplex_max
+from qmlines.lp import Constraint, _integer_rows, _optimum, _simplex_max
 from qmlines.realizability import (
     EPS_VAR,
     VARIANTS,
@@ -189,6 +189,12 @@ class TestMaximizeSlack:
 
 # ------------------------------------------------- solver vs vertex oracle
 
+
+def optimum_of(variables, constraints, objective):
+    """`_optimum` on the integer rows and cost of the LP `_simplex_max` takes."""
+    return _optimum(_integer_rows(variables, constraints), [objective.get(v, 0) for v in variables])
+
+
 _VARS = ("x0", "x1", "x2")
 
 
@@ -239,7 +245,7 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
         variables, raw_constraints, objective
     )
     assert status == oracle_status
-    assert _optimum(variables, constraints, objective) == (status, value)
+    assert optimum_of(variables, constraints, objective) == (status, value)
     if status == "optimal":
         assert value == oracle_value
         # the reported point must be feasible and achieve the optimum
@@ -250,7 +256,7 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
         assert achieved == value
     # without the box the region may be unbounded; the two entries agree
     unboxed = constraints[: -2 * len(variables)]
-    assert _optimum(variables, unboxed, objective) == _simplex_max(variables, unboxed, objective)[:2]
+    assert optimum_of(variables, unboxed, objective) == _simplex_max(variables, unboxed, objective)[:2]
 
 
 # ----------------------------------------- solver vs the split-column solver
@@ -292,7 +298,7 @@ def test_realization_lps_repeat_the_split_column_solver(variant):
     for b in relations:
         status, value, assignment = _simplex_max(*args(b))
         # the value entry, on the equality-reduced system, gives the same verdict
-        assert _optimum(*args(b)) == (status, value)
+        assert optimum_of(*args(b)) == (status, value)
         digest.update(f"{(status, value, sorted((assignment or {}).items()))!r}\n".encode())
     assert digest.hexdigest() == SPLIT_SOLVER_SHA256[variant]
 
@@ -301,9 +307,9 @@ def test_realization_lps_repeat_the_split_column_solver(variant):
 PIVOT_CAP = 1000
 
 
-def _traced(solver, variables, constraints, objective):
-    """The solver's result and its pivots, as (entering id, leaving id) pairs
-    read from the locals of its inner `pivot` function at each call."""
+def _traced(solver, *args):
+    """The solver's result on args and its pivots, as (entering id, leaving
+    id) pairs read from the locals of its inner `pivot` function at each call."""
     pivots = []
 
     def hook(frame, event, arg):
@@ -316,7 +322,7 @@ def _traced(solver, variables, constraints, objective):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        result = solver(variables, constraints, objective)
+        result = solver(*args)
     finally:
         sys.setprofile(previous)
     return result, pivots
@@ -421,7 +427,7 @@ def test_value_lp_gets_distinct_rows_over_the_columns_left(monkeypatch):
         for variant in VARIANTS:
             system = build_realization_system(Betweenness(4, mask), variant)
             handed.clear()
-            status, _ = _optimum(system.variables, system.constraints, objective)
+            status, _ = optimum_of(system.variables, system.constraints, objective)
             if not handed:
                 assert status == "infeasible"
                 continue
@@ -437,6 +443,71 @@ def test_value_lp_gets_distinct_rows_over_the_columns_left(monkeypatch):
             # an eliminated column would be zero in every row
             assert all(any(arr[k] for arr, _, _ in rows) for k in range(len(cost)))
     assert reached == 736  # the other 254 LPs end in the presolve, infeasible
+
+
+# ------------------------------------------------ row order of the value LP
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_lps(), st.data())
+def test_value_does_not_depend_on_row_or_variable_order(problem, data):
+    variables, raw_constraints, objective = problem
+    constraints = [Constraint(c, rel, rhs) for c, rel, rhs in raw_constraints]
+    objective = {v: Fraction(c) for v, c in objective.items()}
+    expected = optimum_of(variables, constraints, objective)
+    shuffled_variables = tuple(data.draw(st.permutations(variables)))
+    shuffled_constraints = data.draw(st.permutations(constraints))
+    assert optimum_of(shuffled_variables, shuffled_constraints, objective) == expected
+
+
+@pytest.fixture(scope="module")
+def value_lps():
+    """(system, rows, cost) of the value LP that maximize_slack hands
+    lp._optimum, for the quasi and the metric system of every 9th class of
+    canonical_classes(4)."""
+    handed = []
+    optimum = realizability._optimum
+
+    def recording(rows, cost):
+        handed.append((rows, cost))
+        return optimum(rows, cost)
+
+    lps = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realizability, "_optimum", recording)
+        for mask, _ in canonical_classes(4)[::9]:
+            for variant in VARIANTS:
+                system = build_realization_system(Betweenness(4, mask), variant)
+                maximize_slack(system)
+                (rows, cost), = handed
+                handed.clear()
+                lps.append((system, rows, cost))
+    return lps
+
+
+def test_value_lp_takes_the_positivity_rows_last(value_lps):
+    # the system's own rows, with the 12 positivity rows moved from the front
+    # to the end, and the same status and value as in template order
+    for system, rows, cost in value_lps:
+        template = _integer_rows(system.variables, system.constraints)
+        assert rows == template[12:] + template[:12]
+        assert cost == [0] * 12 + [1]
+        assert _optimum(rows, cost) == _optimum(template, cost)
+
+
+# Pivots of the value LPs above in maximize_slack's order; in template order
+# (the positivity rows first) they take 4,783.
+VALUE_LP_PIVOTS = 2836
+
+
+def test_value_lp_pivots_are_pinned(value_lps):
+    ours = template = 0
+    for system, rows, cost in value_lps:
+        ours += len(_traced(_optimum, rows, cost)[1])
+        in_template_order = _integer_rows(system.variables, system.constraints)
+        template += len(_traced(_optimum, in_template_order, cost)[1])
+    assert ours == VALUE_LP_PIVOTS
+    assert ours < template
 
 
 # ------------------------------------------------------ pinned LP outputs
