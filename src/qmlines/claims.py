@@ -287,7 +287,10 @@ def three_point_grid_realizations() -> dict[int, tuple[int, ...]]:
     with entries in {1/4, ..., 8/4}, with one witness each (in quarter units).
 
     Deliberately self-contained integer arithmetic; shares no code with the
-    LP route it cross-checks.
+    LP route it cross-checks.  The entries are set in lex order, one per
+    depth; each triangle is checked at the depth that sets its last entry,
+    and a branch is cut at its first failure, since it holds no valid matrix.
+    So each encoding still keeps its lex-first witness.
     """
     pairs = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     trips = [
@@ -297,34 +300,32 @@ def three_point_grid_realizations() -> dict[int, tuple[int, ...]]:
         for z in range(3)
         if len({x, y, z}) == 3
     ]
-    tri_checks = [(trip, pairs.index((trip[0], trip[2]))) for trip in trips]
+    checks_at = [[] for _ in pairs]
+    for bit, (x, y, z) in enumerate(trips):
+        depth = max(pairs.index((x, y)), pairs.index((y, z)), pairs.index((x, z)))
+        checks_at[depth].append((bit, x, y, z))
     found: dict[int, tuple[int, ...]] = {}
     d = [[0] * 3 for _ in range(3)]
     values = range(1, 9)
-    for v01 in values:
-        d[0][1] = v01
-        for v02 in values:
-            d[0][2] = v02
-            for v10 in values:
-                d[1][0] = v10
-                for v12 in values:
-                    d[1][2] = v12
-                    for v20 in values:
-                        d[2][0] = v20
-                        for v21 in values:
-                            d[2][1] = v21
-                            mask = 0
-                            ok = True
-                            for bit, ((x, y, z), _) in enumerate(tri_checks):
-                                s = d[x][y] + d[y][z]
-                                dxz = d[x][z]
-                                if dxz > s:
-                                    ok = False
-                                    break
-                                if dxz == s:
-                                    mask |= 1 << bit
-                            if ok and mask not in found:
-                                found[mask] = (v01, v02, v10, v12, v20, v21)
+
+    def walk(depth, mask):
+        i, j = pairs[depth]
+        for v in values:
+            d[i][j] = v
+            m = mask
+            for bit, x, y, z in checks_at[depth]:
+                s = d[x][y] + d[y][z]
+                if d[x][z] > s:
+                    break
+                if d[x][z] == s:
+                    m |= 1 << bit
+            else:
+                if depth + 1 < len(pairs):
+                    walk(depth + 1, m)
+                elif m not in found:
+                    found[m] = tuple(d[a][b] for a, b in pairs)
+
+    walk(0, 0)
     return found
 
 

@@ -4,9 +4,10 @@ All distances are exact rationals (`fractions.Fraction`); every comparison in
 this module is an exact equality or inequality, never tolerance-based.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from string import ascii_lowercase
 from typing import Iterable, Mapping
 
@@ -47,6 +48,9 @@ class DistanceMatrix:
 
     labels: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
+    # the entries times the lcm of their denominators, for exact comparisons
+    # on integers: a positive scaling keeps every <, = and >
+    _scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(str(l) for l in self.labels)
@@ -60,6 +64,9 @@ class DistanceMatrix:
         entries = tuple(tuple(as_rational(v) for v in row) for row in self.entries)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", entries)
+        scale = lcm(*(v.denominator for row in entries for v in row))
+        scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries)
+        object.__setattr__(self, "_scaled", scaled)
 
     @property
     def n(self) -> int:
@@ -98,27 +105,30 @@ def validate_quasi_metric(m: DistanceMatrix) -> ValidationResult:
     """Check zero diagonal, positive off-diagonal and all triangle inequalities.
 
     A triangle violation d(x,y) > d(x,z) + d(z,y) is reported as the index
-    triple (x, z, y), i.e. with the failed via-point in the middle.
+    triple (x, z, y), i.e. with the failed via-point in the middle.  The
+    comparisons read the integer table `m._scaled`; the messages print the
+    rational entries.
     """
+    s = m._scaled
     d = m.entries
     lab = m.labels
     n = m.n
     violations = []
     for i in range(n):
-        if d[i][i] != 0:
+        if s[i][i] != 0:
             violations.append(
                 Violation("diagonal", (i,), f"d({lab[i]},{lab[i]}) = {d[i][i]} != 0")
             )
     for i in range(n):
         for j in range(n):
-            if i != j and d[i][j] <= 0:
+            if i != j and s[i][j] <= 0:
                 violations.append(
                     Violation("positivity", (i, j), f"d({lab[i]},{lab[j]}) = {d[i][j]} <= 0")
                 )
     for x in range(n):
         for z in range(n):
             for y in range(n):
-                if d[x][y] > d[x][z] + d[z][y]:
+                if s[x][y] > s[x][z] + s[z][y]:
                     violations.append(
                         Violation(
                             "triangle",
@@ -175,11 +185,11 @@ def betweenness_mask(n: int, d) -> int:
 
 def betweenness_of(m: DistanceMatrix) -> Betweenness:
     """All triples (x,y,z) of distinct points with d(x,z) = d(x,y) + d(y,z),
-    read by :func:`betweenness_mask`.
+    read by :func:`betweenness_mask` from the integer table `m._scaled`.
 
     The matrix is assumed to have passed validation.
     """
-    return Betweenness(m.n, betweenness_mask(m.n, m.entries))
+    return Betweenness(m.n, betweenness_mask(m.n, m._scaled))
 
 
 def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:
@@ -259,11 +269,10 @@ def _dbe_rule(n: int, line_count: int, has_universal: bool) -> bool:
     return has_universal or line_count >= n
 
 
-def _satisfies_dbe(n: int, mask: int) -> bool:
-    """`line_set(Betweenness(n, mask)).satisfies_dbe`, read from the set of
-    the lines' point bitmasks, with no `LineSet` built."""
-    lines = {_line_bits(mask, bits, others) for bits, others in _line_table(n).values()}
-    return _dbe_rule(n, len(lines), (1 << n) - 1 in lines)
+def _line_masks(n: int, mask: int) -> set[int]:
+    """`line_set(Betweenness(n, mask)).lines` as a set of point bitmasks,
+    with no `LineSet` built."""
+    return {_line_bits(mask, bits, others) for bits, others in _line_table(n).values()}
 
 
 def line_set(b: Betweenness) -> LineSet:

@@ -3,8 +3,16 @@ relations on 3 and 4 points.
 
 Candidates are assembled as products of consistent per-support patterns:
 the exclusion rule only ever relates triples on the same 3-point support,
-so the product construction is complete.  Only that rule prunes the search;
-no stronger inference is assumed.
+so the product construction is complete.  That rule is the only one that
+prunes the class enumeration; no stronger inference is assumed.
+
+The four-point theorem check walks the same product one support at a time
+and cuts a prefix as soon as one of its lines is universal.  The cut is
+sound because a line only gains points as member triples are added (z is on
+line(x, y) iff zxy, xzy or xyz is a member), so a universal line stays
+universal in every completion, and such a relation satisfies DBE.  No
+cut on the line count is made: lines merge as triples are added, so a
+prefix with n lines or more can still end with fewer.
 """
 
 from dataclasses import dataclass, replace
@@ -14,7 +22,7 @@ from operator import add, or_
 from typing import Iterator, Mapping
 
 from . import kernels
-from .core import Betweenness, DistanceMatrix, _satisfies_dbe, consistency_check, line_set
+from .core import Betweenness, DistanceMatrix, _dbe_rule, _line_masks, consistency_check, line_set
 from .encoding import mask_from_triples, orbit, supports
 from .isomorphism import canonical_form
 from .realizability import realize
@@ -203,13 +211,41 @@ class TheoremReport:
     matches_q4: bool
 
 
+def _dbe_failing_masks(n: int) -> list[int]:
+    """Every consistent relation on n points that fails DBE, as encodings in
+    raw-stream order: a depth-first walk that ORs in one consistent pattern
+    per support and drops each prefix whose lines include the universal
+    line (sound: see the module docstring)."""
+    groups = _support_pattern_masks(n)
+    universal = (1 << n) - 1
+    failing = []
+
+    def walk(depth, prefix):
+        for pattern in groups[depth]:
+            mask = prefix | pattern
+            lines = _line_masks(n, mask)
+            if universal in lines:
+                continue
+            if depth + 1 < len(groups):
+                walk(depth + 1, mask)
+            elif not _dbe_rule(n, len(lines), False):  # none is universal here
+                failing.append(mask)
+
+    walk(0, 0)
+    return failing
+
+
 def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremReport:
     """Check that exactly one 4-point class is quasi-realizable with no
     universal line and fewer than four lines, and that it is the class of
     the reference relation (Q4's betweenness by default).
 
-    The LP runs only on classes surviving the cheap line filter, which
-    reads each class's lines as point bitmasks.
+    The classes come from :func:`_dbe_failing_masks`, not from the class
+    list: its walk evaluates 4,680 line sets, 3,132 of them on complete
+    relations (of the 104,976 consistent ones); 383 of those have no
+    universal line and 12 have fewer than four lines.  Their distinct
+    canonical forms, with orbit sizes read from the same relabeling images,
+    are checked in increasing encoding order; the LP runs on those alone.
     """
     from .fixtures import q4_betweenness
 
@@ -217,11 +253,13 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     ref_canon, _ = canonical_form(ref)
     int2 = kernels.integer_canon_witnesses(4, 2)
     digraph_canons = kernels.digraph_canon_witnesses(4)
+    sizes = {}
+    for mask in _dbe_failing_masks(4):
+        images = orbit(4, mask)
+        sizes[min(images)] = len(set(images))
     exceptional = []
-    for mask, size in canonical_classes(4):
-        if _satisfies_dbe(4, mask):
-            continue
-        rec = _base_record(4, mask, size, digraph_canons)
+    for mask in sorted(sizes):
+        rec = _base_record(4, mask, sizes[mask], digraph_canons)
         rec = replace(rec, realizable_int={2: mask in int2})
         if rec.realizable_quasi:
             exceptional.append(rec)

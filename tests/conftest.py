@@ -43,6 +43,25 @@ def quasi_metrics(draw, min_n=2, max_n=5):
     return DistanceMatrix(default_labels(n), min_plus_closure(rows))
 
 
+# small numerators over mixed denominators, zero and negatives included, so
+# that ties and every kind of violation occur
+_TABLE_VALUES = [Fraction(a, b) for a in range(-1, 7) for b in (1, 2, 3, 4, 6)]
+
+
+@st.composite
+def rational_tables(draw, min_n=2, max_n=4):
+    """Random rational n-by-n tables, quasi-metrics or not; the diagonal is
+    zero in about half of them."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    zero_diagonal = draw(st.booleans())
+    values = st.sampled_from(_TABLE_VALUES)
+    rows = [
+        [Fraction(0) if i == j and zero_diagonal else draw(values) for j in range(n)]
+        for i in range(n)
+    ]
+    return DistanceMatrix(default_labels(n), rows)
+
+
 @st.composite
 def metric_matrices(draw, min_n=2, max_n=5):
     """Random valid metrics: symmetric start, closure preserves symmetry."""

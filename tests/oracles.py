@@ -10,7 +10,8 @@ isomorphism classes by canonicalizing every relation, realization systems
 built row by row for each relation, the simplex with two stored columns
 (x+ and x-) per free variable, whose pivots the solver must repeat, and the
 relations with too few lines by a stdlib brute force over every consistent
-relation.
+relation, and quasi-metric axiom violations on the Fraction entries of a
+matrix, with no integer table.
 """
 
 from collections import Counter
@@ -41,6 +42,37 @@ def line_from_distances(entries, n: int, x: int, y: int) -> frozenset[int]:
         elif d[x][z] == d[x][y] + d[y][z]:
             pts.add(z)
     return frozenset(pts)
+
+
+def violations_by_fractions(m) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every broken quasi-metric axiom of m, as (kind, points, detail), in the
+    order and words of `validate_quasi_metric`, with every comparison made
+    on the Fraction entries themselves."""
+    d, lab, n = m.entries, m.labels, m.n
+    found = [
+        ("diagonal", (i,), f"d({lab[i]},{lab[i]}) = {d[i][i]} != 0")
+        for i in range(n)
+        if d[i][i] != 0
+    ]
+    found += [
+        ("positivity", (i, j), f"d({lab[i]},{lab[j]}) = {d[i][j]} <= 0")
+        for i in range(n)
+        for j in range(n)
+        if i != j and d[i][j] <= 0
+    ]
+    found += [
+        (
+            "triangle",
+            (x, z, y),
+            f"d({lab[x]},{lab[y]}) = {d[x][y]} > "
+            f"d({lab[x]},{lab[z]}) + d({lab[z]},{lab[y]}) = {d[x][z] + d[z][y]}",
+        )
+        for x in range(n)
+        for z in range(n)
+        for y in range(n)
+        if d[x][y] > d[x][z] + d[z][y]
+    ]
+    return found
 
 
 def line_from_triples(b, x: int, y: int) -> frozenset[int]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qmlines.core import (
     Betweenness,
     DistanceMatrix,
-    _satisfies_dbe,
+    _line_masks,
     betweenness_of,
     consistency_check,
     line_of_pair,
@@ -31,8 +31,8 @@ from qmlines.fixtures import (
     three_point_relation,
 )
 
-from conftest import quasi_metrics, random_consistent
-from oracles import line_from_distances, line_from_triples
+from conftest import quasi_metrics, random_consistent, rational_tables
+from oracles import line_from_distances, line_from_triples, violations_by_fractions
 
 
 def uniform(n):
@@ -220,8 +220,8 @@ def test_line_set_matches_member_triples(n):
         assert list(ls.by_pair) == list(ordered_pairs(n))
         assert ls.by_pair == expected
         assert ls.lines == frozenset(ls.by_pair.values())
-        # the theorem check's filter reads the same verdict off bitmasks
-        assert _satisfies_dbe(n, b.mask) == ls.satisfies_dbe
+        # the theorem walk reads the same lines as point bitmasks
+        assert _line_masks(n, b.mask) == {sum(1 << p for p in line) for line in ls.lines}
         for (x, y), line in expected.items():
             assert line_of_pair(b, x, y) == line
 
@@ -268,14 +268,25 @@ def test_betweenness_of_valid_matrix_is_consistent(m):
     assert consistency_check(betweenness_of(m))
 
 
-@given(quasi_metrics())
+@given(st.one_of(rational_tables(), quasi_metrics()))
 def test_betweenness_matches_the_definition_triple_by_triple(m):
-    # the rule as written, shares no code with the bit reader
+    # the rule as written on the Fraction entries, shares no code with the
+    # bit reader or its lcm-scaled integer table
     d = m.entries
     expected = {
         (x, y, z) for (x, y, z) in permutations(range(m.n), 3) if d[x][z] == d[x][y] + d[y][z]
     }
     assert set(betweenness_of(m).triples) == expected
+
+
+@given(st.one_of(rational_tables(), quasi_metrics()))
+def test_validation_matches_the_fraction_reference(m):
+    # validation compares the lcm-scaled integer table; the reference
+    # compares the Fraction entries
+    expected = violations_by_fractions(m)
+    result = validate_quasi_metric(m)
+    assert [(v.kind, v.points, v.detail) for v in result.violations] == expected
+    assert result.ok == (not expected)
 
 
 @given(quasi_metrics())

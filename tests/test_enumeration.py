@@ -1,12 +1,14 @@
 import hashlib
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
 
 from qmlines import enumeration, kernels
-from qmlines.core import Betweenness, DistanceMatrix, consistency_check
+from qmlines.core import Betweenness, DistanceMatrix, consistency_check, line_set
 from qmlines.encoding import orbit, supports
 from qmlines.enumeration import (
+    TheoremReport,
     canonical_classes,
     classify,
     consistent_patterns_on_support,
@@ -275,6 +277,49 @@ class TestTheorem:
             for p in permutations(range(4))
         }
         assert len(images) == 12
-        assert dbe_failing_relations(4) == images
+        failing = dbe_failing_relations(4)
+        assert failing == images
+        # the theorem check's walk finds the same relations, each once
+        walk = enumeration._dbe_failing_masks(4)
+        assert sorted(walk) == sorted(Betweenness.from_triples(4, r).mask for r in failing)
         canon = verify_theorem_four_points().exceptional_classes[0].canonical
         assert {Betweenness.from_triples(4, r).mask for r in images} == set(orbit(4, canon.mask))
+
+    def test_report_equals_the_class_list_route_without_building_it(self, monkeypatch):
+        def no_class_list(n):
+            raise AssertionError(f"canonical_classes({n}) called")
+
+        reference = q4_betweenness()
+        smaller = Betweenness(4, reference.mask & (reference.mask - 1))
+        monkeypatch.setattr(enumeration, "canonical_classes", no_class_list)
+        report = verify_theorem_four_points()
+        perturbed = verify_theorem_four_points(reference=smaller)
+        monkeypatch.undo()
+        # the route the walk replaced: every class, filtered by its LineSet's
+        # DBE verdict, then the same record and LP
+        int2 = kernels.integer_canon_witnesses(4, 2)
+        digraph_canons = kernels.digraph_canon_witnesses(4)
+        exceptional = []
+        for mask, size in canonical_classes(4):
+            if line_set(Betweenness(4, mask)).satisfies_dbe:
+                continue
+            rec = enumeration._base_record(4, mask, size, digraph_canons)
+            if rec.realizable_quasi:
+                exceptional.append(replace(rec, realizable_int={2: mask in int2}))
+        assert report == TheoremReport(4, tuple(exceptional), True)
+        assert perturbed == TheoremReport(4, tuple(exceptional), False)
+
+    def test_walk_line_set_evaluations_are_pinned(self, monkeypatch):
+        # 18 + 324 + 1,206 + 3,132 by depth: the universal-line cut leaves
+        # 4,680 of the 18 + 18^2 + 18^3 + 18^4 nodes of the product
+        calls = 0
+        line_masks = enumeration._line_masks
+
+        def counting_line_masks(*args):
+            nonlocal calls
+            calls += 1
+            return line_masks(*args)
+
+        monkeypatch.setattr(enumeration, "_line_masks", counting_line_masks)
+        assert len(enumeration._dbe_failing_masks(4)) == 12
+        assert calls == 4680
