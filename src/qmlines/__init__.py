@@ -34,7 +34,6 @@ from .enumeration import (
 )
 from .fileformats import ParseError, format_matrix, format_triples, parse_matrix, parse_triples
 from .isomorphism import Relabeling, apply_relabeling, canonical_form, isomorphism_witness
-from .lp import Constraint
 from .realizability import (
     Digraph,
     FeasibilityOutcome,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Betweenness",
     "ClassificationRecord",
-    "Constraint",
     "Digraph",
     "DistanceMatrix",
     "FeasibilityOutcome",

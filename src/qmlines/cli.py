@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import claims as claims_mod
+from .claims import _fmt_points
 from .core import (
     Betweenness,
     DistanceMatrix,
@@ -90,10 +91,6 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _fmt_subset(points, labels) -> str:
-    return "{" + ",".join(sorted(labels[i] for i in points)) + "}"
-
-
 def _sorted_lines(lines, labels):
     return sorted(lines, key=lambda l: sorted(labels[i] for i in l))
 
@@ -154,12 +151,12 @@ def cmd_lines(args) -> int:
         "has_universal": ls.has_universal,
     }
     text = [
-        f"line {labels[x]} {labels[y]} = {_fmt_subset(line, labels)}"
+        f"line {labels[x]} {labels[y]} = {_fmt_points(line, labels)}"
         for (x, y), line in sorted(ls.by_pair.items())
     ]
     text.append(
         f"lines ({ls.line_count}): "
-        + " ".join(_fmt_subset(l, labels) for l in _sorted_lines(ls.lines, labels))
+        + " ".join(_fmt_points(l, labels) for l in _sorted_lines(ls.lines, labels))
     )
     text.append(f"universal: {'yes' if ls.has_universal else 'no'}")
     _emit(args, payload, text)
@@ -288,8 +285,6 @@ def cmd_realize(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n not in (3, 4):
-        raise InputError(f"--n must be 3 or 4, got {args.n}")
     bounds = ()
     if args.int:
         try:

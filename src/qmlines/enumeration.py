@@ -17,7 +17,7 @@ prefix with n lines or more can still end with fewer.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from operator import add, or_
 from typing import Iterator, Mapping
 
@@ -60,28 +60,14 @@ def _check_supported(n: int) -> None:
         raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {n}")
 
 
-def raw_consistent_masks(n: int) -> Iterator[int]:
-    """Every consistent relation on n points, exactly once, as encodings.
-
-    The stream is the product of per-support patterns; at n=4 it has
-    18^4 = 104,976 members.
-    """
-    _check_supported(n)
-    groups = _support_pattern_masks(n)
-    for combo in product(*groups):
-        mask = 0
-        for m in combo:
-            mask |= m
-        yield mask
-
-
 @lru_cache(maxsize=None)
 def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical encoding, orbit size) for every isomorphism class of
     consistent relations, in increasing encoding order.
 
-    An orbit-marking walk over the raw stream: a relation's position there
-    is its mixed-radix vector of per-support pattern digits, and one byte
+    An orbit-marking walk over the product of per-support patterns, which
+    meets every consistent relation once: a relation's position there is
+    its mixed-radix vector of per-support pattern digits, and one byte
     per position marks the relations already met.  Two digit tables are
     built once, with one orbit call per (support, pattern): the pattern
     mask's images under every relabeling, and each image's digit times the

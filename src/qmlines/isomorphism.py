@@ -32,12 +32,6 @@ class Relabeling:
     def __call__(self, i: int) -> int:
         return self.perm[i]
 
-    def inverse(self) -> "Relabeling":
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return Relabeling(tuple(inv))
-
     @classmethod
     def identity(cls, n: int) -> "Relabeling":
         return cls(tuple(range(n)))

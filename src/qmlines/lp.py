@@ -1,18 +1,18 @@
 """Exact rational linear programming: two-phase simplex, Bland's rule.
 
-A problem is a tuple of named free variables, `Constraint` rows over them
-and a linear objective to maximize; this module knows no problem shape of
-its own (the realization LP is built in `realizability`).  The instances
-are small (tens of variables and rows): dense rows, least-index pivoting,
-no scaling heuristics.
+A problem is a tuple of integer rows over free variables and an integer
+cost per variable to maximize; this module knows no problem shape of its
+own (the realization LP is built in `realizability`).  A row is
+(coefficients, relation, rhs): a tuple of one integer per variable, "=" or
+"<=", and an integer rhs >= 0.  The instances are small (tens of variables
+and rows): dense rows, least-index pivoting, no scaling heuristics.
 Arithmetic is exact and fraction-free.  The tableau is integer rows T over
 one common denominator D > 0 (entry value T / D), updated by
 integer-preserving pivots whose division by the previous pivot is exact; a
 negative pivot negates its row so that D stays positive.  Every comparison
 decides as it would on the rational tableau, so the pivot sequence, and so
-every result, is that of the rational simplex.  `fractions.Fraction` appears
-only at the interface: constraints in, optimum and assignment out; each
-`Constraint` clears its denominators once, when it is built.
+every result, is that of the rational simplex.  `fractions.Fraction`
+appears only in the results: the optimum and the point.
 
 Free variables are split as x = x+ - x-, but x-'s column is always minus
 x+'s, so the tableau stores one column per free variable, standing for
@@ -21,105 +21,47 @@ Programming, ch. 8).  The column ids 2k and 2k+1 are kept, so Bland's
 least-index order, and with it every pivot, is that of the tableau that
 stores both.
 
-One core, `_two_phase`, has two entry points: `_simplex_max` returns the
-vertex that its Bland path reaches on every row, and `_optimum` only the
-status and value, on integer rows that its caller may build once and reuse,
-after a one-pass presolve that substitutes out the "=" rows with rhs 0 and
-hands the core each distinct remaining row once.
+One core, `_two_phase`, has two entry points with the same arguments, rows
+and cost: `_simplex_max` returns the vertex that its Bland path reaches on
+every row, and `_optimum` only the status and value, after a one-pass
+presolve that substitutes out the "=" rows with rhs 0 and hands the core
+each distinct remaining row once.  Neither changes the rows, so a caller
+may build them once and share them.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
-from types import MappingProxyType
-from typing import Mapping
-
-from .core import as_rational
-
-RELATIONS = ("=", "<=")
+from itertools import chain, count
+from math import gcd
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """coeffs . x  (relation)  rhs, with relation one of "=" and "<="."""
+def _simplex_max(rows, cost):
+    """Maximize cost . x subject to the integer rows, x free.
 
-    coeffs: Mapping[str, Fraction]
-    relation: str
-    rhs: Fraction
-    # the row times the lcm of its denominators, for the solver:
-    # ((variable, integer coefficient), ...) and the integer rhs
-    _scaled: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
-        coeffs = {v: as_rational(c) for v, c in self.coeffs.items() if c != 0}
-        rhs = as_rational(self.rhs)
-        # read-only: rows may be shared between systems
-        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        object.__setattr__(self, "rhs", rhs)
-        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        scaled = tuple((v, c.numerator * (scale // c.denominator)) for v, c in coeffs.items())
-        object.__setattr__(self, "_scaled", (scaled, rhs.numerator * (scale // rhs.denominator)))
-
-    def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
-        lhs = sum((c * assignment[v] for v, c in self.coeffs.items()), start=Fraction(0))
-        return lhs == self.rhs if self.relation == "=" else lhs <= self.rhs
-
-
-# --------------------------------------------------------------- the solver
-
-
-def _integer_rows(variables, constraints):
-    """Each constraint as (integer coefficient per variable, relation, rhs),
-    negated where its rhs is negative, so that rhs >= 0 ("<=" then reads ">=").
-    The coefficients are a tuple, so that the rows can be shared."""
-    vindex = {v: k for k, v in enumerate(variables)}
-    rows = []
-    for con in constraints:
-        coeffs, rhs = con._scaled
-        arr = [0] * len(variables)
-        for v, q in coeffs:
-            arr[vindex[v]] = q
-        rel = con.relation
-        if rhs < 0:
-            arr = [-a for a in arr]
-            rhs = -rhs
-            rel = ">=" if rel == "<=" else rel
-        rows.append((tuple(arr), rel, rhs))
-    return rows
-
-
-def _simplex_max(variables, constraints, objective):
-    """Maximize objective . x subject to the constraints, x free.
-
-    Returns (status, value, assignment); status is "optimal", "infeasible"
-    or "unbounded".  The constraints' integer rows go to `_two_phase`
-    unchanged, so the assignment is the vertex its Bland path ends at.
+    Returns (status, value, point); status is "optimal", "infeasible" or
+    "unbounded", and when it is "optimal" the point is one Fraction per
+    variable, in column order (else value and point are None).  The rows go
+    to `_two_phase` unchanged, so the point is the vertex its Bland path
+    ends at.
     """
-    cost = [objective.get(v, 0) for v in variables]
-    status, value, point = _two_phase(_integer_rows(variables, constraints), cost)
+    status, value, point = _two_phase(rows, cost)
     if status != "optimal":
         return status, None, None
     col_value, denom = point
-    return status, value, {
-        v: Fraction(col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0), denom)
-        for k, v in enumerate(variables)
-    }
+    return status, value, tuple(
+        Fraction(col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0), denom)
+        for k in range(len(cost))
+    )
 
 
 def _optimum(rows, cost):
-    """(status, value) of `_simplex_max` on the LP whose `_integer_rows`
-    are rows and whose objective coefficient per variable is cost, after a
-    presolve (Andersen & Andersen 1995) that substitutes out each "=" row
-    with rhs 0.  The rows are read, never changed, so they may be shared.
+    """(status, value) of `_simplex_max(rows, cost)`, after a presolve
+    (Andersen & Andersen 1995) that substitutes out each "=" row with rhs 0.
 
     In row order, such a row e, reduced by the pivots before it, becomes a
     pivot on its least column j with no objective coefficient (e[j] > 0
     after a sign flip), if it has one.  Every other row r is then reduced
-    once by all pivots in order, r <- e[j]*r - r[j]*e (so no relation
-    flips), taken over its gcd and projected onto the columns left; a row
+    once by all pivots in order, r <- e[j]*r - r[j]*e (e's rhs is 0, so r's
+    stays >= 0), taken over its gcd and projected onto the columns left; a row
     that reduces to 0 is dropped, or decides infeasibility.  The eliminated
     variables are determined by the others, so status and value stay; only
     the optimal vertex may differ.  `_two_phase` gets each distinct row
@@ -158,8 +100,8 @@ def _optimum(rows, cost):
         # a list first: a tuple of unknown length would not reuse a free one
         r = tuple([r[k] for k in keep])
         if not any(r):
-            # 0 <= rhs holds (rhs >= 0); 0 = rhs and 0 >= rhs need rhs = 0
-            if rhs and rel != "<=":
+            # 0 <= rhs holds (rhs >= 0); 0 = rhs needs rhs = 0
+            if rhs and rel == "=":
                 return "infeasible", None
             continue
         g = gcd(*r, rhs)
@@ -171,22 +113,22 @@ def _optimum(rows, cost):
 
 def _two_phase(rows, cost):
     """Maximize cost . x subject to the integer rows (arr, relation, rhs),
-    rhs >= 0, with x free; cost holds one rational per variable.
+    rhs >= 0, with x free; cost holds one integer per variable.
 
     Returns (status, value, point); point is (numerator per basic column id,
     common denominator) when status is "optimal", else None.  Two-phase
     simplex on the split nonnegative form x = x+ - x- with Bland's
     least-index pivot rule (finite by anti-cycling).  Column ids are 2k (x+)
-    and 2k+1 (x-) for variable k, then slacks, then artificials; Bland's
-    rule and the ratio test's tie-break compare these ids.
+    and 2k+1 (x-) for variable k, then one slack per "<=" row, then one
+    artificial per "=" row, each in row order; Bland's rule and the ratio
+    test's tie-break compare these ids.
 
     The tableau is fraction-free: integer rows T and one common denominator
     D > 0, so that entry (i, j) stands for T[i][j] / D.  A row holds one
     entry per nonbasic slot (a basic column is D in its own row and 0
     elsewhere, so it is not stored), then its right-hand side.  One more
     integer row over the same D holds the reduced costs, and minus the
-    objective value last.  The rows come scaled by the lcm of each
-    constraint's denominators (`Constraint._scaled`); the cost is scaled here.
+    objective value last.
 
     A free variable has one slot, whatever the basis: x-'s column is always
     minus x+'s, and pivots are linear in the columns, so one stored column
@@ -218,27 +160,13 @@ def _two_phase(rows, cost):
     nvars = len(cost)
     free_end = 2 * nvars  # ids below are x+/x- of a free variable
 
-    col = free_end
-    slack_col = {}
-    for i, (_, rel, _) in enumerate(rows):
-        if rel in ("<=", ">="):
-            slack_col[i] = col
-            col += 1
-    first_art = col
-    art_col = {}
-    for i, (_, rel, _) in enumerate(rows):
-        if rel in ("=", ">="):
-            art_col[i] = col
-            col += 1
-
-    # every row starts with its artificial, else its slack, basic
-    basis = [art_col[i] if i in art_col else slack_col[i] for i in range(len(rows))]
-    surplus_rows = [i for i in art_col if i in slack_col]  # the ">=" rows
-    nonbasic = [*range(0, free_end, 2), *(slack_col[i] for i in surplus_rows)]
-    tableau = [
-        [*arr, *(-1 if k == i else 0 for k in surplus_rows), rhs]
-        for i, (arr, _, rhs) in enumerate(rows)
-    ]
+    first_art = free_end + sum(rel == "<=" for _, rel, _ in rows)
+    end = free_end + len(rows)  # every row has a slack or an artificial
+    # every row starts with its slack or artificial basic
+    slacks, artificials = count(free_end), count(first_art)
+    basis = [next(slacks if rel == "<=" else artificials) for _, rel, _ in rows]
+    nonbasic = list(range(0, free_end, 2))
+    tableau = [[*arr, rhs] for arr, _, rhs in rows]
     denom = 1
 
     def objective_row(by_id):
@@ -328,11 +256,8 @@ def _two_phase(rows, cost):
                 return "unbounded"
             pivot(leave, enter, obj)
 
-    if art_col:
-        cost1 = [0] * col
-        for j in art_col.values():
-            cost1[j] = -1
-        obj = objective_row(cost1)
+    if first_art < end:
+        obj = objective_row([0] * first_art + [-1] * (end - first_art))
         bland(obj)
         if obj[-1] > 0:  # the phase-1 optimum -obj[-1] / D is negative
             return "infeasible", None, None
@@ -357,14 +282,12 @@ def _two_phase(rows, cost):
                 pivot(i, enter, obj)
             i += 1
 
-    obj_scale = lcm(*(cf.denominator for cf in cost))
     cost2 = [0] * first_art
-    for k, cf in enumerate(cost):
-        q = cf.numerator * (obj_scale // cf.denominator)
-        cost2[2 * k] = q
-        cost2[2 * k + 1] = -q
+    for k, c in enumerate(cost):
+        cost2[2 * k] = c
+        cost2[2 * k + 1] = -c
     obj = objective_row(cost2)
     if bland(obj) == "unbounded":
         return "unbounded", None, None
     point = {basis[i]: row[-1] for i, row in enumerate(tableau)}, denom
-    return "optimal", Fraction(-obj[-1], denom * obj_scale), point
+    return "optimal", Fraction(-obj[-1], denom), point

@@ -11,7 +11,7 @@ exhaustive sweeps, each built once per process and size.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Mapping
 
 from . import kernels
@@ -24,7 +24,7 @@ from .core import (
     validate_quasi_metric,
 )
 from .encoding import orbit, ordered_pairs, ordered_triples
-from .lp import Constraint, _integer_rows, _optimum, _simplex_max
+from .lp import _optimum, _simplex_max
 
 VARIANTS = ("quasi", "metric")
 
@@ -57,37 +57,34 @@ def pair_variables(n: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _realization_rows(n: int, variant: str):
-    """The rows shared by every system of (n, variant): the n(n-1)
-    positivity rows, one (non-member, member) row pair per ordered triple,
-    then symmetry and normalization.  `LinearSystem.constraints` keeps this
-    order; the value LP takes the positivity rows last (`_value_rows`)."""
+    """The rows shared by every system of (n, variant), as the solver's
+    integer rows over `pair_variables(n)` then eps: the n(n-1) positivity
+    rows eps - d <= 0, one (non-member, member) row pair per ordered
+    triple, then symmetry and normalization.  `LinearSystem.constraints`
+    keeps this order; the value LP takes the positivity rows last."""
+    index = {p: k for k, p in enumerate(ordered_pairs(n))}
+    eps = len(index)
+
+    def row(entries, relation, rhs=0):
+        coeffs = [0] * (eps + 1)
+        for k, c in entries:
+            coeffs[k] = c
+        return tuple(coeffs), relation, rhs
+
     pairs = []
     for (x, y, z) in ordered_triples(n):
-        coeffs = {pair_var(x, z): 1, pair_var(x, y): -1, pair_var(y, z): -1}
-        pairs.append((Constraint({**coeffs, EPS_VAR: 1}, "<=", 0), Constraint(coeffs, "=", 0)))
-    head = tuple(Constraint({EPS_VAR: 1, d: -1}, "<=", 0) for d in pair_variables(n))
+        triangle = [(index[x, z], 1), (index[x, y], -1), (index[y, z], -1)]
+        pairs.append((row([*triangle, (eps, 1)], "<="), row(triangle, "=")))
+    head = tuple(row([(eps, 1), (k, -1)], "<=") for k in range(eps))
     symmetry = [(i, j) for (i, j) in ordered_pairs(n) if i < j] if variant == "metric" else []
-    tail = [Constraint({pair_var(i, j): 1, pair_var(j, i): -1}, "=", 0) for i, j in symmetry]
-    tail.append(Constraint(dict.fromkeys(pair_variables(n), 1), "=", 1))
+    tail = [row([(index[i, j], 1), (index[j, i], -1)], "=") for i, j in symmetry]
+    tail.append(row([(k, 1) for k in range(eps)], "=", 1))
     return head, tuple(pairs), tuple(tail)
 
 
 def _picked(pairs, mask: int):
     """One row of each triple's (non-member, member) pair, by the triple's bit."""
     return (p[mask >> i & 1] for i, p in enumerate(pairs))
-
-
-@lru_cache(maxsize=None)
-def _value_rows(n: int, variant: str):
-    """`_realization_rows(n, variant)` as the solver's integer rows, in the
-    value LP's order: the triple row pairs, then the rest, the positivity
-    rows last (see `maximize_slack`)."""
-    variables = pair_variables(n) + (EPS_VAR,)
-    head, pairs, tail = _realization_rows(n, variant)
-    return (
-        tuple(tuple(_integer_rows(variables, pair)) for pair in pairs),
-        tuple(_integer_rows(variables, (*tail, *head))),
-    )
 
 
 @dataclass(frozen=True)
@@ -98,12 +95,13 @@ class LinearSystem:
 
     Its rows are the cached template of (n, variant) with one row of each
     triple's pair picked by the relation's bit, so every system is well
-    formed by construction.
+    formed by construction.  A row is (coefficients, relation, rhs): one
+    integer per variable, "=" or "<=", and rhs 0 or 1, as `lp` takes it.
     """
 
     relation: Betweenness
     variant: str
-    constraints: tuple[Constraint, ...] = field(init=False, repr=False, compare=False)
+    constraints: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -119,7 +117,13 @@ class LinearSystem:
         return pair_variables(self.relation.n) + (EPS_VAR,)
 
     def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
-        return all(c.satisfied_by(assignment) for c in self.constraints)
+        """Whether the values, one per variable, satisfy every row."""
+        x = [assignment[v] for v in self.variables]
+        for coeffs, relation, rhs in self.constraints:
+            lhs = sum(c * v for c, v in zip(coeffs, x))
+            if lhs > rhs or (relation == "=" and lhs != rhs):
+                return False
+        return True
 
 
 def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSystem:
@@ -149,47 +153,43 @@ class FeasibilityOutcome:
 def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     """Exact optimum of the slack variable over the system's polytope.
 
-    `lp._optimum` decides it with the member equalities substituted out,
-    on the system's rows with the n(n-1) positivity rows eps - d <= 0 moved
-    to the end, as integer rows built once per (n, variant) and picked by
-    the relation.  Its status and optimum do not depend on row order, but
-    Bland's rule prefers least ids, and slack ids follow row order: with
-    the positivity slacks last, it takes about half the pivots (19,863
-    against 37,125 on the 4,455 4-point quasi systems), most of those saved
-    degenerate.  The presolve's pivots depend only on the order of the "="
-    rows, which the move leaves alone.
+    `lp._optimum` decides it with the member equalities substituted out, on
+    the system's rows in another order: the triple rows, then symmetry and
+    normalization, the n(n-1) positivity rows eps - d <= 0 last.  Its status
+    and optimum do not depend on row order, but Bland's rule prefers least
+    ids, and slack ids follow row order: with the positivity slacks last it
+    takes about half the pivots, most of those saved degenerate.
     Only a positive optimum needs a point, and only the point depends on the
-    pivot path, so then `lp._simplex_max` solves the full system in template
-    order: its optimum must agree, and its vertex, rescaled to the smallest
-    integer matrix on its ray, is the witness (any positive scaling is
-    equally valid).
+    pivot path, so then `lp._simplex_max` solves the system's rows in
+    template order: its optimum must agree, and its vertex, rescaled to the
+    smallest integer matrix on its ray, is the witness (any positive
+    scaling is equally valid).
     """
-    objective = {EPS_VAR: Fraction(1)}
     b = system.relation
-    pairs, rest = _value_rows(b.n, system.variant)
-    cost = [objective.get(v, 0) for v in system.variables]
-    status, slack = _optimum([*_picked(pairs, b.mask), *rest], cost)
+    head, pairs, tail = _realization_rows(b.n, system.variant)
+    cost = [0] * (len(system.variables) - 1) + [1]  # maximize eps, the last variable
+    status, slack = _optimum([*_picked(pairs, b.mask), *tail, *head], cost)
     if status == "infeasible":
         return FeasibilityOutcome("infeasible", None, None)
     if status == "unbounded":
         # eps <= min d <= 1/(n(n-1)) under the positivity and normalization rows
-        raise RuntimeError(f"slack is unbounded for {system.relation}; this is a bug")
+        raise RuntimeError(f"slack is unbounded for {b}; this is a bug")
     if slack <= 0:
         return FeasibilityOutcome("feasible", slack, None)
-    status, value, assignment = _simplex_max(system.variables, system.constraints, objective)
+    status, value, point = _simplex_max(system.constraints, cost)
     if (status, value) != ("optimal", slack):
-        raise RuntimeError(f"the two simplex paths disagree on {system.relation}; this is a bug")
-    return FeasibilityOutcome("feasible", slack, _witness_matrix(system.relation.n, assignment))
+        raise RuntimeError(f"the two simplex paths disagree on {b}; this is a bug")
+    return FeasibilityOutcome("feasible", slack, _witness_matrix(b.n, point[:-1]))
 
 
-def _witness_matrix(n: int, assignment) -> DistanceMatrix:
-    """The LP vertex's distances as their coprime integer vector: times the
-    lcm of the denominators, then divided by the gcd."""
-    values = [assignment[pair_var(i, j)] for (i, j) in ordered_pairs(n)]
-    scale = lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
-    common = gcd(*ints)
-    return _matrix_from_flat(n, [v // common for v in ints])
+def _witness_matrix(n: int, distances) -> DistanceMatrix:
+    """The LP vertex's distances, in ordered_pairs(n) order, times the lcm L
+    of their denominators.  These integers are coprime: the normalization
+    row makes the distances sum to 1, so the integers sum to L, and a common
+    factor g > 1 would make L/g a smaller common multiple of the
+    denominators."""
+    scale = lcm(*(v.denominator for v in distances))
+    return _matrix_from_flat(n, [int(v * scale) for v in distances])
 
 
 def verify_witness(m: DistanceMatrix, b: Betweenness) -> bool:

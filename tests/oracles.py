@@ -6,6 +6,7 @@ from distance entries, LP optima by exhaustive vertex enumeration, random
 quasi-metrics by min-plus closure, bounded-integer realizations, integer
 witness maps and digraph classes by trying every matrix or arc set (digraph
 distances by breadth-first search), lines straight from the member triples,
+every consistent relation as the product of per-support patterns,
 isomorphism classes by canonicalizing every relation, realization systems
 built row by row for each relation, the simplex with two stored columns
 (x+ and x-) per free variable, whose pivots the solver must repeat, and the
@@ -20,11 +21,8 @@ from itertools import combinations, permutations, product
 from math import lcm
 
 from qmlines.core import DistanceMatrix, betweenness_of
-from qmlines.encoding import orbit, ordered_triples
-from qmlines.enumeration import raw_consistent_masks
+from qmlines.encoding import orbit
 from qmlines.isomorphism import canonical_form
-from qmlines.lp import Constraint
-from qmlines.realizability import EPS_VAR, pair_var, pair_variables
 
 
 def line_from_distances(entries, n: int, x: int, y: int) -> frozenset[int]:
@@ -86,11 +84,39 @@ def line_from_triples(b, x: int, y: int) -> frozenset[int]:
     )
 
 
+def support_patterns() -> list[tuple[tuple[int, int, int], ...]]:
+    """The consistent patterns of one 3-point support, listed here from the
+    rule as written (xyz rules out yxz and xzy): every subset of the 6
+    ordered triples, by size, then in combinations order."""
+    perms = list(permutations(range(3)))
+    patterns = [
+        chosen
+        for k in range(len(perms) + 1)
+        for chosen in combinations(perms, k)
+        if not any((y, x, z) in chosen or (x, z, y) in chosen for (x, y, z) in chosen)
+    ]
+    assert len(patterns) == 18
+    return patterns
+
+
+def consistent_masks(n: int):
+    """Every consistent relation on n points exactly once, as its encoding
+    (bit i for the i-th ordered triple in lex order): the product over the
+    supports, in lex order, of their patterns, the last support fastest."""
+    bit = {t: 1 << i for i, t in enumerate(permutations(range(n), 3))}
+    per_support = [
+        [sum(bit[s[x], s[y], s[z]] for (x, y, z) in p) for p in support_patterns()]
+        for s in combinations(range(n), 3)
+    ]
+    for parts in product(*per_support):
+        yield sum(parts)
+
+
 def classes_by_counting(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical encoding, orbit size) per class, by canonicalizing every
-    relation of the raw stream: it meets each orbit member once, so a
+    consistent relation: the stream meets each orbit member once, so a
     class's multiplicity is its orbit size."""
-    canons = Counter(min(orbit(n, m)) for m in raw_consistent_masks(n))
+    canons = Counter(min(orbit(n, m)) for m in consistent_masks(n))
     return tuple(sorted(canons.items()))
 
 
@@ -262,28 +288,33 @@ def _bfs_distances(n: int, arcs):
 
 
 def realization_system_by_construction(b, variant: str) -> tuple:
-    """The rows of the realization system of a consistent relation b, every
-    row built afresh: positivity rows, one row per ordered triple (the member
+    """The integer rows of the realization system of a consistent relation
+    b, every row built afresh over the variables d(i, j), (i, j) in lex
+    order, then eps: positivity rows, one row per ordered triple (the member
     equality or the non-member row with eps), symmetry rows (metric),
     normalization."""
     n = b.n
-    one = Fraction(1)
-    cons = []
-    for d in pair_variables(n):
-        cons.append(Constraint({EPS_VAR: one, d: -one}, "<=", 0))
-    for (x, y, z) in ordered_triples(n):
-        coeffs = {pair_var(x, z): one, pair_var(x, y): -one, pair_var(y, z): -one}
+    eps = n * (n - 1)
+
+    def d(i, j):
+        # row i of the matrix without its diagonal entry
+        return i * (n - 1) + j - (j > i)
+
+    def row(coeffs, relation, rhs=0):
+        return tuple(coeffs.get(k, 0) for k in range(eps + 1)), relation, rhs
+
+    rows = [row({eps: 1, k: -1}, "<=") for k in range(eps)]
+    for (x, y, z) in permutations(range(n), 3):
+        coeffs = {d(x, z): 1, d(x, y): -1, d(y, z): -1}
         if (x, y, z) in b:
-            cons.append(Constraint(coeffs, "=", 0))
+            rows.append(row(coeffs, "="))
         else:
-            coeffs[EPS_VAR] = one
-            cons.append(Constraint(coeffs, "<=", 0))
+            rows.append(row({**coeffs, eps: 1}, "<="))
     if variant == "metric":
-        for i in range(n):
-            for j in range(i + 1, n):
-                cons.append(Constraint({pair_var(i, j): one, pair_var(j, i): -one}, "=", 0))
-    cons.append(Constraint({d: one for d in pair_variables(n)}, "=", 1))
-    return tuple(cons)
+        rows += [row({d(i, j): 1, d(j, i): -1}, "=") for i, j in combinations(range(n), 2)]
+    rows.append(row(dict.fromkeys(range(eps), 1), "=", 1))
+    return tuple(rows)
+
 
 # ------------------------------------------- the split-column simplex solver
 
@@ -294,7 +325,9 @@ def _clear_denominators(values) -> int:
 
 
 def split_simplex_max(variables, constraints, objective):
-    """Maximize objective . x subject to the constraints, x free.
+    """Maximize objective . x subject to the constraints, x free;
+    constraints are (coeffs dict, relation, rhs) triples, as for
+    `brute_force_lp_max`.
 
     Returns (status, value, assignment); status is "optimal", "infeasible"
     or "unbounded".  Two-phase simplex on the split nonnegative form with
@@ -326,16 +359,16 @@ def split_simplex_max(variables, constraints, objective):
 
     # split x = x+ - x-, clear denominators, normalize rhs >= 0
     rows = []
-    for con in constraints:
-        scale = _clear_denominators((con.rhs, *con.coeffs.values()))
+    for coeffs, rel, rhs in constraints:
+        coeffs, rhs = {v: Fraction(cf) for v, cf in coeffs.items()}, Fraction(rhs)
+        scale = _clear_denominators((rhs, *coeffs.values()))
         arr = [0] * (2 * nvars)
-        for v, cf in con.coeffs.items():
+        for v, cf in coeffs.items():
             k = vindex[v]
             q = cf.numerator * (scale // cf.denominator)
             arr[2 * k] += q
             arr[2 * k + 1] -= q
-        rel = con.relation
-        rhs = con.rhs.numerator * (scale // con.rhs.denominator)
+        rhs = rhs.numerator * (scale // rhs.denominator)
         if rhs < 0:
             arr = [-a for a in arr]
             rhs = -rhs
@@ -475,21 +508,12 @@ def dbe_failing_relations(n: int) -> set[frozenset[tuple[int, int, int]]]:
     """Every consistent relation on n points with no universal line and
     fewer than n lines, each as its set of member triples.
 
-    Uses nothing from qmlines: it lists the consistent patterns of one
-    3-point support itself (xyz rules out yxz and xzy), takes their product
+    Uses nothing from qmlines: it takes the product of `support_patterns()`
     over the supports, and puts z on line(x, y) iff zxy, xzy or xyz is a
     member.
     """
-    perms = list(permutations(range(3)))
-    patterns = [
-        chosen
-        for k in range(len(perms) + 1)
-        for chosen in combinations(perms, k)
-        if not any((y, x, z) in chosen or (x, z, y) in chosen for (x, y, z) in chosen)
-    ]
-    assert len(patterns) == 18
     per_support = [
-        [frozenset((s[x], s[y], s[z]) for (x, y, z) in p) for p in patterns]
+        [frozenset((s[x], s[y], s[z]) for (x, y, z) in p) for p in support_patterns()]
         for s in combinations(range(n), 3)
     ]
     pairs = [

@@ -18,10 +18,7 @@ from qmlines.core import (
     validate_quasi_metric,
 )
 from qmlines.encoding import ordered_pairs
-from qmlines.enumeration import (
-    canonical_classes,
-    raw_consistent_masks,
-)
+from qmlines.enumeration import canonical_classes
 from qmlines.fixtures import (
     THREE_POINT_TABLE,
     q4_betweenness,
@@ -32,7 +29,12 @@ from qmlines.fixtures import (
 )
 
 from conftest import quasi_metrics, random_consistent, rational_tables
-from oracles import line_from_distances, line_from_triples, violations_by_fractions
+from oracles import (
+    consistent_masks,
+    line_from_distances,
+    line_from_triples,
+    violations_by_fractions,
+)
 
 
 def uniform(n):
@@ -205,7 +207,7 @@ def _relations_for_line_check(n):
     """All 18 raw relations at n=3, all 4,455 classes at n=4, and 50 seeded
     random consistent relations above that."""
     if n == 3:
-        return [Betweenness(3, m) for m in raw_consistent_masks(3)]
+        return [Betweenness(3, m) for m in consistent_masks(3)]
     if n == 4:
         return [Betweenness(4, m) for m, _ in canonical_classes(4)]
     rng = random.Random(n)

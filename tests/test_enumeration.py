@@ -13,14 +13,13 @@ from qmlines.enumeration import (
     classify,
     consistent_patterns_on_support,
     enumerate_consistent,
-    raw_consistent_masks,
     verify_theorem_four_points,
 )
 from qmlines.fixtures import THREE_POINT_TABLE, q4_betweenness, three_point_relation
 from qmlines.isomorphism import canonical_form
 from qmlines.realizability import verify_witness
 
-from oracles import classes_by_counting, dbe_failing_relations
+from oracles import classes_by_counting, consistent_masks, dbe_failing_relations
 
 # canonical (encoding, orbit size) pairs for n=3, frozen from an independent
 # brute-force script
@@ -60,23 +59,21 @@ class TestPatterns:
 
 
 class TestRawStream:
+    """The stream of every consistent relation that the oracles count."""
+
     def test_three_point_count(self):
-        assert sum(1 for _ in raw_consistent_masks(3)) == RAW_COUNT_N3
+        assert sum(1 for _ in consistent_masks(3)) == RAW_COUNT_N3
 
     def test_four_point_count(self):
-        assert sum(1 for _ in raw_consistent_masks(4)) == RAW_COUNT_N4
+        assert sum(1 for _ in consistent_masks(4)) == RAW_COUNT_N4
 
     def test_everything_yielded_is_consistent(self):
-        for mask in raw_consistent_masks(4):
+        for mask in consistent_masks(4):
             assert consistency_check(Betweenness(4, mask))
 
     def test_no_duplicates_at_three_points(self):
-        masks = list(raw_consistent_masks(3))
+        masks = list(consistent_masks(3))
         assert len(masks) == len(set(masks))
-
-    def test_unsupported_n(self):
-        with pytest.raises(ValueError):
-            list(raw_consistent_masks(5))
 
 
 class TestCanonicalClasses:
