@@ -13,7 +13,6 @@ from .core import (
     Betweenness,
     DistanceMatrix,
     LineSet,
-    Rational,
     ValidationResult,
     Violation,
     betweenness_of,
@@ -60,7 +59,6 @@ __all__ = [
     "LinearSystem",
     "LineSet",
     "ParseError",
-    "Rational",
     "Relabeling",
     "TheoremReport",
     "ValidationResult",

@@ -24,7 +24,7 @@ from .core import (
 from .enumeration import classify
 from .fileformats import ParseError, format_matrix, parse_matrix, parse_triples
 from .isomorphism import canonical_form, isomorphism_witness
-from .realizability import realize, realize_bounded_integer, realize_digraph
+from .realizability import VARIANTS, realize, realize_bounded_integer, realize_digraph
 
 
 class InputError(Exception):
@@ -224,7 +224,7 @@ def cmd_iso(args) -> int:
 def cmd_realize(args) -> int:
     b, labels = _load_triples(args.triples, args.labels)
     variant = args.variant
-    if variant in ("quasi", "metric"):
+    if variant in VARIANTS:
         outcome = realize(b, variant)
         payload = {
             "command": "realize",

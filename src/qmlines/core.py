@@ -13,15 +13,12 @@ from typing import Iterable, Mapping
 
 from .encoding import (
     conflict_masks,
-    line_trigger_masks,
     mask_from_triples,
     ordered_pairs,
     ordered_triples,
     triple_count,
     triples_from_mask,
 )
-
-Rational = Fraction
 
 
 def as_rational(value) -> Fraction:
@@ -199,23 +196,22 @@ def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:
     """
     if x == y:
         raise ValueError(f"segment endpoints must differ, got {x} twice")
-    d = m.entries
-    return frozenset(z for z in range(m.n) if d[x][y] == d[x][z] + d[z][y])
+    s = m._scaled
+    return frozenset(z for z in range(m.n) if s[x][y] == s[x][z] + s[z][y])
 
 
 @lru_cache(maxsize=None)
 def _line_table(n: int) -> dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]]:
     """For each ordered pair (x, y), in ordered_pairs(n) order: the point bits
-    of x and y, and (bit of z, line_trigger_masks[(x, y, z)]) for every other
-    point z."""
-    triggers = line_trigger_masks(n)
-    return {
-        (x, y): (
-            1 << x | 1 << y,
-            tuple((1 << z, triggers[(x, y, z)]) for z in range(n) if z != x and z != y),
-        )
-        for (x, y) in ordered_pairs(n)
-    }
+    of x and y, and for every other point z its bit and the bits of the
+    triples zxy, xzy and xyz, any of which puts z on the line of (x, y)."""
+
+    def others(x, y):
+        for z in range(n):
+            if z != x and z != y:
+                yield 1 << z, mask_from_triples(n, ((z, x, y), (x, z, y), (x, y, z)))
+
+    return {(x, y): (1 << x | 1 << y, tuple(others(x, y))) for (x, y) in ordered_pairs(n)}
 
 
 @lru_cache(maxsize=None)

@@ -145,19 +145,6 @@ def orbit(n: int, mask: int, k: int = 3) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def line_trigger_masks(n: int) -> dict[tuple[int, int, int], int]:
-    """For distinct (x, y, z): bits whose presence puts z on the line of (x, y).
-
-    These are the triples zxy, xzy and xyz.
-    """
-    pos = triple_position(n)
-    out = {}
-    for (x, y, z) in ordered_triples(n):
-        out[(x, y, z)] = 1 << pos[(z, x, y)] | 1 << pos[(x, z, y)] | 1 << pos[(x, y, z)]
-    return out
-
-
-@lru_cache(maxsize=None)
 def supports(n: int) -> tuple[tuple[int, int, int], ...]:
     """All 3-point supports (unordered, as sorted tuples)."""
     return tuple(combinations(range(n), 3))

@@ -137,7 +137,7 @@ class ClassificationRecord:
     witness: DistanceMatrix | None
 
 
-def _base_record(n, mask, orbit_size, digraph_canons) -> ClassificationRecord:
+def _base_record(n, mask, orbit_size) -> ClassificationRecord:
     b = Betweenness(n, mask)
     ls = line_set(b)
     quasi = realize(b, "quasi")
@@ -155,18 +155,14 @@ def _base_record(n, mask, orbit_size, digraph_canons) -> ClassificationRecord:
         realizable_quasi=quasi.realizable,
         realizable_metric=realizable_metric,
         realizable_int={},
-        realizable_digraph=mask in digraph_canons,
+        realizable_digraph=mask in kernels.digraph_canon_witnesses(n),
         witness=quasi.witness,
     )
 
 
 @lru_cache(maxsize=None)
 def _base_records(n: int) -> tuple[ClassificationRecord, ...]:
-    digraph_canons = kernels.digraph_canon_witnesses(n)
-    return tuple(
-        _base_record(n, mask, size, digraph_canons)
-        for mask, size in canonical_classes(n)
-    )
+    return tuple(_base_record(n, mask, size) for mask, size in canonical_classes(n))
 
 
 def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
@@ -238,14 +234,13 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     ref = reference if reference is not None else q4_betweenness()
     ref_canon, _ = canonical_form(ref)
     int2 = kernels.integer_canon_witnesses(4, 2)
-    digraph_canons = kernels.digraph_canon_witnesses(4)
     sizes = {}
     for mask in _dbe_failing_masks(4):
         images = orbit(4, mask)
         sizes[min(images)] = len(set(images))
     exceptional = []
     for mask in sorted(sizes):
-        rec = _base_record(4, mask, sizes[mask], digraph_canons)
+        rec = _base_record(4, mask, sizes[mask])
         rec = replace(rec, realizable_int={2: mask in int2})
         if rec.realizable_quasi:
             exceptional.append(rec)

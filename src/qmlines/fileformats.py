@@ -34,6 +34,10 @@ def _content_lines(text: str):
 
 def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
     m = _NUMBER.match(token)
+    if not m and token[:1] == "-" and _NUMBER.match(token[1:]):
+        raise ParseError(
+            f"negative entry {token!r} (distances are rationals >= 0)", lineno, column
+        )
     if not m:
         raise ParseError(
             f"not a rational: {token!r} (write integers or fractions like 3/2; "

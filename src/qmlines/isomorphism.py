@@ -32,10 +32,6 @@ class Relabeling:
     def __call__(self, i: int) -> int:
         return self.perm[i]
 
-    @classmethod
-    def identity(cls, n: int) -> "Relabeling":
-        return cls(tuple(range(n)))
-
 
 def apply_relabeling(b: Betweenness, f: Relabeling) -> Betweenness:
     """The image relation {(f(x), f(y), f(z)) : (x,y,z) in b}."""

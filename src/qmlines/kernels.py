@@ -61,30 +61,12 @@ def _pair_relabelings(n):
     return tuple(p + sentinel for p in maps if p != identity)
 
 
-def _integer_sweep(n, kmax):
+def _integer_dfs(n, kmax, by_depth, relabelings):
     """Yield (values, betweenness_mask) for the lex-least matrix of each
     relabeling orbit of the valid quasi-metrics with off-diagonal entries in
     1..kmax, in lex order of values (one flat list over ordered_pairs(n),
-    reused between yields).
-
-    Refuses with a ValueError, on the call and before any table is built, a
-    sweep that could face more than INTEGER_SWEEP_CAP matrices or more than
-    encoding.RELABELING_CAP relabelings.
-    """
-    estimate = kmax ** (n * (n - 1))
-    if estimate > INTEGER_SWEEP_CAP:
-        raise ValueError(
-            f"integer search is exhaustive; n={n}, K={kmax} means up to "
-            f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
-            f"{INTEGER_SWEEP_CAP} (2^24)"
-        )
-    relabelings = _pair_relabelings(n)
-    return _integer_dfs(n, kmax, _triples_by_depth(n), relabelings)
-
-
-def _integer_dfs(n, kmax, by_depth, relabelings):
-    """The walk behind _integer_sweep: DFS over the entries in lex order,
-    pruned by the triangle checks and by lex-leader comparisons.
+    reused between yields): a DFS over the entries in lex order, pruned by
+    the triangle checks and by lex-leader comparisons.
 
     For each relabeling p the walk compares vals with its image, entry k
     against entry p[k], as far as both are assigned.  It cuts the branch
@@ -149,12 +131,25 @@ def _integer_dfs(n, kmax, by_depth, relabelings):
 def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     """Sweep the lex-least matrix of each orbit of quasi-metrics with entries
     in 1..kmax; map canonical betweenness encodings to the lexicographically
-    first witness entries."""
+    first witness entries.
+
+    Refuses with a ValueError, before any table is built, a sweep that could
+    face more than INTEGER_SWEEP_CAP matrices or more than
+    encoding.RELABELING_CAP relabelings.
+    """
+    estimate = kmax ** (n * (n - 1))
+    if estimate > INTEGER_SWEEP_CAP:
+        raise ValueError(
+            f"integer search is exhaustive; n={n}, K={kmax} means up to "
+            f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
+            f"{INTEGER_SWEEP_CAP} (2^24)"
+        )
+    relabelings = _pair_relabelings(n)
     result: dict[int, tuple[int, ...]] = {}
     # a raw mask's first leaf already put its class in result, so each
     # distinct raw mask is canonicalized once
     seen: set[int] = set()
-    for vals, mask in _integer_sweep(n, kmax):
+    for vals, mask in _integer_dfs(n, kmax, _triples_by_depth(n), relabelings):
         if mask not in seen:
             seen.add(mask)
             best = min(orbit(n, mask))

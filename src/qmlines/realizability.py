@@ -166,9 +166,10 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     scaling is equally valid).
     """
     b = system.relation
-    head, pairs, tail = _realization_rows(b.n, system.variant)
-    cost = [0] * (len(system.variables) - 1) + [1]  # maximize eps, the last variable
-    status, slack = _optimum([*_picked(pairs, b.mask), *tail, *head], cost)
+    rows = system.constraints
+    k = len(system.variables) - 1  # the positivity rows come first, one per distance
+    cost = [0] * k + [1]  # maximize eps, the last variable
+    status, slack = _optimum([*rows[k:], *rows[:k]], cost)
     if status == "infeasible":
         return FeasibilityOutcome("infeasible", None, None)
     if status == "unbounded":
@@ -176,7 +177,7 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
         raise RuntimeError(f"slack is unbounded for {b}; this is a bug")
     if slack <= 0:
         return FeasibilityOutcome("feasible", slack, None)
-    status, value, point = _simplex_max(system.constraints, cost)
+    status, value, point = _simplex_max(rows, cost)
     if (status, value) != ("optimal", slack):
         raise RuntimeError(f"the two simplex paths disagree on {b}; this is a bug")
     return FeasibilityOutcome("feasible", slack, _witness_matrix(b.n, point[:-1]))

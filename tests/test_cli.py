@@ -63,6 +63,14 @@ class TestValidate:
         assert code == 2
         assert "decimal" in err
 
+    def test_negative_entry_is_named(self, capsys, tmp_path):
+        path = tmp_path / "negative.matrix"
+        path.write_text("a b\n0 -3/2\n1 0\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 2, token 2: negative entry '-3/2' (distances are rationals >= 0)" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.matrix")
         assert code == 2
@@ -160,6 +168,18 @@ class TestCanon:
         assert out == ""
         assert "9! = 362880 relabelings, over the cap of 40320" in err
 
+    def test_a_single_label_is_input_error(self, capsys, q4_triples_file):
+        code, out, err = run(capsys, "canon", "--triples", q4_triples_file, "--labels", "p")
+        assert (code, out) == (2, "")
+        assert "need at least 2 labels, got 'p'" in err
+
+    def test_unknown_label_is_input_error(self, capsys, q4_triples_file):
+        code, out, err = run(
+            capsys, "canon", "--triples", q4_triples_file, "--labels", "p,s,q,x"
+        )
+        assert (code, out) == (2, "")
+        assert "line 1, token 3: unknown label 'r'" in err
+
 
 class TestIso:
     def test_isomorphic_pair(self, capsys, tmp_path, q4_triples_file):
@@ -188,6 +208,16 @@ class TestIso:
         code, out, _ = run(capsys, "iso", str(f1), str(f2), "--labels", "a,b,c")
         assert code == 1
         assert "not isomorphic" in out
+
+    def test_different_point_counts_are_input_error(self, capsys, tmp_path, q4_triples_file):
+        three = tmp_path / "three.triples"
+        three.write_text("a b c\n")
+        code, out, err = run(
+            capsys, "iso", str(three), q4_triples_file,
+            "--labels", "a,b,c", "--labels-b", "p,s,q,r",
+        )
+        assert (code, out) == (2, "")
+        assert "point counts differ: 3 vs 4" in err
 
 
 class TestRealize:
@@ -286,6 +316,11 @@ class TestEnumerate:
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "5")
         assert code == 2
+
+    def test_int_bound_below_one_is_input_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--int", "0")
+        assert (code, out) == (2, "")
+        assert "--int bounds must be >= 1" in err
 
     def test_bad_int_list(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--int", "2,x")

@@ -329,3 +329,13 @@ def test_segments_always_contain_endpoints(m):
         for y in range(m.n):
             if x != y:
                 assert {x, y} <= segment(m, x, y)
+
+
+@given(quasi_metrics())
+def test_segment_interior_is_the_middle_of_member_triples(m):
+    b = betweenness_of(m)
+    for x in range(m.n):
+        for y in range(m.n):
+            if x != y:
+                middles = {z for (u, z, v) in b.triples if (u, v) == (x, y)}
+                assert segment(m, x, y) - {x, y} == middles

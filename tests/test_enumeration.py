@@ -295,12 +295,11 @@ class TestTheorem:
         # the route the walk replaced: every class, filtered by its LineSet's
         # DBE verdict, then the same record and LP
         int2 = kernels.integer_canon_witnesses(4, 2)
-        digraph_canons = kernels.digraph_canon_witnesses(4)
         exceptional = []
         for mask, size in canonical_classes(4):
             if line_set(Betweenness(4, mask)).satisfies_dbe:
                 continue
-            rec = enumeration._base_record(4, mask, size, digraph_canons)
+            rec = enumeration._base_record(4, mask, size)
             if rec.realizable_quasi:
                 exceptional.append(replace(rec, realizable_int={2: mask in int2}))
         assert report == TheoremReport(4, tuple(exceptional), True)

@@ -40,11 +40,11 @@ class TestRelabeling:
 
     def test_identity_fixes_everything(self):
         b = q4_betweenness()
-        assert apply_relabeling(b, Relabeling.identity(4)) == b
+        assert apply_relabeling(b, Relabeling(tuple(range(4)))) == b
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size"):
-            apply_relabeling(Betweenness(3, 0), Relabeling.identity(4))
+            apply_relabeling(Betweenness(3, 0), Relabeling(tuple(range(4))))
 
 
 class TestApplyRelabeling:

@@ -68,7 +68,8 @@ def test_integer_sweep_keeps_the_first_matrix_of_each_class(n, kmax):
 def test_integer_sweep_visits_one_matrix_per_orbit():
     # the walk over every valid matrix with entries <= 4 had 4,751,052
     # leaves; one per orbit of 24 relabelings is about 1/24 of that
-    leaves = sum(1 for _ in kernels._integer_sweep(4, 4))
+    walk = kernels._integer_dfs(4, 4, kernels._triples_by_depth(4), kernels._pair_relabelings(4))
+    leaves = sum(1 for _ in walk)
     assert leaves == 200_897
     assert leaves < 4_751_052 // 10
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from qmlines import enumeration, kernels, realizability
 from qmlines.core import Betweenness, DistanceMatrix, betweenness_of, validate_quasi_metric
 from qmlines.encoding import orbit
-from qmlines.enumeration import canonical_classes, classify
+from qmlines.enumeration import canonical_classes, classify, consistent_patterns_on_support
 from qmlines.fixtures import (
     THREE_POINT_DIGRAPH_ARCS,
     THREE_POINT_LABELS,
@@ -23,6 +24,7 @@ from qmlines.realizability import (
     LinearSystem,
     build_realization_system,
     digraph_distances,
+    maximize_slack,
     realize,
     realize_bounded_integer,
     realize_digraph,
@@ -46,6 +48,15 @@ def uniform3():
 
 def inconsistent():
     return Betweenness.from_triples(3, [(0, 1, 2), (1, 0, 2)])
+
+
+def reversed_relation(b):
+    return Betweenness.from_triples(b.n, ((z, y, x) for (x, y, z) in b.triples))
+
+
+def plus_transpose(m):
+    d = m.entries
+    return DistanceMatrix(m.labels, [[d[i][j] + d[j][i] for j in range(m.n)] for i in range(m.n)])
 
 
 class TestRealize:
@@ -185,6 +196,24 @@ class TestLpCallPath:
         monkeypatch.setattr(realizability, "_optimum", off_by_one)
         with pytest.raises(RuntimeError, match="disagree"):
             realize(q4_betweenness(), "quasi")
+
+    def test_the_value_lp_solves_the_rows_the_system_holds(self, monkeypatch):
+        systems = [
+            build_realization_system(q4_betweenness(), "quasi"),
+            build_realization_system(q4_betweenness(), "metric"),
+            build_realization_system(CYCLE3, "quasi"),
+            build_realization_system(CYCLE3, "metric"),
+        ]
+        before = [maximize_slack(system) for system in systems]
+        assert [(o.status, o.realizable) for o in before] == [
+            ("feasible", True), ("feasible", False), ("feasible", True), ("infeasible", False)
+        ]
+
+        def no_template(*args):
+            raise AssertionError("the row template was read again")
+
+        monkeypatch.setattr(realizability, "_realization_rows", no_template)
+        assert [maximize_slack(system) for system in systems] == before
 
     def test_classify_solves_one_lp_per_verdict(self, calls):
         enumeration._base_records.cache_clear()
@@ -406,3 +435,47 @@ class TestCrossRouteInvariants:
                 arcs = frozenset(p for k, p in enumerate(pairs) if arc_mask >> k & 1)
                 g = Digraph(n, arcs)
                 assert canonical_form(betweenness_of(digraph_distances(g)))[0].mask == canon
+
+
+class TestReversalClosedRelations:
+    """d + d^T keeps each member equality and each strict non-member
+    inequality of a relation closed under reversal (xyz in b iff zyx in b),
+    and is symmetric: such a relation is metric-realizable iff it is
+    quasi-realizable, with the quasi witness plus its transpose as a metric
+    witness."""
+
+    @staticmethod
+    def quasi_realizable_count(relations):
+        count = 0
+        for b in relations:
+            assert reversed_relation(b) == b
+            quasi = realize(b, "quasi")
+            assert realize(b, "metric").realizable == quasi.realizable
+            if quasi.realizable:
+                count += 1
+                assert verify_witness(plus_transpose(quasi.witness), b)
+        return count
+
+    def test_four_point_classes(self):
+        classes = (Betweenness(4, mask) for mask, _ in canonical_classes(4))
+        closed = [b for b in classes if reversed_relation(b) == b]
+        assert len(closed) == 19
+        assert self.quasi_realizable_count(closed) == 9
+
+    def test_random_five_point_relations(self):
+        # a relation is reversal-closed iff its pattern on each support is
+        patterns = [
+            p for p in consistent_patterns_on_support() if p and {t[::-1] for t in p} == p
+        ]
+        assert len(patterns) == 3  # plus the empty one
+        rng = random.Random(21)
+        relations = []
+        for _ in range(40):
+            density = rng.random()
+            triples = [
+                (sup[x], sup[y], sup[z])
+                for sup in combinations(range(5), 3)
+                for (x, y, z) in (rng.choice(patterns) if rng.random() < density else ())
+            ]
+            relations.append(Betweenness.from_triples(5, triples))
+        assert self.quasi_realizable_count(relations) == 12
