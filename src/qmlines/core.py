@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from string import ascii_lowercase
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .encoding import (
     conflict_masks,
@@ -17,6 +17,7 @@ from .encoding import (
     ordered_pairs,
     ordered_triples,
     triple_count,
+    triple_position,
     triples_from_mask,
 )
 
@@ -166,7 +167,10 @@ class Betweenness:
         return bin(self.mask).count("1")
 
     def __contains__(self, triple) -> bool:
-        return bool(self.mask & mask_from_triples(self.n, [triple]))
+        """False for a triple that is not an ordered triple of distinct
+        points in 0..n-1, as for a non-member."""
+        bit = triple_position(self.n).get(tuple(triple))
+        return bit is not None and bool(self.mask >> bit & 1)
 
 
 def betweenness_mask(n: int, d) -> int:
@@ -200,18 +204,59 @@ def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:
     return frozenset(z for z in range(m.n) if s[x][y] == s[x][z] + s[z][y])
 
 
+class _PackedTable(NamedTuple):
+    """The packed line table on n points: the lines of all n(n-1) ordered
+    pairs held in one int.
+
+    The k-th pair of ordered_pairs(n) owns the n + 1 bits from bit
+    (n + 1) * k: point z is its bit z, and bit n is a guard, 0 in every
+    packed state.  base holds {x, y} in the field of (x, y).  parts[i] holds
+    the points the i-th ordered triple abc puts on lines: c on line(a, b),
+    b on line(a, c) and a on line(b, c), since z is on line(x, y) iff zxy,
+    xzy or xyz is a member.  So a relation's packed lines are base OR the
+    parts of its member triples, and the packed lines of a union are the OR
+    of theirs.  Adding ones, a 1 at the bottom of every field, carries into
+    a field's guard bit exactly when all its n point bits are set: packed
+    lines have a universal line iff (packed + ones) & guards.
+    """
+
+    base: int
+    ones: int
+    guards: int
+    parts: tuple[int, ...]
+
+
 @lru_cache(maxsize=None)
-def _line_table(n: int) -> dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]]:
-    """For each ordered pair (x, y), in ordered_pairs(n) order: the point bits
-    of x and y, and for every other point z its bit and the bits of the
-    triples zxy, xzy and xyz, any of which puts z on the line of (x, y)."""
+def _packed_table(n: int) -> _PackedTable:
+    field = {pair: (n + 1) * k for k, pair in enumerate(ordered_pairs(n))}
+    base = sum((1 << x | 1 << y) << field[x, y] for (x, y) in field)
+    parts = tuple(
+        1 << c + field[a, b] | 1 << b + field[a, c] | 1 << a + field[b, c]
+        for (a, b, c) in ordered_triples(n)
+    )
+    ones = sum(1 << shift for shift in field.values())
+    return _PackedTable(base, ones, ones << n, parts)
 
-    def others(x, y):
-        for z in range(n):
-            if z != x and z != y:
-                yield 1 << z, mask_from_triples(n, ((z, x, y), (x, z, y), (x, y, z)))
 
-    return {(x, y): (1 << x | 1 << y, tuple(others(x, y))) for (x, y) in ordered_pairs(n)}
+def _packed_lines(n: int, mask: int) -> int:
+    """The packed lines (see :class:`_PackedTable`) of the relation with
+    encoding mask on n points."""
+    table = _packed_table(n)
+    parts = table.parts
+    packed = table.base
+    while mask:
+        low = mask & -mask
+        packed |= parts[low.bit_length() - 1]
+        mask ^= low
+    return packed
+
+
+def _line_fields(n: int, packed: int) -> list[int]:
+    """The point bitmask of every ordered pair's line in packed lines, in
+    ordered_pairs(n) order."""
+    width = n + 1
+    points = (1 << n) - 1
+    return [packed >> shift & points for shift in range(0, width * n * (n - 1), width)]
 
 
 @lru_cache(maxsize=None)
@@ -220,23 +265,17 @@ def _points(bits: int) -> frozenset[int]:
     return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def _line_bits(mask: int, bits: int, others) -> int:
-    # z is on the line iff one of zxy, xzy, xyz is in the relation
-    for zbit, trigger in others:
-        if mask & trigger:
-            bits |= zbit
-    return bits
-
-
 def line_of_pair(b: Betweenness, x: int, y: int) -> frozenset[int]:
     """The line of the ordered pair (x, y), determined by the betweenness alone.
 
-    z lies on it iff one of zxy, xzy, xyz is in the relation; x and y always do.
+    z lies on it iff one of zxy, xzy, xyz is in the relation; x and y always
+    do.  Read from the field of (x, y) in the relation's packed lines.
     Note line(x, y) and line(y, x) may differ.
     """
     if x == y:
         raise ValueError(f"line endpoints must differ, got {x} twice")
-    return _points(_line_bits(b.mask, *_line_table(b.n)[(x, y)]))
+    fields = _line_fields(b.n, _packed_lines(b.n, b.mask))
+    return _points(fields[ordered_pairs(b.n).index((x, y))])
 
 
 @dataclass(frozen=True)
@@ -265,19 +304,11 @@ def _dbe_rule(n: int, line_count: int, has_universal: bool) -> bool:
     return has_universal or line_count >= n
 
 
-def _line_masks(n: int, mask: int) -> set[int]:
-    """`line_set(Betweenness(n, mask)).lines` as a set of point bitmasks,
-    with no `LineSet` built."""
-    return {_line_bits(mask, bits, others) for bits, others in _line_table(n).values()}
-
-
 def line_set(b: Betweenness) -> LineSet:
-    """The lines of every ordered pair, keyed in ordered_pairs(n) order."""
-    mask = b.mask
-    by_pair = {
-        pair: _points(_line_bits(mask, bits, others))
-        for pair, (bits, others) in _line_table(b.n).items()
-    }
+    """The lines of every ordered pair, keyed in ordered_pairs(n) order:
+    the fields of the relation's packed lines (see :class:`_PackedTable`)."""
+    fields = _line_fields(b.n, _packed_lines(b.n, b.mask))
+    by_pair = dict(zip(ordered_pairs(b.n), map(_points, fields)))
     return LineSet(b.n, by_pair, frozenset(by_pair.values()))
 
 

@@ -12,7 +12,9 @@ sound because a line only gains points as member triples are added (z is on
 line(x, y) iff zxy, xzy or xyz is a member), so a universal line stays
 universal in every completion, and such a relation satisfies DBE.  No
 cut on the line count is made: lines merge as triples are added, so a
-prefix with n lines or more can still end with fewer.
+prefix with n lines or more can still end with fewer.  The walk keeps each
+prefix's lines packed in one int, as :func:`qmlines.core.line_set` reads
+them, so a step is one OR and the universal-line test one addition.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +24,16 @@ from operator import add, or_
 from typing import Iterator, Mapping
 
 from . import kernels
-from .core import Betweenness, DistanceMatrix, _dbe_rule, _line_masks, consistency_check, line_set
+from .core import (
+    Betweenness,
+    DistanceMatrix,
+    _dbe_rule,
+    _line_fields,
+    _packed_lines,
+    _packed_table,
+    consistency_check,
+    line_set,
+)
 from .encoding import mask_from_triples, orbit, supports
 from .isomorphism import canonical_form
 from .realizability import realize
@@ -197,23 +208,34 @@ def _dbe_failing_masks(n: int) -> list[int]:
     """Every consistent relation on n points that fails DBE, as encodings in
     raw-stream order: a depth-first walk that ORs in one consistent pattern
     per support and drops each prefix whose lines include the universal
-    line (sound: see the module docstring)."""
-    groups = _support_pattern_masks(n)
-    universal = (1 << n) - 1
+    line (sound: see the module docstring).
+
+    The walk carries the prefix's packed lines (see
+    :class:`qmlines.core._PackedTable`) along with its encoding: a node ORs
+    in its pattern's packed lines, and one addition tests all n(n-1) lines
+    for the universal one.  At a leaf the line count is the number of
+    distinct fields.
+    """
+    table = _packed_table(n)
+    ones, guards = table.ones, table.guards
+    groups = [
+        [(pattern, _packed_lines(n, pattern)) for pattern in masks]
+        for masks in _support_pattern_masks(n)
+    ]
     failing = []
 
-    def walk(depth, prefix):
-        for pattern in groups[depth]:
+    def walk(depth, prefix, packed):
+        for pattern, part in groups[depth]:
+            lines = packed | part
+            if (lines + ones) & guards:
+                continue  # a universal line
             mask = prefix | pattern
-            lines = _line_masks(n, mask)
-            if universal in lines:
-                continue
             if depth + 1 < len(groups):
-                walk(depth + 1, mask)
-            elif not _dbe_rule(n, len(lines), False):  # none is universal here
+                walk(depth + 1, mask, lines)
+            elif not _dbe_rule(n, len(set(_line_fields(n, lines))), False):
                 failing.append(mask)
 
-    walk(0, 0)
+    walk(0, 0, table.base)
     return failing
 
 
@@ -223,11 +245,12 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     the reference relation (Q4's betweenness by default).
 
     The classes come from :func:`_dbe_failing_masks`, not from the class
-    list: its walk evaluates 4,680 line sets, 3,132 of them on complete
-    relations (of the 104,976 consistent ones); 383 of those have no
-    universal line and 12 have fewer than four lines.  Their distinct
-    canonical forms, with orbit sizes read from the same relabeling images,
-    are checked in increasing encoding order; the LP runs on those alone.
+    list: its walk visits 4,680 nodes, 3,132 of them complete relations (of
+    the 104,976 consistent ones), with one OR and one universal-line test
+    each; 383 of the complete ones have no universal line and 12 have fewer
+    than four lines.  Their distinct canonical forms, with orbit sizes read
+    from the same relabeling images, are checked in increasing encoding
+    order; the LP runs on those alone.
     """
     from .fixtures import q4_betweenness
 

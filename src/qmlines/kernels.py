@@ -31,6 +31,11 @@ from .encoding import ordered_pairs, ordered_triples, orbit
 # n=4 up to K=4, and n=5 with K=2
 INTEGER_SWEEP_CAP = 2**24
 
+# the consistent classes on n points, as the class lists count them (a test
+# checks these): the betweenness of every quasi-metric is consistent, so an
+# integer map that holds this many classes is complete
+CONSISTENT_CLASSES = {2: 1, 3: 5, 4: 4455}
+
 
 def _triples_by_depth(n):
     """Per depth, (xz, xy, yz, bit) for each ordered triple (x, y, z) whose
@@ -133,6 +138,9 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     in 1..kmax; map canonical betweenness encodings to the lexicographically
     first witness entries.
 
+    The sweep stops once the map holds all CONSISTENT_CLASSES[n] classes,
+    since no later matrix can add one: at n=2 after the first matrix.
+
     Refuses with a ValueError, before any table is built, a sweep that could
     face more than INTEGER_SWEEP_CAP matrices or more than
     encoding.RELABELING_CAP relabelings.
@@ -145,6 +153,7 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
             f"{INTEGER_SWEEP_CAP} (2^24)"
         )
     relabelings = _pair_relabelings(n)
+    complete = CONSISTENT_CLASSES.get(n)
     result: dict[int, tuple[int, ...]] = {}
     # a raw mask's first leaf already put its class in result, so each
     # distinct raw mask is canonicalized once
@@ -155,6 +164,8 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
             best = min(orbit(n, mask))
             if best not in result:
                 result[best] = tuple(vals)
+                if len(result) == complete:
+                    break
     return result
 
 

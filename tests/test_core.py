@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from qmlines.core import (
     Betweenness,
     DistanceMatrix,
-    _line_masks,
+    _line_fields,
+    _packed_lines,
+    _packed_table,
     betweenness_of,
     consistency_check,
     line_of_pair,
@@ -17,7 +19,7 @@ from qmlines.core import (
     segment,
     validate_quasi_metric,
 )
-from qmlines.encoding import ordered_pairs
+from qmlines.encoding import mask_from_triples, ordered_pairs, ordered_triples, triple_count
 from qmlines.enumeration import canonical_classes
 from qmlines.fixtures import (
     THREE_POINT_TABLE,
@@ -131,6 +133,12 @@ class TestBetweenness:
         assert (0, 2, 3) in b  # p q r
         assert (3, 2, 0) not in b  # r q p
 
+    @pytest.mark.parametrize(
+        "triple", [(0, 0, 2), (0, 2, 2), (1, 1, 1), (0, 1, 3), (-1, 1, 2), (0, 1)]
+    )
+    def test_impossible_triples_are_not_members(self, triple):
+        assert triple not in Betweenness(3, (1 << 6) - 1)
+
     def test_bit_positions_follow_lex_triple_order(self):
         # triples on 3 points, lex: 012, 021, 102, 120, 201, 210
         assert Betweenness.from_triples(3, [(0, 1, 2)]).mask == 1
@@ -222,10 +230,46 @@ def test_line_set_matches_member_triples(n):
         assert list(ls.by_pair) == list(ordered_pairs(n))
         assert ls.by_pair == expected
         assert ls.lines == frozenset(ls.by_pair.values())
-        # the theorem walk reads the same lines as point bitmasks
-        assert _line_masks(n, b.mask) == {sum(1 << p for p in line) for line in ls.lines}
         for (x, y), line in expected.items():
             assert line_of_pair(b, x, y) == line
+
+
+@st.composite
+def any_relations(draw, min_n=3, max_n=6):
+    """Relations on n points, consistent or not: any encoding, a few member
+    triples (so that lines need not be universal), or a consistent one."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    few = st.lists(st.sampled_from(ordered_triples(n)), max_size=2 * n)
+    mask = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=(1 << triple_count(n)) - 1),
+            few.map(lambda triples: mask_from_triples(n, triples)),
+            st.randoms(use_true_random=False).map(lambda rng: random_consistent(n, rng).mask),
+        )
+    )
+    return Betweenness(n, mask)
+
+
+@given(any_relations(), st.data())
+def test_packed_lines_match_member_triples(b, data):
+    n = b.n
+    table = _packed_table(n)
+    packed = _packed_lines(n, b.mask)
+    expected = [line_from_triples(b, x, y) for (x, y) in ordered_pairs(n)]
+    assert packed & table.guards == 0
+    fields = _line_fields(n, packed)
+    assert [frozenset(z for z in range(n) if f >> z & 1) for f in fields] == expected
+    # one addition finds a universal line; the fields count the lines
+    universal = any(len(line) == n for line in expected)
+    assert bool((packed + table.ones) & table.guards) == universal
+    assert len(set(fields)) == len(set(expected))
+    ls = line_set(b)
+    assert ls.has_universal == universal
+    assert ls.line_count == len(set(expected))
+    # the packed lines of a union are the OR of theirs, as the theorem walk
+    # assumes when it ORs in one pattern at a time
+    other = data.draw(st.integers(min_value=0, max_value=(1 << triple_count(n)) - 1))
+    assert _packed_lines(n, b.mask | other) == packed | _packed_lines(n, other)
 
 
 class TestDbe:
@@ -339,3 +383,5 @@ def test_segment_interior_is_the_middle_of_member_triples(m):
             if x != y:
                 middles = {z for (u, z, v) in b.triples if (u, v) == (x, y)}
                 assert segment(m, x, y) - {x, y} == middles
+                # membership is False for the impossible triples xxy and xyy
+                assert {z for z in range(m.n) if (x, z, y) in b} == middles

@@ -276,9 +276,11 @@ class TestTheorem:
         assert len(images) == 12
         failing = dbe_failing_relations(4)
         assert failing == images
-        # the theorem check's walk finds the same relations, each once
-        walk = enumeration._dbe_failing_masks(4)
-        assert sorted(walk) == sorted(Betweenness.from_triples(4, r).mask for r in failing)
+        # the theorem check's walk finds the same relations, each once, in
+        # the order of the raw stream
+        masks = {Betweenness.from_triples(4, r).mask for r in failing}
+        stream = [m for m in consistent_masks(4) if m in masks]
+        assert enumeration._dbe_failing_masks(4) == stream
         canon = verify_theorem_four_points().exceptional_classes[0].canonical
         assert {Betweenness.from_triples(4, r).mask for r in images} == set(orbit(4, canon.mask))
 
@@ -305,17 +307,20 @@ class TestTheorem:
         assert report == TheoremReport(4, tuple(exceptional), True)
         assert perturbed == TheoremReport(4, tuple(exceptional), False)
 
-    def test_walk_line_set_evaluations_are_pinned(self, monkeypatch):
+    def test_walk_nodes_are_pinned(self, monkeypatch):
         # 18 + 324 + 1,206 + 3,132 by depth: the universal-line cut leaves
-        # 4,680 of the 18 + 18^2 + 18^3 + 18^4 nodes of the product
-        calls = 0
-        line_masks = enumeration._line_masks
+        # 4,680 of the 18 + 18^2 + 18^3 + 18^4 nodes of the product; each
+        # node adds the table's ones once, in its universal-line test
+        nodes = 0
 
-        def counting_line_masks(*args):
-            nonlocal calls
-            calls += 1
-            return line_masks(*args)
+        class CountingOnes(int):
+            def __radd__(self, other):
+                nonlocal nodes
+                nodes += 1
+                return other + int(self)
 
-        monkeypatch.setattr(enumeration, "_line_masks", counting_line_masks)
+        table = enumeration._packed_table(4)
+        counting = table._replace(ones=CountingOnes(table.ones))
+        monkeypatch.setattr(enumeration, "_packed_table", lambda n: counting)
         assert len(enumeration._dbe_failing_masks(4)) == 12
-        assert calls == 4680
+        assert nodes == 4680

@@ -11,7 +11,7 @@ from qmlines.encoding import orbit, ordered_pairs
 from qmlines.enumeration import canonical_classes
 from qmlines.realizability import realize_bounded_integer
 
-from oracles import first_digraph_per_class, first_integer_per_class
+from oracles import classes_by_counting, first_digraph_per_class, first_integer_per_class
 
 
 # SHA-256 of repr(sorted(integer_canon_witnesses(n, K).items())), keys and
@@ -63,6 +63,38 @@ def test_integer_maps_are_pinned(n, kmax, classes):
 @pytest.mark.parametrize(("n", "kmax"), [(3, 1), (3, 2), (3, 3), (4, 2)])
 def test_integer_sweep_keeps_the_first_matrix_of_each_class(n, kmax):
     assert kernels.integer_canon_witnesses(n, kmax) == first_integer_per_class(n, kmax)
+
+
+def test_consistent_class_counts_are_the_class_lists():
+    assert kernels.CONSISTENT_CLASSES == {
+        2: len(classes_by_counting(2)),
+        3: len(canonical_classes(3)),
+        4: len(canonical_classes(4)),
+    }
+
+
+@pytest.mark.parametrize(("n", "kmax"), [(2, 4096), (3, 2), (3, 3), (3, 4)])
+def test_integer_sweep_stops_once_every_consistent_class_is_in(monkeypatch, n, kmax):
+    # the map is the oracle's, yet the walk is left before its last leaf
+    leaves = 0
+    dfs = kernels._integer_dfs
+
+    def counting_dfs(*args):
+        nonlocal leaves
+        for leaf in dfs(*args):
+            leaves += 1
+            yield leaf
+
+    monkeypatch.setattr(kernels, "_integer_dfs", counting_dfs)
+    table = kernels.integer_canon_witnesses.__wrapped__(n, kmax)
+    assert len(table) == kernels.CONSISTENT_CLASSES[n]
+    if n == 2:
+        assert table == {0: (1, 1)}
+        assert leaves == 1
+    else:
+        assert table == first_integer_per_class(n, kmax)
+        walk = dfs(n, kmax, kernels._triples_by_depth(n), kernels._pair_relabelings(n))
+        assert leaves < sum(1 for _ in walk)
 
 
 def test_integer_sweep_visits_one_matrix_per_orbit():
