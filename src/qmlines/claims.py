@@ -9,10 +9,10 @@ acceptance test suite.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from . import fixtures, kernels
 from .core import (
@@ -41,8 +41,7 @@ from .realizability import (
 )
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     ident: str
     description: str
     passed: bool

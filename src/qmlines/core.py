@@ -4,10 +4,10 @@ All distances are exact rationals (`fractions.Fraction`); every comparison in
 this module is an exact equality or inequality, never tolerance-based.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 from string import ascii_lowercase
 from typing import Iterable, Mapping, NamedTuple
 
@@ -35,8 +35,47 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class _Value:
+    """Base of the validated value types: immutable, slotted, compared and
+    hashed by the fields named in `_compared`, which are also the
+    constructor's arguments and what repr shows.  Derived fields (in
+    `__slots__` but not in `_compared`) take no part in either.  Fields are
+    set once, in `__init__`, through `object.__setattr__`.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # _key(obj) is the tuple of the compared fields, read in C
+        get = attrgetter(*cls._compared)
+        cls._key = staticmethod(get if len(cls._compared) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so copies and pickles are checked too
+        return self.__class__, self._key(self)
+
+
+class DistanceMatrix(_Value):
     """A labeled n-by-n rational matrix, candidate for a quasi-metric.
 
     Construction enforces shape and label sanity only; the axioms (zero
@@ -44,22 +83,24 @@ class DistanceMatrix:
     :func:`validate_quasi_metric`.
     """
 
+    # _scaled: the entries times the lcm of their denominators, for exact
+    # comparisons on integers: a positive scaling keeps every <, = and >
+    __slots__ = ("labels", "entries", "_scaled")
+    _compared = ("labels", "entries")
     labels: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
-    # the entries times the lcm of their denominators, for exact comparisons
-    # on integers: a positive scaling keeps every <, = and >
-    _scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _scaled: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        labels = tuple(str(l) for l in self.labels)
+    def __init__(self, labels, entries):
+        labels = tuple(str(l) for l in labels)
         n = len(labels)
         if n < 2:
             raise ValueError(f"need at least 2 points, got {n}")
         if len(set(labels)) != n:
             raise ValueError(f"duplicate labels in {labels}")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form a {n}x{n} square matrix")
-        entries = tuple(tuple(as_rational(v) for v in row) for row in self.entries)
+        entries = tuple(tuple(as_rational(v) for v in row) for row in entries)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", entries)
         scale = lcm(*(v.denominator for row in entries for v in row))
@@ -84,8 +125,7 @@ class DistanceMatrix:
         return DistanceMatrix(self.labels, tuple(tuple(f * v for v in row) for row in self.entries))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken quasi-metric axiom, with the offending points."""
 
     kind: str  # "diagonal" | "positivity" | "triangle"
@@ -93,8 +133,7 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -138,22 +177,24 @@ def validate_quasi_metric(m: DistanceMatrix) -> ValidationResult:
     return ValidationResult(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class Betweenness:
+class Betweenness(_Value):
     """An ordered-triple relation on n points, stored as a fixed-width bit set.
 
     Bit i corresponds to the i-th ordered triple of distinct indices in
     lexicographic order (see :mod:`qmlines.encoding`).
     """
 
+    __slots__ = _compared = ("n", "mask")
     n: int
     mask: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least 2 points, got {self.n}")
-        if not 0 <= self.mask < 1 << triple_count(self.n):
-            raise ValueError(f"mask {self.mask} out of range for n={self.n}")
+    def __init__(self, n: int, mask: int):
+        if n < 2:
+            raise ValueError(f"need at least 2 points, got {n}")
+        if not 0 <= mask < 1 << triple_count(n):
+            raise ValueError(f"mask {mask} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "Betweenness":
@@ -193,13 +234,21 @@ def betweenness_of(m: DistanceMatrix) -> Betweenness:
     return Betweenness(m.n, betweenness_mask(m.n, m._scaled))
 
 
+def _check_points(n: int, x: int, y: int, what: str) -> None:
+    """Refuse endpoints outside 0..n-1 or equal, naming the point and n."""
+    for z in (x, y):
+        if not 0 <= z < n:
+            raise ValueError(f"{what} endpoint {z} out of range for n={n}")
+    if x == y:
+        raise ValueError(f"{what} endpoints must differ, got {x} twice")
+
+
 def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:
     """The segment of (x, y): all z with d(x,y) = d(x,z) + d(z,y).
 
     Always contains both endpoints.
     """
-    if x == y:
-        raise ValueError(f"segment endpoints must differ, got {x} twice")
+    _check_points(m.n, x, y, "segment")
     s = m._scaled
     return frozenset(z for z in range(m.n) if s[x][y] == s[x][z] + s[z][y])
 
@@ -272,14 +321,12 @@ def line_of_pair(b: Betweenness, x: int, y: int) -> frozenset[int]:
     do.  Read from the field of (x, y) in the relation's packed lines.
     Note line(x, y) and line(y, x) may differ.
     """
-    if x == y:
-        raise ValueError(f"line endpoints must differ, got {x} twice")
+    _check_points(b.n, x, y, "line")
     fields = _line_fields(b.n, _packed_lines(b.n, b.mask))
     return _points(fields[ordered_pairs(b.n).index((x, y))])
 
 
-@dataclass(frozen=True)
-class LineSet:
+class LineSet(NamedTuple):
     """The lines of all n(n-1) ordered pairs, plus the deduplicated family."""
 
     n: int

@@ -17,11 +17,10 @@ prefix's lines packed in one int, as :func:`qmlines.core.line_set` reads
 them, so a step is one OR and the universal-line test one addition.
 """
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import add, or_
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import kernels
 from .core import (
@@ -131,8 +130,7 @@ def enumerate_consistent(n: int) -> Iterator[Betweenness]:
         yield Betweenness(n, mask)
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """One isomorphism class of consistent relations with its line structure
     and realizability verdicts."""
 
@@ -190,12 +188,11 @@ def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
     records = []
     for rec in _base_records(n):
         realizable_int = {k: rec.canonical.mask in int_canons[k] for k in bounds}
-        records.append(replace(rec, realizable_int=realizable_int))
+        records.append(rec._replace(realizable_int=realizable_int))
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of the four-point uniqueness check: the quasi-realizable
     classes with no universal line and fewer than four lines."""
 
@@ -264,7 +261,7 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     exceptional = []
     for mask in sorted(sizes):
         rec = _base_record(4, mask, sizes[mask])
-        rec = replace(rec, realizable_int={2: mask in int2})
+        rec = rec._replace(realizable_int={2: mask in int2})
         if rec.realizable_quasi:
             exceptional.append(rec)
     matches = len(exceptional) == 1 and exceptional[0].canonical == ref_canon

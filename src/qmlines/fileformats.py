@@ -4,7 +4,8 @@ Matrix files: a header line of whitespace-separated point labels, then n
 rows of n rationals written as "3" or "3/2".  Triples files: one triple of
 labels per line.  Lines starting with '#' are comments in both.  Decimal
 tokens are rejected outright; converting them would break the exactness
-contract.
+contract.  A label is a nonempty token with no whitespace; the formatters
+refuse one that would start a written line with '#'.
 """
 
 import re
@@ -85,7 +86,22 @@ def parse_matrix(text: str) -> DistanceMatrix:
     return DistanceMatrix(tuple(labels), tuple(rows))
 
 
+def _check_writable(labels, line_starts) -> None:
+    """Refuse labels that a written file could not give back: an empty
+    label, one holding whitespace (tokens are split on it), or one in
+    line_starts that starts with '#' (its line would read as a comment)."""
+    for lab in labels:
+        if not lab or any(c.isspace() for c in lab):
+            raise ValueError(f"label {lab!r} is empty or holds whitespace; files cannot hold it")
+    for lab in line_starts:
+        if lab.startswith("#"):
+            raise ValueError(f"label {lab!r} would start a line with '#', which reads as a comment")
+
+
 def format_matrix(m: DistanceMatrix) -> str:
+    """The matrix file of m; ValueError for labels it cannot hold (see
+    :func:`_check_writable`), of which only the first starts a line."""
+    _check_writable(m.labels, m.labels[:1])
     lines = [" ".join(m.labels)]
     for row in m.entries:
         lines.append(" ".join(str(v) for v in row))
@@ -119,8 +135,15 @@ def parse_triples(text: str, labels) -> Betweenness:
 
 
 def format_triples(b: Betweenness, labels) -> str:
+    """The triples file of b under labels; ValueError for duplicate labels
+    and for labels it cannot hold (see :func:`_check_writable`), where the
+    first label of each member triple starts a line."""
     labels = tuple(labels)
     if len(labels) != b.n:
         raise ValueError(f"{len(labels)} labels for {b.n} points")
-    lines = [" ".join(labels[i] for i in t) for t in b.triples]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate labels in {labels}")
+    triples = b.triples
+    _check_writable(labels, [labels[t[0]] for t in triples])
+    lines = [" ".join(labels[i] for i in t) for t in triples]
     return "\n".join(lines) + ("\n" if lines else "")

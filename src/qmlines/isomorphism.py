@@ -7,20 +7,18 @@ permutations) anything cleverer would be noise.  That brute force is capped
 at n! <= 8!; :func:`apply_relabeling` maps triples directly and works at any n.
 """
 
-from dataclasses import dataclass
-
-from .core import Betweenness
+from .core import Betweenness, _Value
 from .encoding import nth_permutation, orbit
 
 
-@dataclass(frozen=True)
-class Relabeling:
+class Relabeling(_Value):
     """A bijection on 0..n-1, stored as the image sequence."""
 
+    __slots__ = _compared = ("perm",)
     perm: tuple[int, ...]
 
-    def __post_init__(self):
-        perm = tuple(self.perm)
+    def __init__(self, perm):
+        perm = tuple(perm)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
         object.__setattr__(self, "perm", perm)

@@ -8,15 +8,15 @@ optimum.  The integer and digraph variants are lookups in the maps of
 exhaustive sweeps, each built once per process and size.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import kernels
 from .core import (
     Betweenness,
+    _Value,
     DistanceMatrix,
     betweenness_of,
     consistency_check,
@@ -87,8 +87,7 @@ def _picked(pairs, mask: int):
     return (p[mask >> i & 1] for i, p in enumerate(pairs))
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(_Value):
     """The realization system of one consistent relation and one variant,
     over one variable per ordered pair plus the shared slack eps; the
     objective is always to maximize the slack.
@@ -99,17 +98,21 @@ class LinearSystem:
     integer per variable, "=" or "<=", and rhs 0 or 1, as `lp` takes it.
     """
 
+    # constraints is derived from the other two, so compared by them
+    __slots__ = ("relation", "variant", "constraints")
+    _compared = ("relation", "variant")
     relation: Betweenness
     variant: str
-    constraints: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    constraints: tuple[tuple, ...]
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        b = self.relation
-        _require_consistent(b)
-        head, pairs, tail = _realization_rows(b.n, self.variant)
-        rows = (*head, *_picked(pairs, b.mask), *tail)
+    def __init__(self, relation: Betweenness, variant: str):
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        _require_consistent(relation)
+        head, pairs, tail = _realization_rows(relation.n, variant)
+        rows = (*head, *_picked(pairs, relation.mask), *tail)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "constraints", rows)
 
     @property
@@ -137,8 +140,7 @@ def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSy
     return LinearSystem(b, variant)
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
+class FeasibilityOutcome(NamedTuple):
     """Result of slack maximization; realizable means strictly positive slack."""
 
     status: str  # "feasible" | "infeasible"
@@ -242,21 +244,22 @@ def _matrix_from_flat(n: int, flat) -> DistanceMatrix:
     return DistanceMatrix(default_labels(n), rows)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Value):
     """A loopless directed graph; induces a quasi-metric by shortest paths
     once strongly connected."""
 
+    __slots__ = _compared = ("n", "arcs")
     n: int
     arcs: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        arcs = frozenset((int(i), int(j)) for (i, j) in self.arcs)
+    def __init__(self, n: int, arcs):
+        arcs = frozenset((int(i), int(j)) for (i, j) in arcs)
         for (i, j) in arcs:
             if i == j:
                 raise ValueError(f"loop arc ({i},{i}) not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"arc ({i},{j}) out of range for n={self.n}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"arc ({i},{j}) out of range for n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
 
 

@@ -163,6 +163,12 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(q4, 1, 1)
 
+    # -1 used to index from the end: segment(q4, -1, 0) was segment(q4, 3, 0)
+    @pytest.mark.parametrize("x, y, bad", [(-1, 0, -1), (0, -1, -1), (0, 7, 7), (4, 0, 4)])
+    def test_out_of_range_endpoints_rejected(self, q4, x, y, bad):
+        with pytest.raises(ValueError, match=f"endpoint {bad} out of range for n=4"):
+            segment(q4, x, y)
+
 
 class TestLines:
     def test_q4_line_p_q(self, q4):
@@ -209,6 +215,11 @@ class TestLines:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             line_of_pair(Betweenness(3, 0), 2, 2)
+
+    @pytest.mark.parametrize("x, y, bad", [(-1, 0, -1), (0, -1, -1), (0, 7, 7), (3, 0, 3)])
+    def test_out_of_range_endpoints_rejected(self, x, y, bad):
+        with pytest.raises(ValueError, match=f"endpoint {bad} out of range for n=3"):
+            line_of_pair(Betweenness(3, 0), x, y)
 
 
 def _relations_for_line_check(n):

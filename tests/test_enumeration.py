@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -303,7 +302,7 @@ class TestTheorem:
                 continue
             rec = enumeration._base_record(4, mask, size)
             if rec.realizable_quasi:
-                exceptional.append(replace(rec, realizable_int={2: mask in int2}))
+                exceptional.append(rec._replace(realizable_int={2: mask in int2}))
         assert report == TheoremReport(4, tuple(exceptional), True)
         assert perturbed == TheoremReport(4, tuple(exceptional), False)
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from qmlines.core import Betweenness
+from qmlines.core import Betweenness, DistanceMatrix
+from qmlines.encoding import triple_count
 from qmlines.fileformats import (
     ParseError,
     format_matrix,
@@ -141,3 +143,72 @@ class TestRoundTrips:
     def test_triples_format_requires_matching_labels(self):
         with pytest.raises(ValueError, match="labels"):
             format_triples(Betweenness(3, 0), ("a", "b"))
+
+
+@st.composite
+def _label_lists(draw, n):
+    """n labels: distinct tokens over a small alphabet with '#' in it, and in
+    half of the lists one of them replaced by any text, so empty labels,
+    whitespace the parser splits or strips on (line breaks included) and
+    duplicates occur."""
+    tokens = st.text("ab1/é#", min_size=1, max_size=3)
+    labels = draw(st.lists(tokens, min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        wild = st.text("a#é \t\n\r\x0b\x1c\x85\u2028", max_size=3) | st.text(max_size=3)
+        labels[draw(st.integers(0, n - 1))] = draw(wild)
+    return labels
+
+
+def _holdable(labels, line_starts) -> bool:
+    """The label rule of the file formats: distinct nonempty labels without
+    whitespace, and no '#' at the start of a written line."""
+    return (
+        len(set(labels)) == len(labels)
+        and all(lab and not any(c.isspace() for c in lab) for lab in labels)
+        and not any(lab.startswith("#") for lab in line_starts)
+    )
+
+
+class TestLabelRule:
+    def test_hash_label_starting_a_triple_line_rejected(self):
+        # written as "#a b c", the triple would read back as a comment
+        with pytest.raises(ValueError, match="comment"):
+            format_triples(Betweenness.from_triples(3, [(0, 1, 2)]), ("#a", "b", "c"))
+
+    def test_hash_label_inside_a_line_is_kept(self):
+        b = Betweenness.from_triples(3, [(0, 1, 2)])
+        assert parse_triples(format_triples(b, ("b", "#a", "c")), ("b", "#a", "c")) == b
+        m = DistanceMatrix(("a", "#b"), ((0, 1), (1, 0)))
+        assert parse_matrix(format_matrix(m)) == m
+
+    @pytest.mark.parametrize("labels", [("#a", "b"), ("a b", "c"), ("", "b"), ("a", "b\n")])
+    def test_matrix_header_the_parser_rejects_is_refused(self, labels):
+        with pytest.raises(ValueError, match="label"):
+            format_matrix(DistanceMatrix(labels, ((0, 1), (1, 0))))
+
+    def test_duplicate_triple_labels_refused(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            format_triples(Betweenness(3, 0), ("a", "a", "b"))
+
+    @given(quasi_metrics(max_n=4), st.data())
+    def test_matrix_round_trip_for_every_label_set_it_accepts(self, m, data):
+        labels = data.draw(_label_lists(m.n))
+        assume(len(set(labels)) == m.n)  # a DistanceMatrix has distinct labels
+        m = DistanceMatrix(labels, m.entries)
+        if not _holdable(labels, labels[:1]):
+            with pytest.raises(ValueError, match="label"):
+                format_matrix(m)
+            return
+        assert parse_matrix(format_matrix(m)) == m
+
+    @given(st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << triple_count(n)) - 1))
+    ), st.data())
+    def test_triples_round_trip_for_every_label_set_it_accepts(self, relation, data):
+        b = Betweenness(*relation)
+        labels = data.draw(_label_lists(b.n))
+        if not _holdable(labels, [labels[t[0]] for t in b.triples]):
+            with pytest.raises(ValueError, match="label"):
+                format_triples(b, labels)
+            return
+        assert parse_triples(format_triples(b, labels), labels) == b

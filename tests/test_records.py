@@ -1,0 +1,154 @@
+"""The semantics of the public record types, and the import cost they keep low.
+
+Plain records are NamedTuples; the types that validate or derive fields are
+slotted classes.  Either way a record is immutable, reads back as its
+constructor call, and is compared and hashed by its constructor's fields
+only.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import qmlines
+from qmlines.claims import Claim
+from qmlines.core import (
+    Betweenness,
+    DistanceMatrix,
+    LineSet,
+    ValidationResult,
+    Violation,
+    line_set,
+)
+from qmlines.enumeration import ClassificationRecord, TheoremReport
+from qmlines.isomorphism import Relabeling
+from qmlines.realizability import Digraph, FeasibilityOutcome, LinearSystem
+
+# (record, a field to assign to, its repr), one row per public record type
+RECORDS = [
+    (
+        Violation("diagonal", (0,), "d(a,a) = 1 != 0"),
+        "kind",
+        "Violation(kind='diagonal', points=(0,), detail='d(a,a) = 1 != 0')",
+    ),
+    (ValidationResult(True, ()), "ok", "ValidationResult(ok=True, violations=())"),
+    (
+        line_set(Betweenness(2, 0)),
+        "lines",
+        "LineSet(n=2, by_pair={(0, 1): frozenset({0, 1}), (1, 0): frozenset({0, 1})}, "
+        "lines=frozenset({frozenset({0, 1})}))",
+    ),
+    (
+        FeasibilityOutcome("feasible", Fraction(0), None),
+        "status",
+        "FeasibilityOutcome(status='feasible', optimal_slack=Fraction(0, 1), witness=None)",
+    ),
+    (
+        ClassificationRecord(
+            canonical=Betweenness(3, 0),
+            class_size=1,
+            line_count=3,
+            has_universal=False,
+            satisfies_dbe=True,
+            realizable_quasi=True,
+            realizable_metric=True,
+            realizable_int={2: True},
+            realizable_digraph=True,
+            witness=None,
+        ),
+        "class_size",
+        "ClassificationRecord(canonical=Betweenness(n=3, mask=0), class_size=1, line_count=3, "
+        "has_universal=False, satisfies_dbe=True, realizable_quasi=True, "
+        "realizable_metric=True, realizable_int={2: True}, realizable_digraph=True, "
+        "witness=None)",
+    ),
+    (
+        TheoremReport(4, (), False),
+        "matches_q4",
+        "TheoremReport(n=4, exceptional_classes=(), matches_q4=False)",
+    ),
+    (
+        Claim("q4-lines", "Q4 line set", True, "ok"),
+        "passed",
+        "Claim(ident='q4-lines', description='Q4 line set', passed=True, detail='ok')",
+    ),
+    (Betweenness(3, 5), "mask", "Betweenness(n=3, mask=5)"),
+    (
+        DistanceMatrix(("a", "b"), ((0, 1), (Fraction(3, 2), 0))),
+        "entries",
+        "DistanceMatrix(labels=('a', 'b'), entries=((Fraction(0, 1), Fraction(1, 1)), "
+        "(Fraction(3, 2), Fraction(0, 1))))",
+    ),
+    (Relabeling((1, 0)), "perm", "Relabeling(perm=(1, 0))"),
+    (Digraph(2, [(0, 1)]), "arcs", "Digraph(n=2, arcs=frozenset({(0, 1)}))"),
+    (
+        LinearSystem(Betweenness(3, 0), "quasi"),
+        "variant",
+        "LinearSystem(relation=Betweenness(n=3, mask=0), variant='quasi')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, name, text", RECORDS, ids=[type(r).__name__ for r, _, _ in RECORDS]
+)
+class TestRecordSemantics:
+    def test_fields_and_new_attributes_are_read_only(self, record, name, text):
+        before = repr(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert repr(record) == before
+
+    def test_repr_is_the_constructor_call(self, record, name, text):
+        assert repr(record) == text
+
+    def test_a_pickled_copy_is_equal(self, record, name, text):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+        if not isinstance(record, (LineSet, ClassificationRecord)):  # dict fields
+            assert hash(copy) == hash(record)
+
+
+@pytest.mark.parametrize(
+    "make, derived",
+    [
+        (lambda: DistanceMatrix(("a", "b"), ((0, 1), (2, 0))), "_scaled"),
+        (lambda: LinearSystem(Betweenness(3, 0), "metric"), "constraints"),
+    ],
+)
+def test_equality_and_hash_ignore_derived_fields(make, derived):
+    a, b = make(), make()
+    object.__setattr__(b, derived, ())
+    assert getattr(a, derived) != getattr(b, derived)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_validated_types_compare_by_type_too():
+    assert Betweenness(3, 0) != Digraph(3, ())
+    assert Betweenness(3, 0) != (3, 0)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """`import qmlines` and `import qmlines.cli` stay clear of dataclasses,
+    which pulls in inspect, ast, dis and tokenize: three quarters of the
+    import time of every fresh process.  Run without site, so that no
+    installed .pth file loads them first."""
+    src = Path(qmlines.__file__).resolve().parents[1]
+    code = (
+        "import sys, qmlines, qmlines.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
