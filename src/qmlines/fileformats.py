@@ -5,7 +5,8 @@ rows of n rationals written as "3" or "3/2".  Triples files: one triple of
 labels per line.  Lines starting with '#' are comments in both.  Decimal
 tokens are rejected outright; converting them would break the exactness
 contract.  A label is a nonempty token with no whitespace; the formatters
-refuse one that would start a written line with '#'.
+refuse one that would start a written line with '#', and `format_matrix` a
+negative entry, so what they write reads back.
 """
 
 import re
@@ -100,10 +101,14 @@ def _check_writable(labels, line_starts) -> None:
 
 def format_matrix(m: DistanceMatrix) -> str:
     """The matrix file of m; ValueError for labels it cannot hold (see
-    :func:`_check_writable`), of which only the first starts a line."""
+    :func:`_check_writable`), of which only the first starts a line, and for
+    a negative entry, which the parser rejects."""
     _check_writable(m.labels, m.labels[:1])
     lines = [" ".join(m.labels)]
-    for row in m.entries:
+    for src, row in zip(m.labels, m.entries):
+        for dst, v in zip(m.labels, row):
+            if v < 0:
+                raise ValueError(f"negative entry {v} in row {src!r}, column {dst!r}")
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 

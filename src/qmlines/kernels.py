@@ -141,10 +141,12 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     The sweep stops once the map holds all CONSISTENT_CLASSES[n] classes,
     since no later matrix can add one: at n=2 after the first matrix.
 
-    Refuses with a ValueError, before any table is built, a sweep that could
-    face more than INTEGER_SWEEP_CAP matrices or more than
-    encoding.RELABELING_CAP relabelings.
+    Refuses with a ValueError, before any table is built, a bound kmax < 1
+    and a sweep that could face more than INTEGER_SWEEP_CAP matrices or more
+    than encoding.RELABELING_CAP relabelings.
     """
+    if kmax < 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax}")
     estimate = kmax ** (n * (n - 1))
     if estimate > INTEGER_SWEEP_CAP:
         raise ValueError(
@@ -179,8 +181,11 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
     in the orbit of one taken before costs one APSP per digraph class (218
     at n=4, 9,608 at n=5).  Refuses n > 5 before any allocation.
     """
-    if n > 5:  # the marks take one byte per arc set, 1 GiB at n=6
-        raise ValueError(f"digraph search is exhaustive; n={n} exceeds the cap of 5")
+    if n > 5:
+        raise ValueError(
+            f"digraph search is exhaustive; n={n} exceeds the cap of 5: 2^{n * (n - 1)} "
+            f"arc sets, one byte of marks each, {1 << n * (n - 1) - 30} GiB"
+        )
     pairs = ordered_pairs(n)
     marked = bytearray(1 << len(pairs))
     result: dict[int, int] = {}

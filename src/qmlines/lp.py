@@ -11,8 +11,8 @@ one common denominator D > 0 (entry value T / D), updated by
 integer-preserving pivots whose division by the previous pivot is exact; a
 negative pivot negates its row so that D stays positive.  Every comparison
 decides as it would on the rational tableau, so the pivot sequence, and so
-every result, is that of the rational simplex.  `fractions.Fraction`
-appears only in the results: the optimum and the point.
+every result, is that of the rational simplex.  Only the optimum is a
+`fractions.Fraction`; the vertex is read out as integer numerators over D.
 
 Free variables are split as x = x+ - x-, but x-'s column is always minus
 x+'s, so the tableau stores one column per free variable, standing for
@@ -21,36 +21,16 @@ Programming, ch. 8).  The column ids 2k and 2k+1 are kept, so Bland's
 least-index order, and with it every pivot, is that of the tableau that
 stores both.
 
-One core, `_two_phase`, has two entry points with the same arguments, rows
-and cost: `_simplex_max` returns the vertex that its Bland path reaches on
-every row, and `_optimum` only the status and value, after a one-pass
-presolve that substitutes out the "=" rows with rhs 0 and hands the core
-each distinct remaining row once.  Neither changes the rows, so a caller
-may build them once and share them.
+One entry, `_simplex_max(rows, cost)`, returns the vertex that its Bland
+path reaches on every row; `_optimum(rows, cost)` returns only the status
+and value, after a one-pass presolve that substitutes out the "=" rows with
+rhs 0 and hands `_simplex_max` each distinct remaining row once.  Neither
+changes the rows, so a caller may build them once and share them.
 """
 
 from fractions import Fraction
 from itertools import chain, count
 from math import gcd
-
-
-def _simplex_max(rows, cost):
-    """Maximize cost . x subject to the integer rows, x free.
-
-    Returns (status, value, point); status is "optimal", "infeasible" or
-    "unbounded", and when it is "optimal" the point is one Fraction per
-    variable, in column order (else value and point are None).  The rows go
-    to `_two_phase` unchanged, so the point is the vertex its Bland path
-    ends at.
-    """
-    status, value, point = _two_phase(rows, cost)
-    if status != "optimal":
-        return status, None, None
-    col_value, denom = point
-    return status, value, tuple(
-        Fraction(col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0), denom)
-        for k in range(len(cost))
-    )
 
 
 def _optimum(rows, cost):
@@ -64,7 +44,7 @@ def _optimum(rows, cost):
     stays >= 0), taken over its gcd and projected onto the columns left; a row
     that reduces to 0 is dropped, or decides infeasibility.  The eliminated
     variables are determined by the others, so status and value stay; only
-    the optimal vertex may differ.  `_two_phase` gets each distinct row
+    the optimal vertex may differ.  `_simplex_max` gets each distinct row
     once, first-seen in the caller's row order; status and value do not
     depend on that order, the number of pivots does.
     """
@@ -108,20 +88,21 @@ def _optimum(rows, cost):
         if g > 1:
             r, rhs = tuple([a // g for a in r]), rhs // g
         reduced[r, rel, rhs] = None
-    return _two_phase(list(reduced), [cost[k] for k in keep])[:2]
+    return _simplex_max(list(reduced), [cost[k] for k in keep])[:2]
 
 
-def _two_phase(rows, cost):
+def _simplex_max(rows, cost):
     """Maximize cost . x subject to the integer rows (arr, relation, rhs),
     rhs >= 0, with x free; cost holds one integer per variable.
 
-    Returns (status, value, point); point is (numerator per basic column id,
-    common denominator) when status is "optimal", else None.  Two-phase
-    simplex on the split nonnegative form x = x+ - x- with Bland's
-    least-index pivot rule (finite by anti-cycling).  Column ids are 2k (x+)
-    and 2k+1 (x-) for variable k, then one slack per "<=" row, then one
-    artificial per "=" row, each in row order; Bland's rule and the ratio
-    test's tie-break compare these ids.
+    Returns (status, value, point): status "optimal", "infeasible" or
+    "unbounded"; when optimal, value is the Fraction optimum and point is
+    (numerators, D), one integer per variable over the common denominator
+    D > 0, else both are None.  Two-phase simplex on the split nonnegative
+    form x = x+ - x- with Bland's least-index pivot rule (finite by
+    anti-cycling).  Column ids are 2k (x+) and 2k+1 (x-) for variable k,
+    then one slack per "<=" row, then one artificial per "=" row, each in
+    row order; Bland's rule and the ratio test's tie-break compare these ids.
 
     The tableau is fraction-free: integer rows T and one common denominator
     D > 0, so that entry (i, j) stands for T[i][j] / D.  A row holds one
@@ -154,8 +135,8 @@ def _two_phase(rows, cost):
     integers with less work.  Since D > 0, each sign test, and
     each ratio comparison done by cross-multiplying (a/b < c/d iff
     a*d < c*b for b, d > 0), decides as on the rational tableau, so the
-    pivot sequence is the rational simplex's.  Fractions are formed only
-    when the result is read out.
+    pivot sequence is the rational simplex's, and the point is read off the
+    final rows as they stand: variable k is x+ minus x-, over D.
     """
     nvars = len(cost)
     free_end = 2 * nvars  # ids below are x+/x- of a free variable
@@ -289,5 +270,6 @@ def _two_phase(rows, cost):
     obj = objective_row(cost2)
     if bland(obj) == "unbounded":
         return "unbounded", None, None
-    point = {basis[i]: row[-1] for i, row in enumerate(tableau)}, denom
-    return "optimal", Fraction(-obj[-1], denom), point
+    col_value = {basis[i]: row[-1] for i, row in enumerate(tableau)}
+    point = [col_value.get(2 * k, 0) - col_value.get(2 * k + 1, 0) for k in range(nvars)]
+    return "optimal", Fraction(-obj[-1], denom), (tuple(point), denom)

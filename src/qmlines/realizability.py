@@ -10,7 +10,7 @@ exhaustive sweeps, each built once per process and size.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from typing import Mapping, NamedTuple
 
 from . import kernels
@@ -163,9 +163,9 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     takes about half the pivots, most of those saved degenerate.
     Only a positive optimum needs a point, and only the point depends on the
     pivot path, so then `lp._simplex_max` solves the system's rows in
-    template order: its optimum must agree, and its vertex, rescaled to the
-    smallest integer matrix on its ray, is the witness (any positive
-    scaling is equally valid).
+    template order: its optimum must agree, and its vertex, integer
+    numerators over one denominator, rescaled to the smallest integer matrix
+    on its ray, is the witness (any positive scaling is equally valid).
     """
     b = system.relation
     rows = system.constraints
@@ -182,17 +182,16 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     status, value, point = _simplex_max(rows, cost)
     if (status, value) != ("optimal", slack):
         raise RuntimeError(f"the two simplex paths disagree on {b}; this is a bug")
-    return FeasibilityOutcome("feasible", slack, _witness_matrix(b.n, point[:-1]))
+    return FeasibilityOutcome("feasible", slack, _witness_matrix(b.n, point[0][:-1]))
 
 
-def _witness_matrix(n: int, distances) -> DistanceMatrix:
-    """The LP vertex's distances, in ordered_pairs(n) order, times the lcm L
-    of their denominators.  These integers are coprime: the normalization
-    row makes the distances sum to 1, so the integers sum to L, and a common
-    factor g > 1 would make L/g a smaller common multiple of the
-    denominators."""
-    scale = lcm(*(v.denominator for v in distances))
-    return _matrix_from_flat(n, [int(v * scale) for v in distances])
+def _witness_matrix(n: int, numerators) -> DistanceMatrix:
+    """The LP vertex's distance numerators, in ordered_pairs(n) order, over
+    their gcd: the smallest integer matrix on the vertex's ray.  The
+    normalization row makes them sum to the denominator D > 0, so they are
+    not all 0."""
+    g = gcd(*numerators)
+    return _matrix_from_flat(n, [v // g for v in numerators])
 
 
 def verify_witness(m: DistanceMatrix, b: Betweenness) -> bool:
@@ -228,8 +227,6 @@ def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
     orbit table is built for it.
     """
     _require_consistent(b)
-    if kmax < 1:
-        raise ValueError(f"kmax must be at least 1, got {kmax}")
     entries = kernels.integer_canon_witnesses(b.n, kmax).get(min(orbit(b.n, b.mask)))
     if entries is None:
         return None

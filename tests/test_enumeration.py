@@ -164,6 +164,16 @@ class TestClassifyThreePoints:
         for r in records:
             assert r.realizable_int[1] == (r.canonical.mask == 0)
 
+    @pytest.mark.parametrize("kmax_list", [(0,), (0, -1), (2, 0)])
+    def test_int_bound_below_one_is_refused_before_any_lp(self, monkeypatch, kmax_list):
+        # the records, and so the LPs, come from _base_records, cached or not
+        def no_records(n):
+            raise AssertionError("the classes were solved")
+
+        monkeypatch.setattr(enumeration, "_base_records", no_records)
+        with pytest.raises(ValueError, match=f"kmax must be at least 1, got {min(kmax_list)}"):
+            classify(3, kmax_list=kmax_list)
+
     def test_class_sizes(self):
         assert [r.class_size for r in classify(3)] == [1, 6, 6, 3, 2]
 

@@ -15,7 +15,7 @@ from qmlines.fileformats import (
 )
 from qmlines.fixtures import q4_betweenness, q4_matrix
 
-from conftest import quasi_metrics
+from conftest import quasi_metrics, rational_tables
 
 Q4_TEXT = """\
 # the exceptional four-point space
@@ -138,6 +138,22 @@ class TestRoundTrips:
 
     @given(quasi_metrics())
     def test_matrix_round_trip_random(self, m):
+        assert parse_matrix(format_matrix(m)) == m
+
+    def test_negative_entry_is_refused(self):
+        # written as "0 -1", the parser would reject it
+        m = DistanceMatrix(("a", "b"), ((0, -1), (1, 0)))
+        with pytest.raises(ValueError, match="negative entry -1 in row 'a', column 'b'"):
+            format_matrix(m)
+
+    @given(rational_tables())
+    def test_any_table_reads_back_or_is_refused(self, m):
+        # rational_tables draws negative entries and nonzero diagonals
+        negative = [v for row in m.entries for v in row if v < 0]
+        if negative:
+            with pytest.raises(ValueError, match=f"negative entry {negative[0]} in row"):
+                format_matrix(m)
+            return
         assert parse_matrix(format_matrix(m)) == m
 
     def test_triples_format_requires_matching_labels(self):

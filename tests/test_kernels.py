@@ -155,3 +155,24 @@ def test_digraph_sweep_over_the_cap_is_refused_before_the_orbit_table(monkeypatc
     monkeypatch.setattr(encoding, "_orbit_table", no_table)
     with pytest.raises(ValueError, match="n=6 exceeds the cap of 5"):
         kernels.digraph_canon_witnesses(6)
+
+
+@pytest.mark.parametrize(("n", "estimate"), [
+    (6, "2\\^30 arc sets, one byte of marks each, 1 GiB"),
+    (7, "2\\^42 arc sets, one byte of marks each, 4096 GiB"),
+])
+def test_digraph_cap_states_its_cost(n, estimate):
+    with pytest.raises(ValueError, match=f"n={n} exceeds the cap of 5: {estimate}$"):
+        kernels.digraph_canon_witnesses(n)
+
+
+@pytest.mark.parametrize(("n", "kmax"), [(2, 0), (4, 0), (4, -1), (9, 0)])
+def test_integer_bound_below_one_is_refused_before_any_table(monkeypatch, n, kmax):
+    # ahead of both caps: n=9 alone would be over the relabeling cap
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("_pair_relabelings", "_triples_by_depth", "_integer_dfs"):
+        monkeypatch.setattr(kernels, name, no_table)
+    with pytest.raises(ValueError, match=f"^kmax must be at least 1, got {kmax}$"):
+        kernels.integer_canon_witnesses(n, kmax)

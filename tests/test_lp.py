@@ -137,6 +137,9 @@ class TestValidation:
             assert all(any(r[0][k] for r in every_system) for k in range(width))
 
 
+POSITIVE_N4_WITNESSES_SHA256 = "1fae5c2ed4ba41be8311c8699ed005aee66cf9730ad9e268d9cce4f0d1a1c6a1"
+
+
 class TestMaximizeSlack:
     def test_two_point_space(self):
         system = build_realization_system(Betweenness(2, 0), "quasi")
@@ -177,17 +180,22 @@ class TestMaximizeSlack:
         assert gcd(*(int(v) for v in values if v)) == 1
 
     def test_positive_four_point_witnesses_are_coprime(self):
-        # _witness_matrix only scales by the lcm of the denominators: the
-        # normalization row alone makes the integers coprime
+        # every positive n=4 witness, pinned as SHA-256 over one
+        # "mask|variant|entries" line each, in classify(4) order with quasi
+        # before metric, as the Fraction read-out with lcm scaling gave them
         witnesses = []
         for rec in classify(4):
             if rec.realizable_quasi:
-                witnesses.append(rec.witness)
+                witnesses.append((rec.canonical.mask, "quasi", rec.witness))
             if rec.realizable_metric:
-                witnesses.append(realize(rec.canonical, "metric").witness)
+                metric = realize(rec.canonical, "metric").witness
+                witnesses.append((rec.canonical.mask, "metric", metric))
         assert len(witnesses) == 273 + 9
-        for w in witnesses:
+        digest = hashlib.sha256()
+        for mask, variant, w in witnesses:
             assert gcd(*(int(v) for row in w.entries for v in row)) == 1
+            digest.update(f"{mask}|{variant}|{w.entries!r}\n".encode())
+        assert digest.hexdigest() == POSITIVE_N4_WITNESSES_SHA256
 
 
 # ------------------------------------------------- solver vs vertex oracle
@@ -214,12 +222,20 @@ def optimum_of(variables, constraints, objective):
     return _optimum(rows_of(variables, constraints), cost_of(variables, objective))
 
 
+def assignment_of(variables, point):
+    """The solver's point (numerators, D) as one Fraction per variable."""
+    if point is None:
+        return None
+    numerators, denom = point
+    return {v: Fraction(x, denom) for v, x in zip(variables, numerators)}
+
+
 def simplex_of(variables, constraints, objective):
     """`_simplex_max` on the same, with its point as a dict by variable."""
     status, value, point = _simplex_max(
         rows_of(variables, constraints), cost_of(variables, objective)
     )
-    return status, value, point and dict(zip(variables, point))
+    return status, value, assignment_of(variables, point)
 
 
 def holds(constraint, assignment):
@@ -323,7 +339,7 @@ def test_realization_lps_repeat_the_split_column_solver(variant):
 
     def solved(system):
         status, value, point = _simplex_max(system.constraints, slack_cost(system))
-        return status, value, point and dict(zip(system.variables, point))
+        return status, value, assignment_of(system.variables, point)
 
     for b in (*three_points, q4_betweenness()):
         system = build_realization_system(b, variant)
@@ -444,17 +460,17 @@ def _rank(rows):
 
 
 def test_value_lp_gets_distinct_rows_over_the_columns_left(monkeypatch):
-    # _optimum hands _two_phase each distinct row once, over the columns that
-    # no "=" row with rhs 0 eliminated.  In a realization system every such
-    # row has a column with no cost, so as many columns go as their rank.
+    # _optimum hands _simplex_max each distinct row once, over the columns
+    # that no "=" row with rhs 0 eliminated.  In a realization system every
+    # such row has a column with no cost, so as many columns go as their rank.
     handed = []
 
     def recording(rows, cost):
         handed.append((rows, cost))
-        return two_phase(rows, cost)
+        return simplex_max(rows, cost)
 
-    two_phase = lp._two_phase
-    monkeypatch.setattr(lp, "_two_phase", recording)
+    simplex_max = lp._simplex_max
+    monkeypatch.setattr(lp, "_simplex_max", recording)
     reached = 0
     for mask, _ in canonical_classes(4)[::9]:
         for variant in VARIANTS:
