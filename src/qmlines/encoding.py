@@ -4,7 +4,8 @@ The n(n-1)(n-2) ordered triples of distinct point indices, sorted
 lexicographically, define the bit positions of the encoding.  Everything
 downstream (canonical forms, enumeration order, file output) relies on this
 fixed order, so it lives in one place, with the lex order of ordered pairs
-(digraph arc masks) and the one relabeling action on both, :func:`orbit`.
+(digraph arc masks) and the one relabeling action on both, :func:`orbit`,
+with the one rule for a class's least image and orbit size, :func:`orbit_class`.
 """
 
 from functools import lru_cache
@@ -142,6 +143,14 @@ def orbit(n: int, mask: int, k: int = 3) -> list[int]:
             images = row[value] if images is None else map(or_, images, row[value])
         mask >>= width
     return [0] * factorial(n) if images is None else list(images)
+
+
+def orbit_class(images) -> tuple[int, int]:
+    """(least image, orbit size) of an encoding from its :func:`orbit`
+    images.  images[0] is the identity's image, the encoding itself, so its
+    count is the order of the encoding's stabilizer, and by orbit-stabilizer
+    the orbit has len(images) // that count members."""
+    return min(images), len(images) // images.count(images[0])
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ them, so a step is one OR and the universal-line test one addition.
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 from operator import add, or_
 from typing import Iterator, Mapping, NamedTuple
 
@@ -33,7 +34,7 @@ from .core import (
     consistency_check,
     line_set,
 )
-from .encoding import mask_from_triples, orbit, supports
+from .encoding import mask_from_triples, orbit, orbit_class, supports
 from .isomorphism import canonical_form
 from .realizability import realize
 
@@ -70,6 +71,27 @@ def _check_supported(n: int) -> None:
         raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {n}")
 
 
+def _half_rows(tables, count: int) -> list:
+    """(images, positions) per combined digit of the supports in tables,
+    given from the fastest digit: the OR of their pattern rows' images and
+    the sum of their position rows.  No supports give the one empty row.
+    Rows are array('q'), which holds no int objects."""
+    # imported here: array is a shared library that would add about 0.5 ms
+    # to every import of qmlines, and only the class walk uses it
+    from array import array
+
+    zero = array("q", bytes(8 * count))
+    rows = [(zero, zero)]
+    for digit_rows in tables:
+        # the new support's digit is the higher one
+        rows = [
+            (array("q", map(or_, images, more)), array("q", map(add, positions, at)))
+            for more, at in digit_rows
+            for images, positions in rows
+        ]
+    return rows
+
+
 @lru_cache(maxsize=None)
 def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical encoding, orbit size) for every isomorphism class of
@@ -81,12 +103,18 @@ def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     per position marks the relations already met.  Two digit tables are
     built once, with one orbit call per (support, pattern): the pattern
     mask's images under every relabeling, and each image's digit times the
-    stride of the support it lands on.  The first unmarked position gives a
-    new class; ORing its nonzero digits' image rows and adding their
-    position rows gives all its members, as encodings and as positions, so
-    the class's canonical form and size are read off and its positions
+    stride of the support it lands on.  The supports are then split in two
+    halves, the faster ceil(C(n,3)/2) digits and the rest, and each half
+    gets one (images, positions) row per combined digit, the OR of its
+    supports' image rows and the sum of their position rows: 18^2 = 324
+    rows per half at n=4, and at n=3 the high half is the one empty row.
+    The first unmarked position gives a new class; one OR of its two half
+    rows' images and one addition of their positions give all its members,
+    as encodings and as positions, so the class's canonical form and size
+    (:func:`qmlines.encoding.orbit_class`) are read off and its positions
     marked.  So the walk takes C(n,3) * 18 orbit calls, whatever the class
-    count, and 18^C(n,3) bytes of marks (105 KB at n=4).
+    count, two n!-long maps per class, and 18^C(n,3) bytes of marks (105 KB
+    at n=4).
     """
     _check_supported(n)
     groups = _support_pattern_masks(n)
@@ -105,20 +133,17 @@ def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
             images = orbit(n, m)
             rows.append((images, [offset[x] for x in images]))
         tables.append(rows)
+    split = (len(tables) + 1) // 2
+    low = _half_rows(tables[:split], factorial(n))
+    high = _half_rows(tables[split:], factorial(n))
     marks = bytearray(stride)
     classes = []
     i = 0
     while i >= 0:
-        rest, digit = divmod(i, len(tables[0]))
-        images, positions = tables[0][digit]
-        for rows in tables[1:]:
-            rest, digit = divmod(rest, len(rows))
-            if digit:
-                more, at = rows[digit]
-                images = list(map(or_, images, more))
-                positions = list(map(add, positions, at))
-        classes.append((min(images), len(set(images))))
-        for p in positions:
+        hi, lo = divmod(i, len(low))
+        (images, positions), (more, at) = low[lo], high[hi]
+        classes.append(orbit_class(list(map(or_, images, more))))
+        for p in map(add, positions, at):
             marks[p] = 1
         i = marks.find(0, i + 1)
     return tuple(sorted(classes))
@@ -254,10 +279,7 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     ref = reference if reference is not None else q4_betweenness()
     ref_canon, _ = canonical_form(ref)
     int2 = kernels.integer_canon_witnesses(4, 2)
-    sizes = {}
-    for mask in _dbe_failing_masks(4):
-        images = orbit(4, mask)
-        sizes[min(images)] = len(set(images))
+    sizes = dict(orbit_class(orbit(4, mask)) for mask in _dbe_failing_masks(4))
     exceptional = []
     for mask in sorted(sizes):
         rec = _base_record(4, mask, sizes[mask])

@@ -122,15 +122,18 @@ class TestCanonicalClasses:
         with pytest.raises(ValueError, match=r"enumeration supports n in \(3, 4\), got 5"):
             canonical_classes.__wrapped__(5)
 
+    # apply_relabeling maps triples directly, with no orbit table; at n=4 every
+    # 9th class keeps the test short and meets orbit sizes 1, 8, 12 and 24
     def test_orbit_sizes_match_direct_computation(self):
         from qmlines.isomorphism import Relabeling, apply_relabeling
 
-        for mask, size in canonical_classes(3):
-            b = Betweenness(3, mask)
-            orbit = {
-                apply_relabeling(b, Relabeling(p)).mask for p in permutations(range(3))
-            }
-            assert len(orbit) == size
+        for n, step in [(3, 1), (4, 9)]:
+            for mask, size in canonical_classes(n)[::step]:
+                b = Betweenness(n, mask)
+                orbit = {
+                    apply_relabeling(b, Relabeling(p)).mask for p in permutations(range(n))
+                }
+                assert len(orbit) == size
 
     def test_stream_is_canonical_and_increasing(self):
         previous = -1

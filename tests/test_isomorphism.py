@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlines.core import Betweenness, consistency_check, line_set
-from qmlines.encoding import RELABELING_CAP, nth_permutation, orbit, triple_count
+from qmlines.encoding import (
+    RELABELING_CAP,
+    nth_permutation,
+    orbit,
+    orbit_class,
+    ordered_tuples,
+    triple_count,
+)
 from qmlines.fixtures import q4_betweenness
 from qmlines.isomorphism import (
     Relabeling,
@@ -146,6 +153,31 @@ def test_orbit_lists_every_relabeling_in_permutation_order(n):
     assert orbit(n, mask) == images
     assert images[0] == mask
     assert [nth_permutation(n, i) for i in range(len(perms))] == perms
+
+
+# orbit_class reads the orbit size off the stabilizer count; a mask ORed
+# with its image under a transposition is fixed by that transposition, so
+# the draws meet stabilizers larger than the identity
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [3, 2])
+def test_stabilizer_count_gives_the_orbit_size(n, k):
+    rng = random.Random(100 * n + k)
+    nbits = len(ordered_tuples(n, k))
+    perms = list(permutations(range(n)))
+    masks = [0, (1 << nbits) - 1]
+    for _ in range(20):
+        mask = rng.getrandbits(nbits)
+        x, y = rng.sample(range(n), 2)
+        swap = list(range(n))
+        swap[x], swap[y] = y, x
+        masks += [mask, mask | orbit(n, mask, k)[perms.index(tuple(swap))]]
+    sizes = []
+    for mask in masks:
+        images = orbit(n, mask, k)
+        assert orbit_class(images) == (min(images), len(set(images)))
+        sizes.append(len(set(images)))
+    assert min(sizes) == 1
+    assert any(1 < size < len(perms) for size in sizes)
 
 
 class TestRelabelingCap:
