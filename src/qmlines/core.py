@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .encoding import (
     conflict_masks,
     mask_from_triples,
+    orbit,
     ordered_pairs,
     ordered_triples,
     triple_count,
@@ -40,7 +41,9 @@ class _Value:
     hashed by the fields named in `_compared`, which are also the
     constructor's arguments and what repr shows.  Derived fields (in
     `__slots__` but not in `_compared`) take no part in either.  Fields are
-    set once, in `__init__`, through `object.__setattr__`.
+    set once, through `object.__setattr__`: in `__init__`, except that a
+    derived slot may be left unset there and filled on its first read, as
+    `Betweenness._class_key` is.
     """
 
     __slots__ = ()
@@ -184,9 +187,13 @@ class Betweenness(_Value):
     lexicographic order (see :mod:`qmlines.encoding`).
     """
 
-    __slots__ = _compared = ("n", "mask")
+    # _class_key stays unset until class_key is first read, unless
+    # canonical_form set it
+    __slots__ = ("n", "mask", "_class_key")
+    _compared = ("n", "mask")
     n: int
     mask: int
+    _class_key: int
 
     def __init__(self, n: int, mask: int):
         if n < 2:
@@ -203,6 +210,19 @@ class Betweenness(_Value):
     @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return triples_from_mask(self.n, self.mask)
+
+    @property
+    def class_key(self) -> int:
+        """The least image of the relation's :func:`orbit`, the mask of its
+        canonical form, which names its isomorphism class.  Computed on the
+        first read and kept, so each relation pays for one orbit at most;
+        the output of `canonical_form` carries it from the start.  Refuses
+        n! > RELABELING_CAP with a ValueError, as orbit does."""
+        key = getattr(self, "_class_key", None)
+        if key is None:
+            key = min(orbit(self.n, self.mask))
+            object.__setattr__(self, "_class_key", key)
+        return key
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")

@@ -44,11 +44,15 @@ def canonical_form(b: Betweenness) -> tuple[Betweenness, Relabeling]:
 
     Also returns a relabeling achieving it; among minimizers, the
     lexicographically smallest permutation is chosen, so the witness is
-    deterministic.  Idempotent on its own output.
+    deterministic.  Idempotent on its own output.  One :func:`orbit` call;
+    the representative's `class_key` is its own mask and comes set, so the
+    sweep lookups on it call orbit no more.
     """
     images = orbit(b.n, b.mask)
     best = min(images)
-    return Betweenness(b.n, best), Relabeling(nth_permutation(b.n, images.index(best)))
+    canon = Betweenness(b.n, best)
+    object.__setattr__(canon, "_class_key", best)
+    return canon, Relabeling(nth_permutation(b.n, images.index(best)))
 
 
 def isomorphism_witness(b1: Betweenness, b2: Betweenness) -> Relabeling | None:

@@ -23,7 +23,7 @@ from .core import (
     default_labels,
     validate_quasi_metric,
 )
-from .encoding import orbit, ordered_pairs, ordered_triples
+from .encoding import ordered_pairs, ordered_triples
 from .lp import _optimum, _simplex_max
 
 VARIANTS = ("quasi", "metric")
@@ -222,12 +222,13 @@ def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
     forces x = y.  A lookup in kernels.integer_canon_witnesses(b.n, kmax),
     built once per process: an exhaustive sweep over up to kmax^(n(n-1))
     matrices in lex order, capped at kernels.INTEGER_SWEEP_CAP, that keeps
-    the lex-least matrix of each relabeling orbit.  The map is asked for
-    before b's orbit, so a query over either cap is refused before any
-    orbit table is built for it.
+    the lex-least matrix of each relabeling orbit, keyed by `class_key`.
+    The consistency check and then the map come before b's key, so an
+    inconsistent relation is refused before its orbit is computed, and a
+    query over either cap before any orbit table is built for it.
     """
     _require_consistent(b)
-    entries = kernels.integer_canon_witnesses(b.n, kmax).get(min(orbit(b.n, b.mask)))
+    entries = kernels.integer_canon_witnesses(b.n, kmax).get(b.class_key)
     if entries is None:
         return None
     return _matrix_from_flat(b.n, entries)
@@ -276,10 +277,12 @@ def realize_digraph(b: Betweenness) -> Digraph | None:
     """The strongly connected digraph with the least arc mask whose
     shortest-path betweenness is isomorphic to b; None if none exists.
 
-    A lookup in kernels.digraph_canon_witnesses(b.n), built once per process.
+    A lookup of b's `class_key` in kernels.digraph_canon_witnesses(b.n),
+    built once per process, after the consistency check and the map, as in
+    :func:`realize_bounded_integer`.
     """
     _require_consistent(b)
-    arc_mask = kernels.digraph_canon_witnesses(b.n).get(min(orbit(b.n, b.mask)))
+    arc_mask = kernels.digraph_canon_witnesses(b.n).get(b.class_key)
     if arc_mask is None:
         return None
     return Digraph(b.n, _arcs_from_mask(b.n, arc_mask))

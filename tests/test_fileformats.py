@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qmlines.core import Betweenness, DistanceMatrix
@@ -206,6 +206,10 @@ class TestLabelRule:
         with pytest.raises(ValueError, match="duplicate"):
             format_triples(Betweenness(3, 0), ("a", "a", "b"))
 
+    # the first full-Unicode st.text draw in _label_lists builds Hypothesis's
+    # charmap cache, a one-time cost of seconds in a fresh checkout with no
+    # .hypothesis/ directory; it says nothing about the inputs' speed
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(quasi_metrics(max_n=4), st.data())
     def test_matrix_round_trip_for_every_label_set_it_accepts(self, m, data):
         labels = data.draw(_label_lists(m.n))
@@ -217,6 +221,8 @@ class TestLabelRule:
             return
         assert parse_matrix(format_matrix(m)) == m
 
+    # the same one-time charmap cache build as above
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(min_value=2, max_value=4).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << triple_count(n)) - 1))
     ), st.data())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qmlines.core import Betweenness, consistency_check, line_set
 from qmlines.encoding import (
     RELABELING_CAP,
+    conflict_masks,
     nth_permutation,
     orbit,
     orbit_class,
@@ -23,6 +24,7 @@ from qmlines.isomorphism import (
     isomorphism_witness,
 )
 
+from conftest import random_consistent
 from oracles import consistent_masks
 
 # minimum encoding of Q4's betweenness class over all 24 relabelings,
@@ -95,6 +97,15 @@ class TestCanonicalForm:
         assert again == canon
         # the canonical form is reached by the lex-least minimizer
         assert apply_relabeling(canon, f) == canon
+
+    def test_output_carries_its_own_mask_as_class_key(self):
+        # set by canonical_form before any read, whatever the input's mask
+        rng = random.Random(4)
+        masks = rng.sample(list(consistent_masks(4)), 40)
+        masks += [rng.getrandbits(triple_count(4)) for _ in range(10)]
+        canons = [canonical_form(Betweenness(4, mask))[0] for mask in masks]
+        assert all(canon._class_key == canon.mask for canon in canons)
+        assert any(canon.mask != mask for canon, mask in zip(canons, masks))
 
     def test_achieving_relabeling_is_returned(self):
         b = q4_betweenness()
@@ -178,6 +189,22 @@ def test_stabilizer_count_gives_the_orbit_size(n, k):
         sizes.append(len(set(images)))
     assert min(sizes) == 1
     assert any(1 < size < len(perms) for size in sizes)
+
+
+# a relation's class key is one orbit's least image, kept after the first
+# read; the draws hold consistent and inconsistent relations, and n=6 reads
+# the 1-bit orbit table
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_class_key_is_the_least_orbit_image(n):
+    rng = random.Random(600 + n)
+    clash = 1 | conflict_masks(n)[0]  # triple 0 with both its excluded companions
+    relations = [random_consistent(n, rng) for _ in range(8)]
+    relations += [Betweenness(n, rng.getrandbits(triple_count(n)) | clash) for _ in range(8)]
+    assert {consistency_check(b) for b in relations} == {True, False}
+    for b in relations:
+        key = min(orbit(n, b.mask))
+        assert b.class_key == key
+        assert b._class_key == key
 
 
 class TestRelabelingCap:

@@ -9,7 +9,7 @@ from qmlines import encoding, kernels
 from qmlines.core import Betweenness, betweenness_of
 from qmlines.encoding import orbit, ordered_pairs
 from qmlines.enumeration import canonical_classes
-from qmlines.realizability import realize_bounded_integer
+from qmlines.realizability import realize_bounded_integer, realize_digraph
 
 from oracles import classes_by_counting, first_digraph_per_class, first_integer_per_class
 
@@ -155,6 +155,15 @@ def test_digraph_sweep_over_the_cap_is_refused_before_the_orbit_table(monkeypatc
     monkeypatch.setattr(encoding, "_orbit_table", no_table)
     with pytest.raises(ValueError, match="n=6 exceeds the cap of 5"):
         kernels.digraph_canon_witnesses(6)
+
+
+def test_digraph_lookup_over_the_cap_is_refused_before_the_orbit_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the orbit table was built")
+
+    monkeypatch.setattr(encoding, "_orbit_table", no_table)
+    with pytest.raises(ValueError, match="n=6 exceeds the cap of 5"):
+        realize_digraph(Betweenness(6, 0))
 
 
 @pytest.mark.parametrize(("n", "estimate"), [

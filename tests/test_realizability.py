@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from qmlines import enumeration, kernels, realizability
+from qmlines import encoding, enumeration, kernels, realizability
 from qmlines.core import Betweenness, DistanceMatrix, betweenness_of, validate_quasi_metric
 from qmlines.encoding import orbit
 from qmlines.enumeration import canonical_classes, classify, consistent_patterns_on_support
@@ -316,6 +316,56 @@ class TestBoundedInteger:
         estimate = kmax ** (n * (n - 1))
         with pytest.raises(ValueError, match=f"= {estimate} matrices, over the cap of {2**24}"):
             realize_bounded_integer(Betweenness(n, 0), kmax)
+
+
+class TestClassKeyLookups:
+    """Both sweep lookups read the relation's class key, after the
+    consistency check and the map, so a canonical form followed by both
+    makes one orbit call."""
+
+    def test_one_orbit_call_per_relation(self, monkeypatch):
+        kernels.integer_canon_witnesses(4, 3)
+        kernels.digraph_canon_witnesses(4)
+        rng = random.Random(27)
+        relations = [q4_betweenness()] + [random_consistent(4, rng) for _ in range(6)]
+        # orbit reads its table once per call, so counting the table reads
+        # counts the orbit calls of every module
+        calls = []
+        table = encoding._orbit_table
+
+        def counting_table(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(encoding, "_orbit_table", counting_table)
+        for b in relations:
+            canon, _ = canonical_form(b)
+            realize_bounded_integer(canon, 3)
+            realize_digraph(canon)
+        assert len(calls) == len(relations)
+        calls.clear()
+        for b in relations:
+            fresh = Betweenness(b.n, b.mask)
+            realize_bounded_integer(fresh, 3)
+            realize_digraph(fresh)
+        assert len(calls) == len(relations)
+
+    def test_canonical_form_of_an_inconsistent_relation_is_refused(self):
+        canon, _ = canonical_form(inconsistent())
+        with pytest.raises(InconsistentRelationError):
+            realize_bounded_integer(canon, 2)
+        with pytest.raises(InconsistentRelationError):
+            realize_digraph(canon)
+
+    def test_inconsistent_relation_is_refused_before_its_orbit(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the orbit table was read")
+
+        monkeypatch.setattr(encoding, "_orbit_table", no_table)
+        with pytest.raises(InconsistentRelationError):
+            realize_bounded_integer(inconsistent(), 2)
+        with pytest.raises(InconsistentRelationError):
+            realize_digraph(inconsistent())
 
 
 class TestDigraph:

@@ -6,6 +6,7 @@ constructor call, and is compared and hashed by its constructor's fields
 only.
 """
 
+import copy
 import os
 import pickle
 import subprocess
@@ -26,7 +27,7 @@ from qmlines.core import (
     line_set,
 )
 from qmlines.enumeration import ClassificationRecord, TheoremReport
-from qmlines.isomorphism import Relabeling
+from qmlines.isomorphism import Relabeling, canonical_form
 from qmlines.realizability import Digraph, FeasibilityOutcome, LinearSystem
 
 # (record, a field to assign to, its repr), one row per public record type
@@ -130,6 +131,19 @@ def test_equality_and_hash_ignore_derived_fields(make, derived):
     object.__setattr__(b, derived, ())
     assert getattr(a, derived) != getattr(b, derived)
     assert a == b and hash(a) == hash(b)
+
+
+def test_a_set_class_key_changes_no_comparison_repr_copy_or_pickle():
+    keyed, _ = canonical_form(Betweenness(4, 6))
+    read = Betweenness(4, 6)
+    assert read.class_key == keyed.mask
+    for b in (keyed, read):
+        fresh = Betweenness(b.n, b.mask)
+        assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+        assert pickle.dumps(b) == pickle.dumps(fresh)
+        for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert c == b and hash(c) == hash(b) and repr(c) == repr(b)
+            assert c.class_key == b.class_key
 
 
 def test_validated_types_compare_by_type_too():
