@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,11 @@ BROKEN = "a b c\n0 5 1\n5 0 1\n1 1 0\n"
 # updates the constant and names the change in CHANGES.md.
 ENUMERATE_4_INT_2_3_SHA256 = "06a14215ac8ff1a4d2ef63e886e591790a759c65dfbdf66ea4cc2a379c043702"
 VERIFY_PAPER_SHA256 = "da3c90c119fe687e4c7aad6b98aeead57f714549dd38a63339258c7413244177"
+
+# SHA-256 over (argv, exit code, stdout, stderr) of every run in
+# test_every_output_is_pinned.  A change that alters any output on purpose
+# updates the constant and names the change in CHANGES.md.
+CLI_OUTPUTS_SHA256 = "d7948c924d2b16ff395996ec37702885c045573689a3f0ab8f27fb494430c97b"
 
 
 @pytest.fixture
@@ -391,3 +398,89 @@ class TestVerifyPaper:
         code, out, _ = run(capsys, "verify-paper", "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+# small inputs written beside copies of data/*, so that every path the
+# commands print is relative
+PIN_FILES = {
+    "two.matrix": "a b\n0 1\n1 0\n",
+    "broken.matrix": BROKEN,
+    "token.matrix": "a b\n0 x\n1 0\n",
+    "empty.triples": "",
+    "one.triples": "a b c\n",
+    "other.triples": "a b c\nb a d\nc a b\nd b a\n",
+    "unrealizable.triples": "a b d\na c b\n",
+    "inconsistent.triples": "a b c\na c b\n",
+}
+
+Q4_ARGS = ["--triples", "q4.triples", "--labels", "p,s,q,r"]
+CYCLE3_ARGS = ["--triples", "cycle3.triples", "--labels", "a,b,c"]
+
+# every command and every exit code; each runs in text and with --json
+PIN_INVOCATIONS = [
+    ["validate", "q4.matrix"],
+    ["validate", "broken.matrix"],
+    ["validate", "token.matrix"],
+    ["validate", "missing.matrix"],
+    ["betweenness", "q4.matrix"],
+    ["betweenness", "broken.matrix"],
+    ["betweenness", "two.matrix"],
+    ["lines", "q4.matrix"],
+    ["lines", *Q4_ARGS],
+    ["lines", "q4.matrix", *Q4_ARGS],
+    ["lines"],
+    ["dbe", "q4.matrix"],
+    ["dbe", "two.matrix"],
+    ["dbe", "--triples", "empty.triples", "--labels", "a,b"],
+    ["canon", *Q4_ARGS],
+    ["iso", "q4.triples", "q4.triples", "--labels", "p,s,q,r"],
+    ["iso", "other.triples", "q4.triples", "--labels", "a,b,c,d", "--labels-b", "p,s,q,r"],
+    ["iso", "one.triples", "cycle3.triples", "--labels", "a,b,c"],
+    ["iso", "cycle3.triples", "q4.triples", "--labels", "a,b,c", "--labels-b", "p,s,q,r"],
+    ["realize", "--variant", "quasi", *Q4_ARGS],
+    ["realize", "--variant", "quasi", "--triples", "unrealizable.triples", "--labels", "a,b,c,d"],
+    ["realize", "--variant", "quasi", "--triples", "inconsistent.triples", "--labels", "a,b,c"],
+    ["realize", "--variant", "metric", "--triples", "path3.triples", "--labels", "a,b,c"],
+    ["realize", "--variant", "metric", *Q4_ARGS],
+    ["realize", "--variant", "int:3", *Q4_ARGS],
+    ["realize", "--variant", "int:2", *Q4_ARGS],
+    ["realize", "--variant", "int:0", *Q4_ARGS],
+    ["realize", "--variant", "int:x", *Q4_ARGS],
+    ["realize", "--variant", "int:17", *CYCLE3_ARGS],
+    ["realize", "--variant", "digraph", *CYCLE3_ARGS],
+    ["realize", "--variant", "digraph", *Q4_ARGS],
+    ["realize", "--variant", "euclid", *Q4_ARGS],
+    ["enumerate", "--n", "3", "--int", "3,2,2"],
+    ["enumerate", "--n", "5"],
+    ["enumerate", "--n", "3", "--int", "0"],
+    ["enumerate", "--n", "3", "--int", "x"],
+    ["verify-paper"],
+    [],
+    ["--help"],
+    *[[command, "--help"] for command in (
+        "validate", "betweenness", "lines", "dbe", "canon", "iso", "realize",
+        "enumerate", "verify-paper",
+    )],
+]
+
+
+def test_every_output_is_pinned(capsys, monkeypatch, tmp_path):
+    for path in DATA.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    for name, text in PIN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    digest = hashlib.sha256()
+    for argv in PIN_INVOCATIONS:
+        for full in (argv, [*argv, "--json"]):
+            try:
+                code = main(full)
+            except SystemExit as exc:  # argparse: --help, usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            record = [full, code, captured.out, captured.err]
+            digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == CLI_OUTPUTS_SHA256
