@@ -4,13 +4,15 @@ Commands are scriptable predicates: exit 0 for success or a positive
 verdict, 1 for a negative verdict (invalid matrix, not realizable, not
 isomorphic, a failed claim), 2 for input errors.  Every command takes
 --json for a machine-readable report with the same content; reports go to
-stdout, diagnostics to stderr.
+stdout, diagnostics to stderr.  Each `cmd_*` returns (verdict, payload,
+text): the verdict a bool, the payload the JSON object, text the report's
+lines.  `main` alone renders the report and turns the verdict into the
+exit code.
 """
 
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import claims as claims_mod
 from .claims import _fmt_points
@@ -31,9 +33,13 @@ class InputError(Exception):
     """User input rejected; maps to exit code 2."""
 
 
+Report = tuple[bool, dict, list[str]]  # what each cmd_* returns: verdict, payload, text
+
+
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -83,16 +89,8 @@ def _betweenness_source(args) -> tuple[Betweenness, tuple[str, ...]]:
     return _load_triples(args.triples, args.labels)
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _sorted_lines(lines, labels):
-    return sorted(lines, key=lambda l: sorted(labels[i] for i in l))
+def _yn(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 def _matrix_json(m: DistanceMatrix | None):
@@ -104,10 +102,18 @@ def _matrix_json(m: DistanceMatrix | None):
     }
 
 
+def _witness(m: DistanceMatrix | None, heading: str):
+    """A witness matrix's JSON value, and its text lines under `heading`
+    (none when there is no witness)."""
+    if m is None:
+        return None, []
+    return _matrix_json(m), [heading, *format_matrix(m).rstrip("\n").split("\n")]
+
+
 # ------------------------------------------------------------------ commands
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Report:
     m = _load_matrix(args.matrix)
     check = validate_quasi_metric(m)
     payload = {
@@ -123,47 +129,42 @@ def cmd_validate(args) -> int:
         ],
     }
     text = ["ok"] if check.ok else [f"violation ({v.kind}): {v.detail}" for v in check.violations]
-    _emit(args, payload, text)
-    return 0 if check.ok else 1
+    return check.ok, payload, text
 
 
-def cmd_betweenness(args) -> int:
+def cmd_betweenness(args) -> Report:
     m = _load_validated_matrix(args.matrix)
     b = betweenness_of(m)
     words = [[m.labels[i] for i in t] for t in b.triples]
     payload = {"command": "betweenness", "labels": list(m.labels), "triples": words}
-    _emit(args, payload, [" ".join(w) for w in words])
-    return 0
+    return True, payload, [" ".join(w) for w in words]
 
 
-def cmd_lines(args) -> int:
+def cmd_lines(args) -> Report:
     b, labels = _betweenness_source(args)
     ls = line_set(b)
+    pairs = sorted(ls.by_pair.items())
+    family = sorted(sorted(labels[i] for i in l) for l in ls.lines)
     payload = {
         "command": "lines",
         "labels": list(labels),
         "by_pair": [
             {"pair": [labels[x], labels[y]], "line": sorted(labels[i] for i in line)}
-            for (x, y), line in sorted(ls.by_pair.items())
+            for (x, y), line in pairs
         ],
-        "lines": [sorted(labels[i] for i in l) for l in _sorted_lines(ls.lines, labels)],
+        "lines": family,
         "line_count": ls.line_count,
         "has_universal": ls.has_universal,
     }
     text = [
-        f"line {labels[x]} {labels[y]} = {_fmt_points(line, labels)}"
-        for (x, y), line in sorted(ls.by_pair.items())
+        f"line {labels[x]} {labels[y]} = {_fmt_points(line, labels)}" for (x, y), line in pairs
     ]
-    text.append(
-        f"lines ({ls.line_count}): "
-        + " ".join(_fmt_points(l, labels) for l in _sorted_lines(ls.lines, labels))
-    )
-    text.append(f"universal: {'yes' if ls.has_universal else 'no'}")
-    _emit(args, payload, text)
-    return 0
+    text.append(f"lines ({ls.line_count}): " + " ".join("{" + ",".join(l) + "}" for l in family))
+    text.append(f"universal: {_yn(ls.has_universal)}")
+    return True, payload, text
 
 
-def cmd_dbe(args) -> int:
+def cmd_dbe(args) -> Report:
     b, _ = _betweenness_source(args)
     ls = line_set(b)
     payload = {
@@ -174,14 +175,13 @@ def cmd_dbe(args) -> int:
     }
     text = [
         f"line count: {ls.line_count}",
-        f"universal line: {'yes' if ls.has_universal else 'no'}",
-        f"dbe: {'yes' if ls.satisfies_dbe else 'no'}",
+        f"universal line: {_yn(ls.has_universal)}",
+        f"dbe: {_yn(ls.satisfies_dbe)}",
     ]
-    _emit(args, payload, text)
-    return 0 if ls.satisfies_dbe else 1
+    return ls.satisfies_dbe, payload, text
 
 
-def cmd_canon(args) -> int:
+def cmd_canon(args) -> Report:
     b, labels = _load_triples(args.triples, args.labels)
     canon, relabeling = canonical_form(b)
     payload = {
@@ -195,96 +195,66 @@ def cmd_canon(args) -> int:
         "canonical triples: " + " ".join(",".join(map(str, t)) for t in canon.triples),
         "relabeling: " + " ".join(f"{labels[i]}->{relabeling(i)}" for i in range(b.n)),
     ]
-    _emit(args, payload, text)
-    return 0
+    return True, payload, text
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> Report:
     b1, labels1 = _load_triples(args.file_a, args.labels)
     b2, labels2 = _load_triples(args.file_b, args.labels_b or args.labels)
     if b1.n != b2.n:
         raise InputError(f"point counts differ: {b1.n} vs {b2.n}")
     witness = isomorphism_witness(b1, b2)
-    payload = {
-        "command": "iso",
-        "isomorphic": witness is not None,
-        "witness": None
-        if witness is None
-        else {labels1[i]: labels2[witness(i)] for i in range(b1.n)},
-    }
     if witness is None:
-        text = ["not isomorphic"]
+        mapping, text = None, ["not isomorphic"]
     else:
-        mapping = " ".join(f"{labels1[i]}->{labels2[witness(i)]}" for i in range(b1.n))
-        text = [f"isomorphic: {mapping}"]
-    _emit(args, payload, text)
-    return 0 if witness is not None else 1
+        mapping = {labels1[i]: labels2[witness(i)] for i in range(b1.n)}
+        text = ["isomorphic: " + " ".join(f"{a}->{b}" for a, b in mapping.items())]
+    payload = {"command": "iso", "isomorphic": mapping is not None, "witness": mapping}
+    return mapping is not None, payload, text
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> Report:
     b, labels = _load_triples(args.triples, args.labels)
     variant = args.variant
+    payload = {"command": "realize", "variant": variant}
+    key = "witness"
     if variant in VARIANTS:
         outcome = realize(b, variant)
-        payload = {
-            "command": "realize",
-            "variant": variant,
-            "realizable": outcome.realizable,
-            "status": outcome.status,
-            "optimal_slack": None if outcome.optimal_slack is None else str(outcome.optimal_slack),
-            "witness": _matrix_json(outcome.witness),
-        }
+        realizable, slack = outcome.realizable, outcome.optimal_slack
+        payload["status"] = outcome.status
+        payload["optimal_slack"] = None if slack is None else str(slack)
         text = [
             f"status: {outcome.status}",
-            f"optimal slack: {outcome.optimal_slack}",
-            f"realizable: {'yes' if outcome.realizable else 'no'}",
+            f"optimal slack: {slack}",
+            f"realizable: {_yn(realizable)}",
         ]
-        if outcome.witness is not None:
-            text.append("witness:")
-            text.extend(format_matrix(outcome.witness).rstrip("\n").split("\n"))
-        _emit(args, payload, text)
-        return 0 if outcome.realizable else 1
-    if variant.startswith("int:"):
+        witness, shown = _witness(outcome.witness, "witness:")
+    elif variant.startswith("int:"):
         try:
             kmax = int(variant.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad variant {variant!r}; expected int:K with integer K")
-        witness = realize_bounded_integer(b, kmax)
-        payload = {
-            "command": "realize",
-            "variant": variant,
-            "realizable": witness is not None,
-            "witness": _matrix_json(witness),
-        }
-        text = [f"realizable with integer distances <= {kmax}: "
-                f"{'yes' if witness is not None else 'no'}"]
-        if witness is not None:
-            text.append("witness (isomorphic realization, fresh labels):")
-            text.extend(format_matrix(witness).rstrip("\n").split("\n"))
-        _emit(args, payload, text)
-        return 0 if witness is not None else 1
-    if variant == "digraph":
+        m = realize_bounded_integer(b, kmax)
+        realizable = m is not None
+        text = [f"realizable with integer distances <= {kmax}: {_yn(realizable)}"]
+        witness, shown = _witness(m, "witness (isomorphic realization, fresh labels):")
+    elif variant == "digraph":
         g = realize_digraph(b)
-        payload = {
-            "command": "realize",
-            "variant": variant,
-            "realizable": g is not None,
-            "witness_arcs": None
-            if g is None
-            else sorted([labels[i], labels[j]] for (i, j) in g.arcs),
-        }
-        text = [f"realizable by a digraph: {'yes' if g is not None else 'no'}"]
-        if g is not None:
-            text.append(
-                "witness arcs: "
-                + " ".join(f"{labels[i]}->{labels[j]}" for (i, j) in sorted(g.arcs))
-            )
-        _emit(args, payload, text)
-        return 0 if g is not None else 1
-    raise InputError(f"unknown variant {variant!r}")
+        realizable = g is not None
+        text = [f"realizable by a digraph: {_yn(realizable)}"]
+        key, witness, shown = "witness_arcs", None, []
+        if realizable:
+            witness = sorted([labels[i], labels[j]] for (i, j) in g.arcs)
+            arcs = " ".join(f"{labels[i]}->{labels[j]}" for (i, j) in sorted(g.arcs))
+            shown = [f"witness arcs: {arcs}"]
+    else:
+        raise InputError(f"unknown variant {variant!r}")
+    payload["realizable"] = realizable
+    payload[key] = witness
+    return realizable, payload, text + shown
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Report:
     bounds = ()
     if args.int:
         try:
@@ -333,15 +303,10 @@ def cmd_enumerate(args) -> int:
         cells.append(_yn(r.realizable_digraph))
         text.append("\t".join(cells))
     text.append(f"classes: {len(records)}")
-    _emit(args, payload, text)
-    return 0
+    return True, payload, text
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args) -> Report:
     results = claims_mod.run_all_claims()
     all_pass = all(c.passed for c in results)
     payload = {
@@ -360,9 +325,8 @@ def cmd_verify_paper(args) -> int:
     text = [
         f"{'PASS' if c.passed else 'FAIL'}  {c.ident}: {c.detail}" for c in results
     ]
-    text.append(f"{'all claims pass' if all_pass else 'SOME CLAIMS FAILED'}")
-    _emit(args, payload, text)
-    return 0 if all_pass else 1
+    text.append("all claims pass" if all_pass else "SOME CLAIMS FAILED")
+    return all_pass, payload, text
 
 
 # -------------------------------------------------------------------- parser
@@ -423,11 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        verdict, payload, text = args.func(args)
     except (InputError, ValueError) as exc:
         # ParseError and the domain rejections are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in text:
+            print(line)
+    return 0 if verdict else 1
 
 
 if __name__ == "__main__":

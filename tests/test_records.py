@@ -151,18 +151,27 @@ def test_validated_types_compare_by_type_too():
     assert Betweenness(3, 0) != (3, 0)
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """`import qmlines` and `import qmlines.cli` stay clear of dataclasses,
-    which pulls in inspect, ast, dis and tokenize: three quarters of the
-    import time of every fresh process.  Run without site, so that no
-    installed .pth file loads them first."""
+def _loaded_by_fresh_import(names) -> str:
+    """Which of `names` a fresh interpreter holds after `import qmlines` and
+    `import qmlines.cli`.  Run without site, so that no installed .pth file
+    loads them first."""
     src = Path(qmlines.__file__).resolve().parents[1]
-    code = (
-        "import sys, qmlines, qmlines.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
-    )
+    code = f"import sys, qmlines, qmlines.cli; print(sorted({set(names)!r} & sys.modules.keys()))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """`import qmlines` and `import qmlines.cli` stay clear of dataclasses,
+    which pulls in inspect, ast, dis and tokenize: three quarters of the
+    import time of every fresh process."""
+    assert _loaded_by_fresh_import({"dataclasses", "inspect"}) == "[]"
+
+
+def test_import_loads_no_pathlib():
+    """Each CLI command is a fresh process, and pathlib costs about a sixth
+    of `import qmlines.cli`; the CLI reads its files with open()."""
+    assert _loaded_by_fresh_import({"pathlib"}) == "[]"
