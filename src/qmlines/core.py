@@ -12,7 +12,7 @@ from string import ascii_lowercase
 from typing import Iterable, Mapping, NamedTuple
 
 from .encoding import (
-    conflict_masks,
+    _conflict_table,
     mask_from_triples,
     orbit,
     ordered_pairs,
@@ -41,9 +41,10 @@ class _Value:
     hashed by the fields named in `_compared`, which are also the
     constructor's arguments and what repr shows.  Derived fields (in
     `__slots__` but not in `_compared`) take no part in either.  Fields are
-    set once, through `object.__setattr__`: in `__init__`, except that a
-    derived slot may be left unset there and filled on its first read, as
-    `Betweenness._class_key` is.
+    set once, through `object.__setattr__`: in `__init__`, or in a private
+    constructor that skips its checks for values already known to pass them
+    (`Relabeling._of`), except that a derived slot may be left unset there
+    and filled on its first read, as `Betweenness._class_key` is.
     """
 
     __slots__ = ()
@@ -382,14 +383,19 @@ def line_set(b: Betweenness) -> LineSet:
 def consistency_check(b: Betweenness) -> bool:
     """True iff no member triple xyz coexists with yxz or xzy.
 
-    Necessary for the relation to come from any quasi-metric.
+    Necessary for the relation to come from any quasi-metric.  ORs one row
+    of the conflict table (see :func:`qmlines.encoding._conflict_table`) per
+    nonzero chunk of the mask, the excluded companions of the chunk's
+    triples, and tests the mask against them all at once.
     """
-    conflicts = conflict_masks(b.n)
+    width, rows = _conflict_table(b.n)
+    ones = (1 << width) - 1
     mask = b.mask
-    m = mask
-    while m:
-        low = m & -m
-        if mask & conflicts[low.bit_length() - 1]:
-            return False
-        m ^= low
-    return True
+    rest = mask
+    excluded = 0
+    for row in rows:
+        if not rest:
+            break
+        excluded |= row[rest & ones]
+        rest >>= width
+    return not mask & excluded

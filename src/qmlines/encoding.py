@@ -6,10 +6,20 @@ downstream (canonical forms, enumeration order, file output) relies on this
 fixed order, so it lives in one place, with the lex order of ordered pairs
 (digraph arc masks) and the one relabeling action on both, :func:`orbit`,
 with the one rule for a class's least image and orbit size, :func:`orbit_class`.
+
+The relabelings themselves are built once per n, in lex order, and shared.
+Orbits and consistency are read from chunk tables: one row per chunk of the
+encoding, one value per chunk value, so an encoding's answer is the OR of
+the rows of its nonzero chunks.  Up to n=5 for triples and n=6 for pairs, a
+row value of the orbit table packs all n! images into one int, lane by
+lane, so an orbit costs a few bigint ORs and one unpacking; above that,
+rows are tuples of n! images.  The conflict table holds the excluded
+companions of each chunk value's triples.
 """
 
+import sys
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 from operator import itemgetter, or_
 
@@ -63,15 +73,48 @@ def conflict_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def nth_permutation(n: int, i: int) -> tuple[int, ...]:
-    """The i-th relabeling of 0..n-1 in lexicographic order, the order of
-    :func:`orbit`.  Not cached: all 8! relabelings would hold 5 MB."""
-    return next(islice(permutations(range(n)), i, None))
+@lru_cache(maxsize=None)
+def _conflict_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(width, rows): rows[c][v] is the OR of conflict_masks(n) over the set
+    bits of value v in the width-bit chunk c of an encoding, so the excluded
+    companions of a mask's triples are the OR of its chunks' rows.  Chunks
+    are 8 bits wide while the table stays under 2^24 bits (n <= 10), 1 bit
+    wide above, where each row is (0, one conflict mask)."""
+    conflicts = conflict_masks(n)
+    nbits = len(conflicts)
+    width = 8 if -(-nbits // 8) * 256 * nbits <= 1 << 24 else 1
+    return width, _chunk_rows(conflicts, width)
 
 
 # most relabelings a brute-force canonical form may try: 8! = 40,320; the
 # one-bit orbit table at n=8 already holds 336 * 40,320 references
 RELABELING_CAP = factorial(8)
+
+
+@lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every relabeling of 0..n-1, in lexicographic order, the order of
+    :func:`orbit`'s images.  Built once per n and shared by the orbit tables,
+    canonical forms and isomorphism witnesses: 4.8 MB at n=8.  Refuses
+    n! > RELABELING_CAP with a ValueError."""
+    count = factorial(n)
+    if count > RELABELING_CAP:
+        raise ValueError(
+            f"canonical forms are brute force over all relabelings; n={n} means "
+            f"{n}! = {count} relabelings, over the cap of {RELABELING_CAP} (8!)"
+        )
+    return tuple(permutations(range(n)))
+
+
+def nth_permutation(n: int, i: int) -> tuple[int, ...]:
+    """The i-th relabeling of 0..n-1 in lexicographic order, the order of
+    :func:`orbit`, read from the cached tuple of all of them.  Refuses
+    n! > RELABELING_CAP with a ValueError and i outside 0..n!-1 with an
+    IndexError."""
+    perms = _relabelings(n)
+    if not 0 <= i < len(perms):
+        raise IndexError(f"relabeling index {i} out of range for n={n}")
+    return perms[i]
 
 
 def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -83,44 +126,59 @@ def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return ordered_tuples(n, 2)
 
 
-@lru_cache(maxsize=None)
-def _orbit_table(n: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """(width, rows): rows[c][v] holds the images, under every relabeling of
-    0..n-1 in lexicographic order, of the k-tuple encoding whose only nonzero
-    chunk is chunk c (bits width*c .. width*c + width - 1), with value v.
+def _chunk_rows(singles, width: int) -> tuple[tuple[int, ...], ...]:
+    """rows[c][v]: the OR of singles[width*c + j] over the set bits j of v,
+    one row per width-bit chunk; each value is one OR of an earlier value
+    and a single."""
+    rows = []
+    for c in range(0, len(singles), width):
+        chunk = singles[c : c + width]
+        row = [0]
+        for v in range(1, 1 << len(chunk)):
+            row.append(row[v & (v - 1)] | chunk[(v & -v).bit_length() - 1])
+        rows.append(tuple(row))
+    return tuple(rows)
 
-    Chunks are 8 bits wide while the table stays under about 2^20 entries
-    (n <= 5) and 1 bit wide above that.  Single-bit rows share their
-    ``1 << k`` ints and one zero row, which keeps the n=8 table at about
-    108 MB (336 rows of 40,320 references).
+
+@lru_cache(maxsize=None)
+def _orbit_table(n: int, k: int) -> tuple[str | None, int, tuple[tuple, ...]]:
+    """(lane, size, rows): rows[c][v] holds the images, under every
+    relabeling of 0..n-1 in lexicographic order, of the k-tuple encoding
+    whose only nonzero chunk is chunk c, with value v.
+
+    Chunks are 8 bits wide while the table stays under about 2^20 images:
+    triples up to n=5, pairs up to n=6.  There each row value is one int
+    that packs the n! images into lanes (SWAR, "SIMD within a register":
+    Lamport 1975, "Multiple byte processing with full-word instructions"):
+    `memoryview(value.to_bytes(size, sys.byteorder)).cast(lane)` lists them,
+    lane i the image under the i-th relabeling.  A lane is "I" (4 bytes)
+    for encodings of at most 32 bits, else "Q" (8 bytes); none there has
+    more than 60.  The rows are ORs of packed single-bit rows, so ORing the
+    rows of a mask's chunks ORs its images lane by lane, and no lane
+    carries into the next.  Above that size lane is None, chunks are 1 bit
+    wide and rows[c] is (zeros, images of bit c), tuples of n! ints: a
+    triple lane at n=6 would be wider than 64 bits.  These tuples share
+    their ``1 << k`` ints and one zero tuple, which keeps the n=8 table at
+    about 108 MB (336 rows of 40,320 references).
     """
-    count = factorial(n)
-    if count > RELABELING_CAP:
-        raise ValueError(
-            f"canonical forms are brute force over all relabelings; n={n} means "
-            f"{n}! = {count} relabelings, over the cap of {RELABELING_CAP} (8!)"
-        )
+    perms = _relabelings(n)
+    count = len(perms)
     tuples = ordered_tuples(n, k)
     nbits = len(tuples)
-    width = 8 if -(-nbits // 8) * 256 * count <= 1 << 20 else 1
-    pos = {t: i for i, t in enumerate(tuples)}
-    perms = list(permutations(range(n)))
-    powers = [1 << i for i in range(nbits)]
-    zero = (0,) * count
-    bit_rows = [
-        tuple(powers[pos[u]] for u in map(itemgetter(*t), perms)) for t in tuples
+    bit = {t: 1 << i for i, t in enumerate(tuples)}
+    # the images of each single bit, one tuple at a time, so the n=8 table
+    # is built without a second copy of its size
+    images = (map(bit.__getitem__, map(itemgetter(*t), perms)) for t in tuples)
+    if -(-nbits // 8) * 256 * count > 1 << 20:
+        zero = (0,) * count
+        return None, 0, tuple((zero, tuple(row)) for row in images)
+    lane, lane_bytes = ("I", 4) if nbits <= 32 else ("Q", 8)
+    order = sys.byteorder
+    singles = [
+        int.from_bytes(b"".join([v.to_bytes(lane_bytes, order) for v in row]), order)
+        for row in images
     ]
-    rows = []
-    for c in range(-(-nbits // width)):
-        row = [zero]
-        for v in range(1, 1 << width):
-            low = (v & -v).bit_length() - 1
-            bit = width * c + low
-            single = bit_rows[bit] if bit < nbits else zero
-            rest = v & (v - 1)
-            row.append(single if not rest else tuple(map(or_, row[rest], single)))
-        rows.append(tuple(row))
-    return width, tuple(rows)
+    return lane, count * lane_bytes, _chunk_rows(singles, 8)
 
 
 def orbit(n: int, mask: int, k: int = 3) -> list[int]:
@@ -129,20 +187,28 @@ def orbit(n: int, mask: int, k: int = 3) -> list[int]:
     first and the i-th image is that of nth_permutation(n, i).
 
     Bit i of mask is ordered_tuples(n, k)[i]: triples by default, pairs for
-    arc masks.  ORs the table rows of the nonzero chunks of mask.  Refuses
-    n! > RELABELING_CAP with a ValueError.
+    arc masks.  Reads :func:`_orbit_table` once.  With packed rows it ORs
+    the rows of the mask's nonzero 8-bit chunks into one int and unpacks its
+    lanes; with 1-bit rows it ORs the image tuples of the mask's set bits
+    lane by lane.  Refuses n! > RELABELING_CAP with a ValueError.
     """
-    width, rows = _orbit_table(n, k)
-    ones = (1 << width) - 1
+    lane, size, rows = _orbit_table(n, k)
+    if lane:
+        packed = 0
+        for row in rows:
+            if not mask:
+                break
+            packed |= row[mask & 255]
+            mask >>= 8
+        return memoryview(packed.to_bytes(size, sys.byteorder)).cast(lane).tolist()
     images = None
     for row in rows:
         if not mask:
             break
-        value = mask & ones
-        if value:
-            images = row[value] if images is None else map(or_, images, row[value])
-        mask >>= width
-    return [0] * factorial(n) if images is None else list(images)
+        if mask & 1:
+            images = row[1] if images is None else map(or_, images, row[1])
+        mask >>= 1
+    return list(rows[0][0] if images is None else images)
 
 
 def orbit_class(images) -> tuple[int, int]:

@@ -8,7 +8,7 @@ at n! <= 8!; :func:`apply_relabeling` maps triples directly and works at any n.
 """
 
 from .core import Betweenness, _Value
-from .encoding import nth_permutation, orbit
+from .encoding import _relabelings, orbit
 
 
 class Relabeling(_Value):
@@ -22,6 +22,16 @@ class Relabeling(_Value):
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
         object.__setattr__(self, "perm", perm)
+
+    @classmethod
+    def _of(cls, perm: tuple[int, ...]) -> "Relabeling":
+        """The relabeling with image sequence perm, a tuple that is known to
+        be a permutation, without __init__'s check: for relabelings read
+        off encoding._relabelings, which itertools.permutations built.
+        Copies and pickles still go through __init__ (see `_Value`)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "perm", perm)
+        return f
 
     @property
     def n(self) -> int:
@@ -45,14 +55,16 @@ def canonical_form(b: Betweenness) -> tuple[Betweenness, Relabeling]:
     Also returns a relabeling achieving it; among minimizers, the
     lexicographically smallest permutation is chosen, so the witness is
     deterministic.  Idempotent on its own output.  One :func:`orbit` call;
-    the representative's `class_key` is its own mask and comes set, so the
-    sweep lookups on it call orbit no more.
+    the relabeling is the argmin's entry of the cached lex-ordered tuple of
+    all relabelings, not checked again.  The representative's `class_key`
+    is its own mask and comes set, so the sweep lookups on it call orbit no
+    more.
     """
     images = orbit(b.n, b.mask)
     best = min(images)
     canon = Betweenness(b.n, best)
     object.__setattr__(canon, "_class_key", best)
-    return canon, Relabeling(nth_permutation(b.n, images.index(best)))
+    return canon, Relabeling._of(_relabelings(b.n)[images.index(best)])
 
 
 def isomorphism_witness(b1: Betweenness, b2: Betweenness) -> Relabeling | None:
@@ -65,4 +77,4 @@ def isomorphism_witness(b1: Betweenness, b2: Betweenness) -> Relabeling | None:
     images = orbit(b1.n, b1.mask)
     if b2.mask not in images:
         return None
-    return Relabeling(nth_permutation(b1.n, images.index(b2.mask)))
+    return Relabeling._of(_relabelings(b1.n)[images.index(b2.mask)])

@@ -11,8 +11,11 @@ isomorphism classes by canonicalizing every relation, realization systems
 built row by row for each relation, the simplex with two stored columns
 (x+ and x-) per free variable, whose pivots the solver must repeat, and the
 relations with too few lines by a stdlib brute force over every consistent
-relation, and quasi-metric axiom violations on the Fraction entries of a
-matrix, with no integer table.
+relation, quasi-metric axiom violations on the Fraction entries of a
+matrix, with no integer table, the images of an encoding under every
+relabeling by relabeling its member triples or pairs one by one, and
+consistency by the set-bit loop over the conflict masks that the chunked
+conflict table replaced.
 """
 
 from collections import Counter
@@ -21,7 +24,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 
 from qmlines.core import DistanceMatrix, betweenness_of
-from qmlines.encoding import orbit
+from qmlines.encoding import conflict_masks, orbit
 from qmlines.isomorphism import canonical_form
 
 
@@ -110,6 +113,32 @@ def consistent_masks(n: int):
     ]
     for parts in product(*per_support):
         yield sum(parts)
+
+
+def orbit_by_relabeling(n: int, mask: int, k: int = 3) -> list[int]:
+    """The images of an encoding (bit i for the i-th ordered k-tuple of
+    distinct points, lex order) under every relabeling of 0..n-1 in lex
+    order, each member tuple relabeled and its bit set one at a time."""
+    tuples = list(permutations(range(n), k))
+    bit = {t: 1 << i for i, t in enumerate(tuples)}
+    members = [t for i, t in enumerate(tuples) if mask >> i & 1]
+    return [
+        sum(bit[tuple(p[x] for x in t)] for t in members)
+        for p in permutations(range(n))
+    ]
+
+
+def consistent_by_set_bits(n: int, mask: int) -> bool:
+    """Consistency one member triple at a time: no set bit's conflict mask
+    (its two excluded companions) meets the mask."""
+    conflicts = conflict_masks(n)
+    m = mask
+    while m:
+        low = m & -m
+        if mask & conflicts[low.bit_length() - 1]:
+            return False
+        m ^= low
+    return True
 
 
 def classes_by_counting(n: int) -> tuple[tuple[int, int], ...]:

@@ -19,7 +19,13 @@ from qmlines.core import (
     segment,
     validate_quasi_metric,
 )
-from qmlines.encoding import mask_from_triples, ordered_pairs, ordered_triples, triple_count
+from qmlines.encoding import (
+    _conflict_table,
+    mask_from_triples,
+    ordered_pairs,
+    ordered_triples,
+    triple_count,
+)
 from qmlines.enumeration import canonical_classes
 from qmlines.fixtures import (
     THREE_POINT_TABLE,
@@ -32,6 +38,7 @@ from qmlines.fixtures import (
 
 from conftest import quasi_metrics, random_consistent, rational_tables
 from oracles import (
+    consistent_by_set_bits,
     consistent_masks,
     line_from_distances,
     line_from_triples,
@@ -315,6 +322,44 @@ class TestConsistency:
 
     def test_last_swap_conflict(self):
         assert not consistency_check(Betweenness.from_triples(3, [(0, 1, 2), (0, 2, 1)]))
+
+    def test_every_conflicting_pair_on_four_points(self):
+        # xyz with yxz, and xyz with xzy, alone and on top of the rest of
+        # a consistent relation
+        rng = random.Random(2930)
+        pairs = [
+            ((x, y, z), companion)
+            for (x, y, z) in ordered_triples(4)
+            for companion in ((y, x, z), (x, z, y))
+        ]
+        assert len(pairs) == 48
+        for pair in pairs:
+            mask = mask_from_triples(4, pair)
+            for b in (Betweenness(4, mask), Betweenness(4, mask | random_consistent(4, rng).mask)):
+                assert not consistency_check(b)
+                assert not consistent_by_set_bits(4, b.mask)
+
+    # n=3..10 read the 8-bit conflict table, n=11 the 1-bit one
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 11])
+    def test_table_agrees_with_the_set_bit_loop(self, n):
+        assert _conflict_table(n)[0] == (1 if n > 10 else 8)
+        rng = random.Random(2940 + n)
+        nbits = triple_count(n)
+        top = 1 << nbits - 1
+        masks = [0, top, (1 << nbits) - 1]
+        for _ in range(6):
+            consistent = random_consistent(n, rng).mask
+            (x, y, z), (u, v, w) = rng.sample(ordered_triples(n), 2)
+            masks += [
+                consistent,
+                consistent & ~top,
+                consistent | mask_from_triples(n, [(x, y, z), (y, x, z)]),
+                mask_from_triples(n, [(u, v, w), (u, w, v)]) | top,
+                rng.getrandbits(nbits) & rng.getrandbits(nbits) & rng.getrandbits(nbits),
+            ]
+        verdicts = [consistency_check(Betweenness(n, mask)) for mask in masks]
+        assert verdicts == [consistent_by_set_bits(n, mask) for mask in masks]
+        assert set(verdicts) == {True, False}
 
 
 # ------------------------------------------------------------- property tests

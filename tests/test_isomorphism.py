@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from itertools import permutations
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlines import encoding
 from qmlines.core import Betweenness, consistency_check, line_set
 from qmlines.encoding import (
     RELABELING_CAP,
@@ -25,7 +28,7 @@ from qmlines.isomorphism import (
 )
 
 from conftest import random_consistent
-from oracles import consistent_masks
+from oracles import consistent_masks, orbit_by_relabeling
 
 # minimum encoding of Q4's betweenness class over all 24 relabelings,
 # brute-forced by an independent script and frozen here
@@ -166,6 +169,27 @@ def test_orbit_lists_every_relabeling_in_permutation_order(n):
     assert [nth_permutation(n, i) for i in range(len(perms))] == perms
 
 
+# (k, n, lane of the orbit table): packed 4-byte ("I") and 8-byte ("Q") lanes
+# in the 8-bit-chunk regime, and None for the 1-bit tuple tables
+ORBIT_TABLE_REGIMES = [(3, 3, "I"), (3, 4, "I"), (3, 5, "Q"), (3, 6, None)]
+ORBIT_TABLE_REGIMES += [(2, n, "I") for n in range(3, 7)] + [(2, 7, None)]
+
+
+@pytest.mark.parametrize("k, n, lane", ORBIT_TABLE_REGIMES)
+def test_orbit_matches_relabeling_each_member(k, n, lane):
+    # the top bit (n=5 triples: bit 59, n=6 pairs: bit 29) sits in the
+    # highest lane bits a packed row uses
+    assert encoding._orbit_table(n, k)[0] == lane
+    nbits = len(ordered_tuples(n, k))
+    top = 1 << nbits - 1
+    rng = random.Random(2900 + 10 * n + k)
+    masks = [0, top, (1 << nbits) - 1]
+    masks += [rng.getrandbits(nbits) for _ in range(3)]
+    masks += [rng.getrandbits(nbits) | top for _ in range(2)]
+    for mask in masks:
+        assert orbit(n, mask, k) == orbit_by_relabeling(n, mask, k)
+
+
 # orbit_class reads the orbit size off the stabilizer count; a mask ORed
 # with its image under a transposition is fixed by that transposition, so
 # the draws meet stabilizers larger than the identity
@@ -207,6 +231,51 @@ def test_class_key_is_the_least_orbit_image(n):
         assert b._class_key == key
 
 
+class TestUncheckedRelabelings:
+    """canonical_form and isomorphism_witness build their Relabeling without
+    __init__'s check, from the cached relabelings; it must be
+    indistinguishable from a checked one."""
+
+    @staticmethod
+    def outputs():
+        """(n, index of the relabeling in lex order, relabeling returned)."""
+        rng = random.Random(2920)
+        found = []
+        for n in (3, 4, 5, 6):
+            for _ in range(4):
+                b = Betweenness(n, rng.getrandbits(triple_count(n)))
+                images = orbit(n, b.mask)
+                canon, f = canonical_form(b)
+                found.append((n, images.index(canon.mask), f))
+                other = apply_relabeling(b, Relabeling(tuple(rng.sample(range(n), n))))
+                found.append((n, images.index(other.mask), isomorphism_witness(b, other)))
+        return found
+
+    def test_equal_to_the_checked_relabeling(self):
+        for n, i, f in self.outputs():
+            checked = Relabeling(nth_permutation(n, i))
+            assert f == checked
+            assert hash(f) == hash(checked)
+            assert repr(f) == repr(checked)
+            assert type(f) is Relabeling and type(f.perm) is tuple and f.n == n
+
+    def test_copies_and_pickles_go_through_the_checked_constructor(self, monkeypatch):
+        found = self.outputs()
+        calls = []
+        init = Relabeling.__init__
+
+        def counted(self, perm):
+            calls.append(perm)
+            init(self, perm)
+
+        monkeypatch.setattr(Relabeling, "__init__", counted)
+        for _, _, f in found:
+            calls.clear()
+            for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert copied == f and type(copied) is Relabeling
+            assert calls == [f.perm] * 3
+
+
 class TestRelabelingCap:
     # 9! = 362,880 relabelings: refused before any table is built
     def test_canonical_form_refuses_nine_points(self):
@@ -217,6 +286,13 @@ class TestRelabelingCap:
     def test_isomorphism_witness_refuses_nine_points(self):
         with pytest.raises(ValueError, match="over the cap"):
             isomorphism_witness(Betweenness(9, 0), Betweenness(9, 0))
+
+    def test_nth_permutation_refuses_nine_points_and_indices_out_of_range(self):
+        with pytest.raises(ValueError, match="over the cap"):
+            nth_permutation(9, 0)
+        for i in (-1, 6):
+            with pytest.raises(IndexError, match=f"index {i} out of range for n=3"):
+                nth_permutation(3, i)
 
     def test_apply_relabeling_needs_no_table(self):
         b = Betweenness.from_triples(9, [(0, 1, 8)])
