@@ -111,6 +111,18 @@ class DistanceMatrix(_Value):
         scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries)
         object.__setattr__(self, "_scaled", scaled)
 
+    @classmethod
+    def _of_ints(cls, labels: tuple[str, ...], rows) -> "DistanceMatrix":
+        """The matrix with n distinct string labels and n rows of n ints,
+        without __init__'s checks and its rescaling: an integer matrix is its
+        own scaled form.  For the integer witnesses the kernels and the LP
+        produce.  Copies and pickles still go through __init__ (see `_Value`)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "labels", labels)
+        object.__setattr__(m, "entries", tuple(tuple(map(Fraction, row)) for row in rows))
+        object.__setattr__(m, "_scaled", tuple(map(tuple, rows)))
+        return m
+
     @property
     def n(self) -> int:
         return len(self.labels)

@@ -5,7 +5,7 @@ little code as possible with the implementation under test: lines straight
 from distance entries, LP optima by exhaustive vertex enumeration, random
 quasi-metrics by min-plus closure, bounded-integer realizations, integer
 witness maps and digraph classes by trying every matrix or arc set (digraph
-distances by breadth-first search), lines straight from the member triples,
+distances by Floyd-Warshall), lines straight from the member triples,
 every consistent relation as the product of per-support patterns,
 isomorphism classes by canonicalizing every relation, realization systems
 built row by row for each relation, the simplex with two stored columns
@@ -289,7 +289,7 @@ def first_digraph_per_class(n: int) -> dict[int, int]:
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     first: dict[int, int] = {}
     for arc_mask in range(1 << len(pairs)):
-        d = _bfs_distances(n, [p for k, p in enumerate(pairs) if arc_mask >> k & 1])
+        d = floyd_warshall_distances(n, [p for k, p in enumerate(pairs) if arc_mask >> k & 1])
         if d is not None:
             m = DistanceMatrix(tuple(map(str, range(n))), d)
             canon, _ = canonical_form(betweenness_of(m))
@@ -297,23 +297,15 @@ def first_digraph_per_class(n: int) -> dict[int, int]:
     return first
 
 
-def _bfs_distances(n: int, arcs):
-    """Shortest-path lengths by breadth-first search from each vertex; None
+def floyd_warshall_distances(n: int, arcs) -> list[list[int]] | None:
+    """Shortest-path lengths as the min-plus closure of the arc lengths: 1
+    for an arc, n (longer than any simple path) for a missing one.  None
     unless every vertex reaches every other (strong connectivity)."""
-    rows = []
-    for source in range(n):
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            level = dist[frontier[0]] + 1
-            frontier = list(
-                dict.fromkeys(j for (i, j) in arcs if i in frontier and j not in dist)
-            )
-            dist.update(dict.fromkeys(frontier, level))
-        if len(dist) < n:
-            return None
-        rows.append(tuple(dist[j] for j in range(n)))
-    return tuple(rows)
+    arcs = set(arcs)
+    d = min_plus_closure([[1 if (i, j) in arcs else n for j in range(n)] for i in range(n)])
+    if any(n in row for row in d):
+        return None
+    return [[int(v) for v in row] for row in d]
 
 
 def realization_system_by_construction(b, variant: str) -> tuple:

@@ -9,9 +9,19 @@ from qmlines import encoding, kernels
 from qmlines.core import Betweenness, betweenness_of
 from qmlines.encoding import orbit, ordered_pairs
 from qmlines.enumeration import canonical_classes
-from qmlines.realizability import realize_bounded_integer, realize_digraph
+from qmlines.realizability import (
+    Digraph,
+    digraph_distances,
+    realize_bounded_integer,
+    realize_digraph,
+)
 
-from oracles import classes_by_counting, first_digraph_per_class, first_integer_per_class
+from oracles import (
+    classes_by_counting,
+    first_digraph_per_class,
+    first_integer_per_class,
+    floyd_warshall_distances,
+)
 
 
 # SHA-256 of repr(sorted(integer_canon_witnesses(n, K).items())), keys and
@@ -93,14 +103,16 @@ def test_integer_sweep_stops_once_every_consistent_class_is_in(monkeypatch, n, k
         assert leaves == 1
     else:
         assert table == first_integer_per_class(n, kmax)
-        walk = dfs(n, kmax, kernels._triples_by_depth(n), kernels._pair_relabelings(n))
+        walk = dfs(n, kmax, kernels._triples_by_depth(n), kernels._pair_relabelings(n), set())
         assert leaves < sum(1 for _ in walk)
 
 
 def test_integer_sweep_visits_one_matrix_per_orbit():
     # the walk over every valid matrix with entries <= 4 had 4,751,052
     # leaves; one per orbit of 24 relabelings is about 1/24 of that
-    walk = kernels._integer_dfs(4, 4, kernels._triples_by_depth(4), kernels._pair_relabelings(4))
+    walk = kernels._integer_dfs(
+        4, 4, kernels._triples_by_depth(4), kernels._pair_relabelings(4), set()
+    )
     leaves = sum(1 for _ in walk)
     assert leaves == 200_897
     assert leaves < 4_751_052 // 10
@@ -185,3 +197,62 @@ def test_integer_bound_below_one_is_refused_before_any_table(monkeypatch, n, kma
         monkeypatch.setattr(kernels, name, no_table)
     with pytest.raises(ValueError, match=f"^kmax must be at least 1, got {kmax}$"):
         kernels.integer_canon_witnesses(n, kmax)
+
+
+def test_integer_sweep_runs_the_lex_leader_test_only_on_unseen_masks(monkeypatch):
+    # at (4, 3) the walk without the seen test reached 10,813 lex-leader
+    # leaves holding 1,147 distinct masks; the map's seen set is asked once
+    # per value of the last entry, and a miss leads to a lex-leader test
+    answers = []
+    dfs = kernels._integer_dfs
+
+    class AskedSeen:
+        def __init__(self, seen):
+            self.seen = seen
+
+        def __contains__(self, mask):
+            answers.append(mask in self.seen)
+            return answers[-1]
+
+    def probed_dfs(n, kmax, by_depth, relabelings, seen):
+        return dfs(n, kmax, by_depth, relabelings, AskedSeen(seen))
+
+    monkeypatch.setattr(kernels, "_integer_dfs", probed_dfs)
+    table = kernels.integer_canon_witnesses.__wrapped__(4, 3)
+    assert table == kernels.integer_canon_witnesses(4, 3)
+    assert len(answers) == 14_553
+    assert answers.count(False) == 1_784
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shortest_paths_match_floyd_warshall_on_every_arc_set(n):
+    pairs = ordered_pairs(n)
+    connected = 0
+    for arc_mask in range(1 << len(pairs)):
+        arcs = [p for k, p in enumerate(pairs) if arc_mask >> k & 1]
+        d = kernels.shortest_paths(n, arcs)
+        assert d == floyd_warshall_distances(n, arcs)
+        connected += d is not None
+    assert connected == {2: 1, 3: 18, 4: 1606}[n]
+
+
+NOT_STRONGLY_CONNECTED = "digraph is not strongly connected; distances would be infinite"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_shortest_paths_match_floyd_warshall_on_random_digraphs(n):
+    rng = random.Random(3000 + n)
+    pairs = ordered_pairs(n)
+    outcomes = set()
+    for _ in range(150):
+        density = rng.uniform(0.1, 0.6)
+        arcs = [p for p in pairs if rng.random() < density]
+        d = floyd_warshall_distances(n, arcs)
+        assert kernels.shortest_paths(n, arcs) == d
+        if d is None:
+            with pytest.raises(ValueError, match=f"^{NOT_STRONGLY_CONNECTED}$"):
+                digraph_distances(Digraph(n, arcs))
+        else:
+            assert digraph_distances(Digraph(n, arcs)).entries == tuple(map(tuple, d))
+        outcomes.add(d is None)
+    assert outcomes == {True, False}

@@ -27,8 +27,17 @@ from qmlines.core import (
     line_set,
 )
 from qmlines.enumeration import ClassificationRecord, TheoremReport
+from qmlines.fixtures import q4_betweenness
 from qmlines.isomorphism import Relabeling, canonical_form
-from qmlines.realizability import Digraph, FeasibilityOutcome, LinearSystem
+from qmlines.kernels import integer_canon_witnesses
+from qmlines.realizability import (
+    Digraph,
+    FeasibilityOutcome,
+    LinearSystem,
+    _matrix_from_flat,
+    realize,
+    realize_bounded_integer,
+)
 
 # (record, a field to assign to, its repr), one row per public record type
 RECORDS = [
@@ -144,6 +153,21 @@ def test_a_set_class_key_changes_no_comparison_repr_copy_or_pickle():
         for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
             assert c == b and hash(c) == hash(b) and repr(c) == repr(b)
             assert c.class_key == b.class_key
+
+
+def test_integer_witnesses_built_without_checks_equal_checked_matrices():
+    # int:K lookups and LP vertices build their witnesses through
+    # DistanceMatrix._of_ints, which skips __init__'s checks and rescaling
+    witnesses = [realize_bounded_integer(canonical_form(q4_betweenness())[0], 3)]
+    witnesses.append(realize(q4_betweenness()).witness)
+    witnesses += [_matrix_from_flat(3, entries) for entries in integer_canon_witnesses(3, 4).values()]
+    for fast in witnesses:
+        checked = DistanceMatrix(fast.labels, [[int(v) for v in row] for row in fast.entries])
+        assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
+        assert fast._scaled == checked._scaled
+        assert pickle.dumps(fast) == pickle.dumps(checked)
+        for c in (copy.copy(fast), copy.deepcopy(fast), pickle.loads(pickle.dumps(fast))):
+            assert c == checked and repr(c) == repr(checked) and c._scaled == checked._scaled
 
 
 def test_validated_types_compare_by_type_too():
