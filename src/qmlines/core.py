@@ -6,6 +6,7 @@ this module is an exact equality or inequality, never tolerance-based.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from operator import attrgetter
 from string import ascii_lowercase
@@ -96,7 +97,7 @@ class DistanceMatrix(_Value):
     _scaled: tuple[tuple[int, ...], ...]
 
     def __init__(self, labels, entries):
-        labels = tuple(str(l) for l in labels)
+        labels = tuple(map(str, labels))
         n = len(labels)
         if n < 2:
             raise ValueError(f"need at least 2 points, got {n}")
@@ -104,24 +105,17 @@ class DistanceMatrix(_Value):
             raise ValueError(f"duplicate labels in {labels}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form a {n}x{n} square matrix")
-        entries = tuple(tuple(as_rational(v) for v in row) for row in entries)
+        scaled = tuple(map(tuple, entries))
+        if set(map(type, chain.from_iterable(scaled))) == {int}:
+            # an integer matrix is its own scaled form
+            entries = tuple(tuple(map(Fraction, row)) for row in scaled)
+        else:
+            entries = tuple(tuple(as_rational(v) for v in row) for row in scaled)
+            scale = lcm(*(v.denominator for row in entries for v in row))
+            scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", entries)
-        scale = lcm(*(v.denominator for row in entries for v in row))
-        scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries)
         object.__setattr__(self, "_scaled", scaled)
-
-    @classmethod
-    def _of_ints(cls, labels: tuple[str, ...], rows) -> "DistanceMatrix":
-        """The matrix with n distinct string labels and n rows of n ints,
-        without __init__'s checks and its rescaling: an integer matrix is its
-        own scaled form.  For the integer witnesses the kernels and the LP
-        produce.  Copies and pickles still go through __init__ (see `_Value`)."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "labels", labels)
-        object.__setattr__(m, "entries", tuple(tuple(map(Fraction, row)) for row in rows))
-        object.__setattr__(m, "_scaled", tuple(map(tuple, rows)))
-        return m
 
     @property
     def n(self) -> int:

@@ -239,7 +239,7 @@ def _matrix_from_flat(n: int, flat) -> DistanceMatrix:
     rows = [[0] * n for _ in range(n)]
     for (i, j), v in zip(ordered_pairs(n), flat):
         rows[i][j] = v
-    return DistanceMatrix._of_ints(default_labels(n), rows)
+    return DistanceMatrix(default_labels(n), rows)
 
 
 class Digraph(_Value):

@@ -83,28 +83,50 @@ def test_consistent_class_counts_are_the_class_lists():
     }
 
 
-@pytest.mark.parametrize(("n", "kmax"), [(2, 4096), (3, 2), (3, 3), (3, 4)])
-def test_integer_sweep_stops_once_every_consistent_class_is_in(monkeypatch, n, kmax):
-    # the map is the oracle's, yet the walk is left before its last leaf
-    leaves = 0
+class _AskedSeen:
+    """Stands for the map's seen set in the walk, appending each answer to
+    `answers`."""
+
+    def __init__(self, seen, answers):
+        self.seen, self.answers = seen, answers
+
+    def __contains__(self, mask):
+        self.answers.append(mask in self.seen)
+        return self.answers[-1]
+
+
+def _walk_asking(answers):
+    """_integer_dfs whose seen set records its answers in `answers`."""
     dfs = kernels._integer_dfs
 
-    def counting_dfs(*args):
-        nonlocal leaves
-        for leaf in dfs(*args):
-            leaves += 1
-            yield leaf
+    def asked_dfs(n, kmax, by_depth, relabelings, seen):
+        return dfs(n, kmax, by_depth, relabelings, _AskedSeen(seen, answers))
 
-    monkeypatch.setattr(kernels, "_integer_dfs", counting_dfs)
+    return asked_dfs
+
+
+@pytest.mark.parametrize(("n", "kmax"), [(2, 4096), (3, 2), (3, 3), (3, 4)])
+def test_integer_sweep_stops_once_every_consistent_class_is_in(monkeypatch, n, kmax):
+    # the map is the oracle's, yet the walk is left before its end: its seen
+    # set is asked less often than that of a walk run to the end, which
+    # fills seen the same way, on every yield
+    full, seen = [], set()
+    if n > 2:  # at n=2 the whole walk asks 4096 times per first entry
+        walk = _walk_asking(full)(
+            n, kmax, kernels._triples_by_depth(n), kernels._pair_relabelings(n), seen
+        )
+        for _, mask in walk:
+            seen.add(mask)
+    stopped = []
+    monkeypatch.setattr(kernels, "_integer_dfs", _walk_asking(stopped))
     table = kernels.integer_canon_witnesses.__wrapped__(n, kmax)
     assert len(table) == kernels.CONSISTENT_CLASSES[n]
     if n == 2:
         assert table == {0: (1, 1)}
-        assert leaves == 1
+        assert len(stopped) == 1
     else:
         assert table == first_integer_per_class(n, kmax)
-        walk = dfs(n, kmax, kernels._triples_by_depth(n), kernels._pair_relabelings(n), set())
-        assert leaves < sum(1 for _ in walk)
+        assert len(stopped) < len(full)
 
 
 def test_integer_sweep_visits_one_matrix_per_orbit():
@@ -204,20 +226,7 @@ def test_integer_sweep_runs_the_lex_leader_test_only_on_unseen_masks(monkeypatch
     # leaves holding 1,147 distinct masks; the map's seen set is asked once
     # per value of the last entry, and a miss leads to a lex-leader test
     answers = []
-    dfs = kernels._integer_dfs
-
-    class AskedSeen:
-        def __init__(self, seen):
-            self.seen = seen
-
-        def __contains__(self, mask):
-            answers.append(mask in self.seen)
-            return answers[-1]
-
-    def probed_dfs(n, kmax, by_depth, relabelings, seen):
-        return dfs(n, kmax, by_depth, relabelings, AskedSeen(seen))
-
-    monkeypatch.setattr(kernels, "_integer_dfs", probed_dfs)
+    monkeypatch.setattr(kernels, "_integer_dfs", _walk_asking(answers))
     table = kernels.integer_canon_witnesses.__wrapped__(4, 3)
     assert table == kernels.integer_canon_witnesses(4, 3)
     assert len(answers) == 14_553

@@ -155,19 +155,20 @@ def test_a_set_class_key_changes_no_comparison_repr_copy_or_pickle():
             assert c.class_key == b.class_key
 
 
-def test_integer_witnesses_built_without_checks_equal_checked_matrices():
-    # int:K lookups and LP vertices build their witnesses through
-    # DistanceMatrix._of_ints, which skips __init__'s checks and rescaling
+def test_integer_matrices_equal_the_same_matrices_given_as_fractions():
+    # DistanceMatrix keeps int entries as their own scaled form, with no
+    # rescaling; the int:K lookups and LP vertices build their witnesses
+    # from ints
     witnesses = [realize_bounded_integer(canonical_form(q4_betweenness())[0], 3)]
     witnesses.append(realize(q4_betweenness()).witness)
     witnesses += [_matrix_from_flat(3, entries) for entries in integer_canon_witnesses(3, 4).values()]
     for fast in witnesses:
-        checked = DistanceMatrix(fast.labels, [[int(v) for v in row] for row in fast.entries])
-        assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
-        assert fast._scaled == checked._scaled
-        assert pickle.dumps(fast) == pickle.dumps(checked)
+        general = DistanceMatrix(fast.labels, fast.entries)
+        assert fast == general and hash(fast) == hash(general) and repr(fast) == repr(general)
+        assert fast._scaled == general._scaled
+        assert pickle.dumps(fast) == pickle.dumps(general)
         for c in (copy.copy(fast), copy.deepcopy(fast), pickle.loads(pickle.dumps(fast))):
-            assert c == checked and repr(c) == repr(checked) and c._scaled == checked._scaled
+            assert c == general and repr(c) == repr(general) and c._scaled == general._scaled
 
 
 def test_validated_types_compare_by_type_too():
