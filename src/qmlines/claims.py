@@ -11,7 +11,6 @@ acceptance test suite.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
 from . import fixtures, kernels
@@ -29,11 +28,10 @@ from .enumeration import (
     enumerate_consistent,
     verify_theorem_four_points,
 )
+from .encoding import ordered_pairs, ordered_triples
 from .isomorphism import canonical_form, isomorphism_witness
 from .realizability import (
-    EPS_VAR,
     build_realization_system,
-    pair_var,
     realize,
     realize_bounded_integer,
     realize_digraph,
@@ -348,24 +346,20 @@ def claim_grid_oracle() -> Claim:
         agreements += 1
         if not grid_verdict:
             continue
+        # the witness over its entry sum S, with eps its least margin: each
+        # entry and each non-member's triangle slack; all rows times S
         quarters = grid[b.mask]
-        total = Fraction(sum(quarters), 4)
-        pairs = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-        assignment = {
-            pair_var(i, j): Fraction(v, 4) / total for (i, j), v in zip(pairs, quarters)
-        }
-        margins = list(assignment.values())
-        for (x, y, z) in permutations(range(3), 3):
-            slack = (
-                assignment[pair_var(x, y)]
-                + assignment[pair_var(y, z)]
-                - assignment[pair_var(x, z)]
-            )
-            if (x, y, z) not in b:
-                margins.append(slack)
-        assignment[EPS_VAR] = min(margins)
-        system = build_realization_system(b, "quasi")
-        if assignment[EPS_VAR] <= 0 or not system.satisfied_by(assignment):
+        d = dict(zip(ordered_pairs(3), quarters))
+        non_members = [t for t in ordered_triples(3) if t not in b]
+        eps = min(*quarters, *(d[x, y] + d[y, z] - d[x, z] for x, y, z in non_members))
+        point, total = (*quarters, eps), sum(quarters)
+        rows = build_realization_system(b, "quasi").constraints
+        holds = all(
+            lhs <= rhs * total and (relation == "<=" or lhs == rhs * total)
+            for coeffs, relation, rhs in rows
+            for lhs in [sum(c * v for c, v in zip(coeffs, point))]
+        )
+        if eps <= 0 or not holds:
             problems.append(f"encoding {b.mask}: grid witness violates the LP system")
     detail = "; ".join(problems) if problems else (
         f"all {agreements} consistent relations agree; every grid witness satisfies its system"

@@ -26,7 +26,15 @@ from .core import (
 from .enumeration import classify
 from .fileformats import ParseError, format_matrix, parse_matrix, parse_triples
 from .isomorphism import canonical_form, isomorphism_witness
-from .realizability import VARIANTS, realize, realize_bounded_integer, realize_digraph
+from .realizability import (
+    VARIANTS,
+    Digraph,
+    digraph_distances,
+    realize,
+    realize_bounded_integer,
+    realize_digraph,
+    verify_witness,
+)
 
 
 class InputError(Exception):
@@ -201,8 +209,6 @@ def cmd_canon(args) -> Report:
 def cmd_iso(args) -> Report:
     b1, labels1 = _load_triples(args.file_a, args.labels)
     b2, labels2 = _load_triples(args.file_b, args.labels_b or args.labels)
-    if b1.n != b2.n:
-        raise InputError(f"point counts differ: {b1.n} vs {b2.n}")
     witness = isomorphism_witness(b1, b2)
     if witness is None:
         mapping, text = None, ["not isomorphic"]
@@ -244,6 +250,11 @@ def cmd_realize(args) -> Report:
         text = [f"realizable by a digraph: {_yn(realizable)}"]
         key, witness, shown = "witness_arcs", None, []
         if realizable:
+            # the map holds one digraph per class: relabel it onto b itself
+            f = isomorphism_witness(betweenness_of(digraph_distances(g)), b)
+            g = Digraph(b.n, ((f(i), f(j)) for (i, j) in g.arcs))
+            if not verify_witness(digraph_distances(g), b):
+                raise RuntimeError(f"relabeled digraph does not realize {b}; this is a bug")
             witness = sorted([labels[i], labels[j]] for (i, j) in g.arcs)
             arcs = " ".join(f"{labels[i]}->{labels[j]}" for (i, j) in sorted(g.arcs))
             shown = [f"witness arcs: {arcs}"]

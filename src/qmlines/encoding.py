@@ -106,17 +106,6 @@ def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(permutations(range(n)))
 
 
-def nth_permutation(n: int, i: int) -> tuple[int, ...]:
-    """The i-th relabeling of 0..n-1 in lexicographic order, the order of
-    :func:`orbit`, read from the cached tuple of all of them.  Refuses
-    n! > RELABELING_CAP with a ValueError and i outside 0..n!-1 with an
-    IndexError."""
-    perms = _relabelings(n)
-    if not 0 <= i < len(perms):
-        raise IndexError(f"relabeling index {i} out of range for n={n}")
-    return perms[i]
-
-
 def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All ordered pairs of distinct indices in 0..n-1, lex order.
 
@@ -184,7 +173,7 @@ def _orbit_table(n: int, k: int) -> tuple[str | None, int, tuple[tuple, ...]]:
 def orbit(n: int, mask: int, k: int = 3) -> list[int]:
     """The images of an encoding under every relabeling of 0..n-1, in
     lexicographic order of the relabelings, so the identity's image comes
-    first and the i-th image is that of nth_permutation(n, i).
+    first and the i-th image is that of `_relabelings(n)[i]`.
 
     Bit i of mask is ordered_tuples(n, k)[i]: triples by default, pairs for
     arc masks.  Reads :func:`_orbit_table` once.  With packed rows it ORs

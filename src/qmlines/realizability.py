@@ -11,7 +11,7 @@ exhaustive sweeps, each built once per process and size.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from . import kernels
 from .core import (
@@ -43,25 +43,14 @@ def _require_consistent(b: Betweenness) -> None:
 
 # ------------------------------------------------------ the realization LP
 
-EPS_VAR = "eps"
-
-
-def pair_var(i: int, j: int) -> str:
-    return f"d({i},{j})"
-
-
-@lru_cache(maxsize=None)
-def pair_variables(n: int) -> tuple[str, ...]:
-    return tuple(pair_var(i, j) for (i, j) in ordered_pairs(n))
-
-
 @lru_cache(maxsize=None)
 def _realization_rows(n: int, variant: str):
     """The rows shared by every system of (n, variant), as the solver's
-    integer rows over `pair_variables(n)` then eps: the n(n-1) positivity
-    rows eps - d <= 0, one (non-member, member) row pair per ordered
-    triple, then symmetry and normalization.  `LinearSystem.constraints`
-    keeps this order; the value LP takes the positivity rows last."""
+    integer rows over one column per ordered pair, in `ordered_pairs(n)`
+    order, then eps: the n(n-1) positivity rows eps - d <= 0, one
+    (non-member, member) row pair per ordered triple, then symmetry and
+    normalization.  `LinearSystem.constraints` keeps this order; the value
+    LP takes the positivity rows last."""
     index = {p: k for k, p in enumerate(ordered_pairs(n))}
     eps = len(index)
 
@@ -89,13 +78,15 @@ def _picked(pairs, mask: int):
 
 class LinearSystem(_Value):
     """The realization system of one consistent relation and one variant,
-    over one variable per ordered pair plus the shared slack eps; the
-    objective is always to maximize the slack.
+    over one variable per ordered pair, in `ordered_pairs(n)` order, then
+    the shared slack eps; the objective is always to maximize the slack.
 
     Its rows are the cached template of (n, variant) with one row of each
     triple's pair picked by the relation's bit, so every system is well
     formed by construction.  A row is (coefficients, relation, rhs): one
     integer per variable, "=" or "<=", and rhs 0 or 1, as `lp` takes it.
+    A point satisfies the row iff coefficients . point <= rhs, with
+    equality for "=".
     """
 
     # constraints is derived from the other two, so compared by them
@@ -117,16 +108,8 @@ class LinearSystem(_Value):
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return pair_variables(self.relation.n) + (EPS_VAR,)
-
-    def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
-        """Whether the values, one per variable, satisfy every row."""
-        x = [assignment[v] for v in self.variables]
-        for coeffs, relation, rhs in self.constraints:
-            lhs = sum(c * v for c, v in zip(coeffs, x))
-            if lhs > rhs or (relation == "=" and lhs != rhs):
-                return False
-        return True
+        """The column names, for reports: d(i,j) per ordered pair, then eps."""
+        return (*(f"d({i},{j})" for (i, j) in ordered_pairs(self.relation.n)), "eps")
 
 
 def build_realization_system(b: Betweenness, variant: str = "quasi") -> LinearSystem:
@@ -169,7 +152,7 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     """
     b = system.relation
     rows = system.constraints
-    k = len(system.variables) - 1  # the positivity rows come first, one per distance
+    k = b.n * (b.n - 1)  # the positivity rows come first, one per distance
     cost = [0] * k + [1]  # maximize eps, the last variable
     status, slack = _optimum([*rows[k:], *rows[:k]], cost)
     if status == "infeasible":

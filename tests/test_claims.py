@@ -3,8 +3,11 @@
 from collections import Counter
 from fractions import Fraction
 
-from qmlines import enumeration, realizability
+import pytest
+
+from qmlines import claims, enumeration, realizability
 from qmlines.claims import (
+    claim_grid_oracle,
     claim_digraph_refutation,
     claim_four_point_corollary,
     claim_integer_refutation,
@@ -97,6 +100,22 @@ def test_grid_oracle_realizes_exactly_the_consistent_relations():
     assert len(grid) == 18
     for mask in grid:
         assert consistency_check(Betweenness(3, mask))
+
+
+# one entry of one grid witness changed, in ordered_pairs(3) order: on {abc}
+# d(a,c) = 2 lowered to 1 leaves d(a,c) - d(a,b) - d(b,c) = -1, so only
+# the member equality breaks and eps stays 1; on the empty relation d(a,c)
+# raised to 2 makes abc's triangle tight, so eps = 0 and every row holds
+@pytest.mark.parametrize("mask, entry, value", [(1, 1, 1), (0, 1, 2)])
+def test_grid_oracle_rejects_a_witness_off_its_system(monkeypatch, mask, entry, value):
+    grid = dict(three_point_grid_realizations())
+    changed = list(grid[mask])
+    changed[entry] = value
+    grid[mask] = tuple(changed)
+    monkeypatch.setattr(claims, "three_point_grid_realizations", lambda: grid)
+    claim = claim_grid_oracle()
+    assert not claim.passed
+    assert claim.detail == f"encoding {mask}: grid witness violates the LP system"
 
 
 def test_corollary_runs_no_classification_and_only_reversal_closed_metric_lps(monkeypatch):

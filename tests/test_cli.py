@@ -1,12 +1,17 @@
 import hashlib
 import json
+import random
 import shutil
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from qmlines import kernels
 from qmlines.cli import main
+from qmlines.core import Betweenness
+
+from oracles import consistent_masks, floyd_warshall_distances
 
 Q4_TEXT = "p s q r\n0 1 1 3\n3 0 2 3\n1 2 0 2\n1 1 2 0\n"
 Q4_TRIPLES = "p q r\nr p q\ns q p\nq p s\n"
@@ -286,6 +291,51 @@ class TestRealize:
         )
         assert code == 0
         assert payload["witness_arcs"]
+
+    @staticmethod
+    def arcs_betweenness(arcs, labels):
+        """The betweenness, as label words, of the digraph on labels with arcs."""
+        index = {label: k for k, label in enumerate(labels)}
+        n = len(labels)
+        d = floyd_warshall_distances(n, [(index[x], index[y]) for x, y in arcs])
+        return {
+            (labels[x], labels[y], labels[z])
+            for x, y, z in permutations(range(n), 3)
+            if d[x][y] + d[y][z] == d[x][z]
+        }
+
+    def digraph_arcs(self, capsys, tmp_path, words, labels):
+        path = tmp_path / "query.triples"
+        path.write_text("".join(" ".join(w) + "\n" for w in words))
+        _, payload = run_json(
+            capsys, "realize", "--variant", "digraph",
+            "--triples", str(path), "--labels", ",".join(labels),
+        )
+        return payload["witness_arcs"]
+
+    def test_digraph_witness_realizes_the_query_under_its_labels(self, capsys, tmp_path):
+        # the map holds one digraph per class; the arcs printed must realize
+        # the file's own triples, under every order of the same labels
+        found = 0
+        for mask in consistent_masks(3):
+            words = {tuple("abc"[i] for i in t) for t in Betweenness(3, mask).triples}
+            for labels in permutations("abc"):
+                arcs = self.digraph_arcs(capsys, tmp_path, sorted(words), labels)
+                if arcs is not None:
+                    found += 1
+                    assert self.arcs_betweenness(arcs, labels) == words
+        assert found == 6 * 18  # every consistent 3-point relation is one
+        # labeled 4-point relations, each the betweenness of a random digraph
+        rng = random.Random(31)
+        checked = 0
+        while checked < 12:
+            labels = rng.sample("pqrs", 4)
+            arcs = [(x, y) for x, y in permutations(labels, 2) if rng.random() < 0.5]
+            if floyd_warshall_distances(4, [(labels.index(x), labels.index(y)) for x, y in arcs]):
+                words = self.arcs_betweenness(arcs, labels)
+                printed = self.digraph_arcs(capsys, tmp_path, sorted(words), rng.sample("pqrs", 4))
+                assert self.arcs_betweenness(printed, labels) == words
+                checked += 1
 
     def test_bad_variant(self, capsys, q4_triples_file):
         code, _, err = run(

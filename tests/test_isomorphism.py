@@ -13,7 +13,6 @@ from qmlines.core import Betweenness, consistency_check, line_set
 from qmlines.encoding import (
     RELABELING_CAP,
     conflict_masks,
-    nth_permutation,
     orbit,
     orbit_class,
     ordered_tuples,
@@ -166,7 +165,7 @@ def test_orbit_lists_every_relabeling_in_permutation_order(n):
     images = [apply_relabeling(b, Relabeling(p)).mask for p in perms]
     assert orbit(n, mask) == images
     assert images[0] == mask
-    assert [nth_permutation(n, i) for i in range(len(perms))] == perms
+    assert list(encoding._relabelings(n)) == perms
 
 
 # (k, n, lane of the orbit table): packed 4-byte ("I") and 8-byte ("Q") lanes
@@ -253,7 +252,7 @@ class TestUncheckedRelabelings:
 
     def test_equal_to_the_checked_relabeling(self):
         for n, i, f in self.outputs():
-            checked = Relabeling(nth_permutation(n, i))
+            checked = Relabeling(encoding._relabelings(n)[i])
             assert f == checked
             assert hash(f) == hash(checked)
             assert repr(f) == repr(checked)
@@ -286,13 +285,6 @@ class TestRelabelingCap:
     def test_isomorphism_witness_refuses_nine_points(self):
         with pytest.raises(ValueError, match="over the cap"):
             isomorphism_witness(Betweenness(9, 0), Betweenness(9, 0))
-
-    def test_nth_permutation_refuses_nine_points_and_indices_out_of_range(self):
-        with pytest.raises(ValueError, match="over the cap"):
-            nth_permutation(9, 0)
-        for i in (-1, 6):
-            with pytest.raises(IndexError, match=f"index {i} out of range for n=3"):
-                nth_permutation(3, i)
 
     def test_apply_relabeling_needs_no_table(self):
         b = Betweenness.from_triples(9, [(0, 1, 8)])

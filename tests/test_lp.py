@@ -13,14 +13,12 @@ from qmlines.core import Betweenness
 from qmlines.enumeration import canonical_classes, classify
 from qmlines.fixtures import q4_betweenness, q4_matrix
 from qmlines.lp import _optimum, _simplex_max
+from qmlines.encoding import ordered_pairs
 from qmlines.realizability import (
-    EPS_VAR,
     VARIANTS,
     _realization_rows,
     build_realization_system,
     maximize_slack,
-    pair_var,
-    pair_variables,
     realize,
 )
 
@@ -31,6 +29,17 @@ from oracles import brute_force_lp_max, consistent_masks, split_simplex_max
 def support(system, row):
     """The variables with a nonzero coefficient in one of the system's rows."""
     return {v for v, c in zip(system.variables, row[0]) if c}
+
+
+def violated(system, point, denominator):
+    """The rows that a point, integer numerators over one denominator, breaks."""
+    broken = []
+    for row in system.constraints:
+        coeffs, relation, rhs = row
+        lhs = sum(c * v for c, v in zip(coeffs, point))
+        if lhs > rhs * denominator or (relation == "=" and lhs != rhs * denominator):
+            broken.append(row)
+    return broken
 
 
 class TestSystemStructure:
@@ -44,7 +53,7 @@ class TestSystemStructure:
                 r for r in system.constraints if r[1] == relation and len(support(system, r)) == size
             ]
 
-        positivity = [r for r in rows("<=", 2) if EPS_VAR in support(system, r)]
+        positivity = [r for r in rows("<=", 2) if "eps" in support(system, r)]
         assert len(positivity) == 12
         assert len(rows("=", 3)) == 4
         assert len(rows("<=", 4)) == 20
@@ -53,7 +62,7 @@ class TestSystemStructure:
 
     def test_empty_relation_on_three_points(self):
         system = build_realization_system(Betweenness(3, 0), "quasi")
-        assert len(pair_variables(3)) == 6
+        assert len(system.variables) == 7
         sizes = [(r[1], len(support(system, r))) for r in system.constraints]
         assert ("=", 3) not in sizes
         assert sizes.count(("<=", 4)) == 6
@@ -66,28 +75,37 @@ class TestSystemStructure:
             for r in system.constraints
             if r[1] == "="
             and sorted(c for c in r[0] if c) == [-1, 1]
-            and EPS_VAR not in support(system, r)
+            and "eps" not in support(system, r)
         ]
         assert len(sym) == 3
         equalities = [r for r in system.constraints if r[1] == "=" and len(support(system, r)) == 3]
         # d(a,c) = d(a,b) + d(b,c) and d(c,a) = d(c,b) + d(b,a)
         wanted = {
-            frozenset({pair_var(0, 2), pair_var(0, 1), pair_var(1, 2)}),
-            frozenset({pair_var(2, 0), pair_var(2, 1), pair_var(1, 0)}),
+            frozenset({"d(0,2)", "d(0,1)", "d(1,2)"}),
+            frozenset({"d(2,0)", "d(2,1)", "d(1,0)"}),
         }
         assert {frozenset(support(system, r)) for r in equalities} == wanted
 
-    def test_satisfied_by(self):
+    def test_variables_name_the_pairs_then_eps(self):
+        for n in range(2, 7):
+            names = build_realization_system(Betweenness(n, 0), "quasi").variables
+            assert names == (*(f"d({i},{j})" for i, j in ordered_pairs(n)), "eps")
+        assert build_realization_system(Betweenness(3, 1), "metric").variables == (
+            "d(0,1)", "d(0,2)", "d(1,0)", "d(1,2)", "d(2,0)", "d(2,1)", "eps"
+        )
+
+    def test_integer_rows_hold_q4_over_its_entry_sum(self):
         # Q4 over its entry sum 22, with eps = 1/22, its least margin
         system = build_realization_system(q4_betweenness(), "quasi")
         d = q4_matrix().entries
-        point = {pair_var(i, j): Fraction(d[i][j], 22) for i in range(4) for j in range(4) if i != j}
-        point[EPS_VAR] = Fraction(1, 22)
-        assert system.satisfied_by(point)
+        entries = [d[i][j] for i, j in ordered_pairs(4)]
+        assert sum(entries) == 22
+        assert violated(system, (*entries, 1), 22) == []
         # a larger margin breaks a positivity row; the point halved keeps
         # every homogeneous row and breaks the normalization equality alone
-        assert not system.satisfied_by({**point, EPS_VAR: Fraction(2, 22)})
-        assert not system.satisfied_by({v: x / 2 for v, x in point.items()})
+        positivity = system.constraints[:12]
+        assert set(violated(system, (*entries, 2), 22)) & set(positivity)
+        assert violated(system, (*entries, 1), 44) == [system.constraints[-1]]
 
 
 def templates():
@@ -96,11 +114,11 @@ def templates():
     for variant in VARIANTS:
         for n in range(2, 7):
             head, pairs, tail = _realization_rows(n, variant)
-            yield n, (*head, *tail), pairs, len(pair_variables(n)) + 1
+            yield n, (*head, *tail), pairs, n * (n - 1) + 1
 
 
 def normalization(n):
-    return (1,) * len(pair_variables(n)) + (0,), "=", 1
+    return (1,) * (n * (n - 1)) + (0,), "=", 1
 
 
 # What makes any system of (n, variant) a bounded slack LP, checked once per
@@ -343,7 +361,7 @@ def test_realization_lps_repeat_the_split_column_solver(variant):
 
     for b in (*three_points, q4_betweenness()):
         system = build_realization_system(b, variant)
-        oracle = split_simplex_max(system.variables, triples_of(system), {EPS_VAR: 1})
+        oracle = split_simplex_max(system.variables, triples_of(system), {"eps": 1})
         assert solved(system) == oracle
     digest = hashlib.sha256()
     for b in relations:
