@@ -2,10 +2,10 @@
 quasi-metric spaces that this package is able to machine-check.
 
 Each claim function recomputes one fact from scratch and reports PASS/FAIL
-with the computed artifact in the detail string.  The functions accept
-overrides for their fixtures so tests can confirm that corrupted inputs are
-caught.  `run_all_claims` drives the `verify-paper` CLI command and the
-acceptance test suite.
+with the computed artifact in the detail string.  Claims take no arguments;
+tests corrupt :mod:`qmlines.fixtures` instead, to confirm each can fail.
+`run_all_claims` drives the `verify-paper` CLI command and the acceptance
+test suite.
 """
 
 import random
@@ -16,7 +16,6 @@ from typing import NamedTuple
 from . import fixtures, kernels
 from .core import (
     Betweenness,
-    DistanceMatrix,
     betweenness_of,
     line_of_pair,
     line_set,
@@ -54,13 +53,11 @@ def _fmt_lines(lines, labels) -> str:
     return " ".join(sorted(_fmt_points(l, labels) for l in lines))
 
 
-def claim_q4_betweenness(
-    matrix: DistanceMatrix | None = None, reference: Betweenness | None = None
-) -> Claim:
+def claim_q4_betweenness() -> Claim:
     """The embedded Q4 table is a quasi-metric with betweenness exactly
     {pqr, rpq, sqp, qps}."""
-    m = matrix if matrix is not None else fixtures.q4_matrix()
-    ref = reference if reference is not None else fixtures.q4_betweenness()
+    m = fixtures.q4_matrix()
+    ref = fixtures.q4_betweenness()
     check = validate_quasi_metric(m)
     if not check.ok:
         detail = "; ".join(v.detail for v in check.violations)
@@ -76,10 +73,10 @@ def claim_q4_betweenness(
     )
 
 
-def claim_q4_lines(matrix: DistanceMatrix | None = None) -> Claim:
+def claim_q4_lines() -> Claim:
     """Q4 has exactly the three lines {p,q,r}, {p,q,s}, {r,s}; none is
     universal, so the space fails the universal-or-n-lines property."""
-    m = matrix if matrix is not None else fixtures.q4_matrix()
+    m = fixtures.q4_matrix()
     b = betweenness_of(m)
     ls = line_set(b)
     lines_idx = frozenset(ls.lines)
@@ -131,7 +128,7 @@ def claim_three_point_classification() -> Claim:
             problems.append(
                 f"{name}: metric-realizable {rec.realizable_metric}, expected {row['metric']}"
             )
-    if seen_canons != set(by_canon):
+    if set(by_canon) - seen_canons:
         problems.append("classification contains classes beyond the reference five")
     counts = [by_canon[c].line_count for c in sorted(by_canon)] if by_canon else []
     detail = f"5 classes, line counts {counts}, metric classes " + str(
@@ -142,9 +139,9 @@ def claim_three_point_classification() -> Claim:
     return Claim("three-point-table", "3-point classification", not problems, detail)
 
 
-def claim_metric_refutation(reference: Betweenness | None = None) -> Claim:
+def claim_metric_refutation() -> Claim:
     """No metric space has Q4's betweenness."""
-    b = reference if reference is not None else fixtures.q4_betweenness()
+    b = fixtures.q4_betweenness()
     outcome = realize(b, "metric")
     ok = not outcome.realizable
     return Claim(
@@ -155,10 +152,10 @@ def claim_metric_refutation(reference: Betweenness | None = None) -> Claim:
     )
 
 
-def claim_integer_refutation(reference: Betweenness | None = None) -> Claim:
+def claim_integer_refutation() -> Claim:
     """No quasi-metric with distances <= 2 has betweenness isomorphic to
     Q4's; with distances <= 3 one exists (Q4 itself has entries in 1..3)."""
-    b = reference if reference is not None else fixtures.q4_betweenness()
+    b = fixtures.q4_betweenness()
     at2 = realize_bounded_integer(b, 2)
     at3 = realize_bounded_integer(b, 3)
     problems = []
@@ -178,10 +175,10 @@ def claim_integer_refutation(reference: Betweenness | None = None) -> Claim:
     return Claim("integer-refutation", "bounded-integer realizability", not problems, detail)
 
 
-def claim_digraph_refutation(reference: Betweenness | None = None) -> Claim:
+def claim_digraph_refutation() -> Claim:
     """No strongly connected digraph on 4 vertices induces a betweenness
     isomorphic to Q4's."""
-    b = reference if reference is not None else fixtures.q4_betweenness()
+    b = fixtures.q4_betweenness()
     found = realize_digraph(b)
     ok = found is None
     detail = (
@@ -192,11 +189,11 @@ def claim_digraph_refutation(reference: Betweenness | None = None) -> Claim:
     return Claim("digraph-refutation", "Q4 is not digraph-realizable", ok, detail)
 
 
-def claim_four_point_theorem(reference: Betweenness | None = None) -> Claim:
+def claim_four_point_theorem() -> Claim:
     """Among all 104,976 consistent candidates on 4 points, exactly one
     canonical class is quasi-realizable with no universal line and fewer
     than four lines, and it is Q4's class."""
-    report = verify_theorem_four_points(reference=reference)
+    report = verify_theorem_four_points()
     recs = report.exceptional_classes
     problems = []
     if not report.matches_q4:

@@ -87,6 +87,8 @@ def _betweenness_source(args) -> tuple[Betweenness, tuple[str, ...]]:
     """Either a validated matrix file or a triples file with labels."""
     if args.matrix is not None and args.triples is not None:
         raise InputError("give a matrix file or --triples, not both")
+    if args.matrix is not None and args.labels is not None:
+        raise InputError("--labels goes with --triples; a matrix file names its own points")
     if args.matrix is not None:
         m = _load_validated_matrix(args.matrix)
         return betweenness_of(m), m.labels

@@ -345,12 +345,11 @@ def line_of_pair(b: Betweenness, x: int, y: int) -> frozenset[int]:
     """The line of the ordered pair (x, y), determined by the betweenness alone.
 
     z lies on it iff one of zxy, xzy, xyz is in the relation; x and y always
-    do.  Read from the field of (x, y) in the relation's packed lines.
-    Note line(x, y) and line(y, x) may differ.
+    do.  Read from :func:`line_set`.  Note line(x, y) and line(y, x) may
+    differ.
     """
     _check_points(b.n, x, y, "line")
-    fields = _line_fields(b.n, _packed_lines(b.n, b.mask))
-    return _points(fields[ordered_pairs(b.n).index((x, y))])
+    return line_set(b).by_pair[x, y]
 
 
 class LineSet(NamedTuple):

@@ -219,7 +219,8 @@ def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
 
 class TheoremReport(NamedTuple):
     """Outcome of the four-point uniqueness check: the quasi-realizable
-    classes with no universal line and fewer than four lines."""
+    classes with no universal line and fewer than four lines, and whether
+    they are exactly one class, Q4's (``matches_q4``)."""
 
     n: int
     exceptional_classes: tuple[ClassificationRecord, ...]
@@ -261,10 +262,10 @@ def _dbe_failing_masks(n: int) -> list[int]:
     return failing
 
 
-def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremReport:
+def verify_theorem_four_points() -> TheoremReport:
     """Check that exactly one 4-point class is quasi-realizable with no
     universal line and fewer than four lines, and that it is the class of
-    the reference relation (Q4's betweenness by default).
+    Q4's betweenness, as :func:`qmlines.fixtures.q4_betweenness` gives it.
 
     The classes come from :func:`_dbe_failing_masks`, not from the class
     list: its walk visits 4,680 nodes, 3,132 of them complete relations (of
@@ -274,10 +275,9 @@ def verify_theorem_four_points(reference: Betweenness | None = None) -> TheoremR
     from the same relabeling images, are checked in increasing encoding
     order; the LP runs on those alone.
     """
-    from .fixtures import q4_betweenness
+    from . import fixtures
 
-    ref = reference if reference is not None else q4_betweenness()
-    ref_canon, _ = canonical_form(ref)
+    ref_canon, _ = canonical_form(fixtures.q4_betweenness())
     int2 = kernels.integer_canon_witnesses(4, 2)
     sizes = dict(orbit_class(orbit(4, mask)) for mask in _dbe_failing_masks(4))
     exceptional = []

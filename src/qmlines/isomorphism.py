@@ -2,9 +2,9 @@
 
 Canonical forms and witnesses are read off :func:`qmlines.encoding.orbit`,
 the images of an encoding under all n! relabelings in lexicographic
-permutation order; at the sizes this package verifies (n <= 4, i.e. 24
-permutations) anything cleverer would be noise.  That brute force is capped
-at n! <= 8!; :func:`apply_relabeling` maps triples directly and works at any n.
+permutation order, capped at n! <= 8! (`encoding.RELABELING_CAP`): 24
+relabelings for the classification at n <= 4, 120 for the n=5 maps and
+queries.  :func:`apply_relabeling` maps triples directly and works at any n.
 """
 
 from .core import Betweenness, _Value

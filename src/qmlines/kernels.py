@@ -28,7 +28,7 @@ each of the 200,897 leaves at n=4, K=4 again would be new work.
 from functools import lru_cache
 
 from .core import betweenness_mask
-from .encoding import ordered_pairs, ordered_triples, orbit
+from .encoding import _relabelings, ordered_pairs, ordered_triples, orbit
 
 # most integer matrices the bounded-integer sweeps may face: 4**12 covers
 # n=4 up to K=4, and n=5 with K=2
@@ -58,13 +58,12 @@ def _triples_by_depth(n):
 @lru_cache(maxsize=None)
 def _pair_relabelings(n):
     """The position maps of the non-identity relabelings on the flat entry
-    vector: entry k of the relabeled matrix is entry p[k] of the original,
-    read off :func:`orbit` on the one-pair arc masks."""
-    npairs = n * (n - 1)
-    images = [orbit(n, 1 << k, 2) for k in range(npairs)]
-    maps = zip(*([image.bit_length() - 1 for image in row] for row in images))
-    identity = tuple(range(npairs))
-    return tuple(p for p in maps if p != identity)
+    vector, in the order of :func:`qmlines.encoding._relabelings`: entry k
+    of the relabeled matrix is entry p[k] of the original."""
+    pairs = ordered_pairs(n)
+    pos = {pair: k for k, pair in enumerate(pairs)}
+    # the identity is the first relabeling
+    return tuple(tuple(pos[p[i], p[j]] for (i, j) in pairs) for p in _relabelings(n)[1:])
 
 
 def _integer_dfs(n, kmax, by_depth, relabelings, seen):

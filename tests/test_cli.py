@@ -145,6 +145,14 @@ class TestLines:
         assert code == 2
         assert "--labels" in err
 
+    @pytest.mark.parametrize("command", ["lines", "dbe"])
+    def test_labels_with_a_matrix_file_are_input_error(self, capsys, q4_file, command):
+        # a matrix file names its points; --labels must not be dropped silently
+        code, out, err = run(capsys, command, q4_file, "--labels", "x,y,z,w")
+        assert code == 2
+        assert out == ""
+        assert "--labels goes with --triples" in err
+
 
 class TestDbe:
     def test_q4_fails(self, capsys, q4_file):

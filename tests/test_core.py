@@ -14,6 +14,7 @@ from qmlines.core import (
     _packed_table,
     betweenness_of,
     consistency_check,
+    default_labels,
     line_of_pair,
     line_set,
     segment,
@@ -82,6 +83,23 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="positive"):
             q4.scaled(0)
 
+    def test_index_of_an_unknown_label_is_a_key_error(self, q4):
+        assert q4.index("q") == 2
+        with pytest.raises(KeyError) as exc:
+            q4.index("x")
+        assert exc.value.args == ("unknown point label 'x'",)
+
+    @pytest.mark.parametrize(
+        "n, labels",
+        [
+            (2, ("a", "b")),
+            (26, tuple("abcdefghijklmnopqrstuvwxyz")),
+            (27, tuple(f"x{i}" for i in range(27))),
+        ],
+    )
+    def test_default_labels_are_letters_up_to_26_points(self, n, labels):
+        assert default_labels(n) == labels
+
 
 class TestValidation:
     def test_q4_is_a_quasi_metric(self, q4):
@@ -134,6 +152,10 @@ class TestBetweenness:
     def test_mask_range_checked(self):
         with pytest.raises(ValueError):
             Betweenness(3, 1 << 6)
+
+    def test_rejects_single_point(self):
+        with pytest.raises(ValueError, match="^need at least 2 points, got 1$"):
+            Betweenness(1, 0)
 
     def test_contains(self):
         b = q4_betweenness()

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from qmlines import enumeration, kernels
+from qmlines import enumeration, fixtures, kernels
 from qmlines.core import Betweenness, DistanceMatrix, consistency_check, line_set
 from qmlines.encoding import orbit, supports
 from qmlines.enumeration import (
@@ -268,10 +268,11 @@ class TestTheorem:
         assert rec.realizable_int == {2: False}
         assert verify_witness(rec.witness, rec.canonical)
 
-    def test_perturbed_reference_is_reported(self):
+    def test_perturbed_reference_is_reported(self, monkeypatch):
         reference = q4_betweenness()
         smaller = Betweenness(4, reference.mask & (reference.mask - 1))  # drop one triple
-        report = verify_theorem_four_points(reference=smaller)
+        monkeypatch.setattr(fixtures, "q4_betweenness", lambda: smaller)
+        report = verify_theorem_four_points()
         assert not report.matches_q4
         assert len(report.exceptional_classes) == 1  # the landscape itself is unchanged
 
@@ -304,7 +305,8 @@ class TestTheorem:
         smaller = Betweenness(4, reference.mask & (reference.mask - 1))
         monkeypatch.setattr(enumeration, "canonical_classes", no_class_list)
         report = verify_theorem_four_points()
-        perturbed = verify_theorem_four_points(reference=smaller)
+        monkeypatch.setattr(fixtures, "q4_betweenness", lambda: smaller)
+        perturbed = verify_theorem_four_points()
         monkeypatch.undo()
         # the route the walk replaced: every class, filtered by its LineSet's
         # DBE verdict, then the same record and LP

@@ -79,6 +79,10 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="empty"):
             parse_matrix("# just a comment\n")
 
+    def test_one_label_header_rejected(self):
+        with pytest.raises(ParseError, match="^line 2: need at least 2 point labels$"):
+            parse_matrix("# one point\na\n0\n")
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# heading\n\na b\n# middle\n0 1\n\n1 0\n"
         assert parse_matrix(text).labels == ("a", "b")
@@ -112,6 +116,10 @@ class TestParseTriples:
     def test_duplicate_label_universe_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_triples("", ("a", "a"))
+
+    def test_one_label_universe_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 point labels$"):
+            parse_triples("", ["a"])
 
 
 class TestShippedDataFiles:

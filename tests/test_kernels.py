@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from math import factorial
 
 import pytest
 
@@ -127,6 +128,17 @@ def test_integer_sweep_stops_once_every_consistent_class_is_in(monkeypatch, n, k
     else:
         assert table == first_integer_per_class(n, kmax)
         assert len(stopped) < len(full)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_maps_move_each_arc_as_the_orbit_does(n):
+    # relabeling r + 1 (r = 0 is the identity) sends arc k to arc maps[r][k]
+    maps = kernels._pair_relabelings(n)
+    assert len(maps) == factorial(n) - 1
+    for k in range(n * (n - 1)):
+        images = orbit(n, 1 << k, 2)
+        assert images[0] == 1 << k
+        assert list(images[1:]) == [1 << p[k] for p in maps]
 
 
 def test_integer_sweep_visits_one_matrix_per_orbit():
