@@ -203,7 +203,8 @@ def claim_four_point_theorem() -> Claim:
         rec = recs[0]
         if rec.line_count != 3:
             problems.append(f"exceptional class has {rec.line_count} lines, expected 3")
-        if rec.realizable_metric or rec.realizable_digraph or rec.realizable_int.get(2, True):
+        at2 = realize_bounded_integer(rec.canonical, 2)
+        if rec.realizable_metric or rec.realizable_digraph or at2 is not None:
             problems.append("exceptional class unexpectedly realizable by metric/digraph/int<=2")
     detail = "; ".join(problems) if problems else (
         f"unique exceptional class, encoding {recs[0].canonical.mask}, "

@@ -6,10 +6,8 @@ this module is an exact equality or inequality, never tolerance-based.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 from operator import attrgetter
-from string import ascii_lowercase
 from typing import Iterable, Mapping, NamedTuple
 
 from .encoding import (
@@ -32,8 +30,8 @@ def as_rational(value) -> Fraction:
 
 
 def default_labels(n: int) -> tuple[str, ...]:
-    if n <= len(ascii_lowercase):
-        return tuple(ascii_lowercase[:n])
+    if n <= 26:
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     return tuple(f"x{i}" for i in range(n))
 
 
@@ -105,14 +103,9 @@ class DistanceMatrix(_Value):
             raise ValueError(f"duplicate labels in {labels}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form a {n}x{n} square matrix")
-        scaled = tuple(map(tuple, entries))
-        if set(map(type, chain.from_iterable(scaled))) == {int}:
-            # an integer matrix is its own scaled form
-            entries = tuple(tuple(map(Fraction, row)) for row in scaled)
-        else:
-            entries = tuple(tuple(as_rational(v) for v in row) for row in scaled)
-            scale = lcm(*(v.denominator for row in entries for v in row))
-            scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries)
+        entries = tuple(tuple(as_rational(v) for v in row) for row in entries)
+        scale = lcm(*(v.denominator for row in entries for v in row))
+        scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_scaled", scaled)

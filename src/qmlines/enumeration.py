@@ -273,17 +273,16 @@ def verify_theorem_four_points() -> TheoremReport:
     each; 383 of the complete ones have no universal line and 12 have fewer
     than four lines.  Their distinct canonical forms, with orbit sizes read
     from the same relabeling images, are checked in increasing encoding
-    order; the LP runs on those alone.
+    order; the LP runs on those alone.  The records are _base_record's:
+    no integer sweep runs, and ``realizable_int`` is empty.
     """
     from . import fixtures
 
     ref_canon, _ = canonical_form(fixtures.q4_betweenness())
-    int2 = kernels.integer_canon_witnesses(4, 2)
     sizes = dict(orbit_class(orbit(4, mask)) for mask in _dbe_failing_masks(4))
     exceptional = []
     for mask in sorted(sizes):
         rec = _base_record(4, mask, sizes[mask])
-        rec = rec._replace(realizable_int={2: mask in int2})
         if rec.realizable_quasi:
             exceptional.append(rec)
     matches = len(exceptional) == 1 and exceptional[0].canonical == ref_canon

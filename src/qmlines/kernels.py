@@ -36,8 +36,11 @@ INTEGER_SWEEP_CAP = 2**24
 
 # the consistent classes on n points, as the class lists count them (a test
 # checks these): the betweenness of every quasi-metric is consistent, so an
-# integer map that holds this many classes is complete
-CONSISTENT_CLASSES = {2: 1, 3: 5, 4: 4455}
+# integer map that holds this many classes is complete.  n=4 has no entry:
+# only 273 of its 4,455 classes are quasi-realizable, so no map reaches the
+# count, and a stop at 273 would take that count from the LP, which the
+# integer maps are tested against
+CONSISTENT_CLASSES = {2: 1, 3: 5}
 
 
 def _triples_by_depth(n):
@@ -66,14 +69,14 @@ def _pair_relabelings(n):
     return tuple(tuple(pos[p[i], p[j]] for (i, j) in pairs) for p in _relabelings(n)[1:])
 
 
-def _integer_dfs(n, kmax, by_depth, relabelings, seen):
+def _integer_dfs(n, kmax, seen):
     """Yield (values, betweenness_mask) for the lex-least matrix of each
     relabeling orbit of the valid quasi-metrics with off-diagonal entries in
     1..kmax whose mask is not in seen, in lex order of values (one flat list
     over ordered_pairs(n), reused between yields): a DFS over the entries in
     lex order, pruned by the triangle checks and by lex-leader comparisons.
     The caller may add masks to seen between yields; while seen stays
-    empty, every lex-least matrix is yielded.
+    empty, every lex-least matrix is yielded.  It builds its own tables.
 
     For each relabeling p the walk compares vals with its image, entry k
     against entry p[k], as far as both are assigned.  It cuts the branch
@@ -87,6 +90,8 @@ def _integer_dfs(n, kmax, by_depth, relabelings, seen):
     which can hold only at lo or hi.  A leaf whose mask is in seen is
     skipped before its lex-leader comparisons.
     """
+    relabelings = _pair_relabelings(n)
+    by_depth = _triples_by_depth(n)
     npairs = n * (n - 1)
     last = npairs - 1
     # the last pair's triangles: v <= vals[a] + vals[b] (tops) and
@@ -199,9 +204,9 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     The sweep stops once the map holds all CONSISTENT_CLASSES[n] classes,
     since no later matrix can add one: at n=2 after the first matrix.
 
-    Refuses with a ValueError, before any table is built, a bound kmax < 1
-    and a sweep that could face more than INTEGER_SWEEP_CAP matrices or more
-    than encoding.RELABELING_CAP relabelings.
+    Refuses with a ValueError, before the walk builds any table, a bound
+    kmax < 1 and a sweep that could face more than INTEGER_SWEEP_CAP
+    matrices or more than encoding.RELABELING_CAP relabelings.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
@@ -212,12 +217,13 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
             f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
             f"{INTEGER_SWEEP_CAP} (2^24)"
         )
-    relabelings = _pair_relabelings(n)
+    # refuses n! over the cap; the walk needs the relabelings anyway
+    _relabelings(n)
     complete = CONSISTENT_CLASSES.get(n)
     result: dict[int, tuple[int, ...]] = {}
     # each distinct raw mask is yielded, and canonicalized, once
     seen: set[int] = set()
-    for vals, mask in _integer_dfs(n, kmax, _triples_by_depth(n), relabelings, seen):
+    for vals, mask in _integer_dfs(n, kmax, seen):
         seen.add(mask)
         best = min(orbit(n, mask))
         if best not in result:

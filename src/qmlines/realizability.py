@@ -234,6 +234,8 @@ class Digraph(_Value):
     arcs: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, arcs):
+        if n < 2:
+            raise ValueError(f"need at least 2 points, got {n}")
         arcs = frozenset((int(i), int(j)) for (i, j) in arcs)
         for (i, j) in arcs:
             if i == j:

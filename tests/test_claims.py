@@ -188,19 +188,36 @@ def _report_with(monkeypatch, **changes):
     monkeypatch.setattr(claims, "verify_theorem_four_points", lambda: doctored)
 
 
+def _int2_map_with_the_class(monkeypatch):
+    """Make the K=2 integer map hold the exceptional class, with the all-ones
+    matrix as its witness."""
+    (rec,) = verify_theorem_four_points().exceptional_classes
+    maps = kernels.integer_canon_witnesses
+
+    def with_the_class(n, kmax):
+        table = maps(n, kmax)
+        return {**table, rec.canonical.mask: (1,) * 12} if kmax == 2 else table
+
+    monkeypatch.setattr(kernels, "integer_canon_witnesses", with_the_class)
+
+
 @pytest.mark.parametrize(
-    "changes, detail",
+    "doctor, detail",
     [
-        ({"line_count": 4}, "exceptional class has 4 lines, expected 3"),
+        (lambda mp: _report_with(mp, line_count=4), "exceptional class has 4 lines, expected 3"),
         (
-            {"realizable_metric": True},
+            lambda mp: _report_with(mp, realizable_metric=True),
+            "exceptional class unexpectedly realizable by metric/digraph/int<=2",
+        ),
+        (
+            _int2_map_with_the_class,
             "exceptional class unexpectedly realizable by metric/digraph/int<=2",
         ),
     ],
-    ids=["four-lines", "metric"],
+    ids=["four-lines", "metric", "int2"],
 )
-def test_theorem_claim_checks_the_exceptional_class(monkeypatch, changes, detail):
-    _report_with(monkeypatch, **changes)
+def test_theorem_claim_checks_the_exceptional_class(monkeypatch, doctor, detail):
+    doctor(monkeypatch)
     claim = claim_four_point_theorem()
     assert not claim.passed
     assert claim.detail == detail

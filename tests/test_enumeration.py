@@ -265,8 +265,15 @@ class TestTheorem:
         assert not rec.has_universal
         assert not rec.realizable_metric
         assert not rec.realizable_digraph
-        assert rec.realizable_int == {2: False}
+        assert rec.realizable_int == {}
         assert verify_witness(rec.witness, rec.canonical)
+
+    def test_runs_no_integer_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("an integer sweep ran")
+
+        monkeypatch.setattr(kernels, "integer_canon_witnesses", no_sweep)
+        assert verify_theorem_four_points().matches_q4
 
     def test_perturbed_reference_is_reported(self, monkeypatch):
         reference = q4_betweenness()
@@ -310,14 +317,13 @@ class TestTheorem:
         monkeypatch.undo()
         # the route the walk replaced: every class, filtered by its LineSet's
         # DBE verdict, then the same record and LP
-        int2 = kernels.integer_canon_witnesses(4, 2)
         exceptional = []
         for mask, size in canonical_classes(4):
             if line_set(Betweenness(4, mask)).satisfies_dbe:
                 continue
             rec = enumeration._base_record(4, mask, size)
             if rec.realizable_quasi:
-                exceptional.append(rec._replace(realizable_int={2: mask in int2}))
+                exceptional.append(rec)
         assert report == TheoremReport(4, tuple(exceptional), True)
         assert perturbed == TheoremReport(4, tuple(exceptional), False)
 

@@ -375,6 +375,13 @@ class TestDigraph:
         with pytest.raises(ValueError, match="range"):
             Digraph(3, frozenset({(0, 3)}))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_fewer_than_two_points(self, n):
+        # refused when built, as Betweenness and DistanceMatrix are, not
+        # later inside digraph_distances
+        with pytest.raises(ValueError, match=f"^need at least 2 points, got {n}$"):
+            Digraph(n, [])
+
     def test_cycle_distances(self):
         cycle = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
         m = digraph_distances(cycle)

@@ -156,9 +156,8 @@ def test_a_set_class_key_changes_no_comparison_repr_copy_or_pickle():
 
 
 def test_integer_matrices_equal_the_same_matrices_given_as_fractions():
-    # DistanceMatrix keeps int entries as their own scaled form, with no
-    # rescaling; the int:K lookups and LP vertices build their witnesses
-    # from ints
+    # the int:K lookups and LP vertices build their witnesses from ints,
+    # which take the one rational path of DistanceMatrix, as Fractions do
     witnesses = [realize_bounded_integer(canonical_form(q4_betweenness())[0], 3)]
     witnesses.append(realize(q4_betweenness()).witness)
     witnesses += [_matrix_from_flat(3, entries) for entries in integer_canon_witnesses(3, 4).values()]
@@ -200,3 +199,9 @@ def test_import_loads_no_pathlib():
     """Each CLI command is a fresh process, and pathlib costs about a sixth
     of `import qmlines.cli`; the CLI reads its files with open()."""
     assert _loaded_by_fresh_import({"pathlib"}) == "[]"
+
+
+def test_import_loads_no_string():
+    """The string module cost about a tenth of `import qmlines` for the one
+    alphabet that default labels read."""
+    assert _loaded_by_fresh_import({"string"}) == "[]"
