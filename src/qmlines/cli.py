@@ -12,6 +12,7 @@ exit code.
 
 import argparse
 import json
+import os
 import sys
 
 from . import claims as claims_mod
@@ -405,11 +406,18 @@ def main(argv=None) -> int:
         # ParseError and the domain rejections are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to devnull,
+        # so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if verdict else 1
 
 

@@ -13,9 +13,10 @@ built row by row for each relation, the simplex with two stored columns
 relations with too few lines by a stdlib brute force over every consistent
 relation, quasi-metric axiom violations on the Fraction entries of a
 matrix, with no integer table, the images of an encoding under every
-relabeling by relabeling its member triples or pairs one by one, and
+relabeling by relabeling its member triples or pairs one by one,
 consistency by the set-bit loop over the conflict masks that the chunked
-conflict table replaced.
+conflict table replaced, quasi-semimetrics by their axioms, and one
+integer certificate per 4-point Horn rule with its checker.
 """
 
 from collections import Counter
@@ -335,6 +336,79 @@ def realization_system_by_construction(b, variant: str) -> tuple:
         rows += [row({d(i, j): 1, d(j, i): -1}, "=") for i, j in combinations(range(n), 2)]
     rows.append(row(dict.fromkeys(range(eps), 1), "=", 1))
     return tuple(rows)
+
+
+# ------------------------------------ the zero-slack check's two certificates
+
+
+def is_quasi_semimetric(d) -> bool:
+    """A square table with zero diagonal, no negative entry and every
+    triangle inequality d(x,z) <= d(x,y) + d(y,z): a quasi-metric that may
+    put distance 0 between distinct points."""
+    n = len(d)
+    points = range(n)
+    return (
+        all(len(row) == n for row in d)
+        and all(d[x][x] == 0 for x in points)
+        and all(v >= 0 for row in d for v in row)
+        and all(d[x][z] <= d[x][y] + d[y][z] for x in points for y in points for z in points)
+    )
+
+
+# One integer vector per 4-point Horn rule, "abc" the triple (a, b, c) with
+# b between a and c.  Its entries weight the rule's rows in order: each
+# member's equality d(x,z) - d(x,y) - d(y,z) = 0, the implied triple's
+# strict row d(x,z) - d(x,y) - d(y,z) + eps <= 0, then the weak row
+# d(x,z) - d(x,y) - d(y,z) <= 0 of each ordered triple of abcd in lex order
+# (abc abd acb acd adb adc, then those starting with b, c and d).
+RULE_CERTIFICATES = {
+    "abc acd bcd": (
+        -1, -1, 1,
+        0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ),
+    "abc acd abd": (
+        -1, -1, 1,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ),
+    "abc bdc adc": (
+        -1, -1, 1,
+        0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ),
+    "abc bdc abd": (
+        -1, -1, 1,
+        0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ),
+    "abc bad cda dcb adc": (
+        -1, -1, -1, -1, 1,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+    ),
+    "abc bda cad dcb adc": (
+        -1, -1, -1, -1, 1,
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0,
+    ),
+    "abc bad cdb dca adc": (
+        -1, -1, -1, -1, 1,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+    ),
+}
+
+
+def rule_certificate_holds(rule: str, vector) -> bool:
+    """True iff vector, entries in {-1, 0, 1} and none negative on a "<="
+    row, sums the rule's rows (see RULE_CERTIFICATES) to k*eps <= 0 with
+    k >= 1 and every distance coefficient 0.  A space with eps > 0 meets
+    every row, so its members without the implied triple force eps <= 0, on
+    any 4 points of any n."""
+    *members, implied = rule.split()
+    rows = [(t, 0) for t in members] + [(implied, 1)]
+    rows += [("".join(t), 0) for t in permutations("abcd", 3)]
+    if len(vector) != len(rows) or not set(vector) <= {-1, 0, 1} or -1 in vector[len(members):]:
+        return False
+    total = Counter()
+    for c, ((x, y, z), e) in zip(vector, rows):
+        for term, sign in ((x + z, 1), (x + y, -1), (y + z, -1), ("eps", e)):
+            total[term] += c * sign
+    return total.pop("eps") >= 1 and not any(total.values())
 
 
 # ------------------------------------------- the split-column simplex solver

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
+import qmlines
 from qmlines import kernels
 from qmlines.cli import main
 from qmlines.core import Betweenness
@@ -542,3 +546,19 @@ def test_every_output_is_pinned(capsys, monkeypatch, tmp_path):
             record = [full, code, captured.out, captured.err]
             digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == CLI_OUTPUTS_SHA256
+
+
+def test_output_cut_short_by_a_closed_pipe_exits_1_in_silence():
+    """`qmlines enumerate --n 4 | head -n 1`: the reader leaves after one
+    line of about 141 kB, more than a pipe buffers, so a later write meets
+    a closed pipe.  The command exits 1 with nothing on stderr."""
+    src = Path(qmlines.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "qmlines.cli", "enumerate", "--n", "4"]
+    with subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as process:
+        assert process.stdout.readline().startswith("encoding\t")
+        process.stdout.close()
+        stderr = process.stderr.read()
+    assert (process.returncode, stderr) == (1, "")

@@ -523,11 +523,18 @@ def test_value_does_not_depend_on_row_or_variable_order(problem, data):
     assert optimum_of(shuffled_variables, shuffled_constraints, objective) == expected
 
 
+# quasi systems among those of value_lps that the zero-slack check settles
+SETTLED_BY_CHECK = 331
+
+
 @pytest.fixture(scope="module")
 def value_lps():
     """(system, rows, cost) of the value LP that maximize_slack hands
     lp._optimum, for the quasi and the metric system of every 9th class of
-    canonical_classes(4)."""
+    canonical_classes(4).  A quasi system that its zero-slack check settles
+    hands nothing; for it the fixture builds the rows the LP would get, the
+    template with its 12 positivity rows moved last, and checks that they
+    solve to exactly 0."""
     handed = []
     optimum = realizability._optimum
 
@@ -536,15 +543,23 @@ def value_lps():
         return optimum(rows, cost)
 
     lps = []
+    settled = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(realizability, "_optimum", recording)
         for mask, _ in canonical_classes(4)[::9]:
             for variant in VARIANTS:
                 system = build_realization_system(Betweenness(4, mask), variant)
                 maximize_slack(system)
-                (rows, cost), = handed
-                handed.clear()
+                if handed:
+                    (rows, cost), = handed
+                    handed.clear()
+                else:
+                    settled += 1
+                    template = list(system.constraints)
+                    rows, cost = template[12:] + template[:12], slack_cost(system)
+                    assert optimum(rows, cost) == ("optimal", 0)
                 lps.append((system, rows, cost))
+    assert settled == SETTLED_BY_CHECK
     return lps
 
 

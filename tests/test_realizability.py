@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,9 @@ from qmlines.fixtures import (
     three_point_relation,
 )
 from qmlines.isomorphism import canonical_form, isomorphism_witness
+from qmlines.lp import _optimum
 from qmlines.realizability import (
+    VARIANTS,
     Digraph,
     InconsistentRelationError,
     LinearSystem,
@@ -33,10 +35,14 @@ from qmlines.realizability import (
 
 from conftest import metric_matrices, quasi_metrics, random_consistent
 from oracles import (
+    RULE_CERTIFICATES,
     consistent_masks,
     first_integer_per_class,
     first_integer_realization,
+    is_quasi_semimetric,
+    orbit_by_relabeling,
     realization_system_by_construction,
+    rule_certificate_holds,
 )
 
 CYCLE3 = Betweenness.from_triples(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
@@ -221,6 +227,98 @@ class TestLpCallPath:
         # the metric LP runs only where the quasi LP succeeds
         lps = len(records) + sum(r.realizable_quasi for r in records)
         assert list(calls.values()) == [lps, lps]
+
+
+@pytest.fixture(scope="module")
+def quasi_optima():
+    """(mask, (status, value)) of each class of canonical_classes(4), by
+    lp._optimum on its quasi value rows: the template with the 12
+    positivity rows last, as maximize_slack orders them."""
+    optima = []
+    for mask, _ in canonical_classes(4):
+        rows = build_realization_system(Betweenness(4, mask), "quasi").constraints
+        optima.append((mask, _optimum([*rows[12:], *rows[:12]], [0] * 12 + [1])))
+    return optima
+
+
+def _masks_of_zero_optimum(quasi_optima):
+    return [mask for mask, optimum in quasi_optima if optimum == ("optimal", 0)]
+
+
+class TestZeroSlackCheck:
+    """maximize_slack settles a 4-point quasi system with no LP when a
+    broken Horn rule proves slack <= 0 and a relabeled zero witness proves
+    slack >= 0.  Both tables are closed under relabeling, and so is the
+    optimum, so the 4,455 classes stand for all 104,976 labeled relations."""
+
+    def test_tables_hold_168_rule_instances_and_37_tight_masks(self):
+        assert len(set(realizability._rule_instances())) == 168
+        assert len(realizability._zero_tight_masks()) == 37
+
+    def test_settles_exactly_the_classes_whose_optimum_is_zero(self, quasi_optima):
+        settled = [mask for mask, _ in quasi_optima if realizability._zero_slack(mask)]
+        assert settled == _masks_of_zero_optimum(quasi_optima)
+        assert len(settled) == 3048
+
+    def test_a_rule_is_broken_iff_the_class_is_not_lp_positive(self, quasi_optima):
+        broken = [mask for mask, _ in quasi_optima if realizability._breaks_a_rule(mask)]
+        not_positive = [mask for mask, (_, value) in quasi_optima if value is None or value <= 0]
+        assert broken == not_positive
+        assert len(broken) == 4182
+
+    def test_every_zero_witness_is_a_quasi_semimetric(self):
+        assert all(is_quasi_semimetric(w) for w in realizability._ZERO_WITNESSES)
+        # the helper refuses each broken axiom
+        assert not is_quasi_semimetric(((0, 2, 0), (0, 0, 0), (0, 0, 0)))
+        assert not is_quasi_semimetric(((0, -1), (0, 0)))
+        assert not is_quasi_semimetric(((1, 1), (1, 0)))
+
+    def test_every_rule_has_an_integer_certificate(self):
+        assert set(RULE_CERTIFICATES) == set(realizability._RULES)
+        for rule, vector in RULE_CERTIFICATES.items():
+            assert rule_certificate_holds(rule, vector)
+            # every row it weights is needed, and a weak row may not be subtracted
+            for k, c in enumerate(vector):
+                if c:
+                    assert not rule_certificate_holds(rule, (*vector[:k], 0, *vector[k + 1:]))
+            weak = len(rule.split())
+            assert not rule_certificate_holds(rule, (*vector[:weak], -1, *vector[weak + 1:]))
+
+    def test_relabeled_settled_classes_need_no_lp(self, monkeypatch, quasi_optima):
+        def no_lp(*args):
+            raise AssertionError("the zero-slack check let a settled relation through")
+
+        monkeypatch.setattr(realizability, "_optimum", no_lp)
+        rng = random.Random(36)
+        for mask in rng.sample(_masks_of_zero_optimum(quasi_optima), 50):
+            b = Betweenness(4, orbit_by_relabeling(4, mask)[rng.randrange(24)])
+            assert maximize_slack(build_realization_system(b, "quasi")) == (
+                "feasible", Fraction(0), None
+            )
+
+    def test_metric_systems_and_other_sizes_run_the_lp(self, monkeypatch, quasi_optima):
+        # the 3- and 5-point masks here pass the 4-point check as bare ints
+        relations = [Betweenness(4, mask) for mask in _masks_of_zero_optimum(quasi_optima)[::20]]
+        relations += [Betweenness(3, mask) for mask in consistent_masks(3)]
+        fives = (m for m in consistent_masks(5) if m < 1 << 24 and realizability._zero_slack(m))
+        relations += [Betweenness(5, mask) for mask in islice(fives, 4)]
+        systems = [
+            build_realization_system(b, variant)
+            for b in relations
+            for variant in VARIANTS
+            if b.n != 4 or variant == "metric"
+        ]
+        solved = []
+        optimum = realizability._optimum
+
+        def counted(rows, cost):
+            solved.append(rows)
+            return optimum(rows, cost)
+
+        monkeypatch.setattr(realizability, "_optimum", counted)
+        for system in systems:
+            maximize_slack(system)
+        assert len(solved) == len(systems) == 153 + 36 + 8
 
 
 class TestVerifyWitness:

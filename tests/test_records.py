@@ -175,17 +175,22 @@ def test_validated_types_compare_by_type_too():
     assert Betweenness(3, 0) != (3, 0)
 
 
-def _loaded_by_fresh_import(names) -> str:
-    """Which of `names` a fresh interpreter holds after `import qmlines` and
-    `import qmlines.cli`.  Run without site, so that no installed .pth file
-    loads them first."""
+def _after_fresh_import(expr: str) -> str:
+    """What `print(expr)` writes in a fresh interpreter after `import qmlines`
+    and `import qmlines.cli`.  Run without site, so that no installed .pth
+    file loads a module first."""
     src = Path(qmlines.__file__).resolve().parents[1]
-    code = f"import sys, qmlines, qmlines.cli; print(sorted({set(names)!r} & sys.modules.keys()))"
+    code = f"import sys, qmlines, qmlines.cli; print({expr})"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.strip()
+
+
+def _loaded_by_fresh_import(names) -> str:
+    """Which of `names` a fresh interpreter holds after the imports."""
+    return _after_fresh_import(f"sorted({set(names)!r} & sys.modules.keys())")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -205,3 +210,11 @@ def test_import_loads_no_string():
     """The string module cost about a tenth of `import qmlines` for the one
     alphabet that default labels read."""
     assert _loaded_by_fresh_import({"string"}) == "[]"
+
+
+def test_import_builds_no_zero_slack_table():
+    """The zero-slack check's rule instances and tight masks are built on
+    the first 4-point quasi query, never by `import qmlines`."""
+    r = "qmlines.realizability"
+    sizes = f"{r}._rule_instances.cache_info().currsize, {r}._zero_tight_masks.cache_info().currsize"
+    assert _after_fresh_import(sizes) == "0 0"
