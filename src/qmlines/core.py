@@ -42,8 +42,9 @@ class _Value:
     `__slots__` but not in `_compared`) take no part in either.  Fields are
     set once, through `object.__setattr__`: in `__init__`, or in a private
     constructor that skips its checks for values already known to pass them
-    (`Relabeling._of`), except that a derived slot may be left unset there
-    and filled on its first read, as `Betweenness._class_key` is.
+    (`Relabeling._of`).  A derived slot may instead be left unset and filled
+    on its first read, as `Betweenness._class_key` and
+    `LinearSystem._constraints` are.
     """
 
     __slots__ = ()

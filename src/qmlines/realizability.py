@@ -24,7 +24,14 @@ from .core import (
     default_labels,
     validate_quasi_metric,
 )
-from .encoding import mask_from_triples, orbit, ordered_pairs, ordered_triples
+from .encoding import (
+    _chunk_rows,
+    mask_from_triples,
+    orbit,
+    ordered_pairs,
+    ordered_triples,
+    triple_position,
+)
 from .lp import _optimum, _simplex_max
 
 VARIANTS = ("quasi", "metric")
@@ -84,28 +91,39 @@ class LinearSystem(_Value):
 
     Its rows are the cached template of (n, variant) with one row of each
     triple's pair picked by the relation's bit, so every system is well
-    formed by construction.  A row is (coefficients, relation, rhs): one
-    integer per variable, "=" or "<=", and rhs 0 or 1, as `lp` takes it.
-    A point satisfies the row iff coefficients . point <= rhs, with
-    equality for "=".
+    formed by construction.  They are picked on the first read of
+    `constraints`, so a system that `maximize_slack` settles by certificate
+    never builds them.  A row is (coefficients, relation, rhs): one integer
+    per variable, "=" or "<=", and rhs 0 or 1, as `lp` takes it.  A point
+    satisfies the row iff coefficients . point <= rhs, with equality for
+    "=".
     """
 
-    # constraints is derived from the other two, so compared by them
-    __slots__ = ("relation", "variant", "constraints")
+    # _constraints is derived from the other two, so compared by them; it
+    # stays unset until constraints is first read
+    __slots__ = ("relation", "variant", "_constraints")
     _compared = ("relation", "variant")
     relation: Betweenness
     variant: str
-    constraints: tuple[tuple, ...]
+    _constraints: tuple[tuple, ...]
 
     def __init__(self, relation: Betweenness, variant: str):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         _require_consistent(relation)
-        head, pairs, tail = _realization_rows(relation.n, variant)
-        rows = (*head, *_picked(pairs, relation.mask), *tail)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "constraints", rows)
+
+    @property
+    def constraints(self) -> tuple[tuple, ...]:
+        """The system's rows, picked from the template on the first read and kept."""
+        rows = getattr(self, "_constraints", None)
+        if rows is None:
+            b = self.relation
+            head, pairs, tail = _realization_rows(b.n, self.variant)
+            rows = (*head, *_picked(pairs, b.mask), *tail)
+            object.__setattr__(self, "_constraints", rows)
+        return rows
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -175,24 +193,97 @@ def _zero_tight_masks() -> frozenset[int]:
     return frozenset(t for w in _ZERO_WITNESSES for t in orbit(4, betweenness_mask(4, w)))
 
 
-def _breaks_a_rule(mask: int) -> bool:
-    """Some rule instance has its members in mask but not its implied triple."""
-    return any(mask & m == m and not mask & i for m, i in _rule_instances())
+def _cuts() -> list[list[list[int]]]:
+    """The 7 cut semimetrics of 4 points, one per split {S, V - S} with 0 in
+    S: d(x,y) = 1 iff S splits x and y.  S is an odd 4-bit mask below 15.
+    The 7 are closed under relabeling, and every 4-point semimetric is a
+    nonnegative sum of them (MET4 = CUT4; Deza & Laurent 1997)."""
+    return [[[(s >> x ^ s >> y) & 1 for y in range(4)] for x in range(4)] for s in range(1, 15, 2)]
 
 
-def _zero_slack(mask: int) -> bool:
-    """Slack <= 0 by a broken rule and >= 0 by a zero witness tight on mask."""
-    return _breaks_a_rule(mask) and any(mask & t == mask for t in _zero_tight_masks())
+# the implied lane of the absent-bit rows, after one member bit per rule
+# instance; the lanes of the present-bit rows: 37 zero masks, 7 cuts, then
+# the 24-bit reversal of the mask
+_IMPLIED_LANE = 168
+_ZERO_LANES = (1 << 37) - 1
+_CUT_LANES = ((1 << 7) - 1) << 37
+_REVERSAL_LANE = 44
+
+
+def _columns(masks) -> list[int]:
+    """The 24 columns of a list of 24-bit masks read as a bit matrix:
+    column j has bit k set iff masks[k] has bit j."""
+    columns = [0] * 24
+    for k, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= 1 << k
+            mask ^= low
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _certificate_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(absent, present): chunk tables (`encoding._chunk_rows`, 8-bit
+    chunks) over the 24 triple bits of 4 points, so one OR per chunk reads
+    every certificate at once.
+
+    The absent-bit row of triple j has bit k set iff rule instance k has a
+    member at j, and bit 168 + k iff its implied triple is j; ORed over the
+    triples missing from a mask, instance k is broken iff bit 168 + k is
+    set and bit k clear.  The present-bit row of triple j has one bit per
+    zero mask and per cut that lacks j, then the bit of j's reversal at
+    `_REVERSAL_LANE`; ORed over a mask's triples, a zero mask or cut is
+    tight on every member iff its bit is clear, and the reversal lane
+    equals the mask iff the relation is closed under reversal.
+    """
+    instances = _rule_instances()
+    members = _columns([m for m, _ in instances])
+    implied = _columns([i for _, i in instances])
+    absent = [m | i << _IMPLIED_LANE for m, i in zip(members, implied)]
+    tight = _columns([*_zero_tight_masks(), *(betweenness_mask(4, d) for d in _cuts())])
+    position = triple_position(4)
+    present = [
+        ~tight[j] & (_ZERO_LANES | _CUT_LANES) | 1 << _REVERSAL_LANE + position[z, y, x]
+        for j, (x, y, z) in enumerate(ordered_triples(4))
+    ]
+    return _chunk_rows(absent, 8), _chunk_rows(present, 8)
+
+
+def _zero_slack(mask: int, variant: str) -> bool:
+    """The 4-point relation mask has optimal slack exactly 0 in variant, by
+    certificate.
+
+    Slack <= 0: a broken rule, or for a metric also a member xyz without
+    its reversal zyx, whose strict row reads eps <= 0 once symmetry turns
+    the member's equality around.  Slack >= 0: a zero mask (quasi) or a cut
+    (metric, which is also quasi) tight on every member, scaled to sum 1,
+    is a feasible point with eps = 0."""
+    (a0, a1, a2), (p0, p1, p2) = _certificate_tables()
+    absent = a0[~mask & 255] | a1[~mask >> 8 & 255] | a2[~mask >> 16 & 255]
+    present = p0[mask & 255] | p1[mask >> 8 & 255] | p2[mask >> 16 & 255]
+    broken = absent >> _IMPLIED_LANE & ~absent
+    if variant == "quasi":
+        return bool(broken) and present & _ZERO_LANES != _ZERO_LANES
+    closed = present >> _REVERSAL_LANE == mask
+    return (broken or not closed) and present & _CUT_LANES != _CUT_LANES
+
+
+# the outcome of every system that _zero_slack settles, one for all
+_SETTLED = FeasibilityOutcome("feasible", Fraction(0), None)
 
 
 def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     """Exact optimum of the slack variable over the system's polytope.
 
-    A 4-point quasi system whose optimum is exactly 0 needs no LP when two
-    certificates show it: a broken rule proves slack <= 0, and a zero
-    witness, scaled to sum 1, is a feasible point with eps = 0, since every
-    member is tight in it and every other triangle holds weakly.  That
-    settles 3,048 of the 4,455 classes.  Every other system runs the LPs.
+    A 4-point system whose optimum is exactly 0 needs no LP, and builds no
+    rows, when two certificates show it (`_zero_slack`, a few lookups in
+    `_certificate_tables`).  Slack <= 0: a broken rule, or for a metric a
+    member whose reversal is not a member.  Slack >= 0: a zero witness
+    (quasi) or a cut (metric), scaled to sum 1, is a feasible point with
+    eps = 0, since every member is tight in it and every other triangle
+    holds weakly.  That settles 3,048 of the 4,455 classes as quasi systems
+    and 2,220 as metric ones.  Every other system runs the LPs.
 
     `lp._optimum` decides it with the member equalities substituted out, on
     the system's rows in another order: the triple rows, then symmetry and
@@ -207,8 +298,8 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     on its ray, is the witness (any positive scaling is equally valid).
     """
     b = system.relation
-    if b.n == 4 and system.variant == "quasi" and _zero_slack(b.mask):
-        return FeasibilityOutcome("feasible", Fraction(0), None)
+    if b.n == 4 and _zero_slack(b.mask, system.variant):
+        return _SETTLED
     rows = system.constraints
     k = b.n * (b.n - 1)  # the positivity rows come first, one per distance
     cost = [0] * k + [1]  # maximize eps, the last variable

@@ -15,8 +15,10 @@ relation, quasi-metric axiom violations on the Fraction entries of a
 matrix, with no integer table, the images of an encoding under every
 relabeling by relabeling its member triples or pairs one by one,
 consistency by the set-bit loop over the conflict masks that the chunked
-conflict table replaced, quasi-semimetrics by their axioms, and one
-integer certificate per 4-point Horn rule with its checker.
+conflict table replaced, quasi-semimetrics by their axioms, one
+integer certificate per 4-point Horn rule and one for the metric reversal
+bound, with their checker, the cut semimetrics by definition, and the
+zero-slack check by loops over the relabeled rules and tight masks.
 """
 
 from collections import Counter
@@ -338,7 +340,7 @@ def realization_system_by_construction(b, variant: str) -> tuple:
     return tuple(rows)
 
 
-# ------------------------------------ the zero-slack check's two certificates
+# ----------------------------- the zero-slack check's certificates and loops
 
 
 def is_quasi_semimetric(d) -> bool:
@@ -393,22 +395,97 @@ RULE_CERTIFICATES = {
 }
 
 
-def rule_certificate_holds(rule: str, vector) -> bool:
-    """True iff vector, entries in {-1, 0, 1} and none negative on a "<="
-    row, sums the rule's rows (see RULE_CERTIFICATES) to k*eps <= 0 with
-    k >= 1 and every distance coefficient 0.  A space with eps > 0 meets
-    every row, so its members without the implied triple force eps <= 0, on
-    any 4 points of any n."""
-    *members, implied = rule.split()
-    rows = [(t, 0) for t in members] + [(implied, 1)]
-    rows += [("".join(t), 0) for t in permutations("abcd", 3)]
-    if len(vector) != len(rows) or not set(vector) <= {-1, 0, 1} or -1 in vector[len(members):]:
+def _triangle(triple: str, strict: int = 0):
+    """The row d(x,z) - d(x,y) - d(y,z) of triple "xyz", plus eps if strict,
+    as (distance terms, eps coefficient)."""
+    x, y, z = triple
+    return [(x + z, 1), (x + y, -1), (y + z, -1)], strict
+
+
+def _sums_to_eps(rows, vector, equalities: int) -> bool:
+    """True iff vector, entries in {-1, 0, 1} and none negative past the
+    first `equalities` rows (the "=" rows; the rest are "<="), sums the rows
+    to k*eps <= 0 with k >= 1 and every distance coefficient 0.  A space
+    with eps > 0 meets every row, so the rows force eps <= 0."""
+    if len(vector) != len(rows) or not set(vector) <= {-1, 0, 1} or -1 in vector[equalities:]:
         return False
     total = Counter()
-    for c, ((x, y, z), e) in zip(vector, rows):
-        for term, sign in ((x + z, 1), (x + y, -1), (y + z, -1), ("eps", e)):
+    for c, (terms, eps) in zip(vector, rows):
+        for term, sign in terms:
             total[term] += c * sign
+        total["eps"] += c * eps
     return total.pop("eps") >= 1 and not any(total.values())
+
+
+def rule_certificate_holds(rule: str, vector) -> bool:
+    """True iff vector sums the rule's rows (see RULE_CERTIFICATES) to
+    k*eps <= 0 (see :func:`_sums_to_eps`): its members without the implied
+    triple force eps <= 0, on any 4 points of any n."""
+    *members, implied = rule.split()
+    rows = [_triangle(t) for t in members] + [_triangle(implied, 1)]
+    rows += [_triangle("".join(t)) for t in permutations("abcd", 3)]
+    return _sums_to_eps(rows, vector, len(members))
+
+
+# "A member without its reversal forces metric slack <= 0", on points a, b,
+# c: one integer vector over the member abc's equality, the symmetry rows
+# d(x,y) - d(y,x) = 0 of ab, ac and bc, and the strict row of the non-member
+# cba.  Symmetry turns abc's equality around into cba's, and cba's strict
+# row then reads eps <= 0.
+REVERSAL_CERTIFICATE = (-1, -1, 1, -1, 1)
+
+
+def reversal_certificate_holds(vector) -> bool:
+    """True iff vector sums the rows of REVERSAL_CERTIFICATE to k*eps <= 0
+    (see :func:`_sums_to_eps`)."""
+    symmetry = [([(x + y, 1), (y + x, -1)], 0) for x, y in ("ab", "ac", "bc")]
+    return _sums_to_eps([_triangle("abc"), *symmetry, _triangle("cba", 1)], vector, 4)
+
+
+def cut_semimetrics() -> list[list[list[int]]]:
+    """The cut semimetric d(x,y) = [S splits x and y] of each S with
+    0 in S != {0, 1, 2, 3}: 7 on 4 points."""
+    sides = [{0, *rest} for k in range(3) for rest in combinations(range(1, 4), k)]
+    return [[[int((x in s) != (y in s)) for y in range(4)] for x in range(4)] for s in sides]
+
+
+class ZeroSlackByLoops:
+    """realizability._zero_slack one rule instance and one tight mask at a
+    time, the loops that its chunk tables replaced.  The rules and zero
+    witnesses are relabeled here, one member triple at a time, and the cuts
+    come from their definition."""
+
+    def __init__(self, rules, zero_witnesses):
+        triples = list(permutations(range(4), 3))
+        self.bit = {t: 1 << i for i, t in enumerate(triples)}
+        self.instances = set()
+        for rule in rules:
+            *members, implied = [tuple(map("abcd".index, w)) for w in rule.split()]
+            images = zip(
+                orbit_by_relabeling(4, sum(self.bit[t] for t in members)),
+                orbit_by_relabeling(4, self.bit[implied]),
+            )
+            self.instances.update(images)
+        self.zero_masks = {
+            image for w in zero_witnesses for image in orbit_by_relabeling(4, self._tight(w))
+        }
+        self.cut_masks = [self._tight(d) for d in cut_semimetrics()]
+
+    def _tight(self, d) -> int:
+        return sum(b for (x, y, z), b in self.bit.items() if d[x][z] == d[x][y] + d[y][z])
+
+    def breaks_a_rule(self, mask: int) -> bool:
+        return any(mask & m == m and not mask & i for m, i in self.instances)
+
+    def closed_under_reversal(self, mask: int) -> bool:
+        return all(mask & self.bit[z, y, x] for (x, y, z), b in self.bit.items() if mask & b)
+
+    def settles(self, mask: int) -> tuple[bool, bool]:
+        """(quasi, metric): whether the certificates show optimal slack 0."""
+        broken = self.breaks_a_rule(mask)
+        quasi = broken and any(mask & t == mask for t in self.zero_masks)
+        metric = broken or not self.closed_under_reversal(mask)
+        return quasi, metric and any(mask & t == mask for t in self.cut_masks)
 
 
 # ------------------------------------------- the split-column simplex solver

@@ -35,13 +35,16 @@ from qmlines.realizability import (
 
 from conftest import metric_matrices, quasi_metrics, random_consistent
 from oracles import (
+    REVERSAL_CERTIFICATE,
     RULE_CERTIFICATES,
+    ZeroSlackByLoops,
     consistent_masks,
     first_integer_per_class,
     first_integer_realization,
     is_quasi_semimetric,
     orbit_by_relabeling,
     realization_system_by_construction,
+    reversal_certificate_holds,
     rule_certificate_holds,
 )
 
@@ -230,41 +233,70 @@ class TestLpCallPath:
 
 
 @pytest.fixture(scope="module")
-def quasi_optima():
-    """(mask, (status, value)) of each class of canonical_classes(4), by
-    lp._optimum on its quasi value rows: the template with the 12
+def optima():
+    """{variant: [(mask, (status, value))]} over canonical_classes(4), by
+    lp._optimum on each class's value rows: the template with the 12
     positivity rows last, as maximize_slack orders them."""
-    optima = []
-    for mask, _ in canonical_classes(4):
-        rows = build_realization_system(Betweenness(4, mask), "quasi").constraints
-        optima.append((mask, _optimum([*rows[12:], *rows[:12]], [0] * 12 + [1])))
+    optima = {}
+    for variant in VARIANTS:
+        optima[variant] = []
+        for mask, _ in canonical_classes(4):
+            rows = build_realization_system(Betweenness(4, mask), variant).constraints
+            optima[variant].append((mask, _optimum([*rows[12:], *rows[:12]], [0] * 12 + [1])))
     return optima
 
 
-def _masks_of_zero_optimum(quasi_optima):
-    return [mask for mask, optimum in quasi_optima if optimum == ("optimal", 0)]
+def _masks_of_zero_optimum(optima):
+    return [mask for mask, optimum in optima if optimum == ("optimal", 0)]
+
+
+def _not_positive(optima):
+    return [mask for mask, (_, value) in optima if value is None or value <= 0]
 
 
 class TestZeroSlackCheck:
-    """maximize_slack settles a 4-point quasi system with no LP when a
-    broken Horn rule proves slack <= 0 and a relabeled zero witness proves
-    slack >= 0.  Both tables are closed under relabeling, and so is the
+    """maximize_slack settles a 4-point system with no LP when two
+    certificates show its optimum is exactly 0.  Slack <= 0: a broken Horn
+    rule, or for a metric also a member whose reversal is not a member.
+    Slack >= 0: a relabeled zero witness (quasi) or a cut (metric) tight on
+    every member.  Every table is closed under relabeling, and so is the
     optimum, so the 4,455 classes stand for all 104,976 labeled relations."""
+
+    @pytest.fixture(scope="class")
+    def loops(self):
+        return ZeroSlackByLoops(realizability._RULES, realizability._ZERO_WITNESSES)
 
     def test_tables_hold_168_rule_instances_and_37_tight_masks(self):
         assert len(set(realizability._rule_instances())) == 168
         assert len(realizability._zero_tight_masks()) == 37
 
-    def test_settles_exactly_the_classes_whose_optimum_is_zero(self, quasi_optima):
-        settled = [mask for mask, _ in quasi_optima if realizability._zero_slack(mask)]
-        assert settled == _masks_of_zero_optimum(quasi_optima)
-        assert len(settled) == 3048
+    def test_chunk_tables_agree_with_the_loops_on_every_labeled_relation(self, loops):
+        masks = list(consistent_masks(4))
+        assert len(masks) == 104976
+        for mask in masks:
+            settled = tuple(realizability._zero_slack(mask, variant) for variant in VARIANTS)
+            assert settled == loops.settles(mask), mask
 
-    def test_a_rule_is_broken_iff_the_class_is_not_lp_positive(self, quasi_optima):
-        broken = [mask for mask, _ in quasi_optima if realizability._breaks_a_rule(mask)]
-        not_positive = [mask for mask, (_, value) in quasi_optima if value is None or value <= 0]
-        assert broken == not_positive
+    def test_settles_exactly_the_classes_whose_optimum_is_zero(self, optima):
+        for variant, count in (("quasi", 3048), ("metric", 2220)):
+            settled = [m for m, _ in optima[variant] if realizability._zero_slack(m, variant)]
+            assert settled == _masks_of_zero_optimum(optima[variant])
+            assert len(settled) == count
+
+    def test_a_rule_is_broken_iff_the_class_is_not_lp_positive(self, optima, loops):
+        broken = [mask for mask, _ in optima["quasi"] if loops.breaks_a_rule(mask)]
+        assert broken == _not_positive(optima["quasi"])
         assert len(broken) == 4182
+
+    def test_broken_or_not_reversal_closed_iff_not_metric_positive(self, optima, loops):
+        # metric-positive iff reversal-closed and quasi-positive
+        bounded = [
+            mask
+            for mask, _ in optima["metric"]
+            if loops.breaks_a_rule(mask) or not loops.closed_under_reversal(mask)
+        ]
+        assert bounded == _not_positive(optima["metric"])
+        assert len(bounded) == 4455 - 9
 
     def test_every_zero_witness_is_a_quasi_semimetric(self):
         assert all(is_quasi_semimetric(w) for w in realizability._ZERO_WITNESSES)
@@ -272,6 +304,12 @@ class TestZeroSlackCheck:
         assert not is_quasi_semimetric(((0, 2, 0), (0, 0, 0), (0, 0, 0)))
         assert not is_quasi_semimetric(((0, -1), (0, 0)))
         assert not is_quasi_semimetric(((1, 1), (1, 0)))
+
+    def test_every_cut_is_a_symmetric_semimetric(self):
+        assert len({str(d) for d in realizability._cuts()}) == 7
+        for d in realizability._cuts():
+            assert is_quasi_semimetric(d)
+            assert all(d[x][y] == d[y][x] for x in range(4) for y in range(4))
 
     def test_every_rule_has_an_integer_certificate(self):
         assert set(RULE_CERTIFICATES) == set(realizability._RULES)
@@ -284,30 +322,45 @@ class TestZeroSlackCheck:
             weak = len(rule.split())
             assert not rule_certificate_holds(rule, (*vector[:weak], -1, *vector[weak + 1:]))
 
-    def test_relabeled_settled_classes_need_no_lp(self, monkeypatch, quasi_optima):
-        def no_lp(*args):
-            raise AssertionError("the zero-slack check let a settled relation through")
+    def test_a_broken_reversal_has_an_integer_certificate(self):
+        vector = REVERSAL_CERTIFICATE
+        assert reversal_certificate_holds(vector)
+        # every row is needed, and the strict row may not be subtracted
+        for k in range(len(vector)):
+            assert not reversal_certificate_holds((*vector[:k], 0, *vector[k + 1:]))
+        assert not reversal_certificate_holds((*vector[:-1], -1))
 
-        monkeypatch.setattr(realizability, "_optimum", no_lp)
+    def test_relabeled_settled_classes_need_no_lp(self, monkeypatch, optima):
+        # nor any row: the row template is never read
+        def refused(*args):
+            raise AssertionError("a settled relation reached the LP or its rows")
+
+        monkeypatch.setattr(realizability, "_optimum", refused)
+        monkeypatch.setattr(realizability, "_realization_rows", refused)
         rng = random.Random(36)
-        for mask in rng.sample(_masks_of_zero_optimum(quasi_optima), 50):
-            b = Betweenness(4, orbit_by_relabeling(4, mask)[rng.randrange(24)])
-            assert maximize_slack(build_realization_system(b, "quasi")) == (
-                "feasible", Fraction(0), None
-            )
+        for variant in VARIANTS:
+            for mask in rng.sample(_masks_of_zero_optimum(optima[variant]), 50):
+                b = Betweenness(4, orbit_by_relabeling(4, mask)[rng.randrange(24)])
+                assert maximize_slack(build_realization_system(b, variant)) == (
+                    "feasible", Fraction(0), None
+                )
 
-    def test_metric_systems_and_other_sizes_run_the_lp(self, monkeypatch, quasi_optima):
-        # the 3- and 5-point masks here pass the 4-point check as bare ints
-        relations = [Betweenness(4, mask) for mask in _masks_of_zero_optimum(quasi_optima)[::20]]
-        relations += [Betweenness(3, mask) for mask in consistent_masks(3)]
-        fives = (m for m in consistent_masks(5) if m < 1 << 24 and realizability._zero_slack(m))
-        relations += [Betweenness(5, mask) for mask in islice(fives, 4)]
+    def test_metric_systems_and_other_sizes_run_the_lp(self, monkeypatch, optima):
+        # a 4-point metric system runs the LP iff its optimum is not 0
         systems = [
-            build_realization_system(b, variant)
-            for b in relations
-            for variant in VARIANTS
-            if b.n != 4 or variant == "metric"
+            (build_realization_system(Betweenness(4, mask), "metric"), optimum != ("optimal", 0))
+            for mask, optimum in optima["metric"][::10]
         ]
+        # every 3- and 5-point system runs it; the 5-point masks here pass
+        # the 4-point check as bare ints
+        relations = [(Betweenness(3, mask), v) for mask in consistent_masks(3) for v in VARIANTS]
+        for variant in VARIANTS:
+            fives = (
+                m for m in consistent_masks(5)
+                if m < 1 << 24 and realizability._zero_slack(m, variant)
+            )
+            relations += [(Betweenness(5, mask), variant) for mask in islice(fives, 4)]
+        systems += [(build_realization_system(b, variant), True) for b, variant in relations]
         solved = []
         optimum = realizability._optimum
 
@@ -316,9 +369,12 @@ class TestZeroSlackCheck:
             return optimum(rows, cost)
 
         monkeypatch.setattr(realizability, "_optimum", counted)
-        for system in systems:
+        for system, runs in systems:
+            solved.clear()
             maximize_slack(system)
-        assert len(solved) == len(systems) == 153 + 36 + 8
+            assert len(solved) == runs, system
+        # 237 of the 446 metric systems (209 settled), 36 and 8
+        assert sum(runs for _, runs in systems) == 237 + 36 + 8
 
 
 class TestVerifyWitness:
