@@ -237,7 +237,11 @@ def cmd_realize(args) -> Report:
             f"optimal slack: {slack}",
             f"realizable: {_yn(realizable)}",
         ]
-        witness, shown = _witness(outcome.witness, "witness:")
+        m = outcome.witness
+        if m is not None:
+            # its rows are the query's points, in --labels order
+            m = DistanceMatrix(labels, m.entries)
+        witness, shown = _witness(m, "witness:")
     elif variant.startswith("int:"):
         try:
             kmax = int(variant.split(":", 1)[1])

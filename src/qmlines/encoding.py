@@ -115,6 +115,16 @@ def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return ordered_tuples(n, 2)
 
 
+@lru_cache(maxsize=None)
+def pair_position(n: int) -> dict[tuple[int, int], int]:
+    return {p: k for k, p in enumerate(ordered_pairs(n))}
+
+
+def pairs_from_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
+    pairs = ordered_pairs(n)
+    return tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+
+
 def _chunk_rows(singles, width: int) -> tuple[tuple[int, ...], ...]:
     """rows[c][v]: the OR of singles[width*c + j] over the set bits j of v,
     one row per width-bit chunk; each value is one OR of an earlier value

@@ -19,7 +19,7 @@ them, so a step is one OR and the universal-line test one addition.
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 from operator import add, or_
 from typing import Iterator, Mapping, NamedTuple
 
@@ -67,8 +67,13 @@ def _support_pattern_masks(n: int) -> list[list[int]]:
 
 
 def _check_supported(n: int) -> None:
+    """Refuse n outside SUPPORTED_N; above it, with the size of the product
+    that the class walk would mark, in full while it has at most 100 factors."""
     if n not in SUPPORTED_N:
-        raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {n}")
+        k = comb(n, 3) if n > SUPPORTED_N[-1] else 0
+        exact = f" = {18 ** k:,}" if k <= 100 else ""
+        cost = f": its walk covers 18^C({n},3) = 18^{k}{exact} candidates, one byte of marks each"
+        raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {n}{cost if k else ''}")
 
 
 def _half_rows(tables, count: int) -> list:

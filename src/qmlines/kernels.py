@@ -28,7 +28,7 @@ each of the 200,897 leaves at n=4, K=4 again would be new work.
 from functools import lru_cache
 
 from .core import betweenness_mask
-from .encoding import _relabelings, ordered_pairs, ordered_triples, orbit
+from .encoding import _relabelings, ordered_triples, orbit, pair_position, pairs_from_mask
 
 # most integer matrices the bounded-integer sweeps may face: 4**12 covers
 # n=4 up to K=4, and n=5 with K=2
@@ -50,7 +50,7 @@ def _triples_by_depth(n):
     Pair variables are assigned in lex order.  The triple gives the triangle
     check d(x,z) <= d(x,y) + d(y,z); equality sets its betweenness bit.
     """
-    pair_index = {p: k for k, p in enumerate(ordered_pairs(n))}
+    pair_index = pair_position(n)
     by_depth = [[] for _ in range(len(pair_index))]
     for pos, (x, y, z) in enumerate(ordered_triples(n)):
         xz, xy, yz = pair_index[(x, z)], pair_index[(x, y)], pair_index[(y, z)]
@@ -63,10 +63,9 @@ def _pair_relabelings(n):
     """The position maps of the non-identity relabelings on the flat entry
     vector, in the order of :func:`qmlines.encoding._relabelings`: entry k
     of the relabeled matrix is entry p[k] of the original."""
-    pairs = ordered_pairs(n)
-    pos = {pair: k for k, pair in enumerate(pairs)}
+    pos = pair_position(n)
     # the identity is the first relabeling
-    return tuple(tuple(pos[p[i], p[j]] for (i, j) in pairs) for p in _relabelings(n)[1:])
+    return tuple(tuple(pos[p[i], p[j]] for (i, j) in pos) for p in _relabelings(n)[1:])
 
 
 def _integer_dfs(n, kmax, seen):
@@ -248,14 +247,13 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
             f"digraph search is exhaustive; n={n} exceeds the cap of 5: 2^{n * (n - 1)} "
             f"arc sets, one byte of marks each, {1 << n * (n - 1) - 30} GiB"
         )
-    pairs = ordered_pairs(n)
-    marked = bytearray(1 << len(pairs))
+    marked = bytearray(1 << n * (n - 1))
     result: dict[int, int] = {}
     arc_mask = 0
     while arc_mask >= 0:
         for image in orbit(n, arc_mask, 2):
             marked[image] = 1
-        d = shortest_paths(n, (p for k, p in enumerate(pairs) if arc_mask >> k & 1))
+        d = shortest_paths(n, pairs_from_mask(n, arc_mask))
         if d is not None:
             result.setdefault(min(orbit(n, betweenness_mask(n, d))), arc_mask)
         arc_mask = marked.find(0, arc_mask + 1)

@@ -30,6 +30,8 @@ from .encoding import (
     orbit,
     ordered_pairs,
     ordered_triples,
+    pair_position,
+    pairs_from_mask,
     triple_position,
 )
 from .lp import _optimum, _simplex_max
@@ -59,7 +61,7 @@ def _realization_rows(n: int, variant: str):
     (non-member, member) row pair per ordered triple, then symmetry and
     normalization.  `LinearSystem.constraints` keeps this order; the value
     LP takes the positivity rows last."""
-    index = {p: k for k, p in enumerate(ordered_pairs(n))}
+    index = pair_position(n)
     eps = len(index)
 
     def row(entries, relation, rhs=0):
@@ -174,99 +176,81 @@ _ZERO_WITNESSES = (
     ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0)),
 )
 
-
-@lru_cache(maxsize=None)
-def _rule_instances() -> tuple[tuple[int, int], ...]:
-    """(members, implied bit) of each rule under each relabeling: 168,
-    all distinct."""
-    pairs = []
-    for rule in _RULES:
-        *members, implied = [tuple(map("abcd".index, w)) for w in rule.split()]
-        members, implied = mask_from_triples(4, members), mask_from_triples(4, [implied])
-        pairs += zip(orbit(4, members), orbit(4, implied))
-    return tuple(pairs)
+# the cut semimetrics of the splits {0} | {1,2,3} and {0,1} | {2,3}: d(x,y)
+# = 1 iff the split separates x and y.  Their relabelings are the 7 cuts of
+# 4 points, and every 4-point semimetric is a nonnegative sum of those
+# (MET4 = CUT4; Deza & Laurent 1997)
+_CUTS = (
+    ((0, 1, 1, 1), (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)),
+    ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)),
+)
 
 
 @lru_cache(maxsize=None)
-def _zero_tight_masks() -> frozenset[int]:
-    """The tight triples of each zero witness under each relabeling: 37."""
-    return frozenset(t for w in _ZERO_WITNESSES for t in orbit(4, betweenness_mask(4, w)))
+def _certificate_tables():
+    """(implied, zeros, cuts, reversal, absent, present): the chunk tables
+    (`encoding._chunk_rows`, 8-bit chunks) over the 24 triple bits from
+    which `_zero_slack` reads its certificates, one OR per chunk, and their
+    lanes, laid out from `_RULES`, `_ZERO_WITNESSES` and `_CUTS` as read.
 
-
-def _cuts() -> list[list[list[int]]]:
-    """The 7 cut semimetrics of 4 points, one per split {S, V - S} with 0 in
-    S: d(x,y) = 1 iff S splits x and y.  S is an odd 4-bit mask below 15.
-    The 7 are closed under relabeling, and every 4-point semimetric is a
-    nonnegative sum of them (MET4 = CUT4; Deza & Laurent 1997)."""
-    return [[[(s >> x ^ s >> y) & 1 for y in range(4)] for x in range(4)] for s in range(1, 15, 2)]
-
-
-# the implied lane of the absent-bit rows, after one member bit per rule
-# instance; the lanes of the present-bit rows: 37 zero masks, 7 cuts, then
-# the 24-bit reversal of the mask
-_IMPLIED_LANE = 168
-_ZERO_LANES = (1 << 37) - 1
-_CUT_LANES = ((1 << 7) - 1) << 37
-_REVERSAL_LANE = 44
-
-
-def _columns(masks) -> list[int]:
-    """The 24 columns of a list of 24-bit masks read as a bit matrix:
-    column j has bit k set iff masks[k] has bit j."""
-    columns = [0] * 24
-    for k, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            columns[low.bit_length() - 1] |= 1 << k
-            mask ^= low
-    return columns
-
-
-@lru_cache(maxsize=None)
-def _certificate_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(absent, present): chunk tables (`encoding._chunk_rows`, 8-bit
-    chunks) over the 24 triple bits of 4 points, so one OR per chunk reads
-    every certificate at once.
-
-    The absent-bit row of triple j has bit k set iff rule instance k has a
-    member at j, and bit 168 + k iff its implied triple is j; ORed over the
-    triples missing from a mask, instance k is broken iff bit 168 + k is
-    set and bit k clear.  The present-bit row of triple j has one bit per
-    zero mask and per cut that lacks j, then the bit of j's reversal at
-    `_REVERSAL_LANE`; ORed over a mask's triples, a zero mask or cut is
-    tight on every member iff its bit is clear, and the reversal lane
-    equals the mask iff the relation is closed under reversal.
+    Rule instance k, a rule under a relabeling, has lane k for its members
+    and lane implied + k for its implied triple in the absent-bit rows: ORed
+    over the triples missing from a mask, k is broken iff the second is set
+    and the first clear.  Each distinct tight mask of a relabeled zero
+    witness (lane mask zeros) or cut (cuts) has a lane in the present-bit
+    rows, set in the rows of the triples it lacks: ORed over a mask's
+    triples, it is tight on every member iff its lane is clear.  From lane
+    reversal on, the row of triple j holds the bit of j's reversal, so those
+    lanes equal the mask iff the relation is closed under reversal.
     """
-    instances = _rule_instances()
-    members = _columns([m for m, _ in instances])
-    implied = _columns([i for _, i in instances])
-    absent = [m | i << _IMPLIED_LANE for m, i in zip(members, implied)]
-    tight = _columns([*_zero_tight_masks(), *(betweenness_mask(4, d) for d in _cuts())])
-    position = triple_position(4)
+    members, implied = [], []
+    for rule in _RULES:
+        *body, head = [tuple(map("abcd".index, w)) for w in rule.split()]
+        members += orbit(4, mask_from_triples(4, body))
+        implied += orbit(4, mask_from_triples(4, [head]))
+    zeros, cuts = (
+        [*dict.fromkeys(t for d in literals for t in orbit(4, betweenness_mask(4, d)))]
+        for literals in (_ZERO_WITNESSES, _CUTS)
+    )
+    # bit k of row j is set iff lane k's mask has triple j
+    absent, tight = [0] * 24, [0] * 24
+    for rows, masks in ((absent, members + implied), (tight, zeros + cuts)):
+        for k, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                rows[low.bit_length() - 1] |= 1 << k
+                mask ^= low
+    reversal = len(zeros) + len(cuts)
     present = [
-        ~tight[j] & (_ZERO_LANES | _CUT_LANES) | 1 << _REVERSAL_LANE + position[z, y, x]
-        for j, (x, y, z) in enumerate(ordered_triples(4))
+        ~t & (1 << reversal) - 1 | 1 << reversal + triple_position(4)[z, y, x]
+        for t, (x, y, z) in zip(tight, ordered_triples(4))
     ]
-    return _chunk_rows(absent, 8), _chunk_rows(present, 8)
+    zeros, cuts = (1 << len(zeros)) - 1, (1 << reversal) - (1 << len(zeros))
+    return len(members), zeros, cuts, reversal, _chunk_rows(absent, 8), _chunk_rows(present, 8)
 
 
 def _zero_slack(mask: int, variant: str) -> bool:
     """The 4-point relation mask has optimal slack exactly 0 in variant, by
-    certificate.
+    certificate; the argument behind every system `maximize_slack` settles.
 
-    Slack <= 0: a broken rule, or for a metric also a member xyz without
-    its reversal zyx, whose strict row reads eps <= 0 once symmetry turns
-    the member's equality around.  Slack >= 0: a zero mask (quasi) or a cut
-    (metric, which is also quasi) tight on every member, scaled to sum 1,
-    is a feasible point with eps = 0."""
-    (a0, a1, a2), (p0, p1, p2) = _certificate_tables()
-    absent = a0[~mask & 255] | a1[~mask >> 8 & 255] | a2[~mask >> 16 & 255]
+    Slack <= 0: the relation breaks a rule, or for a metric it holds a
+    member xyz without its reversal zyx, whose strict row reads eps <= 0
+    once symmetry turns the member's equality around.  Slack >= 0: a zero
+    witness (quasi) or a cut (metric, which is also quasi) tight on every
+    member, scaled to sum 1, is a feasible point with eps = 0, since every
+    other triangle holds weakly in it.  The present-bit rows come first:
+    they refute most masks, and settle a metric one not closed under
+    reversal, before the absent-bit rows are read."""
+    implied, zeros, cuts, reversal, absent_rows, (p0, p1, p2) = _certificate_tables()
     present = p0[mask & 255] | p1[mask >> 8 & 255] | p2[mask >> 16 & 255]
-    broken = absent >> _IMPLIED_LANE & ~absent
-    if variant == "quasi":
-        return bool(broken) and present & _ZERO_LANES != _ZERO_LANES
-    closed = present >> _REVERSAL_LANE == mask
-    return (broken or not closed) and present & _CUT_LANES != _CUT_LANES
+    tight = zeros if variant == "quasi" else cuts
+    if present & tight == tight:  # no zero witness or cut is tight on every member
+        return False
+    if variant == "metric" and present >> reversal != mask:
+        return True
+    a0, a1, a2 = absent_rows
+    absent = a0[~mask & 255] | a1[~mask >> 8 & 255] | a2[~mask >> 16 & 255]
+    return bool(absent >> implied & ~absent)
 
 
 # the outcome of every system that _zero_slack settles, one for all
@@ -277,13 +261,9 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     """Exact optimum of the slack variable over the system's polytope.
 
     A 4-point system whose optimum is exactly 0 needs no LP, and builds no
-    rows, when two certificates show it (`_zero_slack`, a few lookups in
-    `_certificate_tables`).  Slack <= 0: a broken rule, or for a metric a
-    member whose reversal is not a member.  Slack >= 0: a zero witness
-    (quasi) or a cut (metric), scaled to sum 1, is a feasible point with
-    eps = 0, since every member is tight in it and every other triangle
-    holds weakly.  That settles 3,048 of the 4,455 classes as quasi systems
-    and 2,220 as metric ones.  Every other system runs the LPs.
+    rows, when `_zero_slack` shows it by certificate, with a few lookups in
+    `_certificate_tables`.  That settles 3,048 of the 4,455 classes as quasi
+    systems and 2,220 as metric ones.  Every other system runs the LPs.
 
     `lp._optimum` decides it with the member equalities substituted out, on
     the system's rows in another order: the triple rows, then symmetry and
@@ -403,10 +383,6 @@ def digraph_distances(g: Digraph) -> DistanceMatrix:
     return DistanceMatrix(default_labels(g.n), d)
 
 
-def _arcs_from_mask(n: int, arc_mask: int) -> frozenset[tuple[int, int]]:
-    return frozenset(p for k, p in enumerate(ordered_pairs(n)) if arc_mask >> k & 1)
-
-
 def realize_digraph(b: Betweenness) -> Digraph | None:
     """The strongly connected digraph with the least arc mask whose
     shortest-path betweenness is isomorphic to b; None if none exists.
@@ -419,4 +395,4 @@ def realize_digraph(b: Betweenness) -> Digraph | None:
     arc_mask = kernels.digraph_canon_witnesses(b.n).get(b.class_key)
     if arc_mask is None:
         return None
-    return Digraph(b.n, _arcs_from_mask(b.n, arc_mask))
+    return Digraph(b.n, pairs_from_mask(b.n, arc_mask))

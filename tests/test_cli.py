@@ -13,7 +13,8 @@ import pytest
 import qmlines
 from qmlines import kernels
 from qmlines.cli import main
-from qmlines.core import Betweenness
+from qmlines.core import Betweenness, betweenness_of
+from qmlines.fileformats import parse_matrix
 
 from oracles import consistent_masks, floyd_warshall_distances
 
@@ -31,7 +32,7 @@ VERIFY_PAPER_SHA256 = "da3c90c119fe687e4c7aad6b98aeead57f714549dd38a63339258c741
 # SHA-256 over (argv, exit code, stdout, stderr) of every run in
 # test_every_output_is_pinned.  A change that alters any output on purpose
 # updates the constant and names the change in CHANGES.md.
-CLI_OUTPUTS_SHA256 = "d7948c924d2b16ff395996ec37702885c045573689a3f0ab8f27fb494430c97b"
+CLI_OUTPUTS_SHA256 = "323c80ca8004469edc771cdf516feaf24cd7a7b5eabe6267c47d65045e2f86be"
 
 
 @pytest.fixture
@@ -348,6 +349,36 @@ class TestRealize:
                 printed = self.digraph_arcs(capsys, tmp_path, sorted(words), rng.sample("pqrs", 4))
                 assert self.arcs_betweenness(printed, labels) == words
                 checked += 1
+
+    def lp_witness(self, capsys, tmp_path, words, labels):
+        """The quasi LP's witness for the triples words under labels, as
+        printed and read back by parse_matrix; the JSON report must carry
+        the same labels and rows."""
+        path = tmp_path / "query.triples"
+        path.write_text("".join(" ".join(w) + "\n" for w in words))
+        argv = ["realize", "--variant", "quasi", "--triples", str(path), "--labels", ",".join(labels)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        m = parse_matrix(out.split("witness:\n", 1)[1])
+        _, payload = run_json(capsys, *argv)
+        assert payload["witness"] == {
+            "labels": list(m.labels), "rows": [[str(v) for v in row] for row in m.entries]
+        }
+        return m
+
+    def test_lp_witness_realizes_the_query_under_its_labels(self, capsys, tmp_path):
+        # every consistent 3-point relation under every order of its labels,
+        # and Q4 in its file's order
+        queries = [
+            ({tuple("abc"[i] for i in t) for t in Betweenness(3, mask).triples}, labels)
+            for mask in consistent_masks(3)
+            for labels in permutations("abc")
+        ]
+        queries.append(({tuple(line.split()) for line in Q4_TRIPLES.splitlines()}, "psqr"))
+        for words, labels in queries:
+            m = self.lp_witness(capsys, tmp_path, sorted(words), labels)
+            assert m.labels == tuple(labels)
+            assert {tuple(m.labels[i] for i in t) for t in betweenness_of(m).triples} == words
 
     def test_bad_variant(self, capsys, q4_triples_file):
         code, _, err = run(

@@ -122,6 +122,18 @@ class TestCanonicalClasses:
         with pytest.raises(ValueError, match=r"enumeration supports n in \(3, 4\), got 5"):
             canonical_classes.__wrapped__(5)
 
+    def test_unsupported_n_states_the_size_of_the_walk(self):
+        # 18 consistent patterns on each of the C(5,3) = 10 supports
+        with pytest.raises(ValueError) as refused:
+            canonical_classes.__wrapped__(5)
+        assert "18^C(5,3) = 18^10 = 3,570,467,226,624 candidates" in str(refused.value)
+        # past 100 factors the count keeps its power form, which prints at once
+        with pytest.raises(ValueError, match=r"18\^C\(10,3\) = 18\^120 candidates"):
+            canonical_classes.__wrapped__(10)
+        # below the supported sizes there is nothing to walk
+        with pytest.raises(ValueError, match=r"got 2$"):
+            canonical_classes.__wrapped__(2)
+
     # apply_relabeling maps triples directly, with no orbit table; at n=4 every
     # 9th class keeps the test short and meets orbit sizes 1, 8, 12 and 24
     def test_orbit_sizes_match_direct_computation(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,9 +14,18 @@ from qmlines.fileformats import (
     parse_matrix,
     parse_triples,
 )
-from qmlines.fixtures import q4_betweenness, q4_matrix
+from qmlines.fixtures import (
+    Q4_LABELS,
+    THREE_POINT_LABELS,
+    THREE_POINT_TABLE,
+    q4_betweenness,
+    q4_matrix,
+    three_point_relation,
+)
 
 from conftest import quasi_metrics, rational_tables
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 Q4_TEXT = """\
 # the exceptional four-point space
@@ -123,15 +133,22 @@ class TestParseTriples:
 
 
 class TestShippedDataFiles:
-    def test_q4_matrix_file_matches_embedded_fixture(self):
-        from pathlib import Path
+    """The README examples, the CI steps and the CLI pins read data/; the
+    claims read the fixtures.  The two copies must agree."""
 
-        root = Path(__file__).resolve().parent.parent
-        assert parse_matrix((root / "data" / "q4.matrix").read_text()) == q4_matrix()
-        triples = parse_triples(
-            (root / "data" / "q4.triples").read_text(), ("p", "s", "q", "r")
-        )
+    def test_q4_matrix_file_matches_embedded_fixture(self):
+        assert parse_matrix((DATA / "q4.matrix").read_text()) == q4_matrix()
+        triples = parse_triples((DATA / "q4.triples").read_text(), Q4_LABELS)
         assert triples == q4_betweenness()
+
+    def test_three_point_files_match_their_table_rows(self):
+        # every shipped file is checked here or above
+        names = sorted(path.name for path in DATA.iterdir())
+        assert names == ["cycle3.triples", "path3.triples", "q4.matrix", "q4.triples"]
+        relations = {row["triples"]: three_point_relation(row) for row in THREE_POINT_TABLE}
+        for name, words in (("path3", ("abc", "cba")), ("cycle3", ("abc", "bca", "cab"))):
+            text = (DATA / f"{name}.triples").read_text()
+            assert parse_triples(text, THREE_POINT_LABELS) == relations[words]
 
 
 class TestRoundTrips:

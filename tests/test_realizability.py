@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from qmlines import encoding, enumeration, kernels, realizability
-from qmlines.core import Betweenness, DistanceMatrix, betweenness_of, validate_quasi_metric
+from qmlines.core import (
+    Betweenness,
+    DistanceMatrix,
+    betweenness_mask,
+    betweenness_of,
+    validate_quasi_metric,
+)
 from qmlines.encoding import orbit
 from qmlines.enumeration import canonical_classes, classify, consistent_patterns_on_support
 from qmlines.fixtures import (
@@ -39,6 +45,7 @@ from oracles import (
     RULE_CERTIFICATES,
     ZeroSlackByLoops,
     consistent_masks,
+    cut_semimetrics,
     first_integer_per_class,
     first_integer_realization,
     is_quasi_semimetric,
@@ -266,9 +273,53 @@ class TestZeroSlackCheck:
     def loops(self):
         return ZeroSlackByLoops(realizability._RULES, realizability._ZERO_WITNESSES)
 
-    def test_tables_hold_168_rule_instances_and_37_tight_masks(self):
-        assert len(set(realizability._rule_instances())) == 168
-        assert len(realizability._zero_tight_masks()) == 37
+    @staticmethod
+    def lanes(rows, count):
+        """The triple mask of each of the first count lanes of chunk tables
+        rows: triple j is in lane k's mask iff bit k of j's own row is set."""
+        singles = [rows[j >> 3][1 << (j & 7)] for j in range(24)]
+        return [sum(1 << j for j, row in enumerate(singles) if row >> k & 1) for k in range(count)]
+
+    def tight_lanes(self):
+        """(zero masks, cut masks): the tight masks of the present-bit lanes,
+        whose rows hold the triples each mask lacks."""
+        _, zeros, cuts, reversal, _, present = realizability._certificate_tables()
+        tight = [~m & (1 << 24) - 1 for m in self.lanes(present, reversal)]
+        assert zeros | cuts == (1 << reversal) - 1 and not zeros & cuts
+        return [t for k, t in enumerate(tight) if zeros >> k & 1], [
+            t for k, t in enumerate(tight) if cuts >> k & 1
+        ]
+
+    def test_tables_hold_168_rule_instances_and_37_tight_masks(self, loops):
+        implied, *_, absent, _ = realizability._certificate_tables()
+        lanes = self.lanes(absent, 2 * implied)
+        instances = list(zip(lanes[:implied], lanes[implied:]))
+        assert implied == len(set(instances)) == 168
+        assert set(instances) == loops.instances
+        zero_masks, _ = self.tight_lanes()
+        assert len(set(zero_masks)) == len(zero_masks) == 37
+        assert set(zero_masks) == loops.zero_masks
+
+    def test_an_appended_zero_witness_moves_no_verdict(self, monkeypatch):
+        # the all-ones quasi-metric is tight on no triple, so it settles
+        # nothing, but its lane moves every lane laid out after it
+        def verdicts():
+            masks = (mask for mask, _ in canonical_classes(4))
+            return [tuple(realizability._zero_slack(m, v) for v in VARIANTS) for m in masks]
+
+        before = verdicts()
+        ones = tuple(tuple(int(x != y) for y in range(4)) for x in range(4))
+        witnesses = (*realizability._ZERO_WITNESSES, ones)
+        monkeypatch.setattr(realizability, "_ZERO_WITNESSES", witnesses)
+        realizability._certificate_tables.cache_clear()
+        try:
+            after = verdicts()
+            zeros = realizability._certificate_tables()[1]
+        finally:
+            # the next caller rebuilds from the restored witnesses
+            realizability._certificate_tables.cache_clear()
+        assert after == before
+        assert zeros == (1 << 38) - 1
 
     def test_chunk_tables_agree_with_the_loops_on_every_labeled_relation(self, loops):
         masks = list(consistent_masks(4))
@@ -306,10 +357,14 @@ class TestZeroSlackCheck:
         assert not is_quasi_semimetric(((1, 1), (1, 0)))
 
     def test_every_cut_is_a_symmetric_semimetric(self):
-        assert len({str(d) for d in realizability._cuts()}) == 7
-        for d in realizability._cuts():
+        # the cut lanes are the tight masks of the 7 cuts, each checked here
+        cuts = cut_semimetrics()
+        assert len({str(d) for d in cuts}) == 7
+        for d in [*realizability._CUTS, *cuts]:
             assert is_quasi_semimetric(d)
             assert all(d[x][y] == d[y][x] for x in range(4) for y in range(4))
+        _, cut_masks = self.tight_lanes()
+        assert sorted(cut_masks) == sorted(betweenness_mask(4, d) for d in cuts)
 
     def test_every_rule_has_an_integer_certificate(self):
         assert set(RULE_CERTIFICATES) == set(realizability._RULES)

@@ -214,16 +214,9 @@ def test_import_loads_no_string():
     assert _loaded_by_fresh_import({"string"}) == "[]"
 
 
-def test_import_builds_no_zero_slack_table():
-    """The zero-slack check's rule instances and tight masks are built on
-    the first 4-point quasi query, never by `import qmlines`."""
-    r = "qmlines.realizability"
-    sizes = f"{r}._rule_instances.cache_info().currsize, {r}._zero_tight_masks.cache_info().currsize"
-    assert _after_fresh_import(sizes) == "0 0"
-
-
 def test_import_builds_no_certificate_table():
     """The chunk tables that `maximize_slack` reads its 4-point certificates
-    from are built on the first 4-point query, never by `import qmlines`."""
+    from, with every lane of their rule instances, zero witnesses and cuts,
+    are built on the first 4-point query, never by `import qmlines`."""
     size = "qmlines.realizability._certificate_tables.cache_info().currsize"
     assert _after_fresh_import(size) == "0"
