@@ -382,19 +382,27 @@ def line_set(b: Betweenness) -> LineSet:
 def consistency_check(b: Betweenness) -> bool:
     """True iff no member triple xyz coexists with yxz or xzy.
 
-    Necessary for the relation to come from any quasi-metric.  ORs one row
-    of the conflict table (see :func:`qmlines.encoding._conflict_table`) per
-    nonzero chunk of the mask, the excluded companions of the chunk's
-    triples, and tests the mask against them all at once.
+    Necessary for the relation to come from any quasi-metric.  Up to n=10
+    it ORs one row of the conflict table (see
+    :func:`qmlines.encoding._conflict_table`) per nonzero chunk of the mask,
+    the excluded companions of the chunk's triples, and tests the mask
+    against them all at once; above, it reads each member's two companions
+    through `triple_position(n)`.
     """
-    width, rows = _conflict_table(b.n)
-    ones = (1 << width) - 1
-    mask = b.mask
-    rest = mask
+    n, mask = b.n, b.mask
+    rows = _conflict_table(n)
+    if rows is None:
+        bits = f"{mask:0{triple_count(n)}b}"[::-1]  # character i is bit i
+        pos = triple_position(n)
+        return not any(
+            "1" in (bits[pos[y, x, z]], bits[pos[x, z, y]])
+            for (x, y, z), bit in zip(ordered_triples(n), bits) if bit == "1"
+        )
     excluded = 0
+    rest = mask
     for row in rows:
         if not rest:
             break
-        excluded |= row[rest & ones]
-        rest >>= width
+        excluded |= row[rest & 255]
+        rest >>= 8
     return not mask & excluded

@@ -14,7 +14,7 @@ the rows of its nonzero chunks.  Up to n=5 for triples and n=6 for pairs, a
 row value of the orbit table packs all n! images into one int, lane by
 lane, so an orbit costs a few bigint ORs and one unpacking; above that,
 rows are tuples of n! images.  The conflict table holds the excluded
-companions of each chunk value's triples.
+companions of each chunk value's triples, up to n=10.
 """
 
 import sys
@@ -74,16 +74,15 @@ def conflict_masks(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _conflict_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(width, rows): rows[c][v] is the OR of conflict_masks(n) over the set
-    bits of value v in the width-bit chunk c of an encoding, so the excluded
-    companions of a mask's triples are the OR of its chunks' rows.  Chunks
-    are 8 bits wide while the table stays under 2^24 bits (n <= 10), 1 bit
-    wide above, where each row is (0, one conflict mask)."""
-    conflicts = conflict_masks(n)
-    nbits = len(conflicts)
-    width = 8 if -(-nbits // 8) * 256 * nbits <= 1 << 24 else 1
-    return width, _chunk_rows(conflicts, width)
+def _conflict_table(n: int) -> tuple[tuple[int, ...], ...] | None:
+    """rows[c][v] is the OR of conflict_masks(n) over the set bits of value
+    v in the 8-bit chunk c of an encoding, so the excluded companions of a
+    mask's triples are the OR of its chunks' rows.  None, with nothing
+    built, once the table would pass 2^24 bits (n > 10)."""
+    nbits = triple_count(n)
+    if -(-nbits // 8) * 256 * nbits > 1 << 24:
+        return None
+    return _chunk_rows(conflict_masks(n), 8)
 
 
 # most relabelings a brute-force canonical form may try: 8! = 40,320; the

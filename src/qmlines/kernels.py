@@ -3,18 +3,16 @@
 Both sweeps compare betweenness encodings up to relabeling through
 :func:`qmlines.encoding.orbit`.  The integer sweep is one depth-first walk
 over the matrices with entries in 1..K; it is exhaustive, so its verdicts are
-exact.  It keeps only the lex-least matrix of each relabeling orbit
-(lex-leader pruning, McKay 1998).  The lex-first witness of a class is the
-lex-least of its own orbit, so the sweep returns the same witness as a walk
-over every matrix would.  The integer sweep refuses more than
-INTEGER_SWEEP_CAP matrices, or more than RELABELING_CAP relabelings, before
-it visits any.  The two canonical-witness sweeps are memoized, so each
-(n, bound) is swept at most once per process, and an integer or digraph
-query is a lookup in the map of its sweep.  The integer sweep also skips,
-before their lex-leader test, the leaves whose betweenness mask it has met
-already, since they cannot add a class.  One breadth-first search per
-source over bit sets, :func:`shortest_paths`, gives the digraph distances
-for the sweep and for single digraphs.
+exact.  It cuts the branches of matrices with a lex-smaller relabeling
+(lex-leader pruning, McKay 1998) and skips the leaves whose betweenness
+mask it has met already; the first leaf of each class is then the
+lex-first witness that a walk over every matrix would return.  The integer
+sweep refuses more than INTEGER_SWEEP_CAP matrices, or more than RELABELING_CAP
+relabelings, before it visits any.  The two canonical-witness sweeps are
+memoized, so each (n, bound) is swept at most once per process, and an
+integer or digraph query is a lookup in the map of its sweep.  One
+breadth-first search per source over bit sets, :func:`shortest_paths`,
+gives the digraph distances for the sweep and for single digraphs.
 
 The digraph sweep reads the betweenness of its shortest-path rows through
 :func:`qmlines.core.betweenness_mask`, the reader behind every distance
@@ -22,7 +20,7 @@ table.  The integer walk keeps its own test: it sets a triple's bit in the
 same comparison that prunes the triangle inequality, at the depth where the
 triple's last pair is assigned (for the last entry, from the sums that
 bound its range), so the bits cost nothing extra; reading
-each of the 200,897 leaves at n=4, K=4 again would be new work.
+each of the 254,602 leaves at n=4, K=4 again would be new work.
 """
 
 from functools import lru_cache
@@ -69,25 +67,24 @@ def _pair_relabelings(n):
 
 
 def _integer_dfs(n, kmax, seen):
-    """Yield (values, betweenness_mask) for the lex-least matrix of each
-    relabeling orbit of the valid quasi-metrics with off-diagonal entries in
-    1..kmax whose mask is not in seen, in lex order of values (one flat list
-    over ordered_pairs(n), reused between yields): a DFS over the entries in
-    lex order, pruned by the triangle checks and by lex-leader comparisons.
-    The caller may add masks to seen between yields; while seen stays
-    empty, every lex-least matrix is yielded.  It builds its own tables.
+    """Yield (values, betweenness_mask) for each leaf whose mask is not in
+    seen, in lex order of values (one flat list over ordered_pairs(n),
+    reused between yields), of a DFS over the valid quasi-metrics with
+    off-diagonal entries in 1..kmax, pruned by the triangle checks and by
+    lex-leader comparisons.  The caller may add masks to seen between
+    yields.  It builds its own tables.
 
     For each relabeling p the walk compares vals with its image, entry k
     against entry p[k], as far as both are assigned.  It cuts the branch
     once some image is lex-smaller and forgets p once its image is
-    lex-greater; at a leaf every comparison is decided, so the leaves are
-    the lex-least matrices of their orbits.  A comparison stuck at k waits
-    in watch[max(k, p[k])], the depth whose assignment lets it go on.
+    lex-greater, so it reaches every lex-least matrix.  A comparison stuck
+    at k waits in watch[max(k, p[k])], the depth whose assignment lets it
+    go on.  Leaves take no comparison: with an empty seen, the walk yields
+    254,602 at n=4, K=4, for 200,897 orbits.
 
     The last entry is decided once per node: its triangles bound it to
     lo..hi, and the sums that set the bounds also give the equality bits,
-    which can hold only at lo or hi.  A leaf whose mask is in seen is
-    skipped before its lex-leader comparisons.
+    which can hold only at lo or hi.
     """
     relabelings = _pair_relabelings(n)
     by_depth = _triples_by_depth(n)
@@ -111,7 +108,6 @@ def _integer_dfs(n, kmax, seen):
     for p in relabelings:
         watch[p[0]].append((p, 0))
     moved = [[] for _ in range(npairs)]
-    leaf_watch = watch[last]
     depth = 0
     while depth >= 0:
         log = moved[depth]
@@ -172,33 +168,21 @@ def _integer_dfs(n, kmax, seen):
                         mask |= lo_bits
                     if v == hi:
                         mask |= hi_bits
-                    if mask in seen:
-                        continue
-                    vals[last] = v
-                    for p, k in leaf_watch:
-                        a = p[k]
-                        while vals[k] == vals[a]:
-                            k += 1
-                            if k == npairs:
-                                break  # p fixes vals
-                            a = p[k]
-                        else:
-                            if vals[k] > vals[a]:
-                                break  # the image of p is lex-smaller
-                    else:
+                    if mask not in seen:
+                        vals[last] = v
                         yield vals, mask
 
 
 @lru_cache(maxsize=None)
 def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
-    """Sweep the lex-least matrix of each orbit of quasi-metrics with entries
-    in 1..kmax; map canonical betweenness encodings to the lexicographically
-    first witness entries.
+    """Sweep the quasi-metrics with entries in 1..kmax; map canonical
+    betweenness encodings to the lexicographically first witness entries.
 
     The walk gets the set of raw masks met so far and skips a leaf with one
-    of them before its lex-leader test: the first leaf of a mask already put
-    its class in the map.  At n=4, K=3 that leaves 1,784 lex-leader tests
-    for the 14,553 values of the last entry.
+    of them: the first leaf of a mask already put its class in the map.  At
+    n=4, K=3 it asks 14,553 times and 1,348 masks are new.  The first leaf
+    L of a class is the lex-least L* of its orbit: if L* < L, the walk
+    reached L* first and yielded it or met its mask before.
 
     The sweep stops once the map holds all CONSISTENT_CLASSES[n] classes,
     since no later matrix can add one: at n=2 after the first matrix.
@@ -211,9 +195,11 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     estimate = kmax ** (n * (n - 1))
     if estimate > INTEGER_SWEEP_CAP:
+        # the decimal while it is short: str() refuses over 4,300 digits
+        exact = f" = {estimate}" if estimate < 10**99 else ""
         raise ValueError(
             f"integer search is exhaustive; n={n}, K={kmax} means up to "
-            f"{kmax}^{n * (n - 1)} = {estimate} matrices, over the cap of "
+            f"{kmax}^{n * (n - 1)}{exact} matrices, over the cap of "
             f"{INTEGER_SWEEP_CAP} (2^24)"
         )
     # refuses n! over the cap; the walk needs the relabelings anyway
@@ -243,9 +229,11 @@ def digraph_canon_witnesses(n: int) -> dict[int, int]:
     at n=4, 9,608 at n=5).  Refuses n > 5 before any allocation.
     """
     if n > 5:
+        # the GiB of marks, as a power of 2 once its decimal has 100 digits
+        e = n * (n - 1) - 30
         raise ValueError(
             f"digraph search is exhaustive; n={n} exceeds the cap of 5: 2^{n * (n - 1)} "
-            f"arc sets, one byte of marks each, {1 << n * (n - 1) - 30} GiB"
+            f"arc sets, one byte of marks each, {1 << e if e < 329 else f'2^{e}'} GiB"
         )
     marked = bytearray(1 << n * (n - 1))
     result: dict[int, int] = {}

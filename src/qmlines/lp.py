@@ -131,10 +131,9 @@ def _simplex_max(rows, cost):
     starting tableau, and D is the previous pivot (Edmonds 1967; Bareiss
     1968).  So when p == D, D divides T[k][c]*T[r] too, and the update is
     T[k] - T[k][c]*T[r] // D, which changes only the entries where T[r] is
-    nonzero; when D == 1 it needs no division.  These give the same
-    integers with less work.  Since D > 0, each sign test, and
-    each ratio comparison done by cross-multiplying (a/b < c/d iff
-    a*d < c*b for b, d > 0), decides as on the rational tableau, so the
+    nonzero: the same integers with less work.  Since D > 0, each sign
+    test, and each ratio comparison done by cross-multiplying (a/b < c/d
+    iff a*d < c*b for b, d > 0), decides as on the rational tableau, so the
     pivot sequence is the rational simplex's, and the point is read off the
     final rows as they stand: variable k is x+ minus x-, over D.
     """
@@ -189,8 +188,6 @@ def _simplex_max(rows, cost):
                 if p == d:
                     for k, b in nonzero:
                         row[k] -= f * b // d
-                elif d == 1:
-                    row[:] = [p * a - f * b for a, b in zip(row, pivot_row)]
                 else:
                     row[:] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
                 row[c] = f if flip else -f

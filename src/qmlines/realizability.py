@@ -190,7 +190,7 @@ _CUTS = (
 def _certificate_tables():
     """(implied, zeros, cuts, reversal, absent, present): the chunk tables
     (`encoding._chunk_rows`, 8-bit chunks) over the 24 triple bits from
-    which `_zero_slack` reads its certificates, one OR per chunk, and their
+    which `_sign` reads its certificates, one OR per chunk, and their
     lanes, laid out from `_RULES`, `_ZERO_WITNESSES` and `_CUTS` as read.
 
     Rule instance k, a rule under a relabeling, has lane k for its members
@@ -229,72 +229,72 @@ def _certificate_tables():
     return len(members), zeros, cuts, reversal, _chunk_rows(absent, 8), _chunk_rows(present, 8)
 
 
-def _zero_slack(mask: int, variant: str) -> bool:
-    """The 4-point relation mask has optimal slack exactly 0 in variant, by
-    certificate; the argument behind every system `maximize_slack` settles.
+def _sign(mask: int, variant: str) -> int | None:
+    """The sign of the 4-point relation mask's optimal slack in variant, by
+    certificate: 1, 0, or None for a negative optimum or an infeasible
+    system, which the tables do not tell apart.
 
     Slack <= 0: the relation breaks a rule, or for a metric it holds a
     member xyz without its reversal zyx, whose strict row reads eps <= 0
-    once symmetry turns the member's equality around.  Slack >= 0: a zero
-    witness (quasi) or a cut (metric, which is also quasi) tight on every
-    member, scaled to sum 1, is a feasible point with eps = 0, since every
-    other triangle holds weakly in it.  The present-bit rows come first:
-    they refute most masks, and settle a metric one not closed under
-    reversal, before the absent-bit rows are read."""
-    implied, zeros, cuts, reversal, absent_rows, (p0, p1, p2) = _certificate_tables()
+    once symmetry turns the member's equality around; otherwise it is
+    positive (the rules are the definite part of the Horn formula).
+    Slack >= 0: a zero witness (quasi) or a cut (metric, which is also
+    quasi) tight on every member, scaled to sum 1, is a feasible point with
+    eps = 0, since every other triangle holds weakly in it."""
+    implied, zeros, cuts, reversal, (a0, a1, a2), (p0, p1, p2) = _certificate_tables()
     present = p0[mask & 255] | p1[mask >> 8 & 255] | p2[mask >> 16 & 255]
-    tight = zeros if variant == "quasi" else cuts
-    if present & tight == tight:  # no zero witness or cut is tight on every member
-        return False
-    if variant == "metric" and present >> reversal != mask:
-        return True
-    a0, a1, a2 = absent_rows
     absent = a0[~mask & 255] | a1[~mask >> 8 & 255] | a2[~mask >> 16 & 255]
-    return bool(absent >> implied & ~absent)
+    if not absent >> implied & ~absent and (variant == "quasi" or present >> reversal == mask):
+        return 1
+    tight = zeros if variant == "quasi" else cuts
+    return None if present & tight == tight else 0
 
 
-# the outcome of every system that _zero_slack settles, one for all
+# the outcome of every system that _sign settles, one for all
 _SETTLED = FeasibilityOutcome("feasible", Fraction(0), None)
 
 
 def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     """Exact optimum of the slack variable over the system's polytope.
 
-    A 4-point system whose optimum is exactly 0 needs no LP, and builds no
-    rows, when `_zero_slack` shows it by certificate, with a few lookups in
-    `_certificate_tables`.  That settles 3,048 of the 4,455 classes as quasi
-    systems and 2,220 as metric ones.  Every other system runs the LPs.
+    A 4-point system is first read by `_sign`, with a few lookups in
+    `_certificate_tables` and no rows built.  Sign 0 needs no LP: 3,048 of
+    the 4,455 classes as quasi systems, 2,220 as metric ones.  Sign 1 (273
+    quasi, 9 metric) needs only the point, from `lp._simplex_max` below.
 
-    `lp._optimum` decides it with the member equalities substituted out, on
-    the system's rows in another order: the triple rows, then symmetry and
-    normalization, the n(n-1) positivity rows eps - d <= 0 last.  Its status
-    and optimum do not depend on row order, but Bland's rule prefers least
-    ids, and slack ids follow row order: with the positivity slacks last it
-    takes about half the pivots, most of those saved degenerate.
-    Only a positive optimum needs a point, and only the point depends on the
-    pivot path, so then `lp._simplex_max` solves the system's rows in
-    template order: its optimum must agree, and its vertex, integer
-    numerators over one denominator, rescaled to the smallest integer matrix
-    on its ray, is the witness (any positive scaling is equally valid).
+    Every other system is decided by `lp._optimum`, with the member
+    equalities substituted out, on the system's rows in another order: the
+    triple rows, then symmetry and normalization, the n(n-1) positivity
+    rows eps - d <= 0 last.  Its status and optimum do not depend on row
+    order, but Bland's rule prefers least ids, and slack ids follow row
+    order: with the positivity slacks last it takes about half the pivots,
+    most of those saved degenerate.  Only a positive optimum needs a point,
+    and only the point depends on the pivot path, so then
+    `lp._simplex_max` solves the system's rows in template order: its
+    optimum must agree, and its vertex, integer numerators over one
+    denominator, rescaled to the smallest integer matrix on its ray, is
+    the witness (any positive scaling is equally valid).
     """
     b = system.relation
-    if b.n == 4 and _zero_slack(b.mask, system.variant):
+    sign = _sign(b.mask, system.variant) if b.n == 4 else None
+    if sign == 0:
         return _SETTLED
     rows = system.constraints
     k = b.n * (b.n - 1)  # the positivity rows come first, one per distance
     cost = [0] * k + [1]  # maximize eps, the last variable
-    status, slack = _optimum([*rows[k:], *rows[:k]], cost)
-    if status == "infeasible":
-        return FeasibilityOutcome("infeasible", None, None)
-    if status == "unbounded":
-        # eps <= min d <= 1/(n(n-1)) under the positivity and normalization rows
-        raise RuntimeError(f"slack is unbounded for {b}; this is a bug")
-    if slack <= 0:
-        return FeasibilityOutcome("feasible", slack, None)
+    if sign is None:
+        status, slack = _optimum([*rows[k:], *rows[:k]], cost)
+        if status == "infeasible":
+            return FeasibilityOutcome("infeasible", None, None)
+        if status == "unbounded":
+            # eps <= min d <= 1/(n(n-1)) under the positivity and normalization rows
+            raise RuntimeError(f"slack is unbounded for {b}; this is a bug")
+        if slack <= 0:
+            return FeasibilityOutcome("feasible", slack, None)
     status, value, point = _simplex_max(rows, cost)
-    if (status, value) != ("optimal", slack):
-        raise RuntimeError(f"the two simplex paths disagree on {b}; this is a bug")
-    return FeasibilityOutcome("feasible", slack, _witness_matrix(b.n, point[0][:-1]))
+    if status != "optimal" or value <= 0 or sign is None and value != slack:
+        raise RuntimeError(f"the vertex LP disagrees with the value or sign on {b}; this is a bug")
+    return FeasibilityOutcome("feasible", value, _witness_matrix(b.n, point[0][:-1]))
 
 
 def _witness_matrix(n: int, numerators) -> DistanceMatrix:

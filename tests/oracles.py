@@ -450,8 +450,8 @@ def cut_semimetrics() -> list[list[list[int]]]:
 
 
 class ZeroSlackByLoops:
-    """realizability._zero_slack one rule instance and one tight mask at a
-    time, the loops that its chunk tables replaced.  The rules and zero
+    """`realizability._sign(...) == 0` one rule instance and one tight mask
+    at a time, the loops that its chunk tables replaced.  The rules and zero
     witnesses are relabeled here, one member triple at a time, and the cuts
     come from their definition."""
 

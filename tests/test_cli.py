@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -379,6 +380,31 @@ class TestRealize:
             m = self.lp_witness(capsys, tmp_path, sorted(words), labels)
             assert m.labels == tuple(labels)
             assert {tuple(m.labels[i] for i in t) for t in betweenness_of(m).triples} == words
+
+    @pytest.mark.parametrize(("variant", "cap"), [
+        ("digraph", "n=121 exceeds the cap of 5: 2^14520 arc sets, one byte of marks each, "
+                    "2^14490 GiB"),
+        ("int:2", "n=121, K=2 means up to 2^14520 matrices, over the cap of 16777216 (2^24)"),
+    ])
+    def test_121_labels_are_refused_in_2_gib(self, tmp_path, variant, cap):
+        # one triple on 121 points, in a child process whose address space
+        # is 2 GiB: the consistency check builds no table as wide as the
+        # encoding per triple, and the refusal prints its size as a power
+        def limited():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        path = tmp_path / "one.triples"
+        path.write_text("x0 x1 x2\n")
+        labels = ",".join(f"x{i}" for i in range(121))
+        src = Path(qmlines.__file__).resolve().parents[1]
+        argv = [sys.executable, "-m", "qmlines.cli", "realize", "--variant", variant,
+                "--triples", str(path), "--labels", labels]
+        done = subprocess.run(
+            argv, env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=limited,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.endswith(f"{cap}\n")
 
     def test_bad_variant(self, capsys, q4_triples_file):
         code, _, err = run(

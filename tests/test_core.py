@@ -361,10 +361,11 @@ class TestConsistency:
                 assert not consistency_check(b)
                 assert not consistent_by_set_bits(4, b.mask)
 
-    # n=3..10 read the 8-bit conflict table, n=11 the 1-bit one
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 11])
+    # n=3..10 read the 8-bit conflict table; n=11..13 have none and look
+    # up each member's companions
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 11, 12, 13])
     def test_table_agrees_with_the_set_bit_loop(self, n):
-        assert _conflict_table(n)[0] == (1 if n > 10 else 8)
+        assert (_conflict_table(n) is None) == (n > 10)
         rng = random.Random(2940 + n)
         nbits = triple_count(n)
         top = 1 << nbits - 1

@@ -142,9 +142,12 @@ def test_pair_maps_move_each_arc_as_the_orbit_does(n):
 
 def test_integer_sweep_visits_one_matrix_per_orbit():
     # the walk over every valid matrix with entries <= 4 had 4,751,052
-    # leaves; one per orbit of 24 relabelings is about 1/24 of that
+    # leaves; one per orbit of 24 relabelings is about 1/24 of that.  The
+    # lex-leader comparisons cut branches only, so the leaves that pass them
+    # are yielded too: 254,602, of which the 200,897 lex-least matrices
+    # (the orbits) are a part
     leaves = sum(1 for _ in kernels._integer_dfs(4, 4, set()))
-    assert leaves == 200_897
+    assert leaves == 254_602
     assert leaves < 4_751_052 // 10
 
 
@@ -217,6 +220,20 @@ def test_digraph_cap_states_its_cost(n, estimate):
         kernels.digraph_canon_witnesses(n)
 
 
+@pytest.mark.parametrize(("sweep", "args", "message"), [
+    ("digraph", (121,), r"n=121 exceeds the cap of 5: 2\^14520 arc sets, .* 2\^14490 GiB$"),
+    ("integer", (121, 2), r"n=121, K=2 means up to 2\^14520 matrices, over the cap"),
+    ("digraph", (20,), r"2\^380 arc sets, one byte of marks each, 2\^350 GiB$"),
+    ("digraph", (19,), f"2\\^342 arc sets, one byte of marks each, {2**312} GiB$"),
+    ("integer", (10, 11), f"11\\^90 = {11**90} matrices, over the cap"),
+])
+def test_a_refusal_states_a_long_size_as_a_power(sweep, args, message):
+    # Python prints no int of over 4,300 digits, as 2^14490 is; the
+    # decimal is kept while it has under 100
+    with pytest.raises(ValueError, match=message):
+        getattr(kernels, f"{sweep}_canon_witnesses")(*args)
+
+
 @pytest.mark.parametrize(("n", "kmax"), [(2, 0), (4, 0), (4, -1), (9, 0)])
 def test_integer_bound_below_one_is_refused_before_any_table(monkeypatch, n, kmax):
     # ahead of both caps: n=9 alone would be over the relabeling cap
@@ -229,16 +246,25 @@ def test_integer_bound_below_one_is_refused_before_any_table(monkeypatch, n, kma
         kernels.integer_canon_witnesses(n, kmax)
 
 
-def test_integer_sweep_runs_the_lex_leader_test_only_on_unseen_masks(monkeypatch):
-    # at (4, 3) the walk without the seen test reached 10,813 lex-leader
-    # leaves holding 1,147 distinct masks; the map's seen set is asked once
-    # per value of the last entry, and a miss leads to a lex-leader test
+def test_integer_sweep_canonicalizes_only_unseen_masks(monkeypatch):
+    # at (4, 3) the map's seen set is asked once per value of the last
+    # entry, and each miss is yielded and canonicalized once, with no
+    # lex-leader test of its own
     answers = []
+    orbits = []
+    orbit = kernels.orbit
+
+    def counted(n, mask):
+        orbits.append(mask)
+        return orbit(n, mask)
+
     monkeypatch.setattr(kernels, "_integer_dfs", _walk_asking(answers))
+    monkeypatch.setattr(kernels, "orbit", counted)
     table = kernels.integer_canon_witnesses.__wrapped__(4, 3)
+    monkeypatch.undo()
     assert table == kernels.integer_canon_witnesses(4, 3)
     assert len(answers) == 14_553
-    assert answers.count(False) == 1_784
+    assert answers.count(False) == len(orbits) == len(set(orbits)) == 1_348
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -523,8 +523,8 @@ def test_value_does_not_depend_on_row_or_variable_order(problem, data):
     assert optimum_of(shuffled_variables, shuffled_constraints, objective) == expected
 
 
-# systems among those of value_lps that the zero-slack check settles:
-# 331 quasi and 229 metric
+# systems among those of value_lps that the sign check settles: 331 quasi
+# and 229 metric; 30 more are positive by certificate
 SETTLED_BY_CHECK = 560
 
 
@@ -532,10 +532,11 @@ SETTLED_BY_CHECK = 560
 def value_lps():
     """(system, rows, cost) of the value LP that maximize_slack hands
     lp._optimum, for the quasi and the metric system of every 9th class of
-    canonical_classes(4).  A system that its zero-slack check settles, quasi
-    or metric, hands nothing; for it the fixture builds the rows the LP
-    would get, the template with its 12 positivity rows moved last, and
-    checks that they solve to exactly 0."""
+    canonical_classes(4).  A system whose sign the certificates decide,
+    quasi or metric, hands nothing; for it the fixture builds the rows the
+    LP would get, the template with its 12 positivity rows moved last, and
+    checks that they solve to exactly 0 for a settled system, and to the
+    slack maximize_slack returned for a positive one."""
     handed = []
     optimum = realizability._optimum
 
@@ -544,23 +545,24 @@ def value_lps():
         return optimum(rows, cost)
 
     lps = []
-    settled = 0
+    settled = positive = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(realizability, "_optimum", recording)
         for mask, _ in canonical_classes(4)[::9]:
             for variant in VARIANTS:
                 system = build_realization_system(Betweenness(4, mask), variant)
-                maximize_slack(system)
+                slack = maximize_slack(system).optimal_slack
                 if handed:
                     (rows, cost), = handed
                     handed.clear()
                 else:
-                    settled += 1
                     template = list(system.constraints)
                     rows, cost = template[12:] + template[:12], slack_cost(system)
-                    assert optimum(rows, cost) == ("optimal", 0)
+                    assert optimum(rows, cost) == ("optimal", slack)
+                    settled += slack == 0
+                    positive += slack > 0
                 lps.append((system, rows, cost))
-    assert settled == SETTLED_BY_CHECK
+    assert (settled, positive) == (SETTLED_BY_CHECK, 30)
     return lps
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, islice
 
 import pytest
@@ -49,6 +50,7 @@ from oracles import (
     first_integer_per_class,
     first_integer_realization,
     is_quasi_semimetric,
+    min_plus_closure,
     orbit_by_relabeling,
     realization_system_by_construction,
     reversal_certificate_holds,
@@ -56,6 +58,13 @@ from oracles import (
 )
 
 CYCLE3 = Betweenness.from_triples(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+
+
+def seeded_five_point_relation():
+    """The betweenness of a seeded random 5-point quasi-metric."""
+    rng = random.Random(42)
+    rows = [[rng.randint(1, 5) for _ in range(5)] for _ in range(5)]
+    return betweenness_of(DistanceMatrix(tuple("abcde"), min_plus_closure(rows)))
 
 
 def uniform3():
@@ -203,6 +212,10 @@ class TestLpCallPath:
         assert counts["_simplex_max"] == vertex_solves
 
     def test_the_vertex_path_must_repeat_the_optimum(self, monkeypatch):
+        # the check runs where the value LP runs: not on a positive 4-point
+        # system, which solves its vertex LP alone
+        relations = [CYCLE3, seeded_five_point_relation()]
+        assert all(realize(b, "quasi").realizable for b in relations)
         optimum = realizability._optimum
 
         def off_by_one(*args):
@@ -210,8 +223,9 @@ class TestLpCallPath:
             return status, value + 1
 
         monkeypatch.setattr(realizability, "_optimum", off_by_one)
-        with pytest.raises(RuntimeError, match="disagree"):
-            realize(q4_betweenness(), "quasi")
+        for b in relations:
+            with pytest.raises(RuntimeError, match="disagrees"):
+                realize(b, "quasi")
 
     def test_the_value_lp_solves_the_rows_the_system_holds(self, monkeypatch):
         systems = [
@@ -261,13 +275,22 @@ def _not_positive(optima):
     return [mask for mask, (_, value) in optima if value is None or value <= 0]
 
 
+def _lp_sign(optimum):
+    """1 for a positive optimum, 0 for exactly 0, None for a negative one
+    or an infeasible system, as realizability._sign reads them."""
+    _, value = optimum
+    return None if value is None or value < 0 else int(value > 0)
+
+
 class TestZeroSlackCheck:
-    """maximize_slack settles a 4-point system with no LP when two
-    certificates show its optimum is exactly 0.  Slack <= 0: a broken Horn
-    rule, or for a metric also a member whose reversal is not a member.
-    Slack >= 0: a relabeled zero witness (quasi) or a cut (metric) tight on
-    every member.  Every table is closed under relabeling, and so is the
-    optimum, so the 4,455 classes stand for all 104,976 labeled relations."""
+    """maximize_slack reads the sign of a 4-point system's optimum from
+    certificates, with `realizability._sign`.  Slack <= 0: a broken Horn
+    rule, or for a metric also a member whose reversal is not a member;
+    without one the slack is positive.  Slack >= 0: a relabeled zero
+    witness (quasi) or a cut (metric) tight on every member.  Both settle
+    the system with no LP.  Every table is closed under relabeling, and so
+    is the optimum, so the 4,455 classes stand for all 104,976 labeled
+    relations."""
 
     @pytest.fixture(scope="class")
     def loops(self):
@@ -305,7 +328,7 @@ class TestZeroSlackCheck:
         # nothing, but its lane moves every lane laid out after it
         def verdicts():
             masks = (mask for mask, _ in canonical_classes(4))
-            return [tuple(realizability._zero_slack(m, v) for v in VARIANTS) for m in masks]
+            return [tuple(realizability._sign(m, v) == 0 for v in VARIANTS) for m in masks]
 
         before = verdicts()
         ones = tuple(tuple(int(x != y) for y in range(4)) for x in range(4))
@@ -325,14 +348,48 @@ class TestZeroSlackCheck:
         masks = list(consistent_masks(4))
         assert len(masks) == 104976
         for mask in masks:
-            settled = tuple(realizability._zero_slack(mask, variant) for variant in VARIANTS)
+            settled = tuple(realizability._sign(mask, variant) == 0 for variant in VARIANTS)
             assert settled == loops.settles(mask), mask
 
     def test_settles_exactly_the_classes_whose_optimum_is_zero(self, optima):
         for variant, count in (("quasi", 3048), ("metric", 2220)):
-            settled = [m for m, _ in optima[variant] if realizability._zero_slack(m, variant)]
+            settled = [m for m, _ in optima[variant] if realizability._sign(m, variant) == 0]
             assert settled == _masks_of_zero_optimum(optima[variant])
             assert len(settled) == count
+
+    def test_sign_is_the_lp_sign_on_every_class(self, optima):
+        # (positive, zero, other): other is a negative optimum or infeasible
+        for variant, counts in (("quasi", (273, 3048, 1134)), ("metric", (9, 2220, 2226))):
+            signs = [realizability._sign(mask, variant) for mask, _ in optima[variant]]
+            assert signs == [_lp_sign(optimum) for _, optimum in optima[variant]]
+            assert (signs.count(1), signs.count(0), signs.count(None)) == counts
+
+    def test_each_system_is_decided_once(self, monkeypatch, optima):
+        # a positive system solves only its vertex LP, a settled one no LP,
+        # and every other one only its value LP
+        calls = []
+        for name in ("_optimum", "_simplex_max"):
+            monkeypatch.setattr(realizability, name, self._recorded(name, calls))
+        paths = {1: ["_simplex_max"], 0: [], None: ["_optimum"]}
+        tally = Counter()
+        for variant in VARIANTS:
+            for mask, optimum in optima[variant]:
+                calls.clear()
+                maximize_slack(build_realization_system(Betweenness(4, mask), variant))
+                sign = _lp_sign(optimum)
+                assert calls == paths[sign], (mask, variant)
+                tally[sign] += 1
+        assert tally == {1: 273 + 9, 0: 3048 + 2220, None: 1134 + 2226}
+
+    @staticmethod
+    def _recorded(name, calls):
+        original = getattr(realizability, name)
+
+        def recorded(*args):
+            calls.append(name)
+            return original(*args)
+
+        return recorded
 
     def test_a_rule_is_broken_iff_the_class_is_not_lp_positive(self, optima, loops):
         broken = [mask for mask, _ in optima["quasi"] if loops.breaks_a_rule(mask)]
@@ -401,9 +458,10 @@ class TestZeroSlackCheck:
                 )
 
     def test_metric_systems_and_other_sizes_run_the_lp(self, monkeypatch, optima):
-        # a 4-point metric system runs the LP iff its optimum is not 0
+        # a 4-point metric system runs the value LP iff its optimum is
+        # negative or it is infeasible
         systems = [
-            (build_realization_system(Betweenness(4, mask), "metric"), optimum != ("optimal", 0))
+            (build_realization_system(Betweenness(4, mask), "metric"), _lp_sign(optimum) is None)
             for mask, optimum in optima["metric"][::10]
         ]
         # every 3- and 5-point system runs it; the 5-point masks here pass
@@ -412,7 +470,7 @@ class TestZeroSlackCheck:
         for variant in VARIANTS:
             fives = (
                 m for m in consistent_masks(5)
-                if m < 1 << 24 and realizability._zero_slack(m, variant)
+                if m < 1 << 24 and realizability._sign(m, variant) == 0
             )
             relations += [(Betweenness(5, mask), variant) for mask in islice(fives, 4)]
         systems += [(build_realization_system(b, variant), True) for b, variant in relations]
@@ -428,8 +486,8 @@ class TestZeroSlackCheck:
             solved.clear()
             maximize_slack(system)
             assert len(solved) == runs, system
-        # 237 of the 446 metric systems (209 settled), 36 and 8
-        assert sum(runs for _, runs in systems) == 237 + 36 + 8
+        # 234 of the 446 metric systems (209 settled, 3 positive), 36 and 8
+        assert sum(runs for _, runs in systems) == 234 + 36 + 8
 
 
 class TestVerifyWitness:
