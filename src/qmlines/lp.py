@@ -21,11 +21,11 @@ Programming, ch. 8).  The column ids 2k and 2k+1 are kept, so Bland's
 least-index order, and with it every pivot, is that of the tableau that
 stores both.
 
-One entry, `_simplex_max(rows, cost)`, returns the vertex that its Bland
-path reaches on every row; `_optimum(rows, cost)` returns only the status
-and value, after a one-pass presolve that substitutes out the "=" rows with
-rhs 0 and hands `_simplex_max` each distinct remaining row once.  Neither
-changes the rows, so a caller may build them once and share them.
+Both entries return (status, value, point): `_simplex_max(rows, cost)` the
+vertex its Bland path reaches on every row, `_optimum(rows, cost)` that of
+the rows left after substituting out the "=" rows with rhs 0, with the
+eliminated columns solved back.  Neither changes the rows, so a caller may
+build them once and share them.
 """
 
 from fractions import Fraction
@@ -34,7 +34,7 @@ from math import gcd
 
 
 def _optimum(rows, cost):
-    """(status, value) of `_simplex_max(rows, cost)`, after a presolve
+    """(status, value, point) of `_simplex_max(rows, cost)`, after a presolve
     (Andersen & Andersen 1995) that substitutes out each "=" row with rhs 0.
 
     In row order, such a row e, reduced by the pivots before it, becomes a
@@ -43,10 +43,10 @@ def _optimum(rows, cost):
     once by all pivots in order, r <- e[j]*r - r[j]*e (e's rhs is 0, so r's
     stays >= 0), taken over its gcd and projected onto the columns left; a row
     that reduces to 0 is dropped, or decides infeasibility.  The eliminated
-    variables are determined by the others, so status and value stay; only
-    the optimal vertex may differ.  `_simplex_max` gets each distinct row
-    once, first-seen in the caller's row order; status and value do not
-    depend on that order, the number of pivots does.
+    variables are determined by the others, so status and value stay; the
+    point solves each from its pivot row (optimal, not always `_simplex_max`'s
+    vertex).  The simplex gets each distinct row once, first-seen in the
+    caller's row order; only its pivots and the point depend on that order.
     """
     pivots = []  # (j, e[j], e's nonzero (column, entry) pairs), e zero on earlier j's
 
@@ -82,13 +82,27 @@ def _optimum(rows, cost):
         if not any(r):
             # 0 <= rhs holds (rhs >= 0); 0 = rhs needs rhs = 0
             if rhs and rel == "=":
-                return "infeasible", None
+                return "infeasible", None, None
             continue
         g = gcd(*r, rhs)
         if g > 1:
             r, rhs = tuple([a // g for a in r]), rhs // g
         reduced[r, rel, rhs] = None
-    return _simplex_max(list(reduced), [cost[k] for k in keep])[:2]
+    status, value, point = _simplex_max(list(reduced), [cost[k] for k in keep])
+    if point is None:
+        return status, value, None
+    nums, denom = iter(point[0]), point[1]
+    x = [0 if k in dropped else next(nums) for k in range(len(cost))]
+    # postsolve: each eliminated column from its row e . x = 0, last pivot
+    # first, as e is zero on the earlier pivots' columns (and x[j] is 0 yet);
+    # where p does not divide s, every numerator and D are scaled by p / gcd
+    for j, p, nonzero in reversed(pivots):
+        s = sum(x[k] * a for k, a in nonzero)
+        m = p // gcd(s, p)
+        if m > 1:
+            x, denom, s = [m * v for v in x], m * denom, m * s
+        x[j] = -s // p
+    return status, value, (tuple(x), denom)
 
 
 def _simplex_max(rows, cost):

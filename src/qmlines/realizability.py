@@ -260,20 +260,18 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     A 4-point system is first read by `_sign`, with a few lookups in
     `_certificate_tables` and no rows built.  Sign 0 needs no LP: 3,048 of
     the 4,455 classes as quasi systems, 2,220 as metric ones.  Sign 1 (273
-    quasi, 9 metric) needs only the point, from `lp._simplex_max` below.
+    quasi, 9 metric) solves `lp._simplex_max` on the system's rows in
+    template order, whose Bland vertex is the pinned witness.
 
-    Every other system is decided by `lp._optimum`, with the member
+    Every other system is decided by `lp._optimum` alone, with the member
     equalities substituted out, on the system's rows in another order: the
     triple rows, then symmetry and normalization, the n(n-1) positivity
     rows eps - d <= 0 last.  Its status and optimum do not depend on row
     order, but Bland's rule prefers least ids, and slack ids follow row
     order: with the positivity slacks last it takes about half the pivots,
-    most of those saved degenerate.  Only a positive optimum needs a point,
-    and only the point depends on the pivot path, so then
-    `lp._simplex_max` solves the system's rows in template order: its
-    optimum must agree, and its vertex, integer numerators over one
-    denominator, rescaled to the smallest integer matrix on its ray, is
-    the witness (any positive scaling is equally valid).
+    most of those saved degenerate.  Either LP's point, integer numerators
+    over one denominator, rescaled to the smallest integer matrix on its
+    ray, is the witness (any positive scaling is equally valid).
     """
     b = system.relation
     sign = _sign(b.mask, system.variant) if b.n == 4 else None
@@ -282,8 +280,12 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
     rows = system.constraints
     k = b.n * (b.n - 1)  # the positivity rows come first, one per distance
     cost = [0] * k + [1]  # maximize eps, the last variable
-    if sign is None:
-        status, slack = _optimum([*rows[k:], *rows[:k]], cost)
+    if sign == 1:
+        status, slack, point = _simplex_max(rows, cost)
+        if status != "optimal" or slack <= 0:
+            raise RuntimeError(f"the vertex LP is not positive on {b}; this is a bug")
+    else:
+        status, slack, point = _optimum([*rows[k:], *rows[:k]], cost)
         if status == "infeasible":
             return FeasibilityOutcome("infeasible", None, None)
         if status == "unbounded":
@@ -291,10 +293,7 @@ def maximize_slack(system: LinearSystem) -> FeasibilityOutcome:
             raise RuntimeError(f"slack is unbounded for {b}; this is a bug")
         if slack <= 0:
             return FeasibilityOutcome("feasible", slack, None)
-    status, value, point = _simplex_max(rows, cost)
-    if status != "optimal" or value <= 0 or sign is None and value != slack:
-        raise RuntimeError(f"the vertex LP disagrees with the value or sign on {b}; this is a bug")
-    return FeasibilityOutcome("feasible", value, _witness_matrix(b.n, point[0][:-1]))
+    return FeasibilityOutcome("feasible", slack, _witness_matrix(b.n, point[0][:-1]))
 
 
 def _witness_matrix(n: int, numerators) -> DistanceMatrix:

@@ -302,7 +302,7 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
     status, value, assignment = simplex_of(variables, constraints, objective)
     oracle_status, oracle_value = brute_force_lp_max(variables, constraints, objective)
     assert status == oracle_status
-    assert optimum_of(variables, constraints, objective) == (status, value)
+    assert optimum_of(variables, constraints, objective)[:2] == (status, value)
     if status == "optimal":
         assert value == oracle_value
         # the reported point must be feasible and achieve the optimum
@@ -311,7 +311,28 @@ def test_simplex_agrees_with_vertex_enumeration(problem):
         assert achieved == value
     # without the box the region may be unbounded; the two entries agree
     unboxed = constraints[: -2 * len(variables)]
-    assert optimum_of(variables, unboxed, objective) == simplex_of(variables, unboxed, objective)[:2]
+    assert optimum_of(variables, unboxed, objective)[:2] == simplex_of(variables, unboxed, objective)[:2]
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_lps())
+def test_value_lp_point_is_an_optimal_point_in_integers(problem):
+    # _optimum's point, postsolved onto every column, satisfies each row as
+    # integers over its denominator and attains the value, boxed or not
+    variables, constraints, objective = problem
+    for constraints in (constraints, constraints[: -2 * len(variables)]):
+        rows, cost = rows_of(variables, constraints), cost_of(variables, objective)
+        status, value, point = _optimum(rows, cost)
+        if status != "optimal":
+            assert point is None
+            continue
+        nums, denom = point
+        assert len(nums) == len(variables) and denom > 0
+        assert all(type(v) is int for v in nums)
+        for coeffs, relation, rhs in rows:
+            lhs = sum(c * v for c, v in zip(coeffs, nums))
+            assert lhs == rhs * denom if relation == "=" else lhs <= rhs * denom
+        assert sum(c * v for c, v in zip(cost, nums)) == value * denom
 
 
 # ----------------------------------------- solver vs the split-column solver
@@ -368,7 +389,7 @@ def test_realization_lps_repeat_the_split_column_solver(variant):
         system = build_realization_system(b, variant)
         status, value, assignment = solved(system)
         # the value entry, on the equality-reduced system, gives the same verdict
-        assert _optimum(system.constraints, slack_cost(system)) == (status, value)
+        assert _optimum(system.constraints, slack_cost(system))[:2] == (status, value)
         digest.update(f"{(status, value, sorted((assignment or {}).items()))!r}\n".encode())
     assert digest.hexdigest() == SPLIT_SOLVER_SHA256[variant]
 
@@ -494,7 +515,7 @@ def test_value_lp_gets_distinct_rows_over_the_columns_left(monkeypatch):
         for variant in VARIANTS:
             system = build_realization_system(Betweenness(4, mask), variant)
             handed.clear()
-            status, _ = _optimum(system.constraints, slack_cost(system))
+            status, _ = _optimum(system.constraints, slack_cost(system))[:2]
             if not handed:
                 assert status == "infeasible"
                 continue
@@ -517,10 +538,10 @@ def test_value_lp_gets_distinct_rows_over_the_columns_left(monkeypatch):
 @given(small_lps(), st.data())
 def test_value_does_not_depend_on_row_or_variable_order(problem, data):
     variables, constraints, objective = problem
-    expected = optimum_of(variables, constraints, objective)
+    expected = optimum_of(variables, constraints, objective)[:2]
     shuffled_variables = tuple(data.draw(st.permutations(variables)))
     shuffled_constraints = data.draw(st.permutations(constraints))
-    assert optimum_of(shuffled_variables, shuffled_constraints, objective) == expected
+    assert optimum_of(shuffled_variables, shuffled_constraints, objective)[:2] == expected
 
 
 # systems among those of value_lps that the sign check settles: 331 quasi
@@ -558,7 +579,7 @@ def value_lps():
                 else:
                     template = list(system.constraints)
                     rows, cost = template[12:] + template[:12], slack_cost(system)
-                    assert optimum(rows, cost) == ("optimal", slack)
+                    assert optimum(rows, cost)[:2] == ("optimal", slack)
                     settled += slack == 0
                     positive += slack > 0
                 lps.append((system, rows, cost))
@@ -573,7 +594,7 @@ def test_value_lp_takes_the_positivity_rows_last(value_lps):
         template = list(system.constraints)
         assert rows == template[12:] + template[:12]
         assert cost == [0] * 12 + [1]
-        assert _optimum(rows, cost) == _optimum(template, cost)
+        assert _optimum(rows, cost)[:2] == _optimum(template, cost)[:2]
 
 
 # Pivots of the value LPs above in maximize_slack's order; in template order

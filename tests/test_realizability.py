@@ -199,6 +199,8 @@ class TestLpCallPath:
             (q4_betweenness(), "quasi", "feasible", 1),
             (q4_betweenness(), "metric", "feasible", 0),  # optimum exactly 0
             (CYCLE3, "metric", "infeasible", 0),
+            # positive, but not a 4-point system: the value LP's point
+            (CYCLE3, "quasi", "feasible", 0),
         ],
     )
     def test_only_a_positive_optimum_solves_for_its_vertex(
@@ -208,24 +210,49 @@ class TestLpCallPath:
         monkeypatch.setattr(realizability, "_simplex_max", self._counted("_simplex_max", counts))
         outcome = realize(relation, variant)
         assert outcome.status == status
-        assert (outcome.witness is not None) == outcome.realizable == bool(vertex_solves)
+        assert (outcome.witness is not None) == outcome.realizable
         assert counts["_simplex_max"] == vertex_solves
 
-    def test_the_vertex_path_must_repeat_the_optimum(self, monkeypatch):
-        # the check runs where the value LP runs: not on a positive 4-point
-        # system, which solves its vertex LP alone
+    def test_the_value_lp_point_is_checked(self, monkeypatch):
+        # a positive system outside sign 1 takes its witness from the value
+        # LP's point, and realize re-verifies it: a zero distance fails
         relations = [CYCLE3, seeded_five_point_relation()]
         assert all(realize(b, "quasi").realizable for b in relations)
         optimum = realizability._optimum
 
-        def off_by_one(*args):
-            status, value = optimum(*args)
-            return status, value + 1
+        def first_distance_zeroed(*args):
+            status, value, (nums, denom) = optimum(*args)
+            return status, value, ((0, *nums[1:]), denom)
 
-        monkeypatch.setattr(realizability, "_optimum", off_by_one)
+        monkeypatch.setattr(realizability, "_optimum", first_distance_zeroed)
         for b in relations:
-            with pytest.raises(RuntimeError, match="disagrees"):
+            with pytest.raises(RuntimeError, match="solver produced an invalid witness"):
                 realize(b, "quasi")
+
+    def test_a_positive_system_solves_one_lp(self, monkeypatch):
+        # every positive system at n=3, and at n = 5..8 from seeded {1, 2}
+        # metrics, asks the value LP once and solves no vertex LP after it
+        calls = []
+        for name in ("_optimum", "_simplex_max"):
+            monkeypatch.setattr(realizability, name, TestZeroSlackCheck._recorded(name, calls))
+        rng = random.Random(43)
+        relations = [(Betweenness(3, mask), v) for mask in consistent_masks(3) for v in VARIANTS]
+        for n in range(5, 9):
+            for _ in range(3):
+                d = [[0] * n for _ in range(n)]
+                for i, j in combinations(range(n), 2):
+                    d[i][j] = d[j][i] = rng.randint(1, 2)
+                b = betweenness_of(DistanceMatrix(tuple(f"x{i}" for i in range(n)), d))
+                relations += [(b, v) for v in VARIANTS]
+        positive = 0
+        for b, variant in relations:
+            calls.clear()
+            if realize(b, variant).realizable:
+                assert calls == ["_optimum"], (b, variant)
+                positive += 1
+        # all 18 consistent 3-point relations as quasi, 4 as metric; every
+        # {1, 2} metric in both variants
+        assert positive == 18 + 4 + 4 * 3 * 2
 
     def test_the_value_lp_solves_the_rows_the_system_holds(self, monkeypatch):
         systems = [
@@ -263,7 +290,7 @@ def optima():
         optima[variant] = []
         for mask, _ in canonical_classes(4):
             rows = build_realization_system(Betweenness(4, mask), variant).constraints
-            optima[variant].append((mask, _optimum([*rows[12:], *rows[:12]], [0] * 12 + [1])))
+            optima[variant].append((mask, _optimum([*rows[12:], *rows[:12]], [0] * 12 + [1])[:2]))
     return optima
 
 
