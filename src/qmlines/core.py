@@ -11,6 +11,8 @@ from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .encoding import (
+    LINE_TABLE_CAP,
+    _about,
     _conflict_table,
     mask_from_triples,
     orbit,
@@ -298,6 +300,16 @@ class _PackedTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _packed_table(n: int) -> _PackedTable:
+    """The packed line table on n points.  Refuses with a ValueError, before
+    building any part, a table whose parts could pass LINE_TABLE_CAP bytes."""
+    width = (n + 1) * n * (n - 1)
+    size = triple_count(n) * width // 8
+    if size > LINE_TABLE_CAP:
+        raise ValueError(
+            f"lines are read from a packed table, one int of up to {width} bits per "
+            f"ordered triple; n={n} means {triple_count(n)} triples, {_about(size)} bytes, "
+            f"over the cap of {LINE_TABLE_CAP} (2^27)"
+        )
     field = {pair: (n + 1) * k for k, pair in enumerate(ordered_pairs(n))}
     base = sum((1 << x | 1 << y) << field[x, y] for (x, y) in field)
     parts = tuple(

@@ -15,12 +15,15 @@ row value of the orbit table packs all n! images into one int, lane by
 lane, so an orbit costs a few bigint ORs and one unpacking; above that,
 rows are tuples of n! images.  The conflict table holds the excluded
 companions of each chunk value's triples, up to n=10.
+
+The cost caps of the routes that grow with n live here too, where every
+module that checks one can import it.
 """
 
 import sys
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, log2
 from operator import itemgetter, or_
 
 
@@ -85,9 +88,31 @@ def _conflict_table(n: int) -> tuple[tuple[int, ...], ...] | None:
     return _chunk_rows(conflict_masks(n), 8)
 
 
+# The cost caps of the routes that grow with n, each checked against an
+# estimate from n before anything is built.
+
 # most relabelings a brute-force canonical form may try: 8! = 40,320; the
 # one-bit orbit table at n=8 already holds 336 * 40,320 references
 RELABELING_CAP = factorial(8)
+
+# most integer matrices the bounded-integer sweeps may face: 4**12 covers
+# n=4 up to K=4, and n=5 with K=2
+INTEGER_SWEEP_CAP = 2**24
+
+# most bytes of the packed line table (core._packed_table), one int of
+# (n+1)n(n-1) bits per ordered triple, about n^6/8 bytes: 82 MB at n=30, and
+# n=32, at 122 MB, is the largest it admits
+LINE_TABLE_CAP = 2**27
+
+# most entries of the realization LP's template rows
+# (realizability._realization_rows), about 2n^5: 5.4 million at n=20, the
+# largest n it admits in both variants
+LP_TEMPLATE_CAP = 6 * 10**6
+
+
+def _about(count: int) -> str:
+    """count in decimal while it has at most 9 digits, else as a power of 2."""
+    return str(count) if count < 10**9 else f"about 2^{log2(count):.1f}"
 
 
 @lru_cache(maxsize=None)

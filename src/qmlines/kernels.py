@@ -16,21 +16,23 @@ gives the digraph distances for the sweep and for single digraphs.
 
 The digraph sweep reads the betweenness of its shortest-path rows through
 :func:`qmlines.core.betweenness_mask`, the reader behind every distance
-table.  The integer walk keeps its own test: it sets a triple's bit in the
-same comparison that prunes the triangle inequality, at the depth where the
-triple's last pair is assigned (for the last entry, from the sums that
-bound its range), so the bits cost nothing extra; reading
+table.  The integer walk keeps its own test: it bounds every entry once per
+node by the triangles whose last pair it is, and the sums that set the
+bounds also set the triples' bits, so the bits cost nothing extra; reading
 each of the 254,602 leaves at n=4, K=4 again would be new work.
 """
 
 from functools import lru_cache
 
 from .core import betweenness_mask
-from .encoding import _relabelings, ordered_triples, orbit, pair_position, pairs_from_mask
-
-# most integer matrices the bounded-integer sweeps may face: 4**12 covers
-# n=4 up to K=4, and n=5 with K=2
-INTEGER_SWEEP_CAP = 2**24
+from .encoding import (
+    INTEGER_SWEEP_CAP,
+    _relabelings,
+    ordered_triples,
+    orbit,
+    pair_position,
+    pairs_from_mask,
+)
 
 # the consistent classes on n points, as the class lists count them (a test
 # checks these): the betweenness of every quasi-metric is consistent, so an
@@ -41,19 +43,25 @@ INTEGER_SWEEP_CAP = 2**24
 CONSISTENT_CLASSES = {2: 1, 3: 5}
 
 
-def _triples_by_depth(n):
-    """Per depth, (xz, xy, yz, bit) for each ordered triple (x, y, z) whose
-    three pairs are all assigned once the pair at that depth is.
+def _bounds_by_depth(n):
+    """Per depth, (tops, floors): the triangles that bound the entry of the
+    pair at that depth once the pairs before it are assigned, each with the
+    bit of its triple.  A top (a, b, bit) reads v <= vals[a] + vals[b], a
+    floor (a, b, bit) reads v >= vals[a] - vals[b]; equality sets the bit.
 
-    Pair variables are assigned in lex order.  The triple gives the triangle
-    check d(x,z) <= d(x,y) + d(y,z); equality sets its betweenness bit.
+    Pair variables are assigned in lex order.  The ordered triple (x, y, z)
+    gives d(x,z) <= d(x,y) + d(y,z) at the depth of its last pair: a top if
+    that pair is xz, else a floor.
     """
     pair_index = pair_position(n)
-    by_depth = [[] for _ in range(len(pair_index))]
+    bounds = [([], []) for _ in pair_index]
     for pos, (x, y, z) in enumerate(ordered_triples(n)):
-        xz, xy, yz = pair_index[(x, z)], pair_index[(x, y)], pair_index[(y, z)]
-        by_depth[max(xz, xy, yz)].append((xz, xy, yz, 1 << pos))
-    return by_depth
+        xz, xy, yz = pair_index[x, z], pair_index[x, y], pair_index[y, z]
+        if xz > xy and xz > yz:
+            bounds[xz][0].append((xy, yz, 1 << pos))
+        else:
+            bounds[max(xy, yz)][1].append((xz, min(xy, yz), 1 << pos))
+    return bounds
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +82,11 @@ def _integer_dfs(n, kmax, seen):
     lex-leader comparisons.  The caller may add masks to seen between
     yields.  It builds its own tables.
 
+    Every entry is bounded once per node: the triangles of
+    :func:`_bounds_by_depth` leave it lo..hi, only those values are tried,
+    and the sums that set the bounds also give the equality bits, which can
+    hold only at lo or hi.
+
     For each relabeling p the walk compares vals with its image, entry k
     against entry p[k], as far as both are assigned.  It cuts the branch
     once some image is lex-smaller and forgets p once its image is
@@ -81,26 +94,15 @@ def _integer_dfs(n, kmax, seen):
     at k waits in watch[max(k, p[k])], the depth whose assignment lets it
     go on.  Leaves take no comparison: with an empty seen, the walk yields
     254,602 at n=4, K=4, for 200,897 orbits.
-
-    The last entry is decided once per node: its triangles bound it to
-    lo..hi, and the sums that set the bounds also give the equality bits,
-    which can hold only at lo or hi.
     """
     relabelings = _pair_relabelings(n)
-    by_depth = _triples_by_depth(n)
+    bounds = _bounds_by_depth(n)
     npairs = n * (n - 1)
     last = npairs - 1
-    # the last pair's triangles: v <= vals[a] + vals[b] (tops) and
-    # v >= vals[a] - vals[b] (floors), with equality setting bit
-    tops, floors = [], []
-    for (xz, xy, yz, bit) in by_depth[last]:
-        if xz == last:
-            tops.append((xy, yz, bit))
-        else:
-            floors.append((xz, yz if xy == last else xy, bit))
     vals = [0] * npairs
-    # masks[d] holds the betweenness bits set before depth d is assigned
-    masks = [0] * npairs
+    # nodes[d] is (lo, hi, lo_bits, hi_bits, base) for the node at depth d:
+    # its entry's range, the bits tight at each end, and the bits set before it
+    nodes = [(1, kmax, 0, 0, 0)] * npairs
     # watch[w] holds (p, k): the image of p equals vals before entry k;
     # moved[d] lists the watch lists that depth d's current value appended
     # to, popped again before its next value
@@ -113,64 +115,52 @@ def _integer_dfs(n, kmax, seen):
         log = moved[depth]
         while log:
             watch[log.pop()].pop()
+        lo, hi, lo_bits, hi_bits, mask = nodes[depth]
         v = vals[depth] + 1
-        if v > kmax:
-            vals[depth] = 0
+        if v > hi:
             depth -= 1
             continue
         vals[depth] = v
-        bits = 0
-        for (xz, xy, yz, bit) in by_depth[depth]:
-            s = vals[xy] + vals[yz]
-            if vals[xz] > s:
-                break
-            if vals[xz] == s:
-                bits |= bit
-        else:  # every triangle check passed
-            for p, k in watch[depth]:
+        if v == lo:
+            mask |= lo_bits
+        if v == hi:
+            mask |= hi_bits
+        if depth == last:
+            if mask not in seen:
+                yield vals, mask
+            continue
+        for p, k in watch[depth]:
+            a = p[k]
+            while vals[k] == vals[a]:
+                k += 1
                 a = p[k]
-                while vals[k] == vals[a]:
-                    k += 1
-                    a = p[k]
-                    if k > depth or a > depth:
-                        w = k if k > a else a
-                        watch[w].append((p, k))
-                        log.append(w)
-                        break
-                else:
-                    if vals[k] > vals[a]:
-                        break  # the image of p is lex-smaller
+                if k > depth or a > depth:
+                    w = k if k > a else a
+                    watch[w].append((p, k))
+                    log.append(w)
+                    break
             else:
-                if depth + 1 < last:
-                    masks[depth + 1] = masks[depth] | bits
-                    depth += 1
-                    continue
-                # the node's last entry
-                base = masks[depth] | bits
-                # a top can be tight only at hi, a floor only at lo
-                hi, hi_bits = kmax, 0
-                for (a, b, bit) in tops:
-                    s = vals[a] + vals[b]
-                    if s < hi:
-                        hi, hi_bits = s, bit
-                    elif s == hi:
-                        hi_bits |= bit
-                lo, lo_bits = 1, 0
-                for (a, b, bit) in floors:
-                    s = vals[a] - vals[b]
-                    if s > lo:
-                        lo, lo_bits = s, bit
-                    elif s == lo:
-                        lo_bits |= bit
-                for v in range(lo, hi + 1):
-                    mask = base
-                    if v == lo:
-                        mask |= lo_bits
-                    if v == hi:
-                        mask |= hi_bits
-                    if mask not in seen:
-                        vals[last] = v
-                        yield vals, mask
+                if vals[k] > vals[a]:
+                    break  # the image of p is lex-smaller
+        else:
+            depth += 1
+            tops, floors = bounds[depth]
+            hi, hi_bits = kmax, 0
+            for (a, b, bit) in tops:
+                s = vals[a] + vals[b]
+                if s < hi:
+                    hi, hi_bits = s, bit
+                elif s == hi:
+                    hi_bits |= bit
+            lo, lo_bits = 1, 0
+            for (a, b, bit) in floors:
+                s = vals[a] - vals[b]
+                if s > lo:
+                    lo, lo_bits = s, bit
+                elif s == lo:
+                    lo_bits |= bit
+            nodes[depth] = lo, hi, lo_bits, hi_bits, mask
+            vals[depth] = lo - 1
 
 
 @lru_cache(maxsize=None)

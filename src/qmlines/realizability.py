@@ -25,6 +25,8 @@ from .core import (
     validate_quasi_metric,
 )
 from .encoding import (
+    LP_TEMPLATE_CAP,
+    _about,
     _chunk_rows,
     mask_from_triples,
     orbit,
@@ -32,6 +34,7 @@ from .encoding import (
     ordered_triples,
     pair_position,
     pairs_from_mask,
+    triple_count,
     triple_position,
 )
 from .lp import _optimum, _simplex_max
@@ -60,9 +63,19 @@ def _realization_rows(n: int, variant: str):
     order, then eps: the n(n-1) positivity rows eps - d <= 0, one
     (non-member, member) row pair per ordered triple, then symmetry and
     normalization.  `LinearSystem.constraints` keeps this order; the value
-    LP takes the positivity rows last."""
+    LP takes the positivity rows last.
+
+    Refuses with a ValueError, before building any row, a template of more
+    than LP_TEMPLATE_CAP entries, rows times columns: n <= 20 is admitted."""
+    eps = n * (n - 1)
+    count = eps + 2 * triple_count(n) + (eps // 2 if variant == "metric" else 0) + 1
+    if count * (eps + 1) > LP_TEMPLATE_CAP:
+        raise ValueError(
+            f"the realization LP is exact and dense; n={n} means {count} template rows "
+            f"of {eps + 1} entries, {_about(count * (eps + 1))} in all, over the cap of "
+            f"{LP_TEMPLATE_CAP} (n <= 20)"
+        )
     index = pair_position(n)
-    eps = len(index)
 
     def row(entries, relation, rhs=0):
         coeffs = [0] * (eps + 1)

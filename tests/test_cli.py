@@ -381,15 +381,27 @@ class TestRealize:
             assert m.labels == tuple(labels)
             assert {tuple(m.labels[i] for i in t) for t in betweenness_of(m).triples} == words
 
-    @pytest.mark.parametrize(("variant", "cap"), [
+    LINE_CAP = ("lines are read from a packed table, one int of up to 1771440 bits per ordered "
+                "triple; n=121 means 1727880 triples, about 2^38.5 bytes, over the cap of "
+                "134217728 (2^27)")
+
+    @pytest.mark.parametrize(("route", "cap"), [
         ("digraph", "n=121 exceeds the cap of 5: 2^14520 arc sets, one byte of marks each, "
                     "2^14490 GiB"),
         ("int:2", "n=121, K=2 means up to 2^14520 matrices, over the cap of 16777216 (2^24)"),
+        ("quasi", "n=121 means 3470281 template rows of 14521 entries, about 2^35.6 in all, "
+                  "over the cap of 6000000 (n <= 20)"),
+        ("metric", "n=121 means 3477541 template rows of 14521 entries, about 2^35.6 in all, "
+                   "over the cap of 6000000 (n <= 20)"),
+        ("lines", LINE_CAP),
+        ("dbe", LINE_CAP),
     ])
-    def test_121_labels_are_refused_in_2_gib(self, tmp_path, variant, cap):
+    def test_121_labels_are_refused_in_2_gib(self, tmp_path, route, cap):
         # one triple on 121 points, in a child process whose address space
         # is 2 GiB: the consistency check builds no table as wide as the
-        # encoding per triple, and the refusal prints its size as a power
+        # encoding per triple, each route refuses from its estimate before
+        # it builds anything, and a long size is printed as a power.  A
+        # route is a realize variant, or the lines or dbe command
         def limited():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -397,7 +409,8 @@ class TestRealize:
         path.write_text("x0 x1 x2\n")
         labels = ",".join(f"x{i}" for i in range(121))
         src = Path(qmlines.__file__).resolve().parents[1]
-        argv = [sys.executable, "-m", "qmlines.cli", "realize", "--variant", variant,
+        command = [route] if route in ("lines", "dbe") else ["realize", "--variant", route]
+        argv = [sys.executable, "-m", "qmlines.cli", *command,
                 "--triples", str(path), "--labels", labels]
         done = subprocess.run(
             argv, env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=limited,

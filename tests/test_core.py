@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlines import core
 from qmlines.core import (
     Betweenness,
     DistanceMatrix,
@@ -310,6 +311,25 @@ def test_packed_lines_match_member_triples(b, data):
     # assumes when it ORs in one pattern at a time
     other = data.draw(st.integers(min_value=0, max_value=(1 << triple_count(n)) - 1))
     assert _packed_lines(n, b.mask | other) == packed | _packed_lines(n, other)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_line_table_cap_reads_an_upper_bound_before_building(monkeypatch, n):
+    # the estimate, one int of (n+1)n(n-1) bits per triple, bounds the parts
+    # as built; a cap one byte under it refuses before any part is built
+    width = (n + 1) * n * (n - 1)
+    estimate = triple_count(n) * width // 8
+    parts = _packed_table.__wrapped__(n).parts
+    assert len(parts) == triple_count(n)
+    assert max(part.bit_length() for part in parts) <= width
+
+    def no_parts(*args):
+        raise AssertionError("a part was built")
+
+    monkeypatch.setattr(core, "LINE_TABLE_CAP", estimate - 1)
+    monkeypatch.setattr(core, "ordered_pairs", no_parts)
+    with pytest.raises(ValueError, match=f"n={n} means {triple_count(n)} triples, {estimate} bytes"):
+        _packed_table.__wrapped__(n)
 
 
 class TestDbe:

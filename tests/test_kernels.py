@@ -8,7 +8,7 @@ import pytest
 
 from qmlines import encoding, kernels
 from qmlines.core import Betweenness, betweenness_of
-from qmlines.encoding import orbit, ordered_pairs
+from qmlines.encoding import orbit, ordered_pairs, ordered_triples
 from qmlines.enumeration import canonical_classes
 from qmlines.realizability import (
     Digraph,
@@ -140,6 +140,27 @@ def test_pair_maps_move_each_arc_as_the_orbit_does(n):
         assert list(images[1:]) == [1 << p[k] for p in maps]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bounds_file_each_triple_once_at_its_last_pair(n):
+    # triple (x, y, z) reads d(x,z) <= d(x,y) + d(y,z), filed at the depth
+    # of its last pair in lex order: a top v <= xy + yz iff that pair is xz,
+    # else a floor v >= xz - (its other pair)
+    pairs = ordered_pairs(n)
+    expected = [(set(), set()) for _ in pairs]
+    for pos, (x, y, z) in enumerate(ordered_triples(n)):
+        xz, xy, yz = (pairs.index(p) for p in ((x, z), (x, y), (y, z)))
+        if max(xz, xy, yz) == xz:
+            expected[xz][0].add((xy, yz, 1 << pos))
+        elif xy > yz:
+            expected[xy][1].add((xz, yz, 1 << pos))
+        else:
+            expected[yz][1].add((xz, xy, 1 << pos))
+    bounds = kernels._bounds_by_depth(n)
+    assert [(set(tops), set(floors)) for tops, floors in bounds] == expected
+    bits = [bit for tops, floors in bounds for (_, _, bit) in (*tops, *floors)]
+    assert sorted(bits) == [1 << pos for pos in range(len(ordered_triples(n)))]
+
+
 def test_integer_sweep_visits_one_matrix_per_orbit():
     # the walk over every valid matrix with entries <= 4 had 4,751,052
     # leaves; one per orbit of 24 relabelings is about 1/24 of that.  The
@@ -240,7 +261,7 @@ def test_integer_bound_below_one_is_refused_before_any_table(monkeypatch, n, kma
     def no_table(*args):
         raise AssertionError("a table was built")
 
-    for name in ("_pair_relabelings", "_triples_by_depth", "_integer_dfs"):
+    for name in ("_pair_relabelings", "_bounds_by_depth", "_integer_dfs"):
         monkeypatch.setattr(kernels, name, no_table)
     with pytest.raises(ValueError, match=f"^kmax must be at least 1, got {kmax}$"):
         kernels.integer_canon_witnesses(n, kmax)

@@ -117,6 +117,26 @@ def templates():
             yield n, (*head, *tail), pairs, n * (n - 1) + 1
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_template_cap_counts_the_entries_it_would_build(monkeypatch, variant):
+    # a cap of exactly the entries of the n=5 template admits it, one fewer
+    # refuses it, naming the count, before any row is built
+    head, pairs, tail = _realization_rows(5, variant)
+    rows = len(head) + 2 * len(pairs) + len(tail)
+    entries = rows * len(head[0][0])
+    monkeypatch.setattr(realizability, "LP_TEMPLATE_CAP", entries)
+    assert _realization_rows.__wrapped__(5, variant) == (head, pairs, tail)
+
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(realizability, "LP_TEMPLATE_CAP", entries - 1)
+    monkeypatch.setattr(realizability, "ordered_triples", no_rows)
+    with pytest.raises(ValueError, match=f"n=5 means {rows} template rows of 21 entries, "
+                                         f"{entries} in all, over the cap"):
+        _realization_rows.__wrapped__(5, variant)
+
+
 def normalization(n):
     return (1,) * (n * (n - 1)) + (0,), "=", 1
 
