@@ -18,8 +18,9 @@ from .encoding import (
     orbit,
     ordered_pairs,
     ordered_triples,
+    triple_at,
+    triple_bit,
     triple_count,
-    triple_position,
     triples_from_mask,
 )
 
@@ -233,7 +234,7 @@ class Betweenness(_Value):
     def __contains__(self, triple) -> bool:
         """False for a triple that is not an ordered triple of distinct
         points in 0..n-1, as for a non-member."""
-        bit = triple_position(self.n).get(tuple(triple))
+        bit = triple_bit(self.n, triple)
         return bit is not None and bool(self.mask >> bit & 1)
 
 
@@ -398,17 +399,18 @@ def consistency_check(b: Betweenness) -> bool:
     it ORs one row of the conflict table (see
     :func:`qmlines.encoding._conflict_table`) per nonzero chunk of the mask,
     the excluded companions of the chunk's triples, and tests the mask
-    against them all at once; above, it reads each member's two companions
-    through `triple_position(n)`.
+    against them all at once; above, it places each member and its two
+    companions by arithmetic (:func:`qmlines.encoding.triple_at` and
+    :func:`qmlines.encoding.triple_bit`), with no table of all the triples.
     """
     n, mask = b.n, b.mask
     rows = _conflict_table(n)
     if rows is None:
         bits = f"{mask:0{triple_count(n)}b}"[::-1]  # character i is bit i
-        pos = triple_position(n)
+        members = (triple_at(n, i) for i, bit in enumerate(bits) if bit == "1")
         return not any(
-            "1" in (bits[pos[y, x, z]], bits[pos[x, z, y]])
-            for (x, y, z), bit in zip(ordered_triples(n), bits) if bit == "1"
+            "1" in (bits[triple_bit(n, (y, x, z))], bits[triple_bit(n, (x, z, y))])
+            for x, y, z in members
         )
     excluded = 0
     rest = mask

@@ -47,14 +47,36 @@ def triple_position(n: int) -> dict[tuple[int, int, int], int]:
     return {t: i for i, t in enumerate(ordered_triples(n))}
 
 
+def triple_bit(n: int, triple) -> int | None:
+    """The bit of triple (x, y, z) in the encoding, its index in
+    ordered_triples(n), computed from x, y and z with no table: each x leads
+    (n-1)(n-2) triples, each y after it n-2.  None if triple is not an
+    ordered triple of distinct points in 0..n-1."""
+    t = tuple(triple)
+    if len(t) != 3 or not all(v in range(n) for v in t) or len(set(t)) != 3:
+        return None
+    x, y, z = map(int, t)
+    return (x * (n - 1) + y - (y > x)) * (n - 2) + z - (z > x) - (z > y)
+
+
+def triple_at(n: int, bit: int) -> tuple[int, int, int]:
+    """ordered_triples(n)[bit], the inverse of :func:`triple_bit`, with no table."""
+    x, rest = divmod(bit, (n - 1) * (n - 2))
+    y, z = divmod(rest, n - 2)
+    y += y >= x
+    for skipped in sorted((x, y)):
+        z += z >= skipped
+    return x, y, z
+
+
 def mask_from_triples(n, triples) -> int:
-    pos = triple_position(n)
     mask = 0
     for t in triples:
         t = tuple(t)
-        if t not in pos:
+        bit = triple_bit(n, t)
+        if bit is None:
             raise ValueError(f"not an ordered triple of distinct points in range: {t}")
-        mask |= 1 << pos[t]
+        mask |= 1 << bit
     return mask
 
 
@@ -196,12 +218,15 @@ def _orbit_table(n: int, k: int) -> tuple[str | None, int, tuple[tuple, ...]]:
         zero = (0,) * count
         return None, 0, tuple((zero, tuple(row)) for row in images)
     lane, lane_bytes = ("I", 4) if nbits <= 32 else ("Q", 8)
-    order = sys.byteorder
-    singles = [
-        int.from_bytes(b"".join([v.to_bytes(lane_bytes, order) for v in row]), order)
-        for row in images
-    ]
+    singles = [_pack_lanes(row, lane_bytes) for row in images]
     return lane, count * lane_bytes, _chunk_rows(singles, 8)
+
+
+def _pack_lanes(values, width: int) -> int:
+    """values packed into one int, value i in the i-th lane of width bytes,
+    which `memoryview(packed.to_bytes(...)).cast(lane)` lists again."""
+    order = sys.byteorder
+    return int.from_bytes(b"".join([v.to_bytes(width, order) for v in values]), order)
 
 
 def orbit(n: int, mask: int, k: int = 3) -> list[int]:

@@ -17,10 +17,12 @@ prefix's lines packed in one int, as :func:`qmlines.core.line_set` reads
 them, so a step is one OR and the universal-line test one addition.
 """
 
+import sys
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, compress, permutations, repeat
 from math import comb, factorial
-from operator import add, or_
+from operator import and_, ne, or_, sub
 from typing import Iterator, Mapping, NamedTuple
 
 from . import kernels
@@ -34,7 +36,7 @@ from .core import (
     consistency_check,
     line_set,
 )
-from .encoding import mask_from_triples, orbit, orbit_class, supports
+from .encoding import _pack_lanes, mask_from_triples, orbit, orbit_class, supports
 from .isomorphism import canonical_form
 from .realizability import realize
 
@@ -68,33 +70,25 @@ def _support_pattern_masks(n: int) -> list[list[int]]:
 
 def _check_supported(n: int) -> None:
     """Refuse n outside SUPPORTED_N; above it, with the size of the product
-    that the class walk would mark, in full while it has at most 100 factors."""
+    that the class walk would cover, in full while it has at most 100 factors."""
     if n not in SUPPORTED_N:
         k = comb(n, 3) if n > SUPPORTED_N[-1] else 0
         exact = f" = {18 ** k:,}" if k <= 100 else ""
-        cost = f": its walk covers 18^C({n},3) = 18^{k}{exact} candidates, one byte of marks each"
+        cost = f": its walk covers 18^C({n},3) = 18^{k}{exact} candidates"
         raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {n}{cost if k else ''}")
 
 
-def _half_rows(tables, count: int) -> list:
-    """(images, positions) per combined digit of the supports in tables,
-    given from the fastest digit: the OR of their pattern rows' images and
-    the sum of their position rows.  No supports give the one empty row.
-    Rows are array('q'), which holds no int objects."""
-    # imported here: array is a shared library that would add about 0.5 ms
-    # to every import of qmlines, and only the class walk uses it
-    from array import array
-
-    zero = array("q", bytes(8 * count))
-    rows = [(zero, zero)]
-    for digit_rows in tables:
-        # the new support's digit is the higher one
-        rows = [
-            (array("q", map(or_, images, more)), array("q", map(add, positions, at)))
-            for more, at in digit_rows
-            for images, positions in rows
-        ]
-    return rows
+def _half_rows(n: int, groups) -> memoryview:
+    """The images of every relation on the supports of groups under every
+    relabeling, one row per combined pattern digit, in 8-byte lanes: row r's
+    image under the i-th relabeling is lane r * n! + i.  Each pattern's
+    images come packed from one orbit call, so a row is one OR."""
+    rows = [0]
+    for masks in groups:
+        images = [_pack_lanes(orbit(n, m), 8) for m in masks]
+        rows = [row | more for more in images for row in rows]
+    size = 8 * factorial(n)
+    return memoryview(b"".join([row.to_bytes(size, sys.byteorder) for row in rows])).cast("Q")
 
 
 @lru_cache(maxsize=None)
@@ -102,55 +96,52 @@ def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical encoding, orbit size) for every isomorphism class of
     consistent relations, in increasing encoding order.
 
-    An orbit-marking walk over the product of per-support patterns, which
-    meets every consistent relation once: a relation's position there is
-    its mixed-radix vector of per-support pattern digits, and one byte
-    per position marks the relations already met.  Two digit tables are
-    built once, with one orbit call per (support, pattern): the pattern
-    mask's images under every relabeling, and each image's digit times the
-    stride of the support it lands on.  The supports are then split in two
-    halves, the faster ceil(C(n,3)/2) digits and the rest, and each half
-    gets one (images, positions) row per combined digit, the OR of its
-    supports' image rows and the sum of their position rows: 18^2 = 324
-    rows per half at n=4, and at n=3 the high half is the one empty row.
-    The first unmarked position gives a new class; one OR of its two half
-    rows' images and one addition of their positions give all its members,
-    as encodings and as positions, so the class's canonical form and size
-    (:func:`qmlines.encoding.orbit_class`) are read off and its positions
-    marked.  So the walk takes C(n,3) * 18 orbit calls, whatever the class
-    count, two n!-long maps per class, and 18^C(n,3) bytes of marks (105 KB
-    at n=4).
+    The relations are the product of per-support patterns, and the walk
+    keeps each one that is the least of its orbit (McKay 1998), by
+    comparison alone.  The supports are split in two halves, the first
+    ceil(C(n,3)/2) and the rest, with one row of images per combined digit
+    (:func:`_half_rows`): 324 rows per half at n=4.  The halves hold
+    disjoint triples under every relabeling g, so relation (i, j) is the
+    least of its orbit iff, for every g, what g takes off its left half is
+    at most what g adds to its right half: left[i][id] - left[i][g] <=
+    right[j][g] - right[j][id].  Per g the left drops are sorted once, with
+    prefix bitsets of their rows, so each right row is one bisect and one
+    AND.  The drops equal to a gain are the relations g fixes, so an
+    orbit's size is n! over one plus their count.  At n=4 that is 72 orbit
+    calls and 23 * 324 threshold tests; no relation is unpacked or marked.
     """
     _check_supported(n)
+    count = factorial(n)
     groups = _support_pattern_masks(n)
-    # from the last (fastest) digit: each pattern mask's digit times its
-    # support's stride (the empty pattern, digit 0, is 0 on every support)
-    offset = {}
-    stride = 1
-    for masks in reversed(groups):
-        offset.update((m, d * stride) for d, m in enumerate(masks))
-        stride *= len(masks)
-    # per support, from the last digit: (images, positions) per pattern digit
-    tables = []
-    for masks in reversed(groups):
-        rows = []
-        for m in masks:
-            images = orbit(n, m)
-            rows.append((images, [offset[x] for x in images]))
-        tables.append(rows)
-    split = (len(tables) + 1) // 2
-    low = _half_rows(tables[:split], factorial(n))
-    high = _half_rows(tables[split:], factorial(n))
-    marks = bytearray(stride)
+    split = (len(groups) + 1) // 2
+    left, right = _half_rows(n, groups[:split]), _half_rows(n, groups[split:])
+    # the identity comes first: column 0 holds the halves' own encodings
+    left_id, right_id = left[::count].tolist(), right[::count].tolist()
+    rows = range(len(left_id))
+    bits = [1 << i for i in rows]
+    # per right row j, bit i is set while (i, j) is the least of every
+    # image met so far
+    least = [(1 << len(rows)) - 1] * len(right_id)
+    # per right row j, the left row of each relation that a relabeling
+    # other than the identity fixes, once per such relabeling
+    fixed = [[] for _ in right_id]
+    for g in range(1, count):
+        drop = list(map(sub, left_id, left[g::count]))
+        order = sorted(rows, key=drop.__getitem__)
+        drop.sort()
+        upto = list(accumulate(map(bits.__getitem__, order), or_, initial=0))
+        gain = list(map(sub, right[g::count], right_id))
+        ends = list(map(bisect_right, repeat(drop), gain))
+        least = list(map(and_, least, map(upto.__getitem__, ends)))
+        starts = list(map(bisect_left, repeat(drop), gain))
+        for j in compress(range(len(right_id)), map(ne, starts, ends)):
+            fixed[j] += order[starts[j] : ends[j]]
     classes = []
-    i = 0
-    while i >= 0:
-        hi, lo = divmod(i, len(low))
-        (images, positions), (more, at) = low[lo], high[hi]
-        classes.append(orbit_class(list(map(or_, images, more))))
-        for p in map(add, positions, at):
-            marks[p] = 1
-        i = marks.find(0, i + 1)
+    for j, kept in enumerate(least):
+        while kept:
+            i = (kept & -kept).bit_length() - 1
+            classes.append((left_id[i] + right_id[j], count // (1 + fixed[j].count(i))))
+            kept &= kept - 1
     return tuple(sorted(classes))
 
 

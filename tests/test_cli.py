@@ -33,7 +33,7 @@ VERIFY_PAPER_SHA256 = "da3c90c119fe687e4c7aad6b98aeead57f714549dd38a63339258c741
 # SHA-256 over (argv, exit code, stdout, stderr) of every run in
 # test_every_output_is_pinned.  A change that alters any output on purpose
 # updates the constant and names the change in CHANGES.md.
-CLI_OUTPUTS_SHA256 = "323c80ca8004469edc771cdf516feaf24cd7a7b5eabe6267c47d65045e2f86be"
+CLI_OUTPUTS_SHA256 = "d7d42499940ddb9837421e774dfa8a84089fca479103123f4225a901136d4f7a"
 
 
 @pytest.fixture

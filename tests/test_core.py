@@ -26,7 +26,10 @@ from qmlines.encoding import (
     mask_from_triples,
     ordered_pairs,
     ordered_triples,
+    triple_at,
+    triple_bit,
     triple_count,
+    triple_position,
 )
 from qmlines.enumeration import canonical_classes
 from qmlines.fixtures import (
@@ -168,6 +171,25 @@ class TestBetweenness:
     )
     def test_impossible_triples_are_not_members(self, triple):
         assert triple not in Betweenness(3, (1 << 6) - 1)
+
+    def test_from_triples_names_the_triple_it_cannot_place(self):
+        for bad in [(0, 0, 1), (0, 1, 3), (0, 1)]:
+            with pytest.raises(ValueError) as refused:
+                Betweenness.from_triples(3, [(0, 1, 2), bad])
+            assert str(refused.value) == (
+                f"not an ordered triple of distinct points in range: {bad}"
+            )
+
+    # triple_bit places a triple by arithmetic, triple_at reads it back; both
+    # against the table of every triple in lex order
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_arithmetic_bit_agrees_with_the_position_table(self, n):
+        position = triple_position(n)
+        for i, t in enumerate(ordered_triples(n)):
+            assert triple_bit(n, t) == triple_bit(n, list(t)) == position[t] == i
+            assert triple_at(n, i) == t
+        for t in [(0, 0, 1), (0, 1, 1), (1, 0, 1), (0, 1, n), (-1, 0, 1), (0, 1), (0, 1, 2, 3)]:
+            assert triple_bit(n, t) is None
 
     def test_bit_positions_follow_lex_triple_order(self):
         # triples on 3 points, lex: 012, 021, 102, 120, 201, 210

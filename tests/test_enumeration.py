@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -92,8 +93,8 @@ class TestCanonicalClasses:
         digest = hashlib.sha256(repr(canonical_classes(4)).encode()).hexdigest()
         assert digest == N4_CLASSES_SHA256
 
-    # one orbit call per (support, pattern) builds the digit tables; the walk
-    # over the classes then calls orbit no more
+    # one orbit call per (support, pattern) builds the half rows; the walk
+    # over the relabelings then calls orbit no more
     @pytest.mark.parametrize("n, class_count", [(3, len(N3_CLASSES)), (4, N4_CLASS_COUNT)])
     def test_orbit_calls_fixed_by_supports_and_patterns(self, monkeypatch, n, class_count):
         calls = 0
@@ -113,8 +114,24 @@ class TestCanonicalClasses:
         assert len(classes) == class_count
         assert calls == len(supports(n)) * len(consistent_patterns_on_support())
 
+    # the walk reads each relation as (left row, right row) over the supports
+    # and patterns in the order given; its classes must not depend on it
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_classes_do_not_depend_on_digit_order(self, monkeypatch, n):
+        groups = enumeration._support_pattern_masks(n)
+        expected = canonical_classes.__wrapped__(n)
+        rng = random.Random(45 + n)
+        orders = [
+            [masks[::-1] for masks in groups[::-1]],
+            [rng.sample(masks, len(masks)) for masks in rng.sample(groups, len(groups))],
+        ]
+        for order in orders:
+            assert order != groups
+            monkeypatch.setattr(enumeration, "_support_pattern_masks", lambda n: order)
+            assert canonical_classes.__wrapped__(n) == expected
+
     def test_unsupported_n_refused_before_any_allocation(self, monkeypatch):
-        # at n=5 the marks alone would take 18^10 bytes
+        # at n=5 the half rows alone would take 2 * 18^5 * 5! lanes
         def no_patterns(n):
             raise AssertionError(f"pattern masks built for n={n}")
 
