@@ -7,7 +7,7 @@ this module is an exact equality or inequality, never tolerance-based.
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, Mapping, NamedTuple
 
 from .encoding import (
@@ -30,6 +30,16 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing to convert float {value!r}; pass an exact rational")
     return Fraction(value)
+
+
+def as_index(value, what: str) -> int:
+    """value as an int, read by `operator.index`, for point counts, point
+    indices and masks: 2.0 and "2" are refused with a ValueError naming
+    what, not truncated or compared as numbers."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -200,6 +210,7 @@ class Betweenness(_Value):
     _class_key: int
 
     def __init__(self, n: int, mask: int):
+        n, mask = as_index(n, "point count"), as_index(mask, "mask")
         if n < 2:
             raise ValueError(f"need at least 2 points, got {n}")
         if not 0 <= mask < 1 << triple_count(n):
@@ -209,6 +220,7 @@ class Betweenness(_Value):
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "Betweenness":
+        n = as_index(n, "point count")
         return cls(n, mask_from_triples(n, triples))
 
     @property
@@ -258,13 +270,16 @@ def betweenness_of(m: DistanceMatrix) -> Betweenness:
     return Betweenness(m.n, betweenness_mask(m.n, m._scaled))
 
 
-def _check_points(n: int, x: int, y: int, what: str) -> None:
-    """Refuse endpoints outside 0..n-1 or equal, naming the point and n."""
+def _check_points(n: int, x, y, what: str) -> tuple[int, int]:
+    """(x, y) as ints; refuse endpoints that are not integers, outside
+    0..n-1 or equal, naming the point and n."""
+    x, y = as_index(x, f"{what} endpoint"), as_index(y, f"{what} endpoint")
     for z in (x, y):
         if not 0 <= z < n:
             raise ValueError(f"{what} endpoint {z} out of range for n={n}")
     if x == y:
         raise ValueError(f"{what} endpoints must differ, got {x} twice")
+    return x, y
 
 
 def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:
@@ -272,7 +287,7 @@ def segment(m: DistanceMatrix, x: int, y: int) -> frozenset[int]:
 
     Always contains both endpoints.
     """
-    _check_points(m.n, x, y, "segment")
+    x, y = _check_points(m.n, x, y, "segment")
     s = m._scaled
     return frozenset(z for z in range(m.n) if s[x][y] == s[x][z] + s[z][y])
 
@@ -355,7 +370,7 @@ def line_of_pair(b: Betweenness, x: int, y: int) -> frozenset[int]:
     do.  Read from :func:`line_set`.  Note line(x, y) and line(y, x) may
     differ.
     """
-    _check_points(b.n, x, y, "line")
+    x, y = _check_points(b.n, x, y, "line")
     return line_set(b).by_pair[x, y]
 
 

@@ -22,9 +22,9 @@ module that checks one can import it.
 
 import sys
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial, log2
-from operator import itemgetter, or_
+from operator import index, itemgetter, or_
 
 
 def triple_count(n: int) -> int:
@@ -34,7 +34,7 @@ def triple_count(n: int) -> int:
 @lru_cache(maxsize=None)
 def ordered_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All ordered k-tuples of distinct indices in 0..n-1, lex order."""
-    return tuple(t for t in product(range(n), repeat=k) if len(set(t)) == k)
+    return tuple(permutations(range(n), k))
 
 
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
@@ -42,20 +42,18 @@ def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     return ordered_tuples(n, 3)
 
 
-@lru_cache(maxsize=None)
-def triple_position(n: int) -> dict[tuple[int, int, int], int]:
-    return {t: i for i, t in enumerate(ordered_triples(n))}
-
-
 def triple_bit(n: int, triple) -> int | None:
     """The bit of triple (x, y, z) in the encoding, its index in
     ordered_triples(n), computed from x, y and z with no table: each x leads
     (n-1)(n-2) triples, each y after it n-2.  None if triple is not an
-    ordered triple of distinct points in 0..n-1."""
-    t = tuple(triple)
-    if len(t) != 3 or not all(v in range(n) for v in t) or len(set(t)) != 3:
+    ordered triple of distinct points in 0..n-1; a point must be an integer,
+    as `operator.index` reads one, so 2.0 is not a point."""
+    try:
+        x, y, z = map(index, triple)
+    except (TypeError, ValueError):
         return None
-    x, y, z = map(int, t)
+    if not (0 <= x < n and 0 <= y < n and 0 <= z < n) or x == y or y == z or z == x:
+        return None
     return (x * (n - 1) + y - (y > x)) * (n - 2) + z - (z > x) - (z > y)
 
 
@@ -72,7 +70,6 @@ def triple_at(n: int, bit: int) -> tuple[int, int, int]:
 def mask_from_triples(n, triples) -> int:
     mask = 0
     for t in triples:
-        t = tuple(t)
         bit = triple_bit(n, t)
         if bit is None:
             raise ValueError(f"not an ordered triple of distinct points in range: {t}")
@@ -91,11 +88,10 @@ def conflict_masks(n: int) -> tuple[int, ...]:
 
     Membership of xyz rules out yxz and xzy.
     """
-    pos = triple_position(n)
-    out = []
-    for (x, y, z) in ordered_triples(n):
-        out.append(1 << pos[(y, x, z)] | 1 << pos[(x, z, y)])
-    return tuple(out)
+    return tuple(
+        1 << triple_bit(n, (y, x, z)) | 1 << triple_bit(n, (x, z, y))
+        for (x, y, z) in ordered_triples(n)
+    )
 
 
 @lru_cache(maxsize=None)

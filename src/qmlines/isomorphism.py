@@ -7,7 +7,7 @@ relabelings for the classification at n <= 4, 120 for the n=5 maps and
 queries.  :func:`apply_relabeling` maps triples directly and works at any n.
 """
 
-from .core import Betweenness, _Value
+from .core import Betweenness, _Value, as_index
 from .encoding import _relabelings, orbit
 
 
@@ -18,7 +18,7 @@ class Relabeling(_Value):
     perm: tuple[int, ...]
 
     def __init__(self, perm):
-        perm = tuple(perm)
+        perm = tuple(as_index(v, "relabeling image") for v in perm)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
         object.__setattr__(self, "perm", perm)

@@ -18,6 +18,7 @@ from .core import (
     Betweenness,
     _Value,
     DistanceMatrix,
+    as_index,
     betweenness_mask,
     betweenness_of,
     consistency_check,
@@ -34,8 +35,8 @@ from .encoding import (
     ordered_triples,
     pair_position,
     pairs_from_mask,
+    triple_bit,
     triple_count,
-    triple_position,
 )
 from .lp import _optimum, _simplex_max
 
@@ -180,7 +181,9 @@ _RULES = (
 )
 
 # quasi-semimetrics (zero distances allowed): directed cuts out of {0} and
-# {0,1}, the weak order 3 > 2 > {0,1}, d = [i > j], and that with d(3,0) = 2
+# {0,1}, the weak order 3 > 2 > {0,1}, d = [i > j], and that with d(3,0) = 2.
+# They certify metric zeros too: q tight on R and on its reversal makes the
+# symmetric q + q^T tight on R
 _ZERO_WITNESSES = (
     ((0, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
     ((0, 0, 1, 1), (0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0)),
@@ -189,57 +192,45 @@ _ZERO_WITNESSES = (
     ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0)),
 )
 
-# the cut semimetrics of the splits {0} | {1,2,3} and {0,1} | {2,3}: d(x,y)
-# = 1 iff the split separates x and y.  Their relabelings are the 7 cuts of
-# 4 points, and every 4-point semimetric is a nonnegative sum of those
-# (MET4 = CUT4; Deza & Laurent 1997)
-_CUTS = (
-    ((0, 1, 1, 1), (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)),
-    ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)),
-)
-
 
 @lru_cache(maxsize=None)
 def _certificate_tables():
-    """(implied, zeros, cuts, reversal, absent, present): the chunk tables
+    """(implied, zeros, reversal, absent, present): the chunk tables
     (`encoding._chunk_rows`, 8-bit chunks) over the 24 triple bits from
     which `_sign` reads its certificates, one OR per chunk, and their
-    lanes, laid out from `_RULES`, `_ZERO_WITNESSES` and `_CUTS` as read.
+    lanes, laid out from `_RULES` and `_ZERO_WITNESSES` as read.
 
     Rule instance k, a rule under a relabeling, has lane k for its members
     and lane implied + k for its implied triple in the absent-bit rows: ORed
     over the triples missing from a mask, k is broken iff the second is set
     and the first clear.  Each distinct tight mask of a relabeled zero
-    witness (lane mask zeros) or cut (cuts) has a lane in the present-bit
-    rows, set in the rows of the triples it lacks: ORed over a mask's
+    witness has a lane in the present-bit rows, below reversal (lane mask
+    zeros), set in the rows of the triples it lacks: ORed over a mask's
     triples, it is tight on every member iff its lane is clear.  From lane
-    reversal on, the row of triple j holds the bit of j's reversal, so those
-    lanes equal the mask iff the relation is closed under reversal.
-    """
+    reversal on, the row of triple j holds the bit of j's reversal, so
+    those lanes read the relation's reversal, for both the metric rule and
+    the metric zero test on R | R^T."""
     members, implied = [], []
     for rule in _RULES:
         *body, head = [tuple(map("abcd".index, w)) for w in rule.split()]
         members += orbit(4, mask_from_triples(4, body))
         implied += orbit(4, mask_from_triples(4, [head]))
-    zeros, cuts = (
-        [*dict.fromkeys(t for d in literals for t in orbit(4, betweenness_mask(4, d)))]
-        for literals in (_ZERO_WITNESSES, _CUTS)
-    )
+    zeros = [*dict.fromkeys(t for d in _ZERO_WITNESSES for t in orbit(4, betweenness_mask(4, d)))]
     # bit k of row j is set iff lane k's mask has triple j
     absent, tight = [0] * 24, [0] * 24
-    for rows, masks in ((absent, members + implied), (tight, zeros + cuts)):
+    for rows, masks in ((absent, members + implied), (tight, zeros)):
         for k, mask in enumerate(masks):
             while mask:
                 low = mask & -mask
                 rows[low.bit_length() - 1] |= 1 << k
                 mask ^= low
-    reversal = len(zeros) + len(cuts)
+    reversal = len(zeros)
+    zeros = (1 << reversal) - 1
     present = [
-        ~t & (1 << reversal) - 1 | 1 << reversal + triple_position(4)[z, y, x]
+        ~t & zeros | 1 << reversal + triple_bit(4, (z, y, x))
         for t, (x, y, z) in zip(tight, ordered_triples(4))
     ]
-    zeros, cuts = (1 << len(zeros)) - 1, (1 << reversal) - (1 << len(zeros))
-    return len(members), zeros, cuts, reversal, _chunk_rows(absent, 8), _chunk_rows(present, 8)
+    return len(members), zeros, reversal, _chunk_rows(absent, 8), _chunk_rows(present, 8)
 
 
 def _sign(mask: int, variant: str) -> int | None:
@@ -251,16 +242,20 @@ def _sign(mask: int, variant: str) -> int | None:
     member xyz without its reversal zyx, whose strict row reads eps <= 0
     once symmetry turns the member's equality around; otherwise it is
     positive (the rules are the definite part of the Horn formula).
-    Slack >= 0: a zero witness (quasi) or a cut (metric, which is also
-    quasi) tight on every member, scaled to sum 1, is a feasible point with
-    eps = 0, since every other triangle holds weakly in it."""
-    implied, zeros, cuts, reversal, (a0, a1, a2), (p0, p1, p2) = _certificate_tables()
+    Slack >= 0: a relabeled zero witness q tight on every member, scaled to
+    sum 1, is a feasible point with eps = 0, since every other triangle
+    holds weakly in it; for a metric, q tight on R | R^T makes q + q^T one.
+    That settles all that the 7 cuts of 4 points would: each is tight on a
+    subset of some zero witness's tight mask."""
+    implied, zeros, reversal, (a0, a1, a2), (p0, p1, p2) = _certificate_tables()
     present = p0[mask & 255] | p1[mask >> 8 & 255] | p2[mask >> 16 & 255]
     absent = a0[~mask & 255] | a1[~mask >> 8 & 255] | a2[~mask >> 16 & 255]
-    if not absent >> implied & ~absent and (variant == "quasi" or present >> reversal == mask):
+    if variant == "metric" and present >> reversal != mask:
+        mask |= present >> reversal
+        present = p0[mask & 255] | p1[mask >> 8 & 255] | p2[mask >> 16 & 255]
+    elif not absent >> implied & ~absent:
         return 1
-    tight = zeros if variant == "quasi" else cuts
-    return None if present & tight == tight else 0
+    return None if present & zeros == zeros else 0
 
 
 # the outcome of every system that _sign settles, one for all
@@ -375,9 +370,10 @@ class Digraph(_Value):
     arcs: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, arcs):
+        n = as_index(n, "point count")
         if n < 2:
             raise ValueError(f"need at least 2 points, got {n}")
-        arcs = frozenset((int(i), int(j)) for (i, j) in arcs)
+        arcs = frozenset(tuple(as_index(v, "arc endpoint") for v in arc) for arc in arcs)
         for (i, j) in arcs:
             if i == j:
                 raise ValueError(f"loop arc ({i},{i}) not allowed")

@@ -452,8 +452,10 @@ def cut_semimetrics() -> list[list[list[int]]]:
 class ZeroSlackByLoops:
     """`realizability._sign(...) == 0` one rule instance and one tight mask
     at a time, the loops that its chunk tables replaced.  The rules and zero
-    witnesses are relabeled here, one member triple at a time, and the cuts
-    come from their definition."""
+    witnesses are relabeled here, one member triple at a time.  Metric zeros
+    are read from the 7 cuts, which come from their definition, where
+    `_sign` reads the zero witnesses on the relation and its reversal: the
+    two agree by MET4 = CUT4 (Deza & Laurent 1997), not by construction."""
 
     def __init__(self, rules, zero_witnesses):
         triples = list(permutations(range(4), 3))

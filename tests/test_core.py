@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +26,10 @@ from qmlines.encoding import (
     mask_from_triples,
     ordered_pairs,
     ordered_triples,
+    ordered_tuples,
     triple_at,
     triple_bit,
     triple_count,
-    triple_position,
 )
 from qmlines.enumeration import canonical_classes
 from qmlines.fixtures import (
@@ -161,13 +161,40 @@ class TestBetweenness:
         with pytest.raises(ValueError, match="^need at least 2 points, got 1$"):
             Betweenness(1, 0)
 
+    # a point count, a mask or a point is an integer as operator.index reads
+    # one: 3.0 compares equal to 3 and would pass a range check
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Betweenness(3.0, 1), "point count must be an integer, got 3.0"),
+            (lambda: Betweenness(3, 1.0), "mask must be an integer, got 1.0"),
+            (lambda: Betweenness(3, "1"), "mask must be an integer, got '1'"),
+            (lambda: Betweenness.from_triples(3.0, []), "point count must be an integer"),
+            (lambda: Betweenness.from_triples(3, [5]), "in range: 5$"),
+            (lambda: Betweenness.from_triples(3, [(0, 1, 2.0)]), r"in range: \(0, 1, 2.0\)$"),
+        ],
+        ids=["float-n", "float-mask", "str-mask", "from-float-n", "from-int", "from-float-point"],
+    )
+    def test_non_integers_are_refused_with_a_value_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_integer_likes_are_read_as_ints(self):
+        b = Betweenness(True + 2, True)
+        assert (b.n, b.mask) == (3, 1) and type(b.n) is type(b.mask) is int
+        assert Betweenness.from_triples(3, [(False, True, 2)]).mask == 1
+
     def test_contains(self):
         b = q4_betweenness()
         assert (0, 2, 3) in b  # p q r
         assert (3, 2, 0) not in b  # r q p
 
+    # the last five are not triples of integers: 2.0 is in range(3) as a
+    # number, and 5 is not even iterable
     @pytest.mark.parametrize(
-        "triple", [(0, 0, 2), (0, 2, 2), (1, 1, 1), (0, 1, 3), (-1, 1, 2), (0, 1)]
+        "triple",
+        [(0, 0, 2), (0, 2, 2), (1, 1, 1), (0, 1, 3), (-1, 1, 2), (0, 1)]
+        + [(0, 1, 2.0), (0.0, 1.0, 2.0), 5, None, "012"],
     )
     def test_impossible_triples_are_not_members(self, triple):
         assert triple not in Betweenness(3, (1 << 6) - 1)
@@ -181,15 +208,22 @@ class TestBetweenness:
             )
 
     # triple_bit places a triple by arithmetic, triple_at reads it back; both
-    # against the table of every triple in lex order
+    # against the position table of the encoding, the index of each triple
+    # in the lex-ordered ordered_triples(n)
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_arithmetic_bit_agrees_with_the_position_table(self, n):
-        position = triple_position(n)
         for i, t in enumerate(ordered_triples(n)):
-            assert triple_bit(n, t) == triple_bit(n, list(t)) == position[t] == i
+            assert triple_bit(n, t) == triple_bit(n, list(t)) == i
             assert triple_at(n, i) == t
-        for t in [(0, 0, 1), (0, 1, 1), (1, 0, 1), (0, 1, n), (-1, 0, 1), (0, 1), (0, 1, 2, 3)]:
+        bad = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (0, 1, n), (-1, 0, 1), (0, 1), (0, 1, 2, 3)]
+        for t in [*bad, (0, 1, 2.0), (0.0, 1, 2), ("0", 1, 2), 5, None, "012"]:
             assert triple_bit(n, t) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ordered_tuples_are_the_distinct_tuples_in_lex_order(self, n):
+        for k in (2, 3):
+            distinct = [t for t in product(range(n), repeat=k) if len(set(t)) == k]
+            assert list(ordered_tuples(n, k)) == distinct
 
     def test_bit_positions_follow_lex_triple_order(self):
         # triples on 3 points, lex: 012, 021, 102, 120, 201, 210
@@ -214,6 +248,11 @@ class TestSegment:
     def test_equal_endpoints_rejected(self, q4):
         with pytest.raises(ValueError):
             segment(q4, 1, 1)
+
+    @pytest.mark.parametrize("x, y", [(0, 2.0), (1.0, 2), ("0", 2)])
+    def test_non_integer_endpoints_rejected(self, q4, x, y):
+        with pytest.raises(ValueError, match="^segment endpoint must be an integer, got "):
+            segment(q4, x, y)
 
     # -1 used to index from the end: segment(q4, -1, 0) was segment(q4, 3, 0)
     @pytest.mark.parametrize("x, y, bad", [(-1, 0, -1), (0, -1, -1), (0, 7, 7), (4, 0, 4)])
@@ -272,6 +311,10 @@ class TestLines:
     def test_out_of_range_endpoints_rejected(self, x, y, bad):
         with pytest.raises(ValueError, match=f"endpoint {bad} out of range for n=3"):
             line_of_pair(Betweenness(3, 0), x, y)
+
+    def test_non_integer_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="^line endpoint must be an integer, got 1.0$"):
+            line_of_pair(Betweenness(3, 0), 1.0, 2)
 
 
 def _relations_for_line_check(n):

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qmlines.core import Betweenness, DistanceMatrix, consistency_check
-from qmlines.encoding import triple_count, triple_position
+from qmlines import encoding
+from qmlines.encoding import triple_count
 from qmlines.fileformats import (
     ParseError,
     format_matrix,
@@ -131,18 +132,21 @@ class TestParseTriples:
         with pytest.raises(ValueError, match="^need at least 2 point labels$"):
             parse_triples("", ["a"])
 
-    def test_121_labels_build_no_table_of_triples(self):
+    def test_121_labels_build_no_table_of_triples(self, monkeypatch):
         # one triple among 1,727,880 is placed by arithmetic, and so are the
-        # companions that the consistency check reads: the position table of
-        # every triple is never built
-        triple_position.cache_clear()
+        # companions that the consistency check reads: the list of every
+        # triple is never built
+        built, asked = encoding.ordered_tuples, []
+        monkeypatch.setattr(
+            encoding, "ordered_tuples", lambda n, k: asked.append((n, k)) or built(n, k)
+        )
         labels = [f"x{i}" for i in range(121)]
         b = parse_triples("x0 x2 x1\nx120 x0 x119\n", labels)
         assert (0, 2, 1) in b and (120, 0, 119) in b and (0, 1, 2) not in b
         assert len(b) == 2
         assert consistency_check(b)
         assert not consistency_check(parse_triples("x0 x2 x1\nx0 x1 x2\n", labels))
-        assert triple_position.cache_info().currsize == 0
+        assert (121, 3) not in asked
 
 
 class TestShippedDataFiles:

@@ -49,6 +49,12 @@ class TestRelabeling:
         with pytest.raises(ValueError):
             Relabeling((0, 0, 1))
 
+    # (0, 1, 2.0) sorts equal to [0, 1, 2], so a sorted-range check passes it
+    @pytest.mark.parametrize("perm", [(0, 1, 2.0), (0.0, 1, 2), ("0", 1, 2)])
+    def test_rejects_non_integer_images(self, perm):
+        with pytest.raises(ValueError, match="^relabeling image must be an integer, got "):
+            Relabeling(perm)
+
     def test_identity_fixes_everything(self):
         b = q4_betweenness()
         assert apply_relabeling(b, Relabeling(tuple(range(4)))) == b

@@ -314,10 +314,11 @@ class TestZeroSlackCheck:
     certificates, with `realizability._sign`.  Slack <= 0: a broken Horn
     rule, or for a metric also a member whose reversal is not a member;
     without one the slack is positive.  Slack >= 0: a relabeled zero
-    witness (quasi) or a cut (metric) tight on every member.  Both settle
-    the system with no LP.  Every table is closed under relabeling, and so
-    is the optimum, so the 4,455 classes stand for all 104,976 labeled
-    relations."""
+    witness tight on every member, and for a metric on every reversal of a
+    member too.  Both settle the system with no LP.  The independent
+    oracle, `ZeroSlackByLoops`, reads metric zeros from the 7 cuts instead.
+    Every table is closed under relabeling, and so is the optimum, so the
+    4,455 classes stand for all 104,976 labeled relations."""
 
     @pytest.fixture(scope="class")
     def loops(self):
@@ -331,24 +332,23 @@ class TestZeroSlackCheck:
         return [sum(1 << j for j, row in enumerate(singles) if row >> k & 1) for k in range(count)]
 
     def tight_lanes(self):
-        """(zero masks, cut masks): the tight masks of the present-bit lanes,
-        whose rows hold the triples each mask lacks."""
-        _, zeros, cuts, reversal, _, present = realizability._certificate_tables()
-        tight = [~m & (1 << 24) - 1 for m in self.lanes(present, reversal)]
-        assert zeros | cuts == (1 << reversal) - 1 and not zeros & cuts
-        return [t for k, t in enumerate(tight) if zeros >> k & 1], [
-            t for k, t in enumerate(tight) if cuts >> k & 1
-        ]
+        """The tight masks of the zero-witness lanes, every present-bit lane
+        below reversal, whose rows hold the triples each mask lacks."""
+        _, zeros, reversal, _, present = realizability._certificate_tables()
+        assert zeros == (1 << reversal) - 1
+        return [~m & (1 << 24) - 1 for m in self.lanes(present, reversal)]
 
     def test_tables_hold_168_rule_instances_and_37_tight_masks(self, loops):
-        implied, *_, absent, _ = realizability._certificate_tables()
+        implied, _, reversal, absent, present = realizability._certificate_tables()
         lanes = self.lanes(absent, 2 * implied)
         instances = list(zip(lanes[:implied], lanes[implied:]))
         assert implied == len(set(instances)) == 168
         assert set(instances) == loops.instances
-        zero_masks, _ = self.tight_lanes()
-        assert len(set(zero_masks)) == len(zero_masks) == 37
+        zero_masks = self.tight_lanes()
+        assert len(set(zero_masks)) == len(zero_masks) == reversal == 37
         assert set(zero_masks) == loops.zero_masks
+        # no lane past the reversal's 24: the tables hold no cut lanes
+        assert all(v >> reversal + 24 == 0 for row in present for v in row)
 
     def test_an_appended_zero_witness_moves_no_verdict(self, monkeypatch):
         # the all-ones quasi-metric is tight on no triple, so it settles
@@ -441,14 +441,25 @@ class TestZeroSlackCheck:
         assert not is_quasi_semimetric(((1, 1), (1, 0)))
 
     def test_every_cut_is_a_symmetric_semimetric(self):
-        # the cut lanes are the tight masks of the 7 cuts, each checked here
+        # the oracle's metric certificates; each is tight on a subset of a
+        # zero lane, so every relation a cut settles the zero lanes settle
+        # on R | R^T, which a symmetric cut's tight mask holds with R
         cuts = cut_semimetrics()
         assert len({str(d) for d in cuts}) == 7
-        for d in [*realizability._CUTS, *cuts]:
+        for d in cuts:
             assert is_quasi_semimetric(d)
             assert all(d[x][y] == d[y][x] for x in range(4) for y in range(4))
-        _, cut_masks = self.tight_lanes()
-        assert sorted(cut_masks) == sorted(betweenness_mask(4, d) for d in cuts)
+        zero_masks = self.tight_lanes()
+        for d in cuts:
+            tight = betweenness_mask(4, d)
+            assert any(tight & z == tight for z in zero_masks), d
+
+    def test_metric_zeros_are_the_cut_zeros_on_random_masks(self, loops):
+        # inconsistent masks included: the reversal union is read from the
+        # tables whatever the mask holds
+        rng = random.Random(4601)
+        for mask in (rng.getrandbits(24) for _ in range(20000)):
+            assert (realizability._sign(mask, "metric") == 0) == loops.settles(mask)[1], mask
 
     def test_every_rule_has_an_integer_certificate(self):
         assert set(RULE_CERTIFICATES) == set(realizability._RULES)
@@ -668,6 +679,19 @@ class TestDigraph:
             Digraph(3, frozenset({(1, 1)}))
         with pytest.raises(ValueError, match="range"):
             Digraph(3, frozenset({(0, 3)}))
+
+    # int() would truncate (0, 1.5) and (0.9, 2) to the arcs (0, 1), (0, 2)
+    @pytest.mark.parametrize(
+        "n, arcs, message",
+        [
+            (3, [(0, 1.5)], "arc endpoint must be an integer, got 1.5"),
+            (3, [(0.9, 2)], "arc endpoint must be an integer, got 0.9"),
+            (3.0, [(0, 1)], "point count must be an integer, got 3.0"),
+        ],
+    )
+    def test_rejects_non_integers(self, n, arcs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Digraph(n, arcs)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_rejects_fewer_than_two_points(self, n):

@@ -216,7 +216,7 @@ def test_import_loads_no_string():
 
 def test_import_builds_no_certificate_table():
     """The chunk tables that `maximize_slack` reads its 4-point certificates
-    from, with every lane of their rule instances, zero witnesses and cuts,
+    from, with every lane of their rule instances and zero witnesses,
     are built on the first 4-point query, never by `import qmlines`."""
     size = "qmlines.realizability._certificate_tables.cache_info().currsize"
     assert _after_fresh_import(size) == "0"
