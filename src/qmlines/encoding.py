@@ -8,13 +8,13 @@ fixed order, so it lives in one place, with the lex order of ordered pairs
 with the one rule for a class's least image and orbit size, :func:`orbit_class`.
 
 The relabelings themselves are built once per n, in lex order, and shared.
-Orbits and consistency are read from chunk tables: one row per chunk of the
-encoding, one value per chunk value, so an encoding's answer is the OR of
-the rows of its nonzero chunks.  Up to n=5 for triples and n=6 for pairs, a
-row value of the orbit table packs all n! images into one int, lane by
-lane, so an orbit costs a few bigint ORs and one unpacking; above that,
-rows are tuples of n! images.  The conflict table holds the excluded
-companions of each chunk value's triples, up to n=10.
+Orbits and consistency are read from chunk tables: one row per 8-bit chunk
+of the encoding, one value per chunk value, so an encoding's answer is the
+OR of the rows of its nonzero chunks.  Up to n=5 for triples and n=6 for
+pairs, a row value of the orbit table packs all n! images into one int,
+lane by lane, so an orbit costs a few bigint ORs and one unpacking; past
+that an orbit reads the images of its members alone.  The conflict table
+holds the excluded companions of each chunk value's triples, up to n=10.
 
 The cost caps of the routes that grow with n live here too, where every
 module that checks one can import it.
@@ -22,8 +22,8 @@ module that checks one can import it.
 
 import sys
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial, log2
+from itertools import combinations, permutations, repeat
+from math import factorial, log2, perm
 from operator import index, itemgetter, or_
 
 
@@ -109,8 +109,8 @@ def _conflict_table(n: int) -> tuple[tuple[int, ...], ...] | None:
 # The cost caps of the routes that grow with n, each checked against an
 # estimate from n before anything is built.
 
-# most relabelings a brute-force canonical form may try: 8! = 40,320; the
-# one-bit orbit table at n=8 already holds 336 * 40,320 references
+# most relabelings a brute-force canonical form may try: 8! = 40,320; an
+# orbit at n=8 already ORs 40,320 images per member triple
 RELABELING_CAP = factorial(8)
 
 # most integer matrices the bounded-integer sweeps may face: 4**12 covers
@@ -136,7 +136,7 @@ def _about(count: int) -> str:
 @lru_cache(maxsize=None)
 def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
     """Every relabeling of 0..n-1, in lexicographic order, the order of
-    :func:`orbit`'s images.  Built once per n and shared by the orbit tables,
+    :func:`orbit`'s images.  Built once per n and shared by the orbits,
     canonical forms and isomorphism witnesses: 4.8 MB at n=8.  Refuses
     n! > RELABELING_CAP with a ValueError."""
     count = factorial(n)
@@ -181,40 +181,37 @@ def _chunk_rows(singles, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _orbit_table(n: int, k: int) -> tuple[str | None, int, tuple[tuple, ...]]:
-    """(lane, size, rows): rows[c][v] holds the images, under every
-    relabeling of 0..n-1 in lexicographic order, of the k-tuple encoding
-    whose only nonzero chunk is chunk c, with value v.
-
-    Chunks are 8 bits wide while the table stays under about 2^20 images:
-    triples up to n=5, pairs up to n=6.  There each row value is one int
-    that packs the n! images into lanes (SWAR, "SIMD within a register":
-    Lamport 1975, "Multiple byte processing with full-word instructions"):
-    `memoryview(value.to_bytes(size, sys.byteorder)).cast(lane)` lists them,
-    lane i the image under the i-th relabeling.  A lane is "I" (4 bytes)
-    for encodings of at most 32 bits, else "Q" (8 bytes); none there has
-    more than 60.  The rows are ORs of packed single-bit rows, so ORing the
-    rows of a mask's chunks ORs its images lane by lane, and no lane
-    carries into the next.  Above that size lane is None, chunks are 1 bit
-    wide and rows[c] is (zeros, images of bit c), tuples of n! ints: a
-    triple lane at n=6 would be wider than 64 bits.  These tuples share
-    their ``1 << k`` ints and one zero tuple, which keeps the n=8 table at
-    about 108 MB (336 rows of 40,320 references).
-    """
-    perms = _relabelings(n)
-    count = len(perms)
+def _single_images(n: int, k: int, mask: int):
+    """For each member of the k-tuple encoding mask, the images of its bit
+    alone under every relabeling of 0..n-1 in lexicographic order, lazily."""
     tuples = ordered_tuples(n, k)
-    nbits = len(tuples)
     bit = {t: 1 << i for i, t in enumerate(tuples)}
-    # the images of each single bit, one tuple at a time, so the n=8 table
-    # is built without a second copy of its size
-    images = (map(bit.__getitem__, map(itemgetter(*t), perms)) for t in tuples)
+    perms = _relabelings(n)
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            yield map(bit.__getitem__, map(itemgetter(*tuples[i]), perms))
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(n: int, k: int) -> tuple[str, int, tuple[tuple[int, ...], ...]] | None:
+    """(lane, size, rows): rows[c][v] packs into one int the images, under
+    every relabeling of 0..n-1 in lexicographic order, of the k-tuple
+    encoding whose only nonzero 8-bit chunk is chunk c, with value v (SWAR,
+    "SIMD within a register": Lamport 1975, "Multiple byte processing with
+    full-word instructions"): `memoryview(value.to_bytes(size,
+    sys.byteorder)).cast(lane)` lists them, lane i the image under the i-th
+    relabeling.  A lane is "I" (4 bytes) for encodings of at most 32 bits,
+    else "Q" (8 bytes).  The rows are ORs of packed single-bit rows, so
+    ORing a mask's rows (:func:`_packed_orbit`) ORs its images lane by
+    lane, and no lane carries into the next.  None, with nothing built,
+    past about 2^20 images: above n=5 for triples and n=6 for pairs, where
+    a triple lane would be wider than 64 bits.
+    """
+    count, nbits = factorial(n), perm(n, k)
     if -(-nbits // 8) * 256 * count > 1 << 20:
-        zero = (0,) * count
-        return None, 0, tuple((zero, tuple(row)) for row in images)
+        return None
     lane, lane_bytes = ("I", 4) if nbits <= 32 else ("Q", 8)
-    singles = [_pack_lanes(row, lane_bytes) for row in images]
+    singles = [_pack_lanes(row, lane_bytes) for row in _single_images(n, k, (1 << nbits) - 1)]
     return lane, count * lane_bytes, _chunk_rows(singles, 8)
 
 
@@ -225,34 +222,37 @@ def _pack_lanes(values, width: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(width, order) for v in values]), order)
 
 
+def _packed_orbit(rows, mask: int) -> int:
+    """mask's images, lane by lane: the OR of the :func:`_orbit_table` rows
+    of its nonzero 8-bit chunks."""
+    packed = 0
+    for row in rows:
+        if not mask:
+            break
+        packed |= row[mask & 255]
+        mask >>= 8
+    return packed
+
+
 def orbit(n: int, mask: int, k: int = 3) -> list[int]:
     """The images of an encoding under every relabeling of 0..n-1, in
     lexicographic order of the relabelings, so the identity's image comes
     first and the i-th image is that of `_relabelings(n)[i]`.
 
     Bit i of mask is ordered_tuples(n, k)[i]: triples by default, pairs for
-    arc masks.  Reads :func:`_orbit_table` once.  With packed rows it ORs
-    the rows of the mask's nonzero 8-bit chunks into one int and unpacks its
-    lanes; with 1-bit rows it ORs the image tuples of the mask's set bits
-    lane by lane.  Refuses n! > RELABELING_CAP with a ValueError.
+    arc masks.  Reads :func:`_orbit_table` once.  With a table it unpacks
+    the lanes of :func:`_packed_orbit`; past it, it ORs the images of the
+    mask's members alone.  Refuses n! > RELABELING_CAP with a ValueError.
     """
-    lane, size, rows = _orbit_table(n, k)
-    if lane:
-        packed = 0
-        for row in rows:
-            if not mask:
-                break
-            packed |= row[mask & 255]
-            mask >>= 8
+    table = _orbit_table(n, k)
+    if table:
+        lane, size, rows = table
+        packed = _packed_orbit(rows, mask)
         return memoryview(packed.to_bytes(size, sys.byteorder)).cast(lane).tolist()
-    images = None
-    for row in rows:
-        if not mask:
-            break
-        if mask & 1:
-            images = row[1] if images is None else map(or_, images, row[1])
-        mask >>= 1
-    return list(rows[0][0] if images is None else images)
+    images = repeat(0, len(_relabelings(n)))
+    for single in _single_images(n, k, mask):
+        images = map(or_, images, single)
+    return list(images)
 
 
 def orbit_class(images) -> tuple[int, int]:

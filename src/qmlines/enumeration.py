@@ -33,10 +33,11 @@ from .core import (
     _line_fields,
     _packed_lines,
     _packed_table,
+    as_index,
     consistency_check,
     line_set,
 )
-from .encoding import _pack_lanes, mask_from_triples, orbit, orbit_class, supports
+from .encoding import _orbit_table, _packed_orbit, mask_from_triples, orbit, orbit_class, supports
 from .isomorphism import canonical_form
 from .realizability import realize
 
@@ -80,15 +81,15 @@ def _check_supported(n: int) -> None:
 
 def _half_rows(n: int, groups) -> memoryview:
     """The images of every relation on the supports of groups under every
-    relabeling, one row per combined pattern digit, in 8-byte lanes: row r's
-    image under the i-th relabeling is lane r * n! + i.  Each pattern's
-    images come packed from one orbit call, so a row is one OR."""
+    relabeling, one row per combined pattern digit, in the orbit table's
+    lanes: row r's image under the i-th relabeling is lane r * n! + i.  Each
+    pattern's images are its packed rows ORed in place, so a row is one OR."""
+    lane, size, table = _orbit_table(n, 3)
     rows = [0]
     for masks in groups:
-        images = [_pack_lanes(orbit(n, m), 8) for m in masks]
+        images = [_packed_orbit(table, m) for m in masks]
         rows = [row | more for more in images for row in rows]
-    size = 8 * factorial(n)
-    return memoryview(b"".join([row.to_bytes(size, sys.byteorder) for row in rows])).cast("Q")
+    return memoryview(b"".join([row.to_bytes(size, sys.byteorder) for row in rows])).cast(lane)
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +108,8 @@ def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     right[j][g] - right[j][id].  Per g the left drops are sorted once, with
     prefix bitsets of their rows, so each right row is one bisect and one
     AND.  The drops equal to a gain are the relations g fixes, so an
-    orbit's size is n! over one plus their count.  At n=4 that is 72 orbit
-    calls and 23 * 324 threshold tests; no relation is unpacked or marked.
+    orbit's size is n! over one plus their count.  At n=4 that is 72 reads
+    of packed rows and 23 * 324 threshold tests; nothing is unpacked.
     """
     _check_supported(n)
     count = factorial(n)
@@ -204,7 +205,8 @@ def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
     canonical encoding.
     """
     _check_supported(n)
-    bounds = tuple(sorted(set(kmax_list)))
+    # checked before the maps' cache, whose key 2.0 is 2
+    bounds = tuple(sorted({as_index(k, "kmax") for k in kmax_list}))
     int_canons = {k: kernels.integer_canon_witnesses(n, k) for k in bounds}
     records = []
     for rec in _base_records(n):

@@ -38,6 +38,9 @@ class Relabeling(_Value):
         return len(self.perm)
 
     def __call__(self, i: int) -> int:
+        i = as_index(i, "point")
+        if not 0 <= i < self.n:
+            raise ValueError(f"point {i} out of range for n={self.n}")
         return self.perm[i]
 
 

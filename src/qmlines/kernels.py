@@ -24,7 +24,7 @@ each of the 254,602 leaves at n=4, K=4 again would be new work.
 
 from functools import lru_cache
 
-from .core import betweenness_mask
+from .core import as_index, betweenness_mask
 from .encoding import (
     INTEGER_SWEEP_CAP,
     _relabelings,
@@ -178,9 +178,11 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     since no later matrix can add one: at n=2 after the first matrix.
 
     Refuses with a ValueError, before the walk builds any table, a bound
-    kmax < 1 and a sweep that could face more than INTEGER_SWEEP_CAP
-    matrices or more than encoding.RELABELING_CAP relabelings.
+    kmax that is not an integer or is below 1, and a sweep that could face
+    more than INTEGER_SWEEP_CAP matrices or more than
+    encoding.RELABELING_CAP relabelings.
     """
+    kmax = as_index(kmax, "kmax")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     estimate = kmax ** (n * (n - 1))

@@ -344,8 +344,10 @@ def realize_bounded_integer(b: Betweenness, kmax: int) -> DistanceMatrix | None:
     the lex-least matrix of each relabeling orbit, keyed by `class_key`.
     The consistency check and then the map come before b's key, so an
     inconsistent relation is refused before its orbit is computed, and a
-    query over either cap before any orbit table is built for it.
+    query over either cap before any orbit table is built for it.  kmax
+    must be an integer, read before the map's cache, whose key 2.0 is 2.
     """
+    kmax = as_index(kmax, "kmax")
     _require_consistent(b)
     entries = kernels.integer_canon_witnesses(b.n, kmax).get(b.class_key)
     if entries is None:
@@ -373,12 +375,19 @@ class Digraph(_Value):
         n = as_index(n, "point count")
         if n < 2:
             raise ValueError(f"need at least 2 points, got {n}")
-        arcs = frozenset(tuple(as_index(v, "arc endpoint") for v in arc) for arc in arcs)
-        for (i, j) in arcs:
+        checked = set()
+        for arc in arcs:
+            try:
+                i, j = arc
+            except (TypeError, ValueError):
+                raise ValueError(f"arc {arc!r} is not a pair of points") from None
+            i, j = as_index(i, "arc endpoint"), as_index(j, "arc endpoint")
             if i == j:
                 raise ValueError(f"loop arc ({i},{i}) not allowed")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"arc ({i},{j}) out of range for n={n}")
+            checked.add((i, j))
+        arcs = frozenset(checked)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
 

@@ -93,18 +93,23 @@ class TestCanonicalClasses:
         digest = hashlib.sha256(repr(canonical_classes(4)).encode()).hexdigest()
         assert digest == N4_CLASSES_SHA256
 
-    # one orbit call per (support, pattern) builds the half rows; the walk
-    # over the relabelings then calls orbit no more
+    # one read of packed chunk rows per (support, pattern) builds the half
+    # rows; the walk over the relabelings then reads no orbit
     @pytest.mark.parametrize("n, class_count", [(3, len(N3_CLASSES)), (4, N4_CLASS_COUNT)])
     def test_orbit_calls_fixed_by_supports_and_patterns(self, monkeypatch, n, class_count):
         calls = 0
+        packed_orbit = enumeration._packed_orbit
 
-        def counting_orbit(*args):
+        def counting_packed_orbit(*args):
             nonlocal calls
             calls += 1
-            return orbit(*args)
+            return packed_orbit(*args)
 
-        monkeypatch.setattr(enumeration, "orbit", counting_orbit)
+        def no_orbit(*args):
+            raise AssertionError("the class walk unpacked an orbit")
+
+        monkeypatch.setattr(enumeration, "_packed_orbit", counting_packed_orbit)
+        monkeypatch.setattr(enumeration, "orbit", no_orbit)
         canonical_classes.cache_clear()
         try:
             classes = canonical_classes(n)
@@ -205,6 +210,14 @@ class TestClassifyThreePoints:
         monkeypatch.setattr(enumeration, "_base_records", no_records)
         with pytest.raises(ValueError, match=f"kmax must be at least 1, got {min(kmax_list)}"):
             classify(3, kmax_list=kmax_list)
+
+    # the integer maps' cache key 2.0 equals 2, so a warm K=2 map would
+    # answer 2.0; "2" would fail the bound's comparison with a TypeError
+    @pytest.mark.parametrize("kmax", [2.5, 2.0, "2"])
+    def test_int_bound_must_be_an_integer(self, kmax):
+        classify(3, kmax_list=(2,))
+        with pytest.raises(ValueError, match=f"^kmax must be an integer, got {kmax!r}$"):
+            classify(3, kmax_list=(kmax,))
 
     def test_class_sizes(self):
         assert [r.class_size for r in classify(3)] == [1, 6, 6, 3, 2]

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -54,6 +55,20 @@ class TestRelabeling:
     def test_rejects_non_integer_images(self, perm):
         with pytest.raises(ValueError, match="^relabeling image must be an integer, got "):
             Relabeling(perm)
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            (-1, "point -1 out of range for n=3"),
+            (3, "point 3 out of range for n=3"),
+            (2.0, "point must be an integer, got 2.0"),
+        ],
+    )
+    def test_call_refuses_bad_points(self, point, message):
+        f = Relabeling((1, 0, 2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            f(point)
+        assert [f(i) for i in range(3)] == [1, 0, 2]
 
     def test_identity_fixes_everything(self):
         b = q4_betweenness()
@@ -163,7 +178,7 @@ def test_canonical_forms_are_pinned():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_orbit_lists_every_relabeling_in_permutation_order(n):
-    # apply_relabeling maps triples directly, so it checks the orbit table
+    # apply_relabeling maps triples directly, so it checks orbit on its own
     rng = random.Random(n)
     mask = rng.getrandbits(triple_count(n))
     b = Betweenness(n, mask)
@@ -174,8 +189,8 @@ def test_orbit_lists_every_relabeling_in_permutation_order(n):
     assert list(encoding._relabelings(n)) == perms
 
 
-# (k, n, lane of the orbit table): packed 4-byte ("I") and 8-byte ("Q") lanes
-# in the 8-bit-chunk regime, and None for the 1-bit tuple tables
+# (k, n, lane of the orbit table): packed 4-byte ("I") and 8-byte ("Q")
+# lanes, and None where no table is built and an orbit reads its members
 ORBIT_TABLE_REGIMES = [(3, 3, "I"), (3, 4, "I"), (3, 5, "Q"), (3, 6, None)]
 ORBIT_TABLE_REGIMES += [(2, n, "I") for n in range(3, 7)] + [(2, 7, None)]
 
@@ -184,7 +199,8 @@ ORBIT_TABLE_REGIMES += [(2, n, "I") for n in range(3, 7)] + [(2, 7, None)]
 def test_orbit_matches_relabeling_each_member(k, n, lane):
     # the top bit (n=5 triples: bit 59, n=6 pairs: bit 29) sits in the
     # highest lane bits a packed row uses
-    assert encoding._orbit_table(n, k)[0] == lane
+    table = encoding._orbit_table(n, k)
+    assert (table[0] if table else None) == lane
     nbits = len(ordered_tuples(n, k))
     top = 1 << nbits - 1
     rng = random.Random(2900 + 10 * n + k)
@@ -193,6 +209,35 @@ def test_orbit_matches_relabeling_each_member(k, n, lane):
     masks += [rng.getrandbits(nbits) | top for _ in range(2)]
     for mask in masks:
         assert orbit(n, mask, k) == orbit_by_relabeling(n, mask, k)
+
+
+# the largest n the relabeling cap admits, with no table: the oracle relabels
+# each member of a sparse mask under all 5,040 or 40,320 relabelings
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("k", [2, 3])
+def test_orbit_past_the_packed_sizes_matches_relabeling_each_member(n, k):
+    assert encoding._orbit_table(n, k) is None
+    nbits = len(ordered_tuples(n, k))
+    rng = random.Random(4900 + 10 * n + k)
+    masks = [0, 1 << nbits - 1]
+    masks += [sum(1 << i for i in rng.sample(range(nbits), members)) for members in (1, 2, 3)]
+    for mask in masks:
+        assert orbit(n, mask, k) == orbit_by_relabeling(n, mask, k)
+
+
+def test_cold_orbit_at_eight_points_builds_no_table():
+    # a table of every triple's 40,320 images held about 108 MB; the
+    # relabelings and the one orbit take under a third of the limit
+    encoding._orbit_table.cache_clear()
+    encoding._relabelings.cache_clear()
+    tracemalloc.start()
+    try:
+        images = orbit(8, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(images) == 40_320 and images[0] == 1
+    assert peak < 32 * 2**20
 
 
 # orbit_class reads the orbit size off the stabilizer count; a mask ORed
@@ -222,7 +267,7 @@ def test_stabilizer_count_gives_the_orbit_size(n, k):
 
 # a relation's class key is one orbit's least image, kept after the first
 # read; the draws hold consistent and inconsistent relations, and n=6 reads
-# the 1-bit orbit table
+# the orbit of each relation's members, with no table
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_class_key_is_the_least_orbit_image(n):
     rng = random.Random(600 + n)
@@ -307,8 +352,9 @@ def test_canonical_equality_iff_witness_exists_on_three_points():
             assert same_canon == (isomorphism_witness(b1, b2) is not None)
 
 
-# n=4 and n=5 use the 8-bit orbit table, n=6 the 1-bit one; deadline=None
-# because the first example at each n builds that table
+# n=4 and n=5 read the packed orbit table, n=6 each relation's members;
+# deadline=None because the first example at each n builds the table or the
+# relabelings
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((4, 5, 6)), st.data())
 def test_canonical_equality_iff_witness_exists_sampled_four_points(n, data):

@@ -267,6 +267,12 @@ def test_integer_bound_below_one_is_refused_before_any_table(monkeypatch, n, kma
         kernels.integer_canon_witnesses(n, kmax)
 
 
+@pytest.mark.parametrize("kmax", [2.5, "2"])
+def test_integer_bound_must_be_an_integer(kmax):
+    with pytest.raises(ValueError, match=f"^kmax must be an integer, got {kmax!r}$"):
+        kernels.integer_canon_witnesses(4, kmax)
+
+
 def test_integer_sweep_canonicalizes_only_unseen_masks(monkeypatch):
     # at (4, 3) the map's seen set is asked once per value of the last
     # entry, and each miss is yielded and canonicalized once, with no

@@ -569,6 +569,13 @@ class TestBoundedInteger:
         with pytest.raises(ValueError):
             realize_bounded_integer(Betweenness(3, 0), 0)
 
+    # the map's cache key 2.0 equals 2, so a warm K=2 map would answer 2.0
+    @pytest.mark.parametrize("kmax", [2.5, 2.0, "2"])
+    def test_kmax_must_be_an_integer(self, kmax):
+        realize_bounded_integer(Betweenness(4, 0), 2)
+        with pytest.raises(ValueError, match=f"^kmax must be an integer, got {kmax!r}$"):
+            realize_bounded_integer(Betweenness(4, 0), kmax)
+
     def test_inconsistent_rejected(self):
         with pytest.raises(InconsistentRelationError):
             realize_bounded_integer(inconsistent(), 2)
@@ -687,6 +694,8 @@ class TestDigraph:
             (3, [(0, 1.5)], "arc endpoint must be an integer, got 1.5"),
             (3, [(0.9, 2)], "arc endpoint must be an integer, got 0.9"),
             (3.0, [(0, 1)], "point count must be an integer, got 3.0"),
+            (3, [5], "arc 5 is not a pair of points"),
+            (3, [(0, 1, 2)], "arc \\(0, 1, 2\\) is not a pair of points"),
         ],
     )
     def test_rejects_non_integers(self, n, arcs, message):
