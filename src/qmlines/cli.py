@@ -100,6 +100,12 @@ def _betweenness_source(args) -> tuple[Betweenness, tuple[str, ...]]:
     return _load_triples(args.triples, args.labels)
 
 
+def _is_decimal(token: str) -> bool:
+    """ASCII digits alone, as an integer bound is written: int() would also
+    read "٣" as 3 and "1_0" as 10."""
+    return token.isascii() and token.isdigit()
+
+
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -243,10 +249,10 @@ def cmd_realize(args) -> Report:
             m = DistanceMatrix(labels, m.entries)
         witness, shown = _witness(m, "witness:")
     elif variant.startswith("int:"):
-        try:
-            kmax = int(variant.split(":", 1)[1])
-        except ValueError:
+        kmax = variant.split(":", 1)[1].strip()
+        if not _is_decimal(kmax):
             raise InputError(f"bad variant {variant!r}; expected int:K with integer K")
+        kmax = int(kmax)
         m = realize_bounded_integer(b, kmax)
         realizable = m is not None
         text = [f"realizable with integer distances <= {kmax}: {_yn(realizable)}"]
@@ -275,10 +281,11 @@ def cmd_realize(args) -> Report:
 def cmd_enumerate(args) -> Report:
     bounds = ()
     if args.int:
-        try:
-            bounds = tuple(int(tok) for tok in args.int.split(",") if tok.strip())
-        except ValueError:
-            raise InputError(f"bad --int value {args.int!r}; expected e.g. 2,3")
+        tokens = [tok.strip() for tok in args.int.split(",") if tok.strip()]
+        for tok in tokens:
+            if not _is_decimal(tok):
+                raise InputError(f"bad --int value {tok!r}; expected e.g. 2,3")
+        bounds = tuple(map(int, tokens))
         if any(k < 1 for k in bounds):
             raise InputError("--int bounds must be >= 1")
     records = classify(args.n, kmax_list=bounds)

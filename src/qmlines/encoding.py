@@ -8,13 +8,14 @@ fixed order, so it lives in one place, with the lex order of ordered pairs
 with the one rule for a class's least image and orbit size, :func:`orbit_class`.
 
 The relabelings themselves are built once per n, in lex order, and shared.
-Orbits and consistency are read from chunk tables: one row per 8-bit chunk
-of the encoding, one value per chunk value, so an encoding's answer is the
-OR of the rows of its nonzero chunks.  Up to n=5 for triples and n=6 for
-pairs, a row value of the orbit table packs all n! images into one int,
-lane by lane, so an orbit costs a few bigint ORs and one unpacking; past
-that an orbit reads the images of its members alone.  The conflict table
-holds the excluded companions of each chunk value's triples, up to n=10.
+Orbits, consistency and the 4-point signs read chunk tables: one row per
+8-bit chunk of the encoding, one value per chunk value, so an answer is the
+OR of the rows of its nonzero chunks (:func:`_chunk_or`).  Up to n=5 for
+triples and n=6 for pairs, an orbit table value packs all n! images into one
+int, lane by lane (:func:`_lanes`); past that an orbit reads its members'
+images alone.  The conflict table holds the excluded companions of each
+chunk value's triples, up to n=10.  :func:`set_bits` lists members; only two
+hot loops list set bits inline (`core._packed_lines`, `kernels.shortest_paths`).
 
 The cost caps of the routes that grow with n live here too, where every
 module that checks one can import it.
@@ -62,8 +63,9 @@ def triple_at(n: int, bit: int) -> tuple[int, int, int]:
     x, rest = divmod(bit, (n - 1) * (n - 2))
     y, z = divmod(rest, n - 2)
     y += y >= x
-    for skipped in sorted((x, y)):
-        z += z >= skipped
+    # z skips x and y, the lower first
+    z += z >= (x if x < y else y)
+    z += z >= (y if x < y else x)
     return x, y, z
 
 
@@ -77,9 +79,21 @@ def mask_from_triples(n, triples) -> int:
     return mask
 
 
+def set_bits(mask: int):
+    """mask's set bits, lowest first, lazily, by 64-bit words: linear in its width."""
+    base = 0
+    words = mask.to_bytes(-(-mask.bit_length() // 64) * 8, sys.byteorder)
+    for word in memoryview(words).cast("Q"):
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+        base += 64
+
+
 def triples_from_mask(n: int, mask: int) -> tuple[tuple[int, int, int], ...]:
-    lt = ordered_triples(n)
-    return tuple(lt[i] for i in range(len(lt)) if mask >> i & 1)
+    """mask's members in bit order, placed by :func:`triple_at`, with no table."""
+    return tuple(triple_at(n, i) for i in set_bits(mask))
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +117,7 @@ def _conflict_table(n: int) -> tuple[tuple[int, ...], ...] | None:
     nbits = triple_count(n)
     if -(-nbits // 8) * 256 * nbits > 1 << 24:
         return None
-    return _chunk_rows(conflict_masks(n), 8)
+    return _chunk_rows(conflict_masks(n))
 
 
 # The cost caps of the routes that grow with n, each checked against an
@@ -163,17 +177,16 @@ def pair_position(n: int) -> dict[tuple[int, int], int]:
 
 
 def pairs_from_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
-    pairs = ordered_pairs(n)
-    return tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+    return tuple(map(ordered_pairs(n).__getitem__, set_bits(mask)))
 
 
-def _chunk_rows(singles, width: int) -> tuple[tuple[int, ...], ...]:
-    """rows[c][v]: the OR of singles[width*c + j] over the set bits j of v,
-    one row per width-bit chunk; each value is one OR of an earlier value
-    and a single."""
+def _chunk_rows(singles) -> tuple[tuple[int, ...], ...]:
+    """rows[c][v]: the OR of singles[8*c + j] over the set bits j of v, one
+    row per 8-bit chunk; each value is one OR of an earlier value and a
+    single.  :func:`_chunk_or` reads them."""
     rows = []
-    for c in range(0, len(singles), width):
-        chunk = singles[c : c + width]
+    for c in range(0, len(singles), 8):
+        chunk = singles[c : c + 8]
         row = [0]
         for v in range(1, 1 << len(chunk)):
             row.append(row[v & (v - 1)] | chunk[(v & -v).bit_length() - 1])
@@ -187,9 +200,8 @@ def _single_images(n: int, k: int, mask: int):
     tuples = ordered_tuples(n, k)
     bit = {t: 1 << i for i, t in enumerate(tuples)}
     perms = _relabelings(n)
-    for i in range(mask.bit_length()):
-        if mask >> i & 1:
-            yield map(bit.__getitem__, map(itemgetter(*tuples[i]), perms))
+    for i in set_bits(mask):
+        yield map(bit.__getitem__, map(itemgetter(*tuples[i]), perms))
 
 
 @lru_cache(maxsize=None)
@@ -198,33 +210,38 @@ def _orbit_table(n: int, k: int) -> tuple[str, int, tuple[tuple[int, ...], ...]]
     every relabeling of 0..n-1 in lexicographic order, of the k-tuple
     encoding whose only nonzero 8-bit chunk is chunk c, with value v (SWAR,
     "SIMD within a register": Lamport 1975, "Multiple byte processing with
-    full-word instructions"): `memoryview(value.to_bytes(size,
-    sys.byteorder)).cast(lane)` lists them, lane i the image under the i-th
-    relabeling.  A lane is "I" (4 bytes) for encodings of at most 32 bits,
-    else "Q" (8 bytes).  The rows are ORs of packed single-bit rows, so
-    ORing a mask's rows (:func:`_packed_orbit`) ORs its images lane by
-    lane, and no lane carries into the next.  None, with nothing built,
-    past about 2^20 images: above n=5 for triples and n=6 for pairs, where
-    a triple lane would be wider than 64 bits.
+    full-word instructions"): :func:`_lanes` lists them, lane i the image
+    under the i-th relabeling.  A lane is "I" (4 bytes) for encodings of at
+    most 32 bits, else "Q" (8 bytes).  The rows are ORs of packed
+    single-bit rows, so ORing a mask's rows (:func:`_chunk_or`) ORs its
+    images lane by lane, and no lane carries into the next.  None, with
+    nothing built, past about 2^20 images: above n=5 for triples and n=6
+    for pairs, where a triple lane would be wider than 64 bits.
     """
     count, nbits = factorial(n), perm(n, k)
     if -(-nbits // 8) * 256 * count > 1 << 20:
         return None
     lane, lane_bytes = ("I", 4) if nbits <= 32 else ("Q", 8)
     singles = [_pack_lanes(row, lane_bytes) for row in _single_images(n, k, (1 << nbits) - 1)]
-    return lane, count * lane_bytes, _chunk_rows(singles, 8)
+    return lane, count * lane_bytes, _chunk_rows(singles)
 
 
 def _pack_lanes(values, width: int) -> int:
     """values packed into one int, value i in the i-th lane of width bytes,
-    which `memoryview(packed.to_bytes(...)).cast(lane)` lists again."""
+    which :func:`_lanes` lists again."""
     order = sys.byteorder
     return int.from_bytes(b"".join([v.to_bytes(width, order) for v in values]), order)
 
 
-def _packed_orbit(rows, mask: int) -> int:
-    """mask's images, lane by lane: the OR of the :func:`_orbit_table` rows
-    of its nonzero 8-bit chunks."""
+def _lanes(table, packed: int, rows: int = 1) -> memoryview:
+    """The lanes of rows :func:`_orbit_table` values packed one after another
+    (:func:`_pack_lanes`): lane r * n! + i is row r's i-th image."""
+    return memoryview(packed.to_bytes(rows * table[1], sys.byteorder)).cast(table[0])
+
+
+def _chunk_or(rows, mask: int) -> int:
+    """The OR of the :func:`_chunk_rows` rows of mask's nonzero 8-bit
+    chunks, row c read at chunk c's value: the one reader of chunk tables."""
     packed = 0
     for row in rows:
         if not mask:
@@ -241,14 +258,12 @@ def orbit(n: int, mask: int, k: int = 3) -> list[int]:
 
     Bit i of mask is ordered_tuples(n, k)[i]: triples by default, pairs for
     arc masks.  Reads :func:`_orbit_table` once.  With a table it unpacks
-    the lanes of :func:`_packed_orbit`; past it, it ORs the images of the
+    the lanes of :func:`_chunk_or`; past it, it ORs the images of the
     mask's members alone.  Refuses n! > RELABELING_CAP with a ValueError.
     """
     table = _orbit_table(n, k)
     if table:
-        lane, size, rows = table
-        packed = _packed_orbit(rows, mask)
-        return memoryview(packed.to_bytes(size, sys.byteorder)).cast(lane).tolist()
+        return _lanes(table, _chunk_or(table[2], mask)).tolist()
     images = repeat(0, len(_relabelings(n)))
     for single in _single_images(n, k, mask):
         images = map(or_, images, single)

@@ -116,9 +116,10 @@ def format_matrix(m: DistanceMatrix) -> str:
 def parse_triples(text: str, labels) -> Betweenness:
     """Parse a triples file against a known label sequence.
 
-    Duplicate lines collapse; order is irrelevant.
+    Duplicate lines collapse; order is irrelevant.  Labels are read through
+    str, as `DistanceMatrix` reads them, so 1 matches the token "1".
     """
-    labels = tuple(labels)
+    labels = tuple(map(str, labels))
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate labels in {labels}")
     if len(labels) < 2:
@@ -142,8 +143,9 @@ def parse_triples(text: str, labels) -> Betweenness:
 def format_triples(b: Betweenness, labels) -> str:
     """The triples file of b under labels; ValueError for duplicate labels
     and for labels it cannot hold (see :func:`_check_writable`), where the
-    first label of each member triple starts a line."""
-    labels = tuple(labels)
+    first label of each member triple starts a line.  Labels are written
+    through str, as `DistanceMatrix` reads them."""
+    labels = tuple(map(str, labels))
     if len(labels) != b.n:
         raise ValueError(f"{len(labels)} labels for {b.n} points")
     if len(set(labels)) != len(labels):

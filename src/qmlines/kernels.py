@@ -256,6 +256,7 @@ def shortest_paths(n: int, arcs) -> list[list[int]] | None:
         level = 0
         while frontier:
             step = 0
+            # set bits inline: set_bits, a generator per level, made an n=5 call 5.6 -> 14 us
             while frontier:
                 low = frontier & -frontier
                 v = low.bit_length() - 1

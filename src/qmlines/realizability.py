@@ -28,6 +28,7 @@ from .core import (
 from .encoding import (
     LP_TEMPLATE_CAP,
     _about,
+    _chunk_or,
     _chunk_rows,
     mask_from_triples,
     orbit,
@@ -35,6 +36,7 @@ from .encoding import (
     ordered_triples,
     pair_position,
     pairs_from_mask,
+    set_bits,
     triple_bit,
     triple_count,
 )
@@ -196,9 +198,9 @@ _ZERO_WITNESSES = (
 @lru_cache(maxsize=None)
 def _certificate_tables():
     """(implied, zeros, reversal, absent, present): the chunk tables
-    (`encoding._chunk_rows`, 8-bit chunks) over the 24 triple bits from
-    which `_sign` reads its certificates, one OR per chunk, and their
-    lanes, laid out from `_RULES` and `_ZERO_WITNESSES` as read.
+    (`encoding._chunk_rows`) over the 24 triple bits from which `_sign`
+    reads its certificates with `encoding._chunk_or`, and their lanes, laid
+    out from `_RULES` and `_ZERO_WITNESSES` as read.
 
     Rule instance k, a rule under a relabeling, has lane k for its members
     and lane implied + k for its implied triple in the absent-bit rows: ORed
@@ -220,17 +222,15 @@ def _certificate_tables():
     absent, tight = [0] * 24, [0] * 24
     for rows, masks in ((absent, members + implied), (tight, zeros)):
         for k, mask in enumerate(masks):
-            while mask:
-                low = mask & -mask
-                rows[low.bit_length() - 1] |= 1 << k
-                mask ^= low
+            for j in set_bits(mask):
+                rows[j] |= 1 << k
     reversal = len(zeros)
     zeros = (1 << reversal) - 1
     present = [
         ~t & zeros | 1 << reversal + triple_bit(4, (z, y, x))
         for t, (x, y, z) in zip(tight, ordered_triples(4))
     ]
-    return len(members), zeros, reversal, _chunk_rows(absent, 8), _chunk_rows(present, 8)
+    return len(members), zeros, reversal, _chunk_rows(absent), _chunk_rows(present)
 
 
 def _sign(mask: int, variant: str) -> int | None:
@@ -247,12 +247,12 @@ def _sign(mask: int, variant: str) -> int | None:
     holds weakly in it; for a metric, q tight on R | R^T makes q + q^T one.
     That settles all that the 7 cuts of 4 points would: each is tight on a
     subset of some zero witness's tight mask."""
-    implied, zeros, reversal, (a0, a1, a2), (p0, p1, p2) = _certificate_tables()
-    present = p0[mask & 255] | p1[mask >> 8 & 255] | p2[mask >> 16 & 255]
-    absent = a0[~mask & 255] | a1[~mask >> 8 & 255] | a2[~mask >> 16 & 255]
+    implied, zeros, reversal, absent_rows, present_rows = _certificate_tables()
+    present = _chunk_or(present_rows, mask)
+    absent = _chunk_or(absent_rows, 0xFFFFFF ^ mask)
     if variant == "metric" and present >> reversal != mask:
         mask |= present >> reversal
-        present = p0[mask & 255] | p1[mask >> 8 & 255] | p2[mask >> 16 & 255]
+        present = _chunk_or(present_rows, mask)
     elif not absent >> implied & ~absent:
         return 1
     return None if present & zeros == zeros else 0

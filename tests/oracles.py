@@ -131,6 +131,18 @@ def orbit_by_relabeling(n: int, mask: int, k: int = 3) -> list[int]:
     ]
 
 
+def triples_by_table_filter(n: int, mask: int) -> tuple[tuple[int, int, int], ...]:
+    """The member triples of an encoding, by filtering the lex-ordered table
+    of every ordered triple on the mask's bits."""
+    return tuple(t for i, t in enumerate(permutations(range(n), 3)) if mask >> i & 1)
+
+
+def pairs_by_table_filter(n: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """The member pairs of an arc mask, by filtering the lex-ordered table
+    of every ordered pair on the mask's bits."""
+    return tuple(p for i, p in enumerate(permutations(range(n), 2)) if mask >> i & 1)
+
+
 def consistent_by_set_bits(n: int, mask: int) -> bool:
     """Consistency one member triple at a time: no set bit's conflict mask
     (its two excluded companions) meets the mask."""

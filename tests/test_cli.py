@@ -433,6 +433,17 @@ class TestRealize:
         )
         assert code == 2
 
+    # int() alone reads Arabic-Indic digits and underscores: int:٣ answered
+    # as K=3 and int:1_0 as K=10
+    @pytest.mark.parametrize("token", ["\u0663", "1_0", "+3", "-1", "３", ""])
+    def test_int_bound_must_be_ascii_digits(self, capsys, q4_triples_file, token):
+        code, out, err = run(
+            capsys, "realize", "--variant", f"int:{token}",
+            "--triples", q4_triples_file, "--labels", "p,s,q,r",
+        )
+        assert (code, out) == (2, "")
+        assert f"bad variant 'int:{token}'" in err
+
 
 class TestEnumerate:
     def test_three_points_text(self, capsys):
@@ -464,6 +475,18 @@ class TestEnumerate:
     def test_bad_int_list(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--int", "2,x")
         assert code == 2
+
+    # int() alone read "1_0" as 10 and printed an int10 column
+    @pytest.mark.parametrize("token", ["\u0663", "1_0", "+3", "-1", "３"])
+    def test_int_bounds_must_be_ascii_digits(self, capsys, token):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--int", f"2, {token} ")
+        assert (code, out) == (2, "")
+        assert f"bad --int value {token!r}" in err
+
+    def test_int_bounds_are_stripped(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--int", " 2 , 3,")
+        assert code == 0
+        assert out.splitlines()[0].split("\t")[-3:] == ["int2", "int3", "digraph"]
 
     def test_int_over_the_sweep_cap_is_input_error(self, capsys, monkeypatch):
         # 5^12 matrices at n=4; refused before the sweep visits any

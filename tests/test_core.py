@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -27,9 +28,12 @@ from qmlines.encoding import (
     ordered_pairs,
     ordered_triples,
     ordered_tuples,
+    pairs_from_mask,
+    set_bits,
     triple_at,
     triple_bit,
     triple_count,
+    triples_from_mask,
 )
 from qmlines.enumeration import canonical_classes
 from qmlines.fixtures import (
@@ -47,6 +51,8 @@ from oracles import (
     consistent_masks,
     line_from_distances,
     line_from_triples,
+    pairs_by_table_filter,
+    triples_by_table_filter,
     violations_by_fractions,
 )
 
@@ -224,6 +230,38 @@ class TestBetweenness:
         for k in (2, 3):
             distinct = [t for t in product(range(n), repeat=k) if len(set(t)) == k]
             assert list(ordered_tuples(n, k)) == distinct
+
+    # the members are read off the set bits and placed by arithmetic; the
+    # oracle filters the table of every triple (or pair) on the mask
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_members_of_a_mask_are_the_table_filtered(self, n):
+        rng = random.Random(5000 + n)
+        for count, members_of, oracle in (
+            (triple_count(n), triples_from_mask, triples_by_table_filter),
+            (len(ordered_pairs(n)), pairs_from_mask, pairs_by_table_filter),
+        ):
+            masks = [0]
+            if count:  # two points hold no triple
+                masks += [1 << count - 1, (1 << count) - 1]
+                masks += [rng.getrandbits(count) for _ in range(5)]
+                masks += [sum({1 << rng.randrange(count) for _ in range(3)}) for _ in range(5)]
+            for mask in masks:
+                assert members_of(n, mask) == oracle(n, mask)
+                assert list(set_bits(mask)) == [i for i in range(count) if mask >> i & 1]
+
+    # one member among the 1,727,880 triples of 121 points: listing it built
+    # every triple, about 122 MB
+    def test_members_of_a_sparse_121_point_relation_build_no_table(self):
+        b = Betweenness(121, 1)
+        ordered_tuples.cache_clear()
+        tracemalloc.start()
+        try:
+            triples = b.triples
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert triples == ((0, 1, 2),)
+        assert peak < 2**20
 
     def test_bit_positions_follow_lex_triple_order(self):
         # triples on 3 points, lex: 012, 021, 102, 120, 201, 210
@@ -468,6 +506,24 @@ class TestConsistency:
         verdicts = [consistency_check(Betweenness(n, mask)) for mask in masks]
         assert verdicts == [consistent_by_set_bits(n, mask) for mask in masks]
         assert set(verdicts) == {True, False}
+
+    # two members far apart among the 1,727,880 triples of 121 points: the
+    # check reads the members alone, where a string of every bit, one byte
+    # per triple and its reversed copy, took about 3.3 MB
+    def test_sparse_121_point_check_reads_the_members_alone(self):
+        count = triple_count(121)
+        sparse = Betweenness(121, 1 | 1 << count - 1)
+        tracemalloc.start()
+        try:
+            verdict = consistency_check(sparse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict
+        assert peak < count  # under one byte per triple
+        # the first member's companion 021 makes the relation inconsistent
+        companion = 1 << triple_bit(121, (0, 2, 1))
+        assert not consistency_check(Betweenness(121, sparse.mask | companion))
 
 
 # ------------------------------------------------------------- property tests

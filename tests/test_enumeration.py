@@ -93,22 +93,23 @@ class TestCanonicalClasses:
         digest = hashlib.sha256(repr(canonical_classes(4)).encode()).hexdigest()
         assert digest == N4_CLASSES_SHA256
 
-    # one read of packed chunk rows per (support, pattern) builds the half
-    # rows; the walk over the relabelings then reads no orbit
+    # one read of packed chunk rows (encoding._chunk_or) per (support,
+    # pattern) builds the half rows; the walk over the relabelings then
+    # reads no orbit
     @pytest.mark.parametrize("n, class_count", [(3, len(N3_CLASSES)), (4, N4_CLASS_COUNT)])
     def test_orbit_calls_fixed_by_supports_and_patterns(self, monkeypatch, n, class_count):
         calls = 0
-        packed_orbit = enumeration._packed_orbit
+        chunk_or = enumeration._chunk_or
 
-        def counting_packed_orbit(*args):
+        def counting_chunk_or(*args):
             nonlocal calls
             calls += 1
-            return packed_orbit(*args)
+            return chunk_or(*args)
 
         def no_orbit(*args):
             raise AssertionError("the class walk unpacked an orbit")
 
-        monkeypatch.setattr(enumeration, "_packed_orbit", counting_packed_orbit)
+        monkeypatch.setattr(enumeration, "_chunk_or", counting_chunk_or)
         monkeypatch.setattr(enumeration, "orbit", no_orbit)
         canonical_classes.cache_clear()
         try:

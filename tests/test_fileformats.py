@@ -198,6 +198,21 @@ class TestRoundTrips:
             return
         assert parse_matrix(format_matrix(m)) == m
 
+    # labels are read through str, as DistanceMatrix reads them: the int 1
+    # is written as "1" and matches the token "1"
+    def test_triples_round_trip_with_integer_labels(self):
+        b = Betweenness.from_triples(3, [(0, 1, 2), (2, 1, 0)])
+        text = format_triples(b, [1, 2, 3])
+        assert text == "1 2 3\n3 2 1\n"
+        assert parse_triples(text, [1, 2, 3]) == b
+        assert parse_triples("1 2 3\n", [1, 2, 3]) == Betweenness.from_triples(3, [(0, 1, 2)])
+
+    def test_q4_triples_round_trip_with_integer_labels(self):
+        b = q4_betweenness()
+        labels = (10, 20, 30, 40)
+        assert parse_triples(format_triples(b, labels), labels) == b
+        assert parse_triples(format_triples(b, labels), map(str, labels)) == b
+
     def test_triples_format_requires_matching_labels(self):
         with pytest.raises(ValueError, match="labels"):
             format_triples(Betweenness(3, 0), ("a", "b"))

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -181,8 +182,13 @@ def test_integer_sweep_visits_one_matrix_per_orbit():
     ids=["sweep", "search"],
 )
 def test_integer_walk_over_the_relabeling_cap_is_refused_at_once(monkeypatch, walk):
-    def no_relabelings(*args):
-        raise AssertionError("the relabelings were listed")
+    # only the full permutations, with no length r, list relabelings;
+    # ordered_tuples(n, k) calls permutations too, for the consistency
+    # check's conflict table, and passes through
+    def no_relabelings(iterable, r=None):
+        if r is None:
+            raise AssertionError("the relabelings were listed")
+        return permutations(iterable, r)
 
     def no_walk(*args):
         raise AssertionError("the integer walk started")
