@@ -27,9 +27,10 @@ from .enumeration import (
     enumerate_consistent,
     verify_theorem_four_points,
 )
-from .encoding import ordered_pairs, ordered_triples
+from .encoding import _chunk_or, ordered_pairs, ordered_triples
 from .isomorphism import canonical_form, isomorphism_witness
 from .realizability import (
+    _certificate_tables,
     build_realization_system,
     realize,
     realize_bounded_integer,
@@ -219,12 +220,15 @@ def claim_four_point_corollary() -> Claim:
 
     A metric betweenness is closed under reversal: with d symmetric, xyz is
     in b iff zyx is.  So the metric LP runs only on reversal-closed classes,
-    and the paper's B is not metric: it holds cab but not bac.
+    and the paper's B is not metric: it holds cab but not bac.  The
+    reversal of a mask is one read of the sign check's present-bit rows,
+    from their reversal lane on.
     """
     classes = list(enumerate_consistent(4))
     int2 = kernels.integer_canon_witnesses(4, 2)
     digraph = kernels.digraph_canon_witnesses(4)
-    closed = [b for b in classes if all((z, y, x) in b for (x, y, z) in b.triples)]
+    _, _, reversal, _, present = _certificate_tables()
+    closed = [b for b in classes if _chunk_or(present, b.mask) >> reversal == b.mask]
     metric = {b.mask for b in closed if realize(b, "metric").realizable}
     realizable = {*metric, *int2, *digraph}
     bad = [b for b in classes if b.mask in realizable and not line_set(b).satisfies_dbe]

@@ -280,8 +280,10 @@ def cmd_realize(args) -> Report:
 
 def cmd_enumerate(args) -> Report:
     bounds = ()
-    if args.int:
+    if args.int is not None:
         tokens = [tok.strip() for tok in args.int.split(",") if tok.strip()]
+        if not tokens:
+            raise InputError(f"bad --int value {args.int!r}; expected e.g. 2,3")
         for tok in tokens:
             if not _is_decimal(tok):
                 raise InputError(f"bad --int value {tok!r}; expected e.g. 2,3")

@@ -16,6 +16,7 @@ from .encoding import (
     _about,
     _chunk_or,
     _conflict_table,
+    mask_from_bits,
     mask_from_triples,
     orbit,
     ordered_pairs,
@@ -24,6 +25,7 @@ from .encoding import (
     triple_at,
     triple_bit,
     triple_count,
+    triple_rows,
     triples_from_mask,
 )
 
@@ -253,15 +255,23 @@ class Betweenness(_Value):
         return bit is not None and bool(self.mask >> bit & 1)
 
 
+def _between_bits(n: int, d):
+    bit = 0
+    for x, y, zs in triple_rows(n):
+        dx, dy, dxy = d[x], d[y], d[x][y]
+        for z in zs:
+            if dx[z] == dxy + dy[z]:
+                yield bit
+            bit += 1
+
+
 def betweenness_mask(n: int, d) -> int:
     """The betweenness encoding of any n-by-n distance table d, rational or
     integer: bit i is set iff the i-th ordered triple (x,y,z) has
-    d(x,z) = d(x,y) + d(y,z)."""
-    mask = 0
-    for bit, (x, y, z) in enumerate(ordered_triples(n)):
-        if d[x][z] == d[x][y] + d[y][z]:
-            mask |= 1 << bit
-    return mask
+    d(x,z) = d(x,y) + d(y,z).  Linear in the triples: it counts their bits
+    along :func:`qmlines.encoding.triple_rows` and writes the members
+    through :func:`qmlines.encoding.mask_from_bits`."""
+    return mask_from_bits(_between_bits(n, d), triple_count(n))
 
 
 def betweenness_of(m: DistanceMatrix) -> Betweenness:
@@ -330,12 +340,12 @@ def _packed_table(n: int) -> _PackedTable:
             f"over the cap of {LINE_TABLE_CAP} (2^27)"
         )
     field = {pair: (n + 1) * k for k, pair in enumerate(ordered_pairs(n))}
-    base = sum((1 << x | 1 << y) << field[x, y] for (x, y) in field)
+    base = mask_from_bits((p + field[x, y] for (x, y) in field for p in (x, y)), width)
     parts = tuple(
         1 << c + field[a, b] | 1 << b + field[a, c] | 1 << a + field[b, c]
         for (a, b, c) in ordered_triples(n)
     )
-    ones = sum(1 << shift for shift in field.values())
+    ones = mask_from_bits(field.values(), width)
     return _PackedTable(base, ones, ones << n, parts)
 
 

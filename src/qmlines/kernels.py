@@ -15,9 +15,9 @@ breadth-first search per source over bit sets, :func:`shortest_paths`,
 gives the digraph distances for the sweep and for single digraphs.
 
 The digraph sweep reads the betweenness of its shortest-path rows through
-:func:`qmlines.core.betweenness_mask`, the reader behind every distance
-table.  The integer walk keeps its own test: it bounds every entry once per
-node by the triangles whose last pair it is, and the sums that set the
+:func:`qmlines.core.betweenness_mask`, the writer of every distance table's
+encoding.  The integer walk keeps its own test: it bounds every entry once
+per node by the triangles whose last pair it is, and the sums that set the
 bounds also set the triples' bits, so the bits cost nothing extra; reading
 each of the 254,602 leaves at n=4, K=4 again would be new work.
 """

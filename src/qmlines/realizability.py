@@ -30,13 +30,13 @@ from .encoding import (
     _about,
     _chunk_or,
     _chunk_rows,
+    mask_from_bits,
     mask_from_triples,
     orbit,
     ordered_pairs,
     ordered_triples,
     pair_position,
     pairs_from_mask,
-    set_bits,
     triple_bit,
     triple_count,
 )
@@ -219,11 +219,13 @@ def _certificate_tables():
         implied += orbit(4, mask_from_triples(4, [head]))
     zeros = [*dict.fromkeys(t for d in _ZERO_WITNESSES for t in orbit(4, betweenness_mask(4, d)))]
     # bit k of row j is set iff lane k's mask has triple j
-    absent, tight = [0] * 24, [0] * 24
-    for rows, masks in ((absent, members + implied), (tight, zeros)):
-        for k, mask in enumerate(masks):
-            for j in set_bits(mask):
-                rows[j] |= 1 << k
+    absent, tight = (
+        [
+            mask_from_bits((k for k, m in enumerate(lanes) if m >> j & 1), len(lanes))
+            for j in range(24)
+        ]
+        for lanes in (members + implied, zeros)
+    )
     reversal = len(zeros)
     zeros = (1 << reversal) - 1
     present = [

@@ -14,6 +14,7 @@ relations with too few lines by a stdlib brute force over every consistent
 relation, quasi-metric axiom violations on the Fraction entries of a
 matrix, with no integer table, the images of an encoding under every
 relabeling by relabeling its member triples or pairs one by one,
+encodings by setting the bit of each member triple one by one,
 consistency by the set-bit loop over the conflict masks that the chunked
 conflict table replaced, quasi-semimetrics by their axioms, one
 integer certificate per 4-point Horn rule and one for the metric reversal
@@ -135,6 +136,17 @@ def triples_by_table_filter(n: int, mask: int) -> tuple[tuple[int, int, int], ..
     """The member triples of an encoding, by filtering the lex-ordered table
     of every ordered triple on the mask's bits."""
     return tuple(t for i, t in enumerate(permutations(range(n), 3)) if mask >> i & 1)
+
+
+def mask_triple_by_triple(n: int, member) -> int:
+    """The encoding on n points whose bit i is set iff member(t) holds for
+    the i-th ordered triple t of distinct points in lex order, set one
+    triple at a time by `mask |= 1 << i`."""
+    mask = 0
+    for i, t in enumerate(permutations(range(n), 3)):
+        if member(t):
+            mask |= 1 << i
+    return mask
 
 
 def pairs_by_table_filter(n: int, mask: int) -> tuple[tuple[int, int], ...]:

@@ -483,6 +483,13 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert f"bad --int value {token!r}" in err
 
+    # a value that holds no bound is an error, not the absence of --int
+    @pytest.mark.parametrize("value", [",", "", " , ,"])
+    def test_int_with_no_bound_is_input_error(self, capsys, value):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--int", value)
+        assert (code, out) == (2, "")
+        assert f"bad --int value {value!r}" in err
+
     def test_int_bounds_are_stripped(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--int", " 2 , 3,")
         assert code == 0

@@ -14,6 +14,7 @@ from qmlines.core import (
     _line_fields,
     _packed_lines,
     _packed_table,
+    betweenness_mask,
     betweenness_of,
     consistency_check,
     default_labels,
@@ -24,6 +25,7 @@ from qmlines.core import (
 )
 from qmlines.encoding import (
     _conflict_table,
+    mask_from_bits,
     mask_from_triples,
     ordered_pairs,
     ordered_triples,
@@ -33,6 +35,7 @@ from qmlines.encoding import (
     triple_at,
     triple_bit,
     triple_count,
+    triple_rows,
     triples_from_mask,
 )
 from qmlines.enumeration import canonical_classes
@@ -51,6 +54,7 @@ from oracles import (
     consistent_masks,
     line_from_distances,
     line_from_triples,
+    mask_triple_by_triple,
     pairs_by_table_filter,
     triples_by_table_filter,
     violations_by_fractions,
@@ -206,7 +210,9 @@ class TestBetweenness:
         assert triple not in Betweenness(3, (1 << 6) - 1)
 
     def test_from_triples_names_the_triple_it_cannot_place(self):
-        for bad in [(0, 0, 1), (0, 1, 3), (0, 1)]:
+        # a negative point, left unchecked, would index the writer's buffer
+        # from its end
+        for bad in [(0, 0, 1), (0, 1, 3), (0, 1), (-1, 0, 1)]:
             with pytest.raises(ValueError) as refused:
                 Betweenness.from_triples(3, [(0, 1, 2), bad])
             assert str(refused.value) == (
@@ -269,6 +275,85 @@ class TestBetweenness:
         assert Betweenness.from_triples(3, [(0, 2, 1)]).mask == 2
         assert Betweenness.from_triples(3, [(2, 1, 0)]).mask == 32
         assert Betweenness.from_triples(3, [(0, 1, 2), (2, 1, 0)]).mask == 33
+
+
+class TestMaskWriter:
+    """The one writer of encodings, `mask_from_bits`, and the two that write
+    through it, against the oracle that sets each member's bit with
+    `mask |= 1 << i`."""
+
+    @staticmethod
+    def tables(n, rng):
+        """Seeded integer and rational tables, one with no members (every
+        entry 1 off the diagonal, so each sum is 2) and two all-equal ones:
+        all zeros, where every triple is a member, and all ones, where none
+        is."""
+        return [
+            [[0 if i == j else rng.randint(1, 3) for j in range(n)] for i in range(n)],
+            [
+                [Fraction(0) if i == j else Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                 for j in range(n)]
+                for i in range(n)
+            ],
+            [[0 if i == j else 1 for j in range(n)] for i in range(n)],
+            [[0] * n for _ in range(n)],
+            [[1] * n for _ in range(n)],
+        ]
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 40])
+    def test_betweenness_mask_sets_the_oracles_bits(self, n):
+        rng = random.Random(7100 + n)
+        masks = []
+        for d in self.tables(n, rng):
+            expected = mask_triple_by_triple(
+                n, lambda t: d[t[0]][t[2]] == d[t[0]][t[1]] + d[t[1]][t[2]]
+            )
+            assert betweenness_mask(n, d) == expected
+            masks.append(expected)
+        assert masks[2:] == [0, (1 << triple_count(n)) - 1, 0]
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 40])
+    def test_mask_from_triples_sets_the_oracles_bits(self, n):
+        rng = random.Random(7200 + n)
+        triples = list(permutations(range(n), 3))
+        picked = rng.sample(triples, len(triples) // 3)
+        lists = [[], triples, picked, picked + picked[::2]]  # empty, full, duplicates
+        if triples:  # bit 0 and the top bit, alone and with others
+            lists += [[triples[0]], [triples[-1]], [triples[-1], *picked, triples[0], triples[0]]]
+        for chosen in lists:
+            expected = mask_triple_by_triple(n, set(chosen).__contains__)
+            assert mask_from_triples(n, chosen) == mask_from_triples(n, iter(chosen)) == expected
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 1000])
+    def test_mask_from_bits_inverts_set_bits(self, width):
+        rng = random.Random(7400 + width)
+        masks = [0] + [rng.getrandbits(width) for _ in range(5)]
+        if width:
+            masks += [1, 1 << width - 1, (1 << width) - 1]
+        for mask in masks:
+            bits = list(set_bits(mask))
+            assert mask_from_bits(bits, width) == mask
+            assert mask_from_bits(iter(bits + bits[::-1]), width) == mask  # duplicates collapse
+
+    # walking the triples by their first pair builds 58 points per pair,
+    # about 1.2 MB, where the table of all 205,320 ordered triples took about
+    # 15 MB: peaks of 1.5 MiB here and 14.3 MiB with that table, Python 3.11
+    def test_betweenness_of_60_points_builds_no_triple_table(self):
+        rng = random.Random(60)
+        rows = [[0 if i == j else rng.randint(1, 2) for j in range(60)] for i in range(60)]
+        m = DistanceMatrix(default_labels(60), rows)
+        ordered_tuples.cache_clear()
+        triple_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            b = betweenness_of(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b.mask == mask_triple_by_triple(
+            60, lambda t: rows[t[0]][t[2]] == rows[t[0]][t[1]] + rows[t[1]][t[2]]
+        )
+        assert peak < 4 * 2**20
 
 
 class TestSegment:
