@@ -21,6 +21,7 @@ from .encoding import (
     orbit,
     ordered_pairs,
     ordered_triples,
+    pair_position,
     set_bits,
     triple_at,
     triple_bit,
@@ -60,9 +61,10 @@ class _Value:
     `__slots__` but not in `_compared`) take no part in either.  Fields are
     set once, through `object.__setattr__`: in `__init__`, or in a private
     constructor that skips its checks for values already known to pass them
-    (`Relabeling._of`).  A derived slot may instead be left unset and filled
-    on its first read, as `Betweenness._class_key` and
-    `LinearSystem._constraints` are.
+    (`Relabeling._of`, `LineSet._of`).  A derived slot may instead be left
+    unset and filled on its first read, as `Betweenness._class_key` and
+    `LinearSystem._constraints` are; a compared field may be such a slot's
+    property, as `LineSet.by_pair` and `LineSet.lines` are.
     """
 
     __slots__ = ()
@@ -316,14 +318,11 @@ class _PackedTable(NamedTuple):
     b on line(a, c) and a on line(b, c), since z is on line(x, y) iff zxy,
     xzy or xyz is a member.  So a relation's packed lines are base OR the
     parts of its member triples, and the packed lines of a union are the OR
-    of theirs.  Adding ones, a 1 at the bottom of every field, carries into
-    a field's guard bit exactly when all its n point bits are set: packed
-    lines have a universal line iff (packed + ones) & guards.
+    of theirs.  Their fields are read by :func:`_line_fields`, and their
+    universal line by one carry (:func:`_line_carry`).
     """
 
     base: int
-    ones: int
-    guards: int
     parts: tuple[int, ...]
 
 
@@ -345,8 +344,18 @@ def _packed_table(n: int) -> _PackedTable:
         1 << c + field[a, b] | 1 << b + field[a, c] | 1 << a + field[b, c]
         for (a, b, c) in ordered_triples(n)
     )
-    ones = mask_from_bits(field.values(), width)
-    return _PackedTable(base, ones, ones << n, parts)
+    return _PackedTable(base, parts)
+
+
+@lru_cache(maxsize=None)
+def _line_carry(n: int) -> tuple[int, int]:
+    """(ones, guards) of packed lines on n points, at any n: ones has a 1 at
+    the bottom of every field, guards every field's guard bit.  Adding ones
+    carries into a field's guard exactly when all its n point bits are set,
+    so packed lines have a universal line iff (packed + ones) & guards."""
+    width = (n + 1) * n * (n - 1)
+    ones = mask_from_bits(range(0, width, n + 1), width)
+    return ones, ones << n
 
 
 def _packed_lines(n: int, mask: int) -> int:
@@ -381,27 +390,99 @@ def line_of_pair(b: Betweenness, x: int, y: int) -> frozenset[int]:
     """The line of the ordered pair (x, y), determined by the betweenness alone.
 
     z lies on it iff one of zxy, xzy, xyz is in the relation; x and y always
-    do.  Read from :func:`line_set`.  Note line(x, y) and line(y, x) may
-    differ.
+    do.  Read as the one field of (x, y) in the relation's packed lines (see
+    :class:`_PackedTable`), so no other pair's line is built.  Note
+    line(x, y) and line(y, x) may differ.
     """
-    x, y = _check_points(b.n, x, y, "line")
-    return line_set(b).by_pair[x, y]
+    n = b.n
+    x, y = _check_points(n, x, y, "line")
+    return _points(_packed_lines(n, b.mask) >> (n + 1) * pair_position(n)[x, y] & (1 << n) - 1)
 
 
-class LineSet(NamedTuple):
-    """The lines of all n(n-1) ordered pairs, plus the deduplicated family."""
+def _packed_line_bits(n: int, by_pair):
+    """The bits of by_pair's lines in packed lines on n points, checked: by_pair
+    maps the n(n-1) ordered pairs, and nothing else, to sets of points in
+    0..n-1 that hold both points of their pair."""
+    pairs = ordered_pairs(n)
+    if by_pair.keys() != set(pairs):
+        raise ValueError(f"by_pair must map exactly the {len(pairs)} ordered pairs of {n} points")
+    for shift, (x, y) in zip(range(0, (n + 1) * len(pairs), n + 1), pairs):
+        line = {as_index(z, "line point") for z in by_pair[x, y]}
+        if not (x in line and y in line and 0 <= min(line) and max(line) < n):
+            raise ValueError(
+                f"line {sorted(line)} of pair {(x, y)} must hold {x} and {y} within 0..{n - 1}"
+            )
+        yield from (shift + z for z in line)
 
+
+class LineSet(_Value):
+    """The lines of all n(n-1) ordered pairs, plus the deduplicated family,
+    held as the relation's packed lines (see :class:`_PackedTable`).
+
+    line_count is the number of distinct fields and has_universal one carry
+    (:func:`_line_carry`), so neither builds a point set.  by_pair, a dict
+    in ordered_pairs(n) order, and lines, the frozenset of distinct lines,
+    are built from the fields on their first read and kept.  The constructor
+    packs by_pair into that int, with a ValueError unless by_pair gives each
+    ordered pair a line through both its points and lines are by_pair's
+    distinct lines; :func:`line_set` hands over the packed lines it built,
+    through the private `_of`.
+    """
+
+    # _by_pair and _lines are derived from _packed; each stays unset until
+    # its field is first read
+    __slots__ = ("n", "_packed", "_by_pair", "_lines")
+    _compared = ("n", "by_pair", "lines")
     n: int
-    by_pair: Mapping[tuple[int, int], frozenset[int]]
-    lines: frozenset[frozenset[int]]
+    _packed: int
+    _by_pair: dict[tuple[int, int], frozenset[int]]
+    _lines: frozenset[frozenset[int]]
+
+    def __init__(self, n: int, by_pair: Mapping[tuple[int, int], Iterable[int]], lines):
+        n = as_index(n, "point count")
+        if n < 2:
+            raise ValueError(f"need at least 2 points, got {n}")
+        object.__setattr__(self, "n", n)
+        packed = mask_from_bits(_packed_line_bits(n, by_pair), (n + 1) * n * (n - 1))
+        object.__setattr__(self, "_packed", packed)
+        if frozenset(map(frozenset, lines)) != self.lines:
+            raise ValueError("lines must be the distinct lines of by_pair")
+
+    @classmethod
+    def _of(cls, n: int, packed: int) -> "LineSet":
+        """The line set of packed lines on n points, without __init__'s
+        checks: for :func:`line_set`, whose packed lines `_packed_lines`
+        built.  Copies and pickles still go through __init__ (see `_Value`)."""
+        ls = object.__new__(cls)
+        object.__setattr__(ls, "n", n)
+        object.__setattr__(ls, "_packed", packed)
+        return ls
+
+    @property
+    def by_pair(self) -> dict[tuple[int, int], frozenset[int]]:
+        by_pair = getattr(self, "_by_pair", None)
+        if by_pair is None:
+            fields = _line_fields(self.n, self._packed)
+            by_pair = dict(zip(ordered_pairs(self.n), map(_points, fields)))
+            object.__setattr__(self, "_by_pair", by_pair)
+        return by_pair
+
+    @property
+    def lines(self) -> frozenset[frozenset[int]]:
+        lines = getattr(self, "_lines", None)
+        if lines is None:
+            lines = frozenset(map(_points, _line_fields(self.n, self._packed)))
+            object.__setattr__(self, "_lines", lines)
+        return lines
 
     @property
     def line_count(self) -> int:
-        return len(self.lines)
+        return len(set(_line_fields(self.n, self._packed)))
 
     @property
     def has_universal(self) -> bool:
-        return any(len(line) == self.n for line in self.lines)
+        ones, guards = _line_carry(self.n)
+        return bool((self._packed + ones) & guards)
 
     @property
     def satisfies_dbe(self) -> bool:
@@ -414,11 +495,10 @@ def _dbe_rule(n: int, line_count: int, has_universal: bool) -> bool:
 
 
 def line_set(b: Betweenness) -> LineSet:
-    """The lines of every ordered pair, keyed in ordered_pairs(n) order:
-    the fields of the relation's packed lines (see :class:`_PackedTable`)."""
-    fields = _line_fields(b.n, _packed_lines(b.n, b.mask))
-    by_pair = dict(zip(ordered_pairs(b.n), map(_points, fields)))
-    return LineSet(b.n, by_pair, frozenset(by_pair.values()))
+    """The lines of every ordered pair: the relation's packed lines (see
+    :class:`_PackedTable`), wrapped as they are, so that reading the counts
+    builds no point set."""
+    return LineSet._of(b.n, _packed_lines(b.n, b.mask))
 
 
 def consistency_check(b: Betweenness) -> bool:

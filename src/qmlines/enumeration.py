@@ -29,6 +29,7 @@ from .core import (
     Betweenness,
     DistanceMatrix,
     _dbe_rule,
+    _line_carry,
     _line_fields,
     _packed_lines,
     _packed_table,
@@ -39,7 +40,7 @@ from .core import (
 from .encoding import _chunk_or, _lanes, _orbit_table, _pack_lanes, mask_from_triples, orbit
 from .encoding import orbit_class, set_bits, supports
 from .isomorphism import canonical_form
-from .realizability import realize
+from .realizability import _sign, realize
 
 SUPPORTED_N = (3, 4)
 
@@ -168,25 +169,32 @@ class ClassificationRecord(NamedTuple):
 
 
 def _base_record(n, mask, orbit_size) -> ClassificationRecord:
+    """The record of one class, with no integer verdicts: its line counts,
+    read off the packed lines, and its LP verdicts.  At n=4 a class whose
+    quasi sign (`realizability._sign`) is not 1 breaks a Horn rule, so it
+    is neither quasi- nor metric-realizable and has no witness, and
+    `realize` is not called; the 273 quasi-positive classes and every class
+    at other n ask `realize` for their witness and metric verdict."""
     b = Betweenness(n, mask)
     ls = line_set(b)
-    quasi = realize(b, "quasi")
-    if quasi.realizable:
-        realizable_metric = realize(b, "metric").realizable
-    else:
+    quasi = realizable_metric = False
+    witness = None
+    if n != 4 or _sign(mask, "quasi") == 1:
+        outcome = realize(b, "quasi")
+        quasi, witness = outcome.realizable, outcome.witness
         # metric realizability implies quasi realizability
-        realizable_metric = False
+        realizable_metric = quasi and realize(b, "metric").realizable
     return ClassificationRecord(
         canonical=b,
         class_size=orbit_size,
         line_count=ls.line_count,
         has_universal=ls.has_universal,
         satisfies_dbe=ls.satisfies_dbe,
-        realizable_quasi=quasi.realizable,
+        realizable_quasi=quasi,
         realizable_metric=realizable_metric,
         realizable_int={},
         realizable_digraph=mask in kernels.digraph_canon_witnesses(n),
-        witness=quasi.witness,
+        witness=witness,
     )
 
 
@@ -198,10 +206,11 @@ def _base_records(n: int) -> tuple[ClassificationRecord, ...]:
 def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
     """Classify every canonical consistent relation on n points.
 
-    Decides each class by `realize` (quasi always, metric when quasi
-    succeeds), whose certificates settle 3,048 quasi and 240 metric systems
-    at n=4 with no LP, then runs the digraph sweep and one integer sweep
-    per requested bound.  Records are sorted by canonical encoding.
+    Decides each class by `realize` (quasi, then metric when quasi
+    succeeds); at n=4 the sign tables refute 4,182 classes before that, so
+    only the 273 quasi-positive ones ask it: 282 vertex LPs and 24 value
+    LPs in all.  Then runs the digraph sweep and one integer sweep per
+    requested bound.  Records are sorted by canonical encoding.
     """
     _check_supported(n)
     # checked before the maps' cache, whose key 2.0 is 2
@@ -237,7 +246,7 @@ def _dbe_failing_masks(n: int) -> list[int]:
     distinct fields.
     """
     table = _packed_table(n)
-    ones, guards = table.ones, table.guards
+    ones, guards = _line_carry(n)
     groups = [
         [(pattern, _packed_lines(n, pattern)) for pattern in masks]
         for masks in _support_pattern_masks(n)

@@ -6,6 +6,7 @@ from distance entries, LP optima by exhaustive vertex enumeration, random
 quasi-metrics by min-plus closure, bounded-integer realizations, integer
 witness maps and digraph classes by trying every matrix or arc set (digraph
 distances by Floyd-Warshall), lines straight from the member triples,
+a relation's whole line set, counts and DBE verdict from its encoding,
 every consistent relation as the product of per-support patterns,
 isomorphism classes by canonicalizing every relation, realization systems
 built row by row for each relation, the simplex with two stored columns
@@ -89,6 +90,24 @@ def line_from_triples(b, x: int, y: int) -> frozenset[int]:
         for z in range(b.n)
         if z in (x, y) or {(z, x, y), (x, z, y), (x, y, z)} & members
     )
+
+
+def lines_by_members(n: int, mask: int):
+    """(by_pair, lines, line_count, has_universal, satisfies_dbe) of the
+    relation with encoding mask (bit i for the i-th ordered triple of
+    distinct points, lex order), from its member triples alone: z is on
+    line(x, y) iff zxy, xzy or xyz is a member; DBE holds iff some line is
+    universal or there are at least n distinct lines."""
+    members = {t for i, t in enumerate(permutations(range(n), 3)) if mask >> i & 1}
+    by_pair = {
+        (x, y): frozenset(
+            z for z in range(n) if z in (x, y) or {(z, x, y), (x, z, y), (x, y, z)} & members
+        )
+        for x, y in permutations(range(n), 2)
+    }
+    lines = frozenset(by_pair.values())
+    universal = frozenset(range(n)) in lines
+    return by_pair, lines, len(lines), universal, universal or len(lines) >= n
 
 
 def support_patterns() -> list[tuple[tuple[int, int, int], ...]]:

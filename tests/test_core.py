@@ -11,6 +11,8 @@ from qmlines import core
 from qmlines.core import (
     Betweenness,
     DistanceMatrix,
+    LineSet,
+    _line_carry,
     _line_fields,
     _packed_lines,
     _packed_table,
@@ -54,6 +56,7 @@ from oracles import (
     consistent_masks,
     line_from_distances,
     line_from_triples,
+    lines_by_members,
     mask_triple_by_triple,
     pairs_by_table_filter,
     triples_by_table_filter,
@@ -441,26 +444,65 @@ class TestLines:
 
 
 def _relations_for_line_check(n):
-    """All 18 raw relations at n=3, all 4,455 classes at n=4, and 50 seeded
-    random consistent relations above that."""
+    """Every consistent relation at n=3, all 4,455 classes at n=4, and above
+    that the empty relation, the full one (n points on a line, where every
+    line is universal) and 50 seeded random consistent relations."""
     if n == 3:
         return [Betweenness(3, m) for m in consistent_masks(3)]
     if n == 4:
         return [Betweenness(4, m) for m, _ in canonical_classes(4)]
     rng = random.Random(n)
-    return [random_consistent(n, rng) for _ in range(50)]
+    on_a_line = [(x, y, z) for x, y, z in ordered_triples(n) if x < y < z or x > y > z]
+    full = Betweenness.from_triples(n, on_a_line)
+    return [Betweenness(n, 0), full, *(random_consistent(n, rng) for _ in range(50))]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def _counts(ls):
+    return ls.line_count, ls.has_universal, ls.satisfies_dbe
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_line_set_matches_member_triples(n):
     for b in _relations_for_line_check(n):
-        expected = {(x, y): line_from_triples(b, x, y) for (x, y) in ordered_pairs(n)}
+        by_pair, lines, *counts = lines_by_members(n, b.mask)
+        # the counts are read off the packed lines, building no point set
         ls = line_set(b)
+        assert _counts(ls) == tuple(counts)
+        assert not hasattr(ls, "_by_pair") and not hasattr(ls, "_lines")
         assert list(ls.by_pair) == list(ordered_pairs(n))
-        assert ls.by_pair == expected
-        assert ls.lines == frozenset(ls.by_pair.values())
-        for (x, y), line in expected.items():
+        assert ls.by_pair == by_pair
+        assert ls.lines == lines
+        for (x, y), line in by_pair.items():
             assert line_of_pair(b, x, y) == line
+        # the public constructor packs by_pair into the same int
+        rebuilt = LineSet(n, ls.by_pair, ls.lines)
+        assert rebuilt == ls and _counts(rebuilt) == tuple(counts)
+
+
+UNIVERSAL_3 = dict.fromkeys(ordered_pairs(3), {0, 1, 2})
+
+
+@pytest.mark.parametrize(
+    "by_pair, lines, message",
+    [
+        ({(0, 1): {0, 1}}, [{0, 1}], "by_pair must map exactly the 6 ordered pairs of 3 points"),
+        (
+            {**UNIVERSAL_3, (0, 1): {0, 2}},
+            [{0, 1, 2}, {0, 2}],
+            r"line \[0, 2\] of pair \(0, 1\) must hold 0 and 1 within 0..2",
+        ),
+        (
+            {**UNIVERSAL_3, (2, 0): {0, 2, 3}},
+            [{0, 1, 2}, {0, 2, 3}],
+            r"line \[0, 2, 3\] of pair \(2, 0\) must hold 2 and 0 within 0..2",
+        ),
+        (UNIVERSAL_3, [], "lines must be the distinct lines of by_pair"),
+        (UNIVERSAL_3, [{0, 1, 2}, {0, 1}], "lines must be the distinct lines of by_pair"),
+    ],
+)
+def test_line_set_constructor_refuses_what_it_cannot_pack(by_pair, lines, message):
+    with pytest.raises(ValueError, match=message):
+        LineSet(3, by_pair, lines)
 
 
 @st.composite
@@ -482,15 +524,15 @@ def any_relations(draw, min_n=3, max_n=6):
 @given(any_relations(), st.data())
 def test_packed_lines_match_member_triples(b, data):
     n = b.n
-    table = _packed_table(n)
+    ones, guards = _line_carry(n)
     packed = _packed_lines(n, b.mask)
     expected = [line_from_triples(b, x, y) for (x, y) in ordered_pairs(n)]
-    assert packed & table.guards == 0
+    assert packed & guards == 0
     fields = _line_fields(n, packed)
     assert [frozenset(z for z in range(n) if f >> z & 1) for f in fields] == expected
     # one addition finds a universal line; the fields count the lines
     universal = any(len(line) == n for line in expected)
-    assert bool((packed + table.ones) & table.guards) == universal
+    assert bool((packed + ones) & guards) == universal
     assert len(set(fields)) == len(set(expected))
     ls = line_set(b)
     assert ls.has_universal == universal

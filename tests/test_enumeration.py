@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from qmlines import enumeration, fixtures, kernels
+from qmlines import enumeration, fixtures, kernels, realizability
 from qmlines.core import Betweenness, DistanceMatrix, consistency_check, line_set
 from qmlines.encoding import orbit, supports
 from qmlines.enumeration import (
@@ -243,6 +243,34 @@ class TestClassifyFourPoints:
         assert sum(r.realizable_int[3] for r in records) == 265
         assert sum(r.realizable_digraph for r in records) == 83
 
+    def test_the_sign_tables_refute_before_any_realize(self, monkeypatch):
+        # only the 273 quasi-positive classes ask realize, quasi then metric:
+        # 546 systems, 282 vertex LPs (273 quasi, 9 metric) and 24 value LPs
+        # (the metric systems that the tables leave open)
+        calls = dict.fromkeys(("maximize_slack", "_optimum", "_simplex_max"), 0)
+
+        def counted(name, solve):
+            def call(*args):
+                calls[name] += 1
+                return solve(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(realizability, name, counted(name, getattr(realizability, name)))
+        asked = []
+        solve = enumeration.realize
+
+        def realize(b, variant="quasi"):
+            asked.append(b.mask)
+            return solve(b, variant)
+
+        monkeypatch.setattr(enumeration, "realize", realize)
+        enumeration._base_records.__wrapped__(4)
+        assert calls == {"maximize_slack": 546, "_optimum": 24, "_simplex_max": 282}
+        assert len(asked) == 546 and len(set(asked)) == 273
+        assert all(realizability._sign(mask, "quasi") == 1 for mask in asked)
+
     def test_witness_present_iff_realizable(self, records):
         for r in records:
             assert (r.witness is not None) == r.realizable_quasi
@@ -373,7 +401,7 @@ class TestTheorem:
     def test_walk_nodes_are_pinned(self, monkeypatch):
         # 18 + 324 + 1,206 + 3,132 by depth: the universal-line cut leaves
         # 4,680 of the 18 + 18^2 + 18^3 + 18^4 nodes of the product; each
-        # node adds the table's ones once, in its universal-line test
+        # node adds the carry's ones once, in its universal-line test
         nodes = 0
 
         class CountingOnes(int):
@@ -382,8 +410,7 @@ class TestTheorem:
                 nodes += 1
                 return other + int(self)
 
-        table = enumeration._packed_table(4)
-        counting = table._replace(ones=CountingOnes(table.ones))
-        monkeypatch.setattr(enumeration, "_packed_table", lambda n: counting)
+        ones, guards = enumeration._line_carry(4)
+        monkeypatch.setattr(enumeration, "_line_carry", lambda n: (CountingOnes(ones), guards))
         assert len(enumeration._dbe_failing_masks(4)) == 12
         assert nodes == 4680
