@@ -14,8 +14,11 @@ OR of the rows of its nonzero chunks (:func:`_chunk_or`).  Up to n=5 for
 triples and n=6 for pairs, an orbit table value packs all n! images into one
 int, lane by lane (:func:`_lanes`); past that an orbit reads its members'
 images alone.  The conflict table holds the excluded companions of each
-chunk value's triples, up to n=10.  :func:`set_bits` lists members; only two
-hot loops list set bits inline (`core._packed_lines`, `kernels.shortest_paths`).
+chunk value's triples, up to n=10, and the packed line table
+(`core._packed_table`) the lines of each chunk value's triples, up to n=9:
+each stops where its rows would pass 2^24 bits (:func:`_chunk_rows_fit`).
+:func:`set_bits` lists members, past those sizes too; only one hot loop
+lists set bits inline (`kernels.shortest_paths`).
 The one writer, :func:`mask_from_bits`, mirrors `set_bits`: a mask costs
 time linear in its members plus its width, through :func:`mask_from_triples`
 or `core.betweenness_mask`, which walks :func:`triple_rows` and builds no
@@ -146,14 +149,24 @@ def conflict_masks(n: int) -> tuple[int, ...]:
     )
 
 
+def _chunk_rows_fit(nbits: int, width: int) -> bool:
+    """Whether the :func:`_chunk_rows` of an nbits-bit encoding, 256 values
+    per 8-bit chunk, each value width bits wide, stay within 2^24 bits: the
+    one size rule of the conflict table (width nbits, n <= 10) and of the
+    packed line table's rows (`core._packed_table`, width (n+1)n(n-1),
+    n <= 9)."""
+    return -(-nbits // 8) * 256 * width <= 1 << 24
+
+
 @lru_cache(maxsize=None)
 def _conflict_table(n: int) -> tuple[tuple[int, ...], ...] | None:
     """rows[c][v] is the OR of conflict_masks(n) over the set bits of value
     v in the 8-bit chunk c of an encoding, so the excluded companions of a
     mask's triples are the OR of its chunks' rows.  None, with nothing
-    built, once the table would pass 2^24 bits (n > 10)."""
+    built, where the rows, each value as wide as the encoding, would pass
+    :func:`_chunk_rows_fit`'s 2^24 bits (n > 10)."""
     nbits = triple_count(n)
-    if -(-nbits // 8) * 256 * nbits > 1 << 24:
+    if not _chunk_rows_fit(nbits, nbits):
         return None
     return _chunk_rows(conflict_masks(n))
 

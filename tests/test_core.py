@@ -523,6 +523,39 @@ def any_relations(draw, min_n=3, max_n=6):
 
 @given(any_relations(), st.data())
 def test_packed_lines_match_member_triples(b, data):
+    other = data.draw(st.integers(min_value=0, max_value=(1 << triple_count(b.n)) - 1))
+    _assert_packed_lines_match_member_triples(b, other)
+
+
+# n=9 reads the packed table's chunk rows, the largest n that has them;
+# n=10..12 OR the parts of the members that set_bits lists
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_packed_lines_match_member_triples_on_both_routes(n):
+    assert (_packed_table(n).rows is None) == (n > 9)
+    rng = random.Random(2950 + n)
+    nbits = triple_count(n)
+    masks = [0, 1 << nbits - 1, (1 << nbits) - 1]
+    for _ in range(3):
+        masks += [
+            random_consistent(n, rng).mask,
+            mask_from_triples(n, rng.sample(ordered_triples(n), 2 * n)),
+            rng.getrandbits(nbits),
+        ]
+    for mask in masks:
+        _assert_packed_lines_match_member_triples(Betweenness(n, mask), rng.getrandbits(nbits))
+
+
+def test_line_rows_and_conflict_table_share_one_budget():
+    # 2^24 bits of chunk rows: 63 chunks of 256 values of 720 bits at n=9,
+    # where n=10 would take 90 of 990; the conflict table's values, as wide
+    # as the encoding, fit up to n=10 (90 of 720) and not at n=11 (124 of 990)
+    assert len(_packed_table(9).rows) == 63
+    assert _packed_table(10).rows is None
+    assert len(_conflict_table(10)) == 90
+    assert _conflict_table(11) is None
+
+
+def _assert_packed_lines_match_member_triples(b, other):
     n = b.n
     ones, guards = _line_carry(n)
     packed = _packed_lines(n, b.mask)
@@ -539,7 +572,6 @@ def test_packed_lines_match_member_triples(b, data):
     assert ls.line_count == len(set(expected))
     # the packed lines of a union are the OR of theirs, as the theorem walk
     # assumes when it ORs in one pattern at a time
-    other = data.draw(st.integers(min_value=0, max_value=(1 << triple_count(n)) - 1))
     assert _packed_lines(n, b.mask | other) == packed | _packed_lines(n, other)
 
 

@@ -117,6 +117,26 @@ class TestRealize:
             assert realize(b, "quasi").realizable
             assert realize(b, "metric").realizable == row["metric"]
 
+    def test_realizable_is_the_comparison_of_a_feasible_optimum_with_zero(self):
+        # realizable reads the sign of the optimum's numerator; it must be
+        # the Fraction comparison on every outcome realize hands out
+        rng = random.Random(5310)
+        relations = [Betweenness(4, mask) for mask, _ in canonical_classes(4)]
+        relations += [r.canonical for r in classify(3)]
+        for _ in range(20):
+            rows = [[rng.randint(1, 5) for _ in range(5)] for _ in range(5)]
+            relations.append(betweenness_of(DistanceMatrix(tuple("abcde"), min_plus_closure(rows))))
+        kinds = Counter()
+        for b in relations:
+            for variant in VARIANTS:
+                outcome = realize(b, variant)
+                assert outcome.realizable == (
+                    outcome.status == "feasible" and outcome.optimal_slack > 0
+                ), (b, variant)
+                kinds[outcome.status, outcome.realizable] += 1
+        # positive, non-positive and infeasible optima are all among them
+        assert set(kinds) == {("feasible", True), ("feasible", False), ("infeasible", False)}
+
 
 class TestRealizationSystem:
     @pytest.mark.parametrize("variant", ["quasi", "metric"])
