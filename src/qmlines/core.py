@@ -222,7 +222,8 @@ class Betweenness(_Value):
         n, mask = as_index(n, "point count"), as_index(mask, "mask")
         if n < 2:
             raise ValueError(f"need at least 2 points, got {n}")
-        if not 0 <= mask < 1 << triple_count(n):
+        # bit_length, not 1 << triple_count(n): no int as wide as the encoding
+        if mask < 0 or mask.bit_length() > triple_count(n):
             raise ValueError(f"mask {mask} out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
@@ -250,7 +251,7 @@ class Betweenness(_Value):
         return key
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, triple) -> bool:
         """False for a triple that is not an ordered triple of distinct

@@ -10,13 +10,17 @@ with the one rule for a class's least image and orbit size, :func:`orbit_class`.
 The relabelings themselves are built once per n, in lex order, and shared.
 Orbits, consistency and the 4-point signs read chunk tables: one row per
 8-bit chunk of the encoding, one value per chunk value, so an answer is the
-OR of the rows of its nonzero chunks (:func:`_chunk_or`).  Up to n=5 for
-triples and n=6 for pairs, an orbit table value packs all n! images into one
-int, lane by lane (:func:`_lanes`); past that an orbit reads its members'
-images alone.  The conflict table holds the excluded companions of each
-chunk value's triples, up to n=10, and the packed line table
-(`core._packed_table`) the lines of each chunk value's triples, up to n=9:
-each stops where its rows would pass 2^24 bits (:func:`_chunk_rows_fit`).
+OR of the rows of its nonzero chunks (:func:`_chunk_or`).  Up to n=5, for
+triples and pairs, an orbit table value packs all n! images into one int,
+lane by lane (:func:`_lanes`); past that an orbit reads its members' images
+alone.  The conflict table holds the excluded companions of each chunk
+value's triples, up to n=10, and the packed line rows the lines of each
+chunk value's triples, up to n=9: each stops where its rows would pass 2^24
+bits (:func:`_chunk_rows_fit`).  The orbit tables and their lanes are read
+here alone: other modules ask :func:`orbit`, or :func:`_pattern_images` for
+the class walk.  The packed line table is `core`'s and the 4-point
+certificate tables are `realizability`'s; each reads its own through
+:func:`_chunk_or`.
 :func:`set_bits` lists members, past those sizes too; only one hot loop
 lists set bits inline (`kernels.shortest_paths`).
 The one writer, :func:`mask_from_bits`, mirrors `set_bits`: a mask costs
@@ -152,9 +156,10 @@ def conflict_masks(n: int) -> tuple[int, ...]:
 def _chunk_rows_fit(nbits: int, width: int) -> bool:
     """Whether the :func:`_chunk_rows` of an nbits-bit encoding, 256 values
     per 8-bit chunk, each value width bits wide, stay within 2^24 bits: the
-    one size rule of the conflict table (width nbits, n <= 10) and of the
-    packed line table's rows (`core._packed_table`, width (n+1)n(n-1),
-    n <= 9)."""
+    one size rule of every chunk table.  The conflict table (width nbits)
+    fits up to n=10, the packed line table's rows (`core._packed_lines`,
+    width (n+1)n(n-1)) up to n=9, and the orbit tables (width n! lanes) up
+    to n=5, for triples and for pairs."""
     return -(-nbits // 8) * 256 * width <= 1 << 24
 
 
@@ -182,7 +187,7 @@ RELABELING_CAP = factorial(8)
 # n=4 up to K=4, and n=5 with K=2
 INTEGER_SWEEP_CAP = 2**24
 
-# most bytes of the packed line table (core._packed_table), one int of
+# most bytes of the packed line table (`core`'s), one int of
 # (n+1)n(n-1) bits per ordered triple, about n^6/8 bytes: 82 MB at n=30, and
 # n=32, at 122 MB, is the largest it admits
 LINE_TABLE_CAP = 2**27
@@ -266,13 +271,13 @@ def _orbit_table(n: int, k: int) -> tuple[str, int, tuple[tuple[int, ...], ...]]
     most 32 bits, else "Q" (8 bytes).  The rows are ORs of packed
     single-bit rows, so ORing a mask's rows (:func:`_chunk_or`) ORs its
     images lane by lane, and no lane carries into the next.  None, with
-    nothing built, past about 2^20 images: above n=5 for triples and n=6
-    for pairs, where a triple lane would be wider than 64 bits.
+    nothing built, where the rows, each value n! lanes wide, would pass
+    :func:`_chunk_rows_fit`'s 2^24 bits: above n=5 for triples and pairs.
     """
     count, nbits = factorial(n), perm(n, k)
-    if -(-nbits // 8) * 256 * count > 1 << 20:
-        return None
     lane, lane_bytes = ("I", 4) if nbits <= 32 else ("Q", 8)
+    if not _chunk_rows_fit(nbits, count * lane_bytes * 8):
+        return None
     singles = [_pack_lanes(row, lane_bytes) for row in _single_images(n, k, (1 << nbits) - 1)]
     return lane, count * lane_bytes, _chunk_rows(singles)
 
@@ -288,6 +293,25 @@ def _lanes(table, packed: int, rows: int = 1) -> memoryview:
     """The lanes of rows :func:`_orbit_table` values packed one after another
     (:func:`_pack_lanes`): lane r * n! + i is row r's i-th image."""
     return memoryview(packed.to_bytes(rows * table[1], sys.byteorder)).cast(table[0])
+
+
+def _pattern_images(n: int, groups) -> list[memoryview]:
+    """The triple encodings on n <= 5 points that OR one mask from each of
+    groups, under every relabeling: images[g][r] is relation r's image
+    under the g-th relabeling of :func:`orbit`'s order, so images[0] holds
+    the relations themselves.  Relation r takes digit r % len(groups[0])
+    from the first group, the next digit from the next group, and so on.
+    Each group's masks read the orbit table once and the relations are
+    ORs of those packed rows, one per relation, unpacked into one buffer;
+    each images[g] is a view of every n!-th lane of it, nothing copied."""
+    table = _orbit_table(n, 3)
+    rows = [0]
+    for masks in groups:
+        packed = [_chunk_or(table[2], m) for m in masks]
+        rows = [row | more for more in packed for row in rows]
+    lanes = _lanes(table, _pack_lanes(rows, table[1]), len(rows))
+    count = factorial(n)
+    return [lanes[g::count] for g in range(count)]
 
 
 def _chunk_or(rows, mask: int) -> int:

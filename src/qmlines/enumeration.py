@@ -15,6 +15,11 @@ cut on the line count is made: lines merge as triples are added, so a
 prefix with n lines or more can still end with fewer.  The walk keeps each
 prefix's lines packed in one int, as :func:`qmlines.core.line_set` reads
 them, so a step is one OR and the universal-line test one addition.
+
+Neither walk decodes a table that another module lays out: the class walk
+reads its relations' images from `encoding._pattern_images`, and the
+theorem walk reads packed lines only through `core`'s `_packed_lines`,
+`_line_carry`, `_line_fields` and `_dbe_rule`.
 """
 
 from bisect import bisect_left, bisect_right
@@ -32,13 +37,11 @@ from .core import (
     _line_carry,
     _line_fields,
     _packed_lines,
-    _packed_table,
     as_index,
     consistency_check,
     line_set,
 )
-from .encoding import _chunk_or, _lanes, _orbit_table, _pack_lanes, mask_from_triples, orbit
-from .encoding import orbit_class, set_bits, supports
+from .encoding import _pattern_images, mask_from_triples, orbit, orbit_class, set_bits, supports
 from .isomorphism import canonical_form
 from .realizability import _sign, realize
 
@@ -70,31 +73,21 @@ def _support_pattern_masks(n: int) -> list[list[int]]:
     return groups
 
 
-def _check_supported(n: int) -> None:
-    """Refuse n outside SUPPORTED_N; above it, with the size of the product
-    that the class walk would cover, in full while it has at most 100 factors."""
+def _check_supported(n) -> int:
+    """n as an int, read by `core.as_index`; refuse n outside SUPPORTED_N,
+    and above it with the size of the product that the class walk would
+    cover, in full while it has at most 100 factors."""
+    n = as_index(n, "point count")
     if n not in SUPPORTED_N:
         k = comb(n, 3) if n > SUPPORTED_N[-1] else 0
         exact = f" = {18 ** k:,}" if k <= 100 else ""
         cost = f": its walk covers 18^C({n},3) = 18^{k}{exact} candidates"
         raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {n}{cost if k else ''}")
+    return n
 
 
-def _half_rows(n: int, groups) -> memoryview:
-    """The images of every relation on the supports of groups under every
-    relabeling, one row per combined pattern digit, in the orbit table's
-    lanes: row r's image under the i-th relabeling is lane r * n! + i.  Each
-    pattern's images are its packed rows ORed in place, so a row is one OR."""
-    table = _orbit_table(n, 3)
-    _, size, chunks = table
-    rows = [0]
-    for masks in groups:
-        images = [_chunk_or(chunks, m) for m in masks]
-        rows = [row | more for more in images for row in rows]
-    return _lanes(table, _pack_lanes(rows, size), len(rows))
-
-
-@lru_cache(maxsize=None)
+# typed, so that 4.0 and "4" reach the check rather than the entry of 4
+@lru_cache(maxsize=None, typed=True)
 def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical encoding, orbit size) for every isomorphism class of
     consistent relations, in increasing encoding order.
@@ -102,24 +95,24 @@ def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     The relations are the product of per-support patterns, and the walk
     keeps each one that is the least of its orbit (McKay 1998), by
     comparison alone.  The supports are split in two halves, the first
-    ceil(C(n,3)/2) and the rest, with one row of images per combined digit
-    (:func:`_half_rows`): 324 rows per half at n=4.  The halves hold
-    disjoint triples under every relabeling g, so relation (i, j) is the
+    ceil(C(n,3)/2) and the rest, each half's relations listed with their
+    images by `encoding._pattern_images`: 324 per half at n=4.  The halves
+    hold disjoint triples under every relabeling g, so relation (i, j) is the
     least of its orbit iff, for every g, what g takes off its left half is
     at most what g adds to its right half: left[i][id] - left[i][g] <=
     right[j][g] - right[j][id].  Per g the left drops are sorted once, with
     prefix bitsets of their rows, so each right row is one bisect and one
     AND.  The drops equal to a gain are the relations g fixes, so an
     orbit's size is n! over one plus their count.  At n=4 that is 72 reads
-    of packed rows and 23 * 324 threshold tests; nothing is unpacked.
+    of packed rows, one unpacking per half and 23 * 324 threshold tests.
     """
-    _check_supported(n)
+    n = _check_supported(n)
     count = factorial(n)
     groups = _support_pattern_masks(n)
     split = (len(groups) + 1) // 2
-    left, right = _half_rows(n, groups[:split]), _half_rows(n, groups[split:])
-    # the identity comes first: column 0 holds the halves' own encodings
-    left_id, right_id = left[::count].tolist(), right[::count].tolist()
+    left, right = _pattern_images(n, groups[:split]), _pattern_images(n, groups[split:])
+    # the identity comes first: its images are the halves' own encodings
+    left_id, right_id = left[0].tolist(), right[0].tolist()
     rows = range(len(left_id))
     bits = [1 << i for i in rows]
     # per right row j, bit i is set while (i, j) is the least of every
@@ -129,11 +122,11 @@ def canonical_classes(n: int) -> tuple[tuple[int, int], ...]:
     # other than the identity fixes, once per such relabeling
     fixed = [[] for _ in right_id]
     for g in range(1, count):
-        drop = list(map(sub, left_id, left[g::count]))
+        drop = list(map(sub, left_id, left[g]))
         order = sorted(rows, key=drop.__getitem__)
         drop.sort()
         upto = list(accumulate(map(bits.__getitem__, order), or_, initial=0))
-        gain = list(map(sub, right[g::count], right_id))
+        gain = list(map(sub, right[g], right_id))
         ends = list(map(bisect_right, repeat(drop), gain))
         least = list(map(and_, least, map(upto.__getitem__, ends)))
         starts = list(map(bisect_left, repeat(drop), gain))
@@ -212,7 +205,7 @@ def classify(n: int, kmax_list=()) -> tuple[ClassificationRecord, ...]:
     LPs in all.  Then runs the digraph sweep and one integer sweep per
     requested bound.  Records are sorted by canonical encoding.
     """
-    _check_supported(n)
+    n = _check_supported(n)
     # checked before the maps' cache, whose key 2.0 is 2
     bounds = tuple(sorted({as_index(k, "kmax") for k in kmax_list}))
     int_canons = {k: kernels.integer_canon_witnesses(n, k) for k in bounds}
@@ -239,13 +232,12 @@ def _dbe_failing_masks(n: int) -> list[int]:
     per support and drops each prefix whose lines include the universal
     line (sound: see the module docstring).
 
-    The walk carries the prefix's packed lines (see
-    :class:`qmlines.core._PackedTable`) along with its encoding: a node ORs
-    in its pattern's packed lines, and one addition tests all n(n-1) lines
-    for the universal one.  At a leaf the line count is the number of
-    distinct fields.
+    The walk carries the prefix's packed lines (`core._packed_lines`) along
+    with its encoding, from 0: every pattern's packed lines hold the fixed
+    {x, y} of each pair's field, so a node ORs in its pattern's and one
+    addition tests all n(n-1) lines for the universal one.  At a leaf the
+    line count is the number of distinct fields.
     """
-    table = _packed_table(n)
     ones, guards = _line_carry(n)
     groups = [
         [(pattern, _packed_lines(n, pattern)) for pattern in masks]
@@ -264,7 +256,7 @@ def _dbe_failing_masks(n: int) -> list[int]:
             elif not _dbe_rule(n, len(set(_line_fields(n, lines))), False):
                 failing.append(mask)
 
-    walk(0, 0, table.base)
+    walk(0, 0, 0)
     return failing
 
 

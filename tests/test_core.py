@@ -167,8 +167,31 @@ class TestBetweenness:
             Betweenness.from_triples(3, [(0, 0, 1)])
 
     def test_mask_range_checked(self):
-        with pytest.raises(ValueError):
-            Betweenness(3, 1 << 6)
+        assert Betweenness(3, (1 << 6) - 1).mask == 63
+        for mask in (-1, 1 << 6):
+            with pytest.raises(ValueError, match=f"^mask {mask} out of range for n=3$"):
+                Betweenness(3, mask)
+
+    def test_a_sparse_mask_builds_nothing_as_wide_as_the_encoding(self):
+        # 997,002,000 triples: an int of that many bits is 119 MiB
+        tracemalloc.start()
+        try:
+            b = Betweenness(1000, 1)
+            count = len(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_len_counts_the_members(self, n):
+        rng = random.Random(5400 + n)
+        nbits = triple_count(n)
+        masks = [0, 1 << nbits - 1, (1 << nbits) - 1]
+        masks += [rng.getrandbits(nbits) for _ in range(3)]
+        for mask in masks:
+            assert len(Betweenness(n, mask)) == len(triples_by_table_filter(n, mask))
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="^need at least 2 points, got 1$"):

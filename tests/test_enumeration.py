@@ -1,10 +1,10 @@
 import hashlib
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from qmlines import enumeration, fixtures, kernels, realizability
+from qmlines import encoding, enumeration, fixtures, kernels, realizability
 from qmlines.core import Betweenness, DistanceMatrix, consistency_check, line_set
 from qmlines.encoding import orbit, supports
 from qmlines.enumeration import (
@@ -19,7 +19,12 @@ from qmlines.fixtures import THREE_POINT_TABLE, q4_betweenness, three_point_rela
 from qmlines.isomorphism import canonical_form
 from qmlines.realizability import verify_witness
 
-from oracles import classes_by_counting, consistent_masks, dbe_failing_relations
+from oracles import (
+    classes_by_counting,
+    consistent_masks,
+    dbe_failing_relations,
+    orbit_by_relabeling,
+)
 
 # canonical (encoding, orbit size) pairs for n=3, frozen from an independent
 # brute-force script
@@ -94,12 +99,12 @@ class TestCanonicalClasses:
         assert digest == N4_CLASSES_SHA256
 
     # one read of packed chunk rows (encoding._chunk_or) per (support,
-    # pattern) builds the half rows; the walk over the relabelings then
-    # reads no orbit
+    # pattern) builds the pattern images; the walk over the relabelings
+    # then reads no orbit
     @pytest.mark.parametrize("n, class_count", [(3, len(N3_CLASSES)), (4, N4_CLASS_COUNT)])
     def test_orbit_calls_fixed_by_supports_and_patterns(self, monkeypatch, n, class_count):
         calls = 0
-        chunk_or = enumeration._chunk_or
+        chunk_or = encoding._chunk_or
 
         def counting_chunk_or(*args):
             nonlocal calls
@@ -109,7 +114,7 @@ class TestCanonicalClasses:
         def no_orbit(*args):
             raise AssertionError("the class walk unpacked an orbit")
 
-        monkeypatch.setattr(enumeration, "_chunk_or", counting_chunk_or)
+        monkeypatch.setattr(encoding, "_chunk_or", counting_chunk_or)
         monkeypatch.setattr(enumeration, "orbit", no_orbit)
         canonical_classes.cache_clear()
         try:
@@ -135,6 +140,33 @@ class TestCanonicalClasses:
             assert order != groups
             monkeypatch.setattr(enumeration, "_support_pattern_masks", lambda n: order)
             assert canonical_classes.__wrapped__(n) == expected
+
+    # relation r takes its digit in the first group fastest, as product
+    # lists the reversed groups
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_pattern_images_are_the_orbits_of_the_combined_relations(self, n):
+        groups = enumeration._support_pattern_masks(n)
+        split = (len(groups) + 1) // 2
+        for half in (groups[:split], groups[split:]):
+            images = encoding._pattern_images(n, half)
+            relations = [sum(parts) for parts in product(*half[::-1])]
+            assert len(images) == len(list(permutations(range(n))))
+            assert all(len(view) == len(relations) for view in images)
+            for r, mask in enumerate(relations):
+                assert [view[r] for view in images] == orbit_by_relabeling(n, mask)
+
+    # a point count is an integer as operator.index reads one; 4.0 must not
+    # reach the classes cached for 4
+    @pytest.mark.parametrize("n", [4.0, "4", 3.0])
+    @pytest.mark.parametrize(
+        "entry",
+        [canonical_classes, classify, lambda n: list(enumerate_consistent(n))],
+        ids=["canonical_classes", "classify", "enumerate_consistent"],
+    )
+    def test_point_count_must_be_an_integer(self, entry, n):
+        canonical_classes(4)
+        with pytest.raises(ValueError, match=f"^point count must be an integer, got {n!r}$"):
+            entry(n)
 
     def test_unsupported_n_refused_before_any_allocation(self, monkeypatch):
         # at n=5 the half rows alone would take 2 * 18^5 * 5! lanes

@@ -190,9 +190,10 @@ def test_orbit_lists_every_relabeling_in_permutation_order(n):
 
 
 # (k, n, lane of the orbit table): packed 4-byte ("I") and 8-byte ("Q")
-# lanes, and None where no table is built and an orbit reads its members
+# lanes, and None where no table is built and an orbit reads its members:
+# past n=5 the rows would pass 2^24 bits, for triples and for pairs
 ORBIT_TABLE_REGIMES = [(3, 3, "I"), (3, 4, "I"), (3, 5, "Q"), (3, 6, None)]
-ORBIT_TABLE_REGIMES += [(2, n, "I") for n in range(3, 7)] + [(2, 7, None)]
+ORBIT_TABLE_REGIMES += [(2, n, "I") for n in range(3, 6)] + [(2, 6, None), (2, 7, None)]
 
 
 @pytest.mark.parametrize("k, n, lane", ORBIT_TABLE_REGIMES)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -369,6 +369,17 @@ class TestZeroSlackCheck:
         assert set(zero_masks) == loops.zero_masks
         # no lane past the reversal's 24: the tables hold no cut lanes
         assert all(v >> reversal + 24 == 0 for row in present for v in row)
+
+    def test_reversal_is_the_member_wise_reversal(self):
+        bit = {t: 1 << i for i, t in enumerate(permutations(range(4), 3))}
+
+        def reversed_members(mask):
+            return sum(bit[z, y, x] for (x, y, z), b in bit.items() if mask & b)
+
+        masks = [mask for mask, _ in canonical_classes(4)]
+        masks += random.Random(5450).sample(list(consistent_masks(4)), 500)
+        for mask in masks:
+            assert realizability._reversal(mask) == reversed_members(mask), mask
 
     def test_an_appended_zero_witness_moves_no_verdict(self, monkeypatch):
         # the all-ones quasi-metric is tight on no triple, so it settles
