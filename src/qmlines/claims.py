@@ -10,7 +10,6 @@ test suite.
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import fixtures, kernels
@@ -278,10 +277,10 @@ def claim_witness_soundness() -> Claim:
     return Claim("witness-soundness", "witness soundness", not problems, detail)
 
 
-@lru_cache(maxsize=None)
 def three_point_grid_realizations() -> dict[int, tuple[int, ...]]:
     """Brute-force oracle: betweenness encodings realized by 3-point matrices
     with entries in {1/4, ..., 8/4}, with one witness each (in quarter units).
+    Built per call, about 0.07 s: its one reader is the grid-oracle claim.
 
     Deliberately self-contained integer arithmetic; shares no code with the
     LP route it cross-checks.  The entries are set in lex order, one per

@@ -20,6 +20,7 @@ from .claims import _fmt_points
 from .core import (
     Betweenness,
     DistanceMatrix,
+    _check_line_table,
     betweenness_of,
     line_set,
     validate_quasi_metric,
@@ -60,8 +61,7 @@ def _load_matrix(path: str) -> DistanceMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_validated_matrix(path: str) -> DistanceMatrix:
-    m = _load_matrix(path)
+def _validated(m: DistanceMatrix, path: str) -> DistanceMatrix:
     check = validate_quasi_metric(m)
     if not check.ok:
         details = "; ".join(v.detail for v in check.violations)
@@ -85,14 +85,17 @@ def _load_triples(path: str, labels_spec: str) -> tuple[Betweenness, tuple[str, 
 
 
 def _betweenness_source(args) -> tuple[Betweenness, tuple[str, ...]]:
-    """Either a validated matrix file or a triples file with labels."""
+    """Either a validated matrix file or a triples file with labels.  For
+    `lines` and `dbe`: a matrix of too many points for the line table's cap is
+    refused from its n, before it is validated or its mask is built."""
     if args.matrix is not None and args.triples is not None:
         raise InputError("give a matrix file or --triples, not both")
     if args.matrix is not None and args.labels is not None:
         raise InputError("--labels goes with --triples; a matrix file names its own points")
     if args.matrix is not None:
-        m = _load_validated_matrix(args.matrix)
-        return betweenness_of(m), m.labels
+        m = _load_matrix(args.matrix)
+        _check_line_table(m.n)
+        return betweenness_of(_validated(m, args.matrix)), m.labels
     if args.triples is None:
         raise InputError("give a matrix file or --triples FILE --labels ...")
     if args.labels is None:
@@ -150,7 +153,7 @@ def cmd_validate(args) -> Report:
 
 
 def cmd_betweenness(args) -> Report:
-    m = _load_validated_matrix(args.matrix)
+    m = _validated(_load_matrix(args.matrix), args.matrix)
     b = betweenness_of(m)
     words = [[m.labels[i] for i in t] for t in b.triples]
     payload = {"command": "betweenness", "labels": list(m.labels), "triples": words}

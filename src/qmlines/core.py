@@ -224,7 +224,8 @@ class Betweenness(_Value):
             raise ValueError(f"need at least 2 points, got {n}")
         # bit_length, not 1 << triple_count(n): no int as wide as the encoding
         if mask < 0 or mask.bit_length() > triple_count(n):
-            raise ValueError(f"mask {mask} out of range for n={n}")
+            # the decimal while it is short: str() refuses over 4,300 digits
+            raise ValueError(f"mask {_about(mask, 10**99)} out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
 
@@ -333,12 +334,11 @@ class _PackedTable(NamedTuple):
     rows: tuple[tuple[int, ...], ...] | None
 
 
-@lru_cache(maxsize=None)
-def _packed_table(n: int) -> _PackedTable:
-    """The packed line table on n points, built once per n, with the chunk
-    rows of its parts up to n=9, where they hold 11.6 Mbit: cold, 0.15 ms
-    at n=4 and 2.9 ms at n=9.  Refuses with a ValueError, before
-    building any part, a table whose parts could pass LINE_TABLE_CAP bytes."""
+def _check_line_table(n: int) -> int:
+    """The width in bits of packed lines on n points.  Refuses with a
+    ValueError, from n alone, a packed line table whose parts could pass
+    LINE_TABLE_CAP bytes: the `lines` and `dbe` commands ask it before they
+    validate a matrix, :func:`_packed_table` before it builds any part."""
     width = (n + 1) * n * (n - 1)
     size = triple_count(n) * width // 8
     if size > LINE_TABLE_CAP:
@@ -347,6 +347,16 @@ def _packed_table(n: int) -> _PackedTable:
             f"ordered triple; n={n} means {triple_count(n)} triples, {_about(size)} bytes, "
             f"over the cap of {LINE_TABLE_CAP} (2^27)"
         )
+    return width
+
+
+@lru_cache(maxsize=None)
+def _packed_table(n: int) -> _PackedTable:
+    """The packed line table on n points, built once per n, with the chunk
+    rows of its parts up to n=9, where they hold 11.6 Mbit: cold, 0.15 ms
+    at n=4 and 2.9 ms at n=9.  Refuses a table over the cap
+    (:func:`_check_line_table`) before it builds any part."""
+    width = _check_line_table(n)
     field = {pair: (n + 1) * k for k, pair in enumerate(ordered_pairs(n))}
     base = mask_from_bits((p + field[x, y] for (x, y) in field for p in (x, y)), width)
     parts = tuple(

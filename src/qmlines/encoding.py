@@ -8,6 +8,9 @@ fixed order, so it lives in one place, with the lex order of ordered pairs
 with the one rule for a class's least image and orbit size, :func:`orbit_class`.
 
 The relabelings themselves are built once per n, in lex order, and shared.
+A table is cached only where a second call reads it again: the per-triple
+companion masks, :func:`conflict_masks`, are built for the cached conflict
+table, their one reader, and not kept.
 Orbits, consistency and the 4-point signs read chunk tables: one row per
 8-bit chunk of the encoding, one value per chunk value, so an answer is the
 OR of the rows of its nonzero chunks (:func:`_chunk_or`).  Up to n=5, for
@@ -141,11 +144,11 @@ def triples_from_mask(n: int, mask: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(triple_at(n, i) for i in set_bits(mask))
 
 
-@lru_cache(maxsize=None)
 def conflict_masks(n: int) -> tuple[int, ...]:
     """conflict_masks(n)[i] has the bits of the two triples excluded by triple i.
 
-    Membership of xyz rules out yxz and xzy.
+    Membership of xyz rules out yxz and xzy.  Built per call: its one reader
+    in the package is :func:`_conflict_table`, which is cached.
     """
     return tuple(
         1 << triple_bit(n, (y, x, z)) | 1 << triple_bit(n, (x, z, y))
@@ -198,9 +201,13 @@ LINE_TABLE_CAP = 2**27
 LP_TEMPLATE_CAP = 6 * 10**6
 
 
-def _about(count: int) -> str:
-    """count in decimal while it has at most 9 digits, else as a power of 2."""
-    return str(count) if count < 10**9 else f"about 2^{log2(count):.1f}"
+def _about(count: int, short: int = 10**9) -> str:
+    """count in decimal while it is nearer 0 than short (9 digits by
+    default), else as a signed power of 2, since str() refuses an int of
+    over 4,300 digits."""
+    if -short < count < short:
+        return str(count)
+    return f"about {'-' if count < 0 else ''}2^{log2(abs(count)):.1f}"
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +220,7 @@ def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
     if count > RELABELING_CAP:
         raise ValueError(
             f"canonical forms are brute force over all relabelings; n={n} means "
-            f"{n}! = {count} relabelings, over the cap of {RELABELING_CAP} (8!)"
+            f"{n}! = {_about(count, 10**99)} relabelings, over the cap of {RELABELING_CAP} (8!)"
         )
     return tuple(permutations(range(n)))
 

@@ -10,7 +10,9 @@ lex-first witness that a walk over every matrix would return.  The integer
 sweep refuses more than INTEGER_SWEEP_CAP matrices, or more than RELABELING_CAP
 relabelings, before it visits any.  The two canonical-witness sweeps are
 memoized, so each (n, bound) is swept at most once per process, and an
-integer or digraph query is a lookup in the map of its sweep.  One
+integer or digraph query is a lookup in the map of its sweep.  The integer
+walk's own tables, its pair maps and bounds, are built per walk and dropped
+with it; the process keeps only each sweep's map of witnesses.  One
 breadth-first search per source over bit sets, :func:`shortest_paths`,
 gives the digraph distances for the sweep and for single digraphs.
 
@@ -64,11 +66,12 @@ def _bounds_by_depth(n):
     return bounds
 
 
-@lru_cache(maxsize=None)
 def _pair_relabelings(n):
     """The position maps of the non-identity relabelings on the flat entry
     vector, in the order of :func:`qmlines.encoding._relabelings`: entry k
-    of the relabeled matrix is entry p[k] of the original."""
+    of the relabeled matrix is entry p[k] of the original.  Built per walk
+    and dropped with it: each (n, kmax) map is walked once, and the 40,319
+    maps of n=8 hold 19 MiB, where a build takes under 0.1 ms at n=4."""
     pos = pair_position(n)
     # the identity is the first relabeling
     return tuple(tuple(pos[p[i], p[j]] for (i, j) in pos) for p in _relabelings(n)[1:])
@@ -80,7 +83,7 @@ def _integer_dfs(n, kmax, seen):
     reused between yields), of a DFS over the valid quasi-metrics with
     off-diagonal entries in 1..kmax, pruned by the triangle checks and by
     lex-leader comparisons.  The caller may add masks to seen between
-    yields.  It builds its own tables.
+    yields.  It builds its own tables, which go when it ends.
 
     Every entry is bounded once per node: the triangles of
     :func:`_bounds_by_depth` leave it lo..hi, only those values are tried,

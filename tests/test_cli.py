@@ -419,6 +419,26 @@ class TestRealize:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.endswith(f"{cap}\n")
 
+    @pytest.mark.parametrize("command", ["lines", "dbe"])
+    def test_121_point_matrix_is_refused_before_validation(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # the line table's cap depends on n alone, so the seeded {1, 2}
+        # matrix is refused before it is validated or its mask is built
+        def unreached(*args):
+            pytest.fail("the matrix was read past its point count")
+
+        rng = random.Random(121)
+        rows = [[0 if i == j else rng.randint(1, 2) for j in range(121)] for i in range(121)]
+        path = tmp_path / "m121.matrix"
+        path.write_text("\n".join(
+            " ".join(map(str, row)) for row in [[f"x{i}" for i in range(121)], *rows]
+        ) + "\n")
+        monkeypatch.setattr(qmlines.cli, "validate_quasi_metric", unreached)
+        monkeypatch.setattr(qmlines.cli, "betweenness_of", unreached)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {self.LINE_CAP}\n")
+
     def test_bad_variant(self, capsys, q4_triples_file):
         code, _, err = run(
             capsys, "realize", "--variant", "euclid",

@@ -168,8 +168,16 @@ class TestBetweenness:
 
     def test_mask_range_checked(self):
         assert Betweenness(3, (1 << 6) - 1).mask == 63
-        for mask in (-1, 1 << 6):
-            with pytest.raises(ValueError, match=f"^mask {mask} out of range for n=3$"):
+        # str() refuses an int of over 4,300 digits: past 99 digits the
+        # mask is written as a power of 2
+        for mask, text in [
+            (-1, "-1"),
+            (1 << 6, "64"),
+            (10**99 - 1, str(10**99 - 1)),
+            (1 << 20000, r"about 2\^20000\.0"),
+            (-(1 << 20000), r"about -2\^20000\.0"),
+        ]:
+            with pytest.raises(ValueError, match=f"^mask {text} out of range for n=3$"):
                 Betweenness(3, mask)
 
     def test_a_sparse_mask_builds_nothing_as_wide_as_the_encoding(self):

@@ -334,6 +334,13 @@ class TestRelabelingCap:
         with pytest.raises(ValueError, match=message):
             canonical_form(Betweenness(9, 0))
 
+    # 1600! has 4,437 digits, more than str() prints: the count is written
+    # as a power of 2 past 99 digits
+    def test_a_huge_count_is_stated_as_a_power(self):
+        message = r"1600! = about 2\^14728.5 relabelings, over the cap of 40320 \(8!\)$"
+        with pytest.raises(ValueError, match=message):
+            encoding._relabelings(1600)
+
     def test_isomorphism_witness_refuses_nine_points(self):
         with pytest.raises(ValueError, match="over the cap"):
             isomorphism_witness(Betweenness(9, 0), Betweenness(9, 0))
