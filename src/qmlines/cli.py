@@ -2,12 +2,14 @@
 
 Commands are scriptable predicates: exit 0 for success or a positive
 verdict, 1 for a negative verdict (invalid matrix, not realizable, not
-isomorphic, a failed claim), 2 for input errors.  Every command takes
---json for a machine-readable report with the same content; reports go to
-stdout, diagnostics to stderr.  Each `cmd_*` returns (verdict, payload,
-text): the verdict a bool, the payload the JSON object, text the report's
-lines.  `main` alone renders the report and turns the verdict into the
-exit code.
+isomorphic, a failed claim), 2 for input errors: every refusal is a
+ValueError, the CLI's own, a file's ParseError or the library's.  The
+command line's integers are read by `_integer` alone, in ASCII digits.
+Every command takes --json for a machine-readable report with the same
+content; reports go to stdout, diagnostics to stderr.  Each `cmd_*`
+returns (verdict, payload, text): the verdict a bool, the payload the JSON
+object, text the report's lines.  `main` alone renders the report and
+turns the verdict into the exit code.
 """
 
 import argparse
@@ -26,7 +28,7 @@ from .core import (
     validate_quasi_metric,
 )
 from .enumeration import classify
-from .fileformats import ParseError, format_matrix, parse_matrix, parse_triples
+from .fileformats import format_matrix, parse_matrix, parse_triples
 from .isomorphism import canonical_form, isomorphism_witness
 from .realizability import (
     VARIANTS,
@@ -39,49 +41,39 @@ from .realizability import (
 )
 
 
-class InputError(Exception):
-    """User input rejected; maps to exit code 2."""
-
-
 Report = tuple[bool, dict, list[str]]  # what each cmd_* returns: verdict, payload, text
 
 
-def _read(path: str) -> str:
+def _parsed(path: str, parse, *args):
+    """parse(the text of file path, *args); a refusal names path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
+        return parse(text, *args)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> DistanceMatrix:
-    try:
-        return parse_matrix(_read(path))
-    except (ParseError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # ParseError and a file that is not UTF-8 too
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _validated(m: DistanceMatrix, path: str) -> DistanceMatrix:
     check = validate_quasi_metric(m)
     if not check.ok:
         details = "; ".join(v.detail for v in check.violations)
-        raise InputError(f"{path}: not a quasi-metric: {details}")
+        raise ValueError(f"{path}: not a quasi-metric: {details}")
     return m
 
 
 def _split_labels(raw: str) -> tuple[str, ...]:
     labels = tuple(s.strip() for s in raw.split(",") if s.strip())
     if len(labels) < 2:
-        raise InputError(f"need at least 2 labels, got {raw!r}")
+        raise ValueError(f"need at least 2 labels, got {raw!r}")
     return labels
 
 
 def _load_triples(path: str, labels_spec: str) -> tuple[Betweenness, tuple[str, ...]]:
     labels = _split_labels(labels_spec)
-    try:
-        return parse_triples(_read(path), labels), labels
-    except (ParseError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _parsed(path, parse_triples, labels), labels
 
 
 def _betweenness_source(args) -> tuple[Betweenness, tuple[str, ...]]:
@@ -89,24 +81,30 @@ def _betweenness_source(args) -> tuple[Betweenness, tuple[str, ...]]:
     `lines` and `dbe`: a matrix of too many points for the line table's cap is
     refused from its n, before it is validated or its mask is built."""
     if args.matrix is not None and args.triples is not None:
-        raise InputError("give a matrix file or --triples, not both")
+        raise ValueError("give a matrix file or --triples, not both")
     if args.matrix is not None and args.labels is not None:
-        raise InputError("--labels goes with --triples; a matrix file names its own points")
+        raise ValueError("--labels goes with --triples; a matrix file names its own points")
     if args.matrix is not None:
-        m = _load_matrix(args.matrix)
+        m = _parsed(args.matrix, parse_matrix)
         _check_line_table(m.n)
         return betweenness_of(_validated(m, args.matrix)), m.labels
     if args.triples is None:
-        raise InputError("give a matrix file or --triples FILE --labels ...")
+        raise ValueError("give a matrix file or --triples FILE --labels ...")
     if args.labels is None:
-        raise InputError("--triples requires --labels")
+        raise ValueError("--triples requires --labels")
     return _load_triples(args.triples, args.labels)
 
 
-def _is_decimal(token: str) -> bool:
-    """ASCII digits alone, as an integer bound is written: int() would also
-    read "٣" as 3 and "1_0" as 10."""
-    return token.isascii() and token.isdigit()
+def _integer(token: str, bad: str) -> int:
+    """token, in ASCII digits alone, as an int: the one reader of command-line
+    integers.  Refuses with the ValueError bad what int() would also read
+    ("٣", "+3", "1_0") and a numeral past Python's limit on digits."""
+    try:
+        if token.isascii() and token.isdigit():
+            return int(token)
+    except ValueError:  # Python's own text would name set_int_max_str_digits
+        bad += f" ({len(token)} digits; at most {sys.get_int_max_str_digits()} are read)"
+    raise ValueError(bad)
 
 
 def _yn(flag: bool) -> str:
@@ -134,7 +132,7 @@ def _witness(m: DistanceMatrix | None, heading: str):
 
 
 def cmd_validate(args) -> Report:
-    m = _load_matrix(args.matrix)
+    m = _parsed(args.matrix, parse_matrix)
     check = validate_quasi_metric(m)
     payload = {
         "command": "validate",
@@ -153,7 +151,7 @@ def cmd_validate(args) -> Report:
 
 
 def cmd_betweenness(args) -> Report:
-    m = _validated(_load_matrix(args.matrix), args.matrix)
+    m = _validated(_parsed(args.matrix, parse_matrix), args.matrix)
     b = betweenness_of(m)
     words = [[m.labels[i] for i in t] for t in b.triples]
     payload = {"command": "betweenness", "labels": list(m.labels), "triples": words}
@@ -252,10 +250,8 @@ def cmd_realize(args) -> Report:
             m = DistanceMatrix(labels, m.entries)
         witness, shown = _witness(m, "witness:")
     elif variant.startswith("int:"):
-        kmax = variant.split(":", 1)[1].strip()
-        if not _is_decimal(kmax):
-            raise InputError(f"bad variant {variant!r}; expected int:K with integer K")
-        kmax = int(kmax)
+        bad = f"bad variant {variant!r}; expected int:K with integer K"
+        kmax = _integer(variant[4:].strip(), bad)
         m = realize_bounded_integer(b, kmax)
         realizable = m is not None
         text = [f"realizable with integer distances <= {kmax}: {_yn(realizable)}"]
@@ -275,29 +271,27 @@ def cmd_realize(args) -> Report:
             arcs = " ".join(f"{labels[i]}->{labels[j]}" for (i, j) in sorted(g.arcs))
             shown = [f"witness arcs: {arcs}"]
     else:
-        raise InputError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown variant {variant!r}")
     payload["realizable"] = realizable
     payload[key] = witness
     return realizable, payload, text + shown
 
 
 def cmd_enumerate(args) -> Report:
+    n = _integer(args.n, f"bad --n value {args.n!r}; expected a point count, e.g. 4")
     bounds = ()
     if args.int is not None:
-        tokens = [tok.strip() for tok in args.int.split(",") if tok.strip()]
-        if not tokens:
-            raise InputError(f"bad --int value {args.int!r}; expected e.g. 2,3")
-        for tok in tokens:
-            if not _is_decimal(tok):
-                raise InputError(f"bad --int value {tok!r}; expected e.g. 2,3")
-        bounds = tuple(map(int, tokens))
+        # a value that holds no bound is refused whole
+        tokens = [tok.strip() for tok in args.int.split(",") if tok.strip()] or [args.int]
+        bad = "bad --int value {!r}; expected e.g. 2,3"
+        bounds = tuple(_integer(tok, bad.format(tok)) for tok in tokens)
         if any(k < 1 for k in bounds):
-            raise InputError("--int bounds must be >= 1")
-    records = classify(args.n, kmax_list=bounds)
+            raise ValueError("--int bounds must be >= 1")
+    records = classify(n, kmax_list=bounds)
     bounds = tuple(sorted(set(bounds)))
     payload = {
         "command": "enumerate",
-        "n": args.n,
+        "n": n,
         "class_count": len(records),
         "classes": [
             {
@@ -406,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="comma-separated point labels")
 
     p = add("enumerate", cmd_enumerate, "classify all consistent relations on n points")
-    p.add_argument("--n", type=int, required=True, help="point count (3 or 4)")
+    p.add_argument("--n", required=True, help="point count (3 or 4)")
     p.add_argument("--int", help="comma-separated integer distance bounds, e.g. 2,3")
 
     add("verify-paper", cmd_verify_paper, "run the full built-in claim suite")
@@ -418,8 +412,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         verdict, payload, text = args.func(args)
-    except (InputError, ValueError) as exc:
-        # ParseError and the domain rejections are ValueErrors
+    except ValueError as exc:
+        # every refusal: the CLI's own, ParseError and the domain rejections
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

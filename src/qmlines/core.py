@@ -50,6 +50,25 @@ def as_index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def as_point(value, n: int, what: str) -> int:
+    """value as a point of 0..n-1, read by :func:`as_index`: the one check of
+    a point index.  The ValueError names what and n, and writes the value
+    through `encoding._about`, as a power of 2 past 99 digits, since str()
+    refuses an int of over 4,300 digits."""
+    i = as_index(value, what)
+    if not 0 <= i < n:
+        raise ValueError(f"{what} {_about(i, 10**99)} out of range for n={n}")
+    return i
+
+
+def _written(v: Fraction) -> str:
+    """v as str() writes it, with a numerator or denominator past 99 digits
+    written as a power of 2 (`encoding._about`): a sum of two entries read
+    from a file can pass the 4,300 digits that str() prints."""
+    num = _about(v.numerator, 10**99)
+    return num if v.denominator == 1 else f"{num}/{_about(v.denominator, 10**99)}"
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     if n <= 26:
         return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
@@ -170,7 +189,7 @@ def validate_quasi_metric(m: DistanceMatrix) -> ValidationResult:
     A triangle violation d(x,y) > d(x,z) + d(z,y) is reported as the index
     triple (x, z, y), i.e. with the failed via-point in the middle.  The
     comparisons read the integer table `m._scaled`; the messages print the
-    rational entries.
+    rational entries, through :func:`_written`.
     """
     s = m._scaled
     d = m.entries
@@ -180,14 +199,13 @@ def validate_quasi_metric(m: DistanceMatrix) -> ValidationResult:
     for i in range(n):
         if s[i][i] != 0:
             violations.append(
-                Violation("diagonal", (i,), f"d({lab[i]},{lab[i]}) = {d[i][i]} != 0")
+                Violation("diagonal", (i,), f"d({lab[i]},{lab[i]}) = {_written(d[i][i])} != 0")
             )
     for i in range(n):
         for j in range(n):
             if i != j and s[i][j] <= 0:
-                violations.append(
-                    Violation("positivity", (i, j), f"d({lab[i]},{lab[j]}) = {d[i][j]} <= 0")
-                )
+                detail = f"d({lab[i]},{lab[j]}) = {_written(d[i][j])} <= 0"
+                violations.append(Violation("positivity", (i, j), detail))
     for x in range(n):
         for z in range(n):
             for y in range(n):
@@ -196,8 +214,9 @@ def validate_quasi_metric(m: DistanceMatrix) -> ValidationResult:
                         Violation(
                             "triangle",
                             (x, z, y),
-                            f"d({lab[x]},{lab[y]}) = {d[x][y]} > "
-                            f"d({lab[x]},{lab[z]}) + d({lab[z]},{lab[y]}) = {d[x][z] + d[z][y]}",
+                            f"d({lab[x]},{lab[y]}) = {_written(d[x][y])} > "
+                            f"d({lab[x]},{lab[z]}) + d({lab[z]},{lab[y]}) = "
+                            f"{_written(d[x][z] + d[z][y])}",
                         )
                     )
     return ValidationResult(not violations, tuple(violations))
@@ -290,12 +309,8 @@ def betweenness_of(m: DistanceMatrix) -> Betweenness:
 
 
 def _check_points(n: int, x, y, what: str) -> tuple[int, int]:
-    """(x, y) as ints; refuse endpoints that are not integers, outside
-    0..n-1 or equal, naming the point and n."""
-    x, y = as_index(x, f"{what} endpoint"), as_index(y, f"{what} endpoint")
-    for z in (x, y):
-        if not 0 <= z < n:
-            raise ValueError(f"{what} endpoint {z} out of range for n={n}")
+    """(x, y) as points of 0..n-1 (:func:`as_point`); refuse equal ones."""
+    x, y = as_point(x, n, f"{what} endpoint"), as_point(y, n, f"{what} endpoint")
     if x == y:
         raise ValueError(f"{what} endpoints must differ, got {x} twice")
     return x, y
@@ -430,8 +445,10 @@ def _packed_line_bits(n: int, by_pair):
     for shift, (x, y) in zip(range(0, (n + 1) * len(pairs), n + 1), pairs):
         line = {as_index(z, "line point") for z in by_pair[x, y]}
         if not (x in line and y in line and 0 <= min(line) and max(line) < n):
+            # each point through _about: str() refuses an int of over 4,300 digits
+            shown = ", ".join(_about(z, 10**99) for z in sorted(line))
             raise ValueError(
-                f"line {sorted(line)} of pair {(x, y)} must hold {x} and {y} within 0..{n - 1}"
+                f"line [{shown}] of pair {(x, y)} must hold {x} and {y} within 0..{n - 1}"
             )
         yield from (shift + z for z in line)
 

@@ -38,7 +38,7 @@ module that checks one can import it.
 import sys
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
-from math import factorial, log2, perm
+from math import factorial, lgamma, log, log2, perm
 from operator import index, itemgetter, or_
 
 
@@ -114,8 +114,16 @@ def _placed_bits(n: int, triples):
     for t in triples:
         bit = triple_bit(n, t)
         if bit is None:
-            raise ValueError(f"not an ordered triple of distinct points in range: {t}")
+            raise ValueError(f"not an ordered triple of distinct points in range: {_shown(t)}")
         yield bit
+
+
+def _shown(t) -> str:
+    """repr(t) for a refused triple, its integer points written through
+    :func:`_about`, since repr() refuses an int of over 4,300 digits."""
+    if isinstance(t, tuple) and all(type(v) is int for v in t):
+        return f"({', '.join(_about(v, 10**99) for v in t)}{',' * (len(t) == 1)})"
+    return repr(t)
 
 
 def mask_from_triples(n, triples) -> int:
@@ -215,12 +223,14 @@ def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
     """Every relabeling of 0..n-1, in lexicographic order, the order of
     :func:`orbit`'s images.  Built once per n and shared by the orbits,
     canonical forms and isomorphism witnesses: 4.8 MB at n=8.  Refuses
-    n! > RELABELING_CAP with a ValueError."""
-    count = factorial(n)
-    if count > RELABELING_CAP:
+    n! > RELABELING_CAP with a ValueError, from n alone: past 69!, the
+    last factorial under 100 digits, it writes n!'s size from `lgamma` and
+    computes no factorial, which took 0.44 s at n=200,000."""
+    if n > 8:  # 9! is the first factorial over the cap
+        count = str(factorial(n)) if n < 70 else f"about 2^{lgamma(n + 1) / log(2):.1f}"
         raise ValueError(
             f"canonical forms are brute force over all relabelings; n={n} means "
-            f"{n}! = {_about(count, 10**99)} relabelings, over the cap of {RELABELING_CAP} (8!)"
+            f"{n}! = {count} relabelings, over the cap of {RELABELING_CAP} (8!)"
         )
     return tuple(permutations(range(n)))
 
@@ -281,7 +291,8 @@ def _orbit_table(n: int, k: int) -> tuple[str, int, tuple[tuple[int, ...], ...]]
     nothing built, where the rows, each value n! lanes wide, would pass
     :func:`_chunk_rows_fit`'s 2^24 bits: above n=5 for triples and pairs.
     """
-    count, nbits = factorial(n), perm(n, k)
+    # the relabelings refuse n! over the cap before any factorial is computed
+    count, nbits = len(_relabelings(n)), perm(n, k)
     lane, lane_bytes = ("I", 4) if nbits <= 32 else ("Q", 8)
     if not _chunk_rows_fit(nbits, count * lane_bytes * 8):
         return None

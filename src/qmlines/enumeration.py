@@ -41,7 +41,15 @@ from .core import (
     consistency_check,
     line_set,
 )
-from .encoding import _pattern_images, mask_from_triples, orbit, orbit_class, set_bits, supports
+from .encoding import (
+    _about,
+    _pattern_images,
+    mask_from_triples,
+    orbit,
+    orbit_class,
+    set_bits,
+    supports,
+)
 from .isomorphism import canonical_form
 from .realizability import _sign, realize
 
@@ -81,8 +89,10 @@ def _check_supported(n) -> int:
     if n not in SUPPORTED_N:
         k = comb(n, 3) if n > SUPPORTED_N[-1] else 0
         exact = f" = {18 ** k:,}" if k <= 100 else ""
-        cost = f": its walk covers 18^C({n},3) = 18^{k}{exact} candidates"
-        raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {n}{cost if k else ''}")
+        # n and k through _about: str() refuses an int of over 4,300 digits
+        shown = _about(n, 10**99)
+        cost = f": its walk covers 18^C({shown},3) = 18^{_about(k, 10**99)}{exact} candidates"
+        raise ValueError(f"enumeration supports n in {SUPPORTED_N}, got {shown}{cost if k else ''}")
     return n
 
 

@@ -1,20 +1,25 @@
 """Flat-file formats for distance matrices and triple sets.
 
 Matrix files: a header line of whitespace-separated point labels, then n
-rows of n rationals written as "3" or "3/2".  Triples files: one triple of
-labels per line.  Lines starting with '#' are comments in both.  Decimal
-tokens are rejected outright; converting them would break the exactness
-contract.  A label is a nonempty token with no whitespace; the formatters
-refuse one that would start a written line with '#', and `format_matrix` a
-negative entry, so what they write reads back.
+rows of n rationals written as "3" or "3/2" in ASCII digits.  Triples files:
+one triple of labels per line.  Lines starting with '#' are comments in
+both.  Decimal tokens are rejected outright; converting them would break
+the exactness contract.  `_parse_rational` is the one reader of a matrix
+numeral: it refuses other digits ("١", "３"), which int() would read, and a
+numeral past Python's limit on digits (4,300 by default), each with a
+ParseError naming its line and token.  A label is a nonempty token with
+no whitespace; the formatters refuse one that would start a written line
+with '#', and `format_matrix` a negative entry, so what they write reads
+back.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .core import Betweenness, DistanceMatrix
 
-_NUMBER = re.compile(r"\+?(\d+)(?:/(\d+))?$")
+_NUMBER = re.compile(r"\+?([0-9]+)(?:/([0-9]+))?$")
 
 
 class ParseError(ValueError):
@@ -47,10 +52,16 @@ def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
             lineno,
             column,
         )
-    num, den = m.group(1), m.group(2)
-    if den is not None and int(den) == 0:
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:
+        longest = max(len(part) for part in m.groups() if part)
+        limit = sys.get_int_max_str_digits()
+        message = f"{longest}-digit numeral; at most {limit} digits are read"
+        raise ParseError(message, lineno, column) from None
+    if den == 0:
         raise ParseError(f"zero denominator in {token!r}", lineno, column)
-    return Fraction(int(num), int(den)) if den is not None else Fraction(int(num))
+    return Fraction(num, den)
 
 
 def parse_matrix(text: str) -> DistanceMatrix:

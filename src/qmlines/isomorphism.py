@@ -7,7 +7,7 @@ relabelings for the classification at n <= 4, 120 for the n=5 maps and
 queries.  :func:`apply_relabeling` maps triples directly and works at any n.
 """
 
-from .core import Betweenness, _Value, as_index
+from .core import Betweenness, _Value, as_point
 from .encoding import _relabelings, orbit
 
 
@@ -18,9 +18,11 @@ class Relabeling(_Value):
     perm: tuple[int, ...]
 
     def __init__(self, perm):
-        perm = tuple(as_index(v, "relabeling image") for v in perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
+        perm = tuple(perm)
+        n = len(perm)
+        perm = tuple(as_point(v, n, "relabeling image") for v in perm)
+        if len(set(perm)) != n:
+            raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
         object.__setattr__(self, "perm", perm)
 
     @classmethod
@@ -38,10 +40,7 @@ class Relabeling(_Value):
         return len(self.perm)
 
     def __call__(self, i: int) -> int:
-        i = as_index(i, "point")
-        if not 0 <= i < self.n:
-            raise ValueError(f"point {i} out of range for n={self.n}")
-        return self.perm[i]
+        return self.perm[as_point(i, self.n, "point")]
 
 
 def apply_relabeling(b: Betweenness, f: Relabeling) -> Betweenness:

@@ -29,6 +29,7 @@ from functools import lru_cache
 from .core import as_index, betweenness_mask
 from .encoding import (
     INTEGER_SWEEP_CAP,
+    _about,
     _relabelings,
     ordered_triples,
     orbit,
@@ -186,15 +187,20 @@ def integer_canon_witnesses(n: int, kmax: int) -> dict[int, tuple[int, ...]]:
     encoding.RELABELING_CAP relabelings.
     """
     kmax = as_index(kmax, "kmax")
+    k = _about(kmax, 10**99)
     if kmax < 1:
-        raise ValueError(f"kmax must be at least 1, got {kmax}")
-    estimate = kmax ** (n * (n - 1))
-    if estimate > INTEGER_SWEEP_CAP:
+        raise ValueError(f"kmax must be at least 1, got {k}")
+    npairs = n * (n - 1)
+    # kmax^npairs is at least 2^bits: past 329 bits (over 10**99) it is over
+    # the cap and goes uncomputed, since a power of a huge kmax takes seconds
+    bits = (kmax.bit_length() - 1) * npairs
+    estimate = kmax**npairs if bits < 330 else None
+    if estimate is None or estimate > INTEGER_SWEEP_CAP:
         # the decimal while it is short: str() refuses over 4,300 digits
-        exact = f" = {estimate}" if estimate < 10**99 else ""
+        exact = f" = {estimate}" if estimate is not None and estimate < 10**99 else ""
         raise ValueError(
-            f"integer search is exhaustive; n={n}, K={kmax} means up to "
-            f"{kmax}^{n * (n - 1)}{exact} matrices, over the cap of "
+            f"integer search is exhaustive; n={n}, K={k} means up to "
+            f"{k if kmax < 10**99 else 'K'}^{npairs}{exact} matrices, over the cap of "
             f"{INTEGER_SWEEP_CAP} (2^24)"
         )
     # refuses n! over the cap; the walk needs the relabelings anyway

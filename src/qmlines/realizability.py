@@ -23,6 +23,7 @@ from .core import (
     _Value,
     DistanceMatrix,
     as_index,
+    as_point,
     betweenness_mask,
     betweenness_of,
     consistency_check,
@@ -396,11 +397,9 @@ class Digraph(_Value):
                 i, j = arc
             except (TypeError, ValueError):
                 raise ValueError(f"arc {arc!r} is not a pair of points") from None
-            i, j = as_index(i, "arc endpoint"), as_index(j, "arc endpoint")
+            i, j = as_point(i, n, "arc endpoint"), as_point(j, n, "arc endpoint")
             if i == j:
                 raise ValueError(f"loop arc ({i},{i}) not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"arc ({i},{j}) out of range for n={n}")
             checked.add((i, j))
         arcs = frozenset(checked)
         object.__setattr__(self, "n", n)

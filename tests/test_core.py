@@ -41,6 +41,8 @@ from qmlines.encoding import (
     triples_from_mask,
 )
 from qmlines.enumeration import canonical_classes
+from qmlines.isomorphism import Relabeling
+from qmlines.realizability import Digraph, realize_bounded_integer
 from qmlines.fixtures import (
     THREE_POINT_TABLE,
     q4_betweenness,
@@ -795,3 +797,51 @@ def test_segment_interior_is_the_middle_of_member_triples(m):
                 assert segment(m, x, y) - {x, y} == middles
                 # membership is False for the impossible triples xxy and xyy
                 assert {z for z in range(m.n) if (x, z, y) in b} == middles
+
+
+# str() refuses an int of over 4,300 digits: each refusal writes such a value
+# through encoding._about, as a power of 2 past 99 digits
+HUGE = 1 << 20000
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (
+            lambda: segment(uniform(3), HUGE, 0),
+            "segment endpoint about 2^20000.0 out of range for n=3",
+        ),
+        (
+            lambda: line_of_pair(Betweenness(3, 0), 0, HUGE),
+            "line endpoint about 2^20000.0 out of range for n=3",
+        ),
+        (lambda: Relabeling((0, 1, 2))(HUGE), "point about 2^20000.0 out of range for n=3"),
+        (lambda: Digraph(3, [(0, HUGE)]), "arc endpoint about 2^20000.0 out of range for n=3"),
+        (
+            lambda: Betweenness.from_triples(3, [(0, 1, HUGE)]),
+            "not an ordered triple of distinct points in range: (0, 1, about 2^20000.0)",
+        ),
+        (
+            lambda: LineSet(2, {(0, 1): {0, 1, HUGE}, (1, 0): {0, 1}}, []),
+            "line [0, 1, about 2^20000.0] of pair (0, 1) must hold 0 and 1 within 0..1",
+        ),
+        (
+            lambda: realize_bounded_integer(Betweenness(3, 0), HUGE),
+            "integer search is exhaustive; n=3, K=about 2^20000.0 means up to K^6 matrices, "
+            "over the cap of 16777216 (2^24)",
+        ),
+    ],
+    ids=["segment", "line_of_pair", "Relabeling", "Digraph", "from_triples", "LineSet", "int:K"],
+)
+def test_a_huge_value_is_refused_with_the_programs_own_text(refuse, message):
+    with pytest.raises(ValueError) as refused:
+        refuse()
+    assert str(refused.value) == message
+
+
+def test_a_violation_writes_a_huge_sum_as_a_power():
+    # two entries with 4,002-digit denominators sum to one of 8,003 digits
+    p, q = 10**4001 + 7, 10**4001 + 9
+    m = DistanceMatrix("abc", [[0, Fraction(1, p), 5], [1, 0, Fraction(1, q)], [1, 1, 0]])
+    (violation,) = validate_quasi_metric(m).violations
+    assert violation.detail == "d(a,c) = 5 > d(a,b) + d(b,c) = about 2^13292.0/about 2^26582.1"

@@ -63,6 +63,23 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="rational"):
             parse_matrix("a b\n0 -1\n1 0\n")
 
+    # re's \d and int() read "١" as 1; a matrix numeral is ASCII digits alone
+    @pytest.mark.parametrize("token", ["\u0661", "\uff11", "1/\u0662"])
+    def test_non_ascii_digits_rejected(self, token):
+        with pytest.raises(ParseError, match=f"^line 2, token 2: not a rational: {token!r}"):
+            parse_matrix(f"a b\n0 {token}\n1 0\n")
+
+    # int() refuses a numeral of over 4,300 digits with Python's own text
+    @pytest.mark.parametrize(
+        "token",
+        ["7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/1"],
+        ids=["integer", "denominator", "numerator"],
+    )
+    def test_a_numeral_past_the_digit_limit_is_a_parse_error(self, token):
+        message = "^line 3, token 1: 5000-digit numeral; at most 4300 digits are read$"
+        with pytest.raises(ParseError, match=message):
+            parse_matrix(f"a b\n0 1\n{token} 0\n")
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError, match="denominator"):
             parse_matrix("a b\n0 1/0\n1 0\n")

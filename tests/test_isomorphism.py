@@ -341,6 +341,18 @@ class TestRelabelingCap:
         with pytest.raises(ValueError, match=message):
             encoding._relabelings(1600)
 
+    # factorial(200000) took 0.44 s, and the orbit table computed it too:
+    # past 69! the count's size comes from n
+    @pytest.mark.parametrize(
+        "refuse",
+        [lambda: encoding._relabelings(200000), lambda: canonical_form(Betweenness(200000, 0))],
+        ids=["relabelings", "canonical_form"],
+    )
+    def test_a_huge_count_is_not_computed(self, monkeypatch, refuse):
+        monkeypatch.setattr(encoding, "factorial", lambda n: pytest.fail(f"{n}! was computed"))
+        with pytest.raises(ValueError, match=r"200000! = about 2\^3233399.2 relabelings"):
+            refuse()
+
     def test_isomorphism_witness_refuses_nine_points(self):
         with pytest.raises(ValueError, match="over the cap"):
             isomorphism_witness(Betweenness(9, 0), Betweenness(9, 0))

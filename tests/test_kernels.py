@@ -278,6 +278,15 @@ def test_a_refusal_states_a_long_size_as_a_power(sweep, args, message):
         getattr(kernels, f"{sweep}_canon_witnesses")(*args)
 
 
+# kmax ** 14520 of a 1,000-digit kmax took 16.6 s to compute; the size of
+# kmax alone shows it is over the cap
+def test_a_huge_bound_is_refused_from_its_size():
+    message = "n=121, K=about 2^3321.9 means up to K^14520 matrices, over the cap of 16777216"
+    with pytest.raises(ValueError) as refused:
+        kernels.integer_canon_witnesses(121, 10**1000)
+    assert message in str(refused.value)
+
+
 @pytest.mark.parametrize(("n", "kmax"), [(2, 0), (4, 0), (4, -1), (9, 0)])
 def test_integer_bound_below_one_is_refused_before_any_table(monkeypatch, n, kmax):
     # ahead of both caps: n=9 alone would be over the relabeling cap
